@@ -25,19 +25,13 @@ from .experiments import (
     sweep_orus,
 )
 from .powermodel import (
-    BbpPlacement,
     ClassPolicy,
     ModelConfig,
-    NodeLoad,
     PowerBreakdown,
     ProvisioningPolicy,
     TrafficModel,
-    bbp_server_power,
-    node_ecpri_load,
-    processing_power_per_user,
+    equipment_power,
     provision_units,
-    total_power_per_user,
-    transmission_power_per_user,
     user_baseband_rate,
 )
 from .topology import (
@@ -54,7 +48,6 @@ from .topology import (
     fanout_case,
     from_fanout_case,
     segment_map,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -40,10 +40,11 @@ class EquipmentSpec:
             raise CatalogError(f"{self.name}: capacity must be positive, got {self.capacity_gbps}")
 
 
-def energy_per_capacity(spec: EquipmentSpec) -> float:
-    """Watts drawn per Gbps of provisioned capacity for one device."""
+def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
+    """Watts drawn per Gbps of provisioned capacity for one device or server."""
     if spec.capacity_gbps <= 0:
-        raise CatalogError(f"{spec.name}: capacity must be positive to form a W/Gbps ratio")
+        raise CatalogError(
+            f"capacity must be positive to form a W/Gbps ratio, got {spec.capacity_gbps}")
     return spec.rated_power_w / spec.capacity_gbps
 
 
@@ -52,7 +53,9 @@ class ServerSpec:
     """A baseband-processing server: identical cores, each with its own power and capacity.
 
     ``server_capacity_gbps`` must equal ``cores * per_core_capacity_gbps``, so
-    the server-level watts-per-Gbps ratio equals the per-core ratio.
+    the server-level watts-per-Gbps ratio equals the per-core ratio. The
+    ``rated_power_w`` and ``capacity_gbps`` properties give a server the shape
+    of an ``EquipmentSpec``, so the same sizing code serves both.
     """
 
     cores: int
@@ -81,14 +84,14 @@ class ServerSpec:
             )
 
     @property
-    def total_power_w(self) -> float:
+    def rated_power_w(self) -> float:
         """Rated power of the whole server with every core active."""
         return self.cores * self.per_core_power_w
 
     @property
-    def energy_per_capacity(self) -> float:
-        """Server watts per Gbps of baseband-processing capacity."""
-        return self.total_power_w / self.server_capacity_gbps
+    def capacity_gbps(self) -> float:
+        """Baseband-processing capacity of the whole server."""
+        return self.server_capacity_gbps
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .catalog import CatalogError, EquipmentCatalog, catalog_from_entries, default_catalog
 from .configfile import ConfigEntry, ConfigError, float_value, int_value, parse_config_text
@@ -16,14 +16,7 @@ from .experiments import (
     fanout_study,
     sweep_orus,
 )
-from .powermodel import (
-    BbpPlacement,
-    ModelConfig,
-    PowerBreakdown,
-    ProvisioningPolicy,
-    TrafficModel,
-    total_power_per_user,
-)
+from .powermodel import ModelConfig, PowerBreakdown, ProvisioningPolicy, TrafficModel
 from .topology import (
     LINK_ORDER,
     NODE_ORDER,
@@ -166,7 +159,7 @@ def _model_config(run: RunConfig, policy_name: str, provision_to_cap: bool = Tru
     )
 
 
-def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[BbpPlacement]:
+def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[Node]:
     placements = []
     for token in raw.split(","):
         token = token.strip().lower()
@@ -184,7 +177,25 @@ def _emit(text: str, output: str | None, stdout: TextIO) -> None:
             handle.write(text)
 
 
-def _render_eval_table(topology, placement: BbpPlacement, policy_name: str,
+def _topology_value(args, run: RunConfig, name: str, default: int | None,
+                    parser: argparse.ArgumentParser) -> int:
+    """The ``--name`` flag, else the config's ``topology.name``, else ``default``."""
+    for value in (getattr(args, name), getattr(run, name), default):
+        if value is not None:
+            return value
+    flag = "--" + name.replace("_", "-")
+    parser.error(f"{flag} is required, as a flag or as topology.{name} in --config")
+
+
+def _csv_text(metadata: Sequence[tuple[str, object]], header: str, rows: Iterable[str]) -> str:
+    """``# key = value`` metadata lines, then the header row and the data rows."""
+    lines = [f"# {key} = {value}" for key, value in metadata]
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
+def _render_eval_table(topology, placement: Node, policy_name: str,
                        breakdown: PowerBreakdown) -> str:
     lines = [
         f"bbp placement : {placement.value}",
@@ -210,18 +221,19 @@ def _render_eval_table(topology, placement: BbpPlacement, policy_name: str,
 
 def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     run = load_run_config(args.config)
-    config = _model_config(run, args.policy)
-    topology = build_sweep_topology(args.n_ru, args.users_per_ru, run.du_fanout_cap)
+    n_ru = _topology_value(args, run, "n_ru", None, parser)
+    users_per_ru = _topology_value(args, run, "users_per_ru", None, parser)
+    config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
+    topology = build_sweep_topology(n_ru, users_per_ru, run.du_fanout_cap)
     placement = _SEGMENT_BY_NAME[args.bbp]
-    breakdown = total_power_per_user(topology, config.traffic, config.catalog, config.params,
-                                     placement, config.policy,
-                                     provision_to_cap=not args.attached_load)
+    breakdown = config.evaluate(topology, placement)
     if args.format == "table":
         text = _render_eval_table(topology, placement, args.policy, breakdown)
     else:
-        header = "n_ru,placement," + ",".join(CSV_COLUMNS)
-        row = ",".join([str(args.n_ru), placement.value] + _breakdown_fields(breakdown))
-        text = header + "\n" + row + "\n"
+        metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
+                    ("du_fanout_cap", run.du_fanout_cap)]
+        row = ",".join([str(n_ru), placement.value] + _breakdown_fields(breakdown))
+        text = _csv_text(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
     _emit(text, args.output, stdout)
     return EXIT_OK
 
@@ -231,52 +243,43 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         parser.error(f"--max-ru must be >= 1, got {args.max_ru}")
     run = load_run_config(args.config)
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
-    users_per_ru = args.users_per_ru if args.users_per_ru is not None else (
-        run.users_per_ru if run.users_per_ru is not None else DEFAULT_USERS_PER_RU)
+    users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
     placements = _parse_placements(args.placements, parser)
     records = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
                          du_fanout_cap=run.du_fanout_cap)
-    lines = [
-        f"# max_ru = {args.max_ru}",
-        f"# users_per_ru = {users_per_ru}",
-        f"# policy = {args.policy}",
-        f"# du_fanout_cap = {run.du_fanout_cap}",
-        "# n_cu = 1  (single-aggregation sweep convention)",
-        "# n_dc = 1  (single-aggregation sweep convention)",
-        "n_ru,placement," + ",".join(CSV_COLUMNS),
+    metadata = [
+        ("max_ru", args.max_ru),
+        ("users_per_ru", users_per_ru),
+        ("policy", args.policy),
+        ("du_fanout_cap", run.du_fanout_cap),
+        ("n_cu", "1  (single-aggregation sweep convention)"),
+        ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    for record in records:
-        lines.append(",".join([str(record.n_ru), record.placement.value]
-                              + _breakdown_fields(record.breakdown)))
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+    rows = (",".join([str(record.n_ru), record.placement.value]
+                     + _breakdown_fields(record.breakdown)) for record in records)
+    _emit(_csv_text(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows),
+          args.output, stdout)
     return EXIT_OK
 
 
 def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     run = load_run_config(args.config)
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
-    users_per_ru = args.users_per_ru if args.users_per_ru is not None else (
-        run.users_per_ru if run.users_per_ru is not None else DEFAULT_USERS_PER_RU)
-    n_ru = args.n_ru if args.n_ru is not None else (
-        run.n_ru if run.n_ru is not None else DEFAULT_FANOUT_N_RU)
+    users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
+    n_ru = _topology_value(args, run, "n_ru", DEFAULT_FANOUT_N_RU, parser)
     cases = [fanout_case(label.strip()) for label in args.cases.split(",")]
     placements = _parse_placements(args.placements, parser)
     records = fanout_study(cases, n_ru, users_per_ru, placements, config)
-    lines = [
-        f"# n_ru = {n_ru}",
-        f"# users_per_ru = {users_per_ru}",
-        f"# policy = {args.policy}",
-        "case,placement,p_processing_w,p_transmission_w,p_total_w",
-    ]
-    for record in records:
-        lines.append(",".join([
-            record.case,
-            record.placement.value,
-            _fmt(record.breakdown.processing_watts),
-            _fmt(record.breakdown.transmission_watts),
-            _fmt(record.breakdown.total_watts),
-        ]))
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+    metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
+    rows = (",".join([
+        record.case,
+        record.placement.value,
+        _fmt(record.breakdown.processing_watts),
+        _fmt(record.breakdown.transmission_watts),
+        _fmt(record.breakdown.total_watts),
+    ]) for record in records)
+    _emit(_csv_text(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
+          args.output, stdout)
     return EXIT_OK
 
 
@@ -299,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one topology and placement")
-    p_eval.add_argument("--n-ru", type=int, required=True, help="number of O-RUs")
-    p_eval.add_argument("--users-per-ru", type=int, required=True, help="users per O-RU")
+    p_eval.add_argument("--n-ru", type=int, default=None,
+                        help="number of O-RUs (required here or as topology.n_ru)")
+    p_eval.add_argument("--users-per-ru", type=int, default=None,
+                        help="users per O-RU (required here or as topology.users_per_ru)")
     p_eval.add_argument("--bbp", choices=[node.value for node in NODE_ORDER], required=True,
                         help="baseband-processing node")
     p_eval.add_argument("--format", choices=["table", "csv"], default="table")

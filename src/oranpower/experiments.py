@@ -9,25 +9,19 @@ from typing import Iterable, Mapping, Sequence
 from .catalog import EquipmentCatalog, ServerSpec
 from .powermodel import (
     GBPS_TO_BITS_PER_S,
-    BbpPlacement,
     ClassPolicy,
     ModelConfig,
     PowerBreakdown,
     ProvisioningPolicy,
     TrafficModel,
-    bbp_branch,
-    link_precedes_bbp,
-    node_ecpri_load,
-    node_interface_spec,
-    node_server_spec,
     provision_units,
-    segment_switch_spec,
 )
 from .topology import (
-    LINK_LOAD_NODE,
     LINK_ORDER,
     NODE_ORDER,
     FanoutCase,
+    Link,
+    Node,
     Segment,
     SegmentParams,
     Topology,
@@ -47,7 +41,7 @@ class SweepRecord:
     """One evaluated (O-RU count, BBP placement) cell of the sweep."""
 
     n_ru: int
-    placement: BbpPlacement
+    placement: Node
     breakdown: PowerBreakdown
 
 
@@ -56,17 +50,17 @@ class FanoutStudyRecord:
     """One evaluated (fanout case, BBP placement) cell of the fanout study."""
 
     case: str
-    placement: BbpPlacement
+    placement: Node
     breakdown: PowerBreakdown
 
 
-def _ordered_placements(placements: Iterable[BbpPlacement]) -> list[BbpPlacement]:
+def _ordered_placements(placements: Iterable[Node]) -> list[Node]:
     wanted = set(placements)
     return [node for node in NODE_ORDER if node in wanted]
 
 
 def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
-               placements: Iterable[BbpPlacement], config: ModelConfig,
+               placements: Iterable[Node], config: ModelConfig,
                du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP) -> list[SweepRecord]:
     """Evaluate every (n_ru, placement) pair over sweep topologies.
 
@@ -86,7 +80,7 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,
-                 placements: Iterable[BbpPlacement], config: ModelConfig) -> list[FanoutStudyRecord]:
+                 placements: Iterable[Node], config: ModelConfig) -> list[FanoutStudyRecord]:
     """Evaluate every (fanout case, placement) pair at a fixed O-RU count.
 
     The O-RU placement is included for completeness; its breakdown carries no
@@ -129,57 +123,75 @@ def _server_watts(load_gbps: float, server: ServerSpec, policy: ClassPolicy) -> 
 def brute_force_oracle(topology: Topology, traffic: TrafficModel,
                        catalog: EquipmentCatalog,
                        params: Mapping[Segment, SegmentParams],
-                       placement: BbpPlacement, policy: ProvisioningPolicy,
+                       placement: Node, policy: ProvisioningPolicy,
                        provision_to_cap: bool = True) -> float:
     """Network-total watts by explicit enumeration of every device and user.
 
     Walks each physical node instance, each transport device on each link
     instance (including every extra hop device), each user's share of the
     multiplexed downstream equipment, and each UE, without using the
-    closed-form per-user expressions. Dividing the result by the user count
-    must reproduce ``total_power_per_user(...).total_watts``.
+    closed-form per-user expressions. Loads, instance counts, equipment and
+    the side of the BBP node are derived here, not taken from ``powermodel``.
+    Dividing the result by the user count must reproduce
+    ``ModelConfig.evaluate(...).total_watts``.
     """
     n_users = topology.n_users
     user_rate = traffic.user_rate_gbps
+    ecpri = traffic.ecpri_per_ru_gbps
+    instances = {Node.ORU: topology.n_ru, Node.ODU: topology.n_du,
+                 Node.OCU: topology.n_cu, Node.DC: topology.n_dc}
+    # O-DUs are sized for the fanout cap when set; every other instance
+    # processes the eCPRI of all O-RUs beneath it.
+    if provision_to_cap and topology.du_fanout_cap is not None:
+        odu_rus = topology.du_fanout_cap
+    else:
+        odu_rus = topology.n_ru / topology.n_du
+    load = {Node.ORU: ecpri, Node.ODU: odu_rus * ecpri,
+            Node.OCU: topology.n_ru / topology.n_cu * ecpri,
+            Node.DC: topology.n_ru / topology.n_dc * ecpri}
+    interface = {Node.ORU: catalog.radio, Node.ODU: catalog.access_switch,
+                 Node.OCU: catalog.core_switch, Node.DC: catalog.core_switch}
+    bbp_depth = NODE_ORDER.index(placement)
     total = 0.0
 
-    for node in NODE_ORDER:
+    for depth, node in enumerate(NODE_ORDER):
         seg = params[node]
         scale = seg.alpha * seg.sigma
-        interface = node_interface_spec(catalog, node)
-        branch = bbp_branch(node, placement)
-        if branch == "after":
-            share = scale * user_rate * interface.rated_power_w / interface.capacity_gbps
+        chassis = interface[node]
+        if depth > bbp_depth:
+            share = scale * user_rate * chassis.rated_power_w / chassis.capacity_gbps
             for _ in range(n_users):
                 total += share
             continue
-        load = node_ecpri_load(topology, traffic, node, provision_to_cap)
-        instance_watts = _device_watts(load.load_gbps, interface.rated_power_w,
-                                       interface.capacity_gbps, policy.node_interface)
-        if branch == "bbp":
-            instance_watts += _server_watts(load.load_gbps, node_server_spec(catalog, node),
-                                            policy.servers)
-        for _ in range(load.instances):
+        instance_watts = _device_watts(load[node], chassis.rated_power_w,
+                                       chassis.capacity_gbps, policy.node_interface)
+        if depth == bbp_depth:
+            server = catalog.dc_server if node is Node.DC else catalog.edge_server
+            instance_watts += _server_watts(load[node], server, policy.servers)
+        for _ in range(instances[node]):
             total += scale * instance_watts
 
-    for link in LINK_ORDER:
+    wdm = catalog.wdm_link
+    router = catalog.router
+    # Each link runs from one tier (which sets its load and instance count)
+    # to the next; it still carries eCPRI while that next tier is at or
+    # before the BBP node.
+    for link, upstream, downstream in zip(LINK_ORDER, NODE_ORDER, NODE_ORDER[1:]):
         seg = params[link]
         scale = seg.alpha * seg.sigma
-        switch = segment_switch_spec(catalog, link)
-        wdm = catalog.wdm_link
-        router = catalog.router
-        if link_precedes_bbp(link, placement):
-            load = node_ecpri_load(topology, traffic, LINK_LOAD_NODE[link], provision_to_cap)
-            for _ in range(load.instances):
+        switch = catalog.access_switch if link is Link.FRONTHAUL else catalog.core_switch
+        if NODE_ORDER.index(downstream) <= bbp_depth:
+            link_load = load[upstream]
+            for _ in range(instances[upstream]):
                 for _ in range(seg.hops_switch + 1):
-                    total += scale * _device_watts(load.load_gbps, switch.rated_power_w,
+                    total += scale * _device_watts(link_load, switch.rated_power_w,
                                                    switch.capacity_gbps, policy.switches)
                 for _ in range(seg.hops_wdm + 1):
-                    total += scale * _device_watts(load.load_gbps, wdm.rated_power_w,
+                    total += scale * _device_watts(link_load, wdm.rated_power_w,
                                                    wdm.capacity_gbps, policy.links)
                 if seg.gamma:
                     for _ in range(seg.hops_router + 1):
-                        total += scale * _device_watts(load.load_gbps, router.rated_power_w,
+                        total += scale * _device_watts(link_load, router.rated_power_w,
                                                        router.capacity_gbps, policy.routers)
         else:
             for _ in range(n_users):

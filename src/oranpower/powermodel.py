@@ -15,8 +15,6 @@ from typing import Mapping
 
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, energy_per_capacity
 from .topology import (
-    LINK_DOWNSTREAM_NODE,
-    LINK_LOAD_NODE,
     LINK_ORDER,
     NODE_ORDER,
     Link,
@@ -27,15 +25,14 @@ from .topology import (
     coverage_factor,
 )
 
-BbpPlacement = Node
-
 SECONDS_PER_MONTH = 30 * 24 * 3600  # 30-day month
 BITS_PER_GIGABYTE = 8e9  # decimal units
 GBPS_TO_BITS_PER_S = 1e9
 
-# Shaves one part in 1e12 off the capacity ratio before ceiling so loads that
-# are exact unit multiples (up to float rounding) do not buy an extra unit.
-_CEIL_GUARD = 1.0 - 1e-12
+# A load/unit ratio this many ULPs from a whole number is that number: loads
+# that are exact unit multiples up to float rounding buy no extra unit. Above
+# about 2**50 units a half-unit fraction is itself within this distance.
+_SNAP_ULPS = 4
 
 # Relative tolerance for the breakdown sum invariants.
 _SUM_TOL = 1e-9
@@ -57,10 +54,10 @@ class TrafficModel:
     ecpri_per_ru_gbps: float = 11.0
 
     def __post_init__(self):
-        if self.monthly_gb_per_user < 0:
-            raise ValueError(f"monthly_gb_per_user must be >= 0, got {self.monthly_gb_per_user}")
-        if self.ecpri_per_ru_gbps < 0:
-            raise ValueError(f"ecpri_per_ru_gbps must be >= 0, got {self.ecpri_per_ru_gbps}")
+        for name in ("monthly_gb_per_user", "ecpri_per_ru_gbps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
     @property
     def user_rate_gbps(self) -> float:
@@ -81,8 +78,9 @@ class ClassPolicy:
     minimum_units: int = 0
 
     def __post_init__(self):
-        if self.unit_capacity_gbps is not None and not self.unit_capacity_gbps > 0:
-            raise ValueError(f"unit_capacity_gbps must be > 0, got {self.unit_capacity_gbps}")
+        unit = self.unit_capacity_gbps
+        if unit is not None and not (math.isfinite(unit) and unit > 0):
+            raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
         if not (isinstance(self.minimum_units, int) and self.minimum_units >= 0):
             raise ValueError(f"minimum_units must be an integer >= 0, got {self.minimum_units}")
 
@@ -122,132 +120,25 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
         raise ValueError(f"unit_capacity_gbps must be > 0, got {unit_capacity_gbps}")
     if load_gbps < 0:
         raise ValueError(f"load_gbps must be >= 0, got {load_gbps}")
-    units = math.ceil((load_gbps / unit_capacity_gbps) * _CEIL_GUARD)
-    return max(minimum_units, units)
+    ratio = load_gbps / unit_capacity_gbps
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= _SNAP_ULPS * math.ulp(ratio):
+        return max(minimum_units, nearest)
+    return max(minimum_units, math.ceil(ratio))
 
 
-def equipment_power(load_gbps: float, spec: EquipmentSpec, policy: ClassPolicy) -> float:
-    """Watts one device class draws for a per-instance load, under the class policy."""
+def equipment_power(load_gbps: float, spec: EquipmentSpec | ServerSpec,
+                    policy: ClassPolicy) -> float:
+    """Watts one device class draws for a per-instance load, under the class policy.
+
+    Linear mode scales the device's W/Gbps ratio by the load; quantized mode
+    buys whole devices (or ``unit_capacity_gbps`` slices of one).
+    """
     ratio = energy_per_capacity(spec)
     if not policy.quantized:
         return load_gbps * ratio
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else spec.capacity_gbps
     return provision_units(load_gbps, unit, policy.minimum_units) * ratio * unit
-
-
-def bbp_server_power(load_gbps: float, server: ServerSpec, policy: ClassPolicy) -> float:
-    """Server watts for one node instance's baseband load.
-
-    Linear mode scales the whole-server W/Gbps ratio by the load; quantized
-    mode deploys whole servers (or ``unit_capacity_gbps`` slices of one).
-    """
-    if load_gbps < 0:
-        raise ValueError(f"load_gbps must be >= 0, got {load_gbps}")
-    ratio = server.energy_per_capacity
-    if not policy.quantized:
-        return load_gbps * ratio
-    unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else server.server_capacity_gbps
-    return provision_units(load_gbps, unit, policy.minimum_units) * ratio * unit
-
-
-@dataclass(frozen=True)
-class NodeLoad:
-    """Provisioned eCPRI rate per node instance, plus the instance count."""
-
-    node: Node
-    load_gbps: float
-    instances: int
-
-    def __post_init__(self):
-        if self.load_gbps < 0:
-            raise ValueError(f"{self.node.value}: load must be >= 0, got {self.load_gbps}")
-        if self.instances < 1:
-            raise ValueError(f"{self.node.value}: instances must be >= 1, got {self.instances}")
-
-
-def node_ecpri_load(topology: Topology, traffic: TrafficModel, node: Node,
-                    provision_to_cap: bool = True) -> NodeLoad:
-    """Per-instance eCPRI load at a node tier.
-
-    O-DUs are sized for ``du_fanout_cap`` O-RUs when ``provision_to_cap`` is
-    set and the topology carries a cap, otherwise for the O-RUs actually
-    attached. O-CU and DC instances carry their full aggregated share.
-    """
-    ecpri = traffic.ecpri_per_ru_gbps
-    if node is Node.ORU:
-        return NodeLoad(node, ecpri, topology.n_ru)
-    if node is Node.ODU:
-        if provision_to_cap and topology.du_fanout_cap is not None:
-            per_du = topology.du_fanout_cap
-        else:
-            per_du = topology.n_ru / topology.n_du
-        return NodeLoad(node, per_du * ecpri, topology.n_du)
-    if node is Node.OCU:
-        return NodeLoad(node, topology.n_ru / topology.n_cu * ecpri, topology.n_cu)
-    if node is Node.DC:
-        return NodeLoad(node, topology.n_ru / topology.n_dc * ecpri, topology.n_dc)
-    raise ValueError(f"unknown node kind: {node!r}")
-
-
-def node_interface_spec(catalog: EquipmentCatalog, node: Node) -> EquipmentSpec:
-    """Interface/chassis equipment backing each node tier."""
-    return {
-        Node.ORU: catalog.radio,
-        Node.ODU: catalog.access_switch,
-        Node.OCU: catalog.core_switch,
-        Node.DC: catalog.core_switch,
-    }[node]
-
-
-def node_server_spec(catalog: EquipmentCatalog, node: Node) -> ServerSpec:
-    """Server type deployed at each node tier (edge servers outside the DC)."""
-    return catalog.dc_server if node is Node.DC else catalog.edge_server
-
-
-def segment_switch_spec(catalog: EquipmentCatalog, link: Link) -> EquipmentSpec:
-    """Switch class per transport segment: access at fronthaul, core beyond."""
-    return catalog.access_switch if link is Link.FRONTHAUL else catalog.core_switch
-
-
-def bbp_branch(node: Node, placement: BbpPlacement) -> str:
-    """Position of a node relative to the BBP node: 'before', 'bbp', or 'after'."""
-    if node.depth < placement.depth:
-        return "before"
-    if node.depth == placement.depth:
-        return "bbp"
-    return "after"
-
-
-def link_precedes_bbp(link: Link, placement: BbpPlacement) -> bool:
-    """True while the segment's downstream endpoint is at or before the BBP node."""
-    return LINK_DOWNSTREAM_NODE[link].depth <= placement.depth
-
-
-def processing_power_per_user(topology: Topology, traffic: TrafficModel,
-                              catalog: EquipmentCatalog,
-                              params: Mapping[Segment, SegmentParams],
-                              placement: BbpPlacement, policy: ProvisioningPolicy,
-                              node: Node, provision_to_cap: bool = True) -> float:
-    """Per-user processing watts contributed by one node tier.
-
-    Nodes before the BBP node pass provisioned eCPRI through their interface
-    equipment; the BBP node adds its servers; nodes after it carry only the
-    multiplexed baseband rate, with no coverage weighting.
-    """
-    if not isinstance(node, Node):
-        raise ValueError(f"unknown node kind: {node!r}")
-    seg = params[node]
-    scale = seg.alpha * seg.sigma
-    interface = node_interface_spec(catalog, node)
-    branch = bbp_branch(node, placement)
-    if branch == "after":
-        return scale * traffic.user_rate_gbps * energy_per_capacity(interface)
-    load = node_ecpri_load(topology, traffic, node, provision_to_cap)
-    rho = coverage_factor(topology, seg)
-    watts = equipment_power(load.load_gbps, interface, policy.node_interface)
-    if branch == "bbp":
-        watts += bbp_server_power(load.load_gbps, node_server_spec(catalog, node), policy.servers)
-    return scale * rho * watts
 
 
 @dataclass(frozen=True)
@@ -257,57 +148,6 @@ class SegmentPower:
     segment: Link
     before_bbp: bool
     watts: float
-
-
-@dataclass(frozen=True)
-class TransmissionBreakdown:
-    """UE term plus per-segment transmission watts, all per user."""
-
-    ue_watts: float
-    segments: tuple[SegmentPower, ...]
-    total_watts: float
-
-
-def transmission_power_per_user(topology: Topology, traffic: TrafficModel,
-                                catalog: EquipmentCatalog,
-                                params: Mapping[Segment, SegmentParams],
-                                placement: BbpPlacement, policy: ProvisioningPolicy,
-                                provision_to_cap: bool = True) -> TransmissionBreakdown:
-    """Per-user transmission watts: UE energy plus the three transport segments.
-
-    Segments upstream of the BBP node carry one instance's provisioned eCPRI
-    aggregate, weighted by the link coverage factor; downstream segments carry
-    the plain per-user baseband rate. Each segment sums its switch, WDM-link,
-    and (where gamma is 1) router devices over their hop counts.
-    """
-    user_rate = traffic.user_rate_gbps
-    segments = []
-    for link in LINK_ORDER:
-        seg = params[link]
-        scale = seg.alpha * seg.sigma
-        switch = segment_switch_spec(catalog, link)
-        before = link_precedes_bbp(link, placement)
-        if before:
-            load = node_ecpri_load(topology, traffic, LINK_LOAD_NODE[link], provision_to_cap)
-            rho = coverage_factor(topology, seg)
-            per_instance = (
-                (seg.hops_switch + 1) * equipment_power(load.load_gbps, switch, policy.switches)
-                + (seg.hops_wdm + 1) * equipment_power(load.load_gbps, catalog.wdm_link, policy.links)
-                + seg.gamma * (seg.hops_router + 1)
-                * equipment_power(load.load_gbps, catalog.router, policy.routers)
-            )
-            watts = scale * rho * per_instance
-        else:
-            bracket = (
-                (seg.hops_switch + 1) * energy_per_capacity(switch)
-                + (seg.hops_wdm + 1) * energy_per_capacity(catalog.wdm_link)
-                + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(catalog.router)
-            )
-            watts = scale * user_rate * bracket
-        segments.append(SegmentPower(link, before, watts))
-    ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
-    total = ue_watts + sum(entry.watts for entry in segments)
-    return TransmissionBreakdown(ue_watts=ue_watts, segments=tuple(segments), total_watts=total)
 
 
 @dataclass(frozen=True)
@@ -332,13 +172,14 @@ class PowerBreakdown:
 
     def __post_init__(self):
         for entry in self.nodes:
-            if entry.watts < 0:
-                raise ValueError(f"negative node power for {entry.node.value}: {entry.watts}")
+            if not (entry.watts >= 0):
+                raise ValueError(f"node power for {entry.node.value} must be >= 0, got {entry.watts}")
         for entry in self.segments:
-            if entry.watts < 0:
-                raise ValueError(f"negative segment power for {entry.segment.value}: {entry.watts}")
-        if self.ue_watts < 0:
-            raise ValueError(f"negative UE power: {self.ue_watts}")
+            if not (entry.watts >= 0):
+                raise ValueError(
+                    f"segment power for {entry.segment.value} must be >= 0, got {entry.watts}")
+        if not (self.ue_watts >= 0):
+            raise ValueError(f"UE power must be >= 0, got {self.ue_watts}")
         node_sum = sum(entry.watts for entry in self.nodes)
         transmission_sum = self.ue_watts + sum(entry.watts for entry in self.segments)
         total_sum = self.processing_watts + self.transmission_watts
@@ -347,7 +188,7 @@ class PowerBreakdown:
             ("transmission", self.transmission_watts, transmission_sum),
             ("total", self.total_watts, total_sum),
         ):
-            if abs(stored - computed) > _SUM_TOL * max(abs(stored), abs(computed), 1e-300):
+            if not (abs(stored - computed) <= _SUM_TOL * max(abs(stored), abs(computed), 1e-300)):
                 raise ValueError(f"{label} total {stored} inconsistent with parts {computed}")
 
     def node_watts(self, node: Node) -> float:
@@ -361,34 +202,6 @@ class PowerBreakdown:
             if entry.segment is link:
                 return entry.watts
         raise KeyError(link)
-
-
-def total_power_per_user(topology: Topology, traffic: TrafficModel,
-                         catalog: EquipmentCatalog,
-                         params: Mapping[Segment, SegmentParams],
-                         placement: BbpPlacement, policy: ProvisioningPolicy,
-                         provision_to_cap: bool = True) -> PowerBreakdown:
-    """Full per-user breakdown: processing over all four tiers plus transmission."""
-    nodes = tuple(
-        NodePower(
-            node=node,
-            branch=bbp_branch(node, placement),
-            watts=processing_power_per_user(topology, traffic, catalog, params,
-                                            placement, policy, node, provision_to_cap),
-        )
-        for node in NODE_ORDER
-    )
-    transmission = transmission_power_per_user(topology, traffic, catalog, params,
-                                               placement, policy, provision_to_cap)
-    processing_total = sum(entry.watts for entry in nodes)
-    return PowerBreakdown(
-        nodes=nodes,
-        segments=transmission.segments,
-        ue_watts=transmission.ue_watts,
-        processing_watts=processing_total,
-        transmission_watts=transmission.total_watts,
-        total_watts=processing_total + transmission.total_watts,
-    )
 
 
 @dataclass(frozen=True)
@@ -413,6 +226,77 @@ class ModelConfig:
             policy=policy if policy is not None else ProvisioningPolicy.default(),
         )
 
-    def evaluate(self, topology: Topology, placement: BbpPlacement) -> PowerBreakdown:
-        return total_power_per_user(topology, self.traffic, self.catalog, self.params,
-                                    placement, self.policy, self.provision_to_cap)
+    def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
+        """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
+
+        Node tier i, and link i that joins it to tier i + 1, carry one
+        instance's provisioned eCPRI up to the BBP node, weighted by the
+        coverage factor; the BBP node adds its servers. Beyond the BBP node
+        they carry the per-user baseband rate with no coverage weighting.
+        Link i ends in tier i + 1's chassis, which is also its switch.
+        """
+        if placement not in NODE_ORDER:
+            raise ValueError(f"unknown BBP placement: {placement!r}")
+        catalog, params, policy = self.catalog, self.params, self.policy
+        bbp = placement.depth
+        user_rate = self.traffic.user_rate_gbps
+        ecpri = self.traffic.ecpri_per_ru_gbps
+        if self.provision_to_cap and topology.du_fanout_cap is not None:
+            ru_per_du = topology.du_fanout_cap
+        else:
+            ru_per_du = topology.n_ru / topology.n_du
+        loads = (ecpri, ru_per_du * ecpri, topology.n_ru / topology.n_cu * ecpri,
+                 topology.n_ru / topology.n_dc * ecpri)
+        chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
+
+        nodes = []
+        for depth, node in enumerate(NODE_ORDER):
+            seg = params[node]
+            scale = seg.alpha * seg.sigma
+            if depth > bbp:
+                nodes.append(NodePower(node, "after",
+                                       scale * user_rate * energy_per_capacity(chassis[depth])))
+                continue
+            watts = equipment_power(loads[depth], chassis[depth], policy.node_interface)
+            if depth == bbp:
+                server = catalog.dc_server if node is Node.DC else catalog.edge_server
+                watts += equipment_power(loads[depth], server, policy.servers)
+            nodes.append(NodePower(node, "bbp" if depth == bbp else "before",
+                                   scale * coverage_factor(topology, seg) * watts))
+
+        segments = []
+        wdm, router = catalog.wdm_link, catalog.router
+        for depth, link in enumerate(LINK_ORDER):
+            seg = params[link]
+            scale = seg.alpha * seg.sigma
+            switch = chassis[depth + 1]
+            before = depth < bbp
+            if before:
+                load = loads[depth]
+                per_instance = (
+                    (seg.hops_switch + 1) * equipment_power(load, switch, policy.switches)
+                    + (seg.hops_wdm + 1) * equipment_power(load, wdm, policy.links)
+                    + seg.gamma * (seg.hops_router + 1)
+                    * equipment_power(load, router, policy.routers)
+                )
+                watts = scale * coverage_factor(topology, seg) * per_instance
+            else:
+                bracket = (
+                    (seg.hops_switch + 1) * energy_per_capacity(switch)
+                    + (seg.hops_wdm + 1) * energy_per_capacity(wdm)
+                    + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(router)
+                )
+                watts = scale * user_rate * bracket
+            segments.append(SegmentPower(link, before, watts))
+
+        ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
+        processing = sum(entry.watts for entry in nodes)
+        transmission = ue_watts + sum(entry.watts for entry in segments)
+        return PowerBreakdown(
+            nodes=tuple(nodes),
+            segments=tuple(segments),
+            ue_watts=ue_watts,
+            processing_watts=processing,
+            transmission_watts=transmission,
+            total_watts=processing + transmission,
+        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Union
 
@@ -36,36 +36,20 @@ class Link(Enum):
     BACKHAUL = "backhaul"
 
 
+# Link i joins tier NODE_ORDER[i] to tier NODE_ORDER[i + 1].
 LINK_ORDER: tuple[Link, ...] = (Link.FRONTHAUL, Link.MIDHAUL, Link.BACKHAUL)
 
 Segment = Union[Node, Link]
-
-# Node whose aggregate traffic one link instance carries (and whose count
-# gives the number of link instances): fronthaul carries one O-RU's flow,
-# midhaul one O-DU aggregate, backhaul one O-CU aggregate.
-LINK_LOAD_NODE: dict[Link, Node] = {
-    Link.FRONTHAUL: Node.ORU,
-    Link.MIDHAUL: Node.ODU,
-    Link.BACKHAUL: Node.OCU,
-}
-
-# Downstream endpoint of each link; a segment still carries radio-rate eCPRI
-# traffic when its endpoint sits at or before the baseband-processing node.
-LINK_DOWNSTREAM_NODE: dict[Link, Node] = {
-    Link.FRONTHAUL: Node.ODU,
-    Link.MIDHAUL: Node.OCU,
-    Link.BACKHAUL: Node.DC,
-}
 
 
 @dataclass(frozen=True)
 class Topology:
     """Node counts and user population of one aggregation tree.
 
-    ``n_users`` is derived as ``n_ru * users_per_ru`` when not given
-    explicitly. ``du_fanout_cap`` records how many O-RUs each O-DU is
-    provisioned to serve; ``None`` means O-DUs are sized for the O-RUs
-    actually attached.
+    ``n_users`` is derived as ``n_ru * users_per_ru``. ``du_fanout_cap``
+    records how many O-RUs each O-DU is provisioned to serve; ``None`` means
+    O-DUs are sized for the O-RUs actually attached. Construction raises one
+    ``TopologyError`` that lists every violated structural invariant.
     """
 
     n_ru: int
@@ -73,12 +57,26 @@ class Topology:
     n_cu: int
     n_dc: int
     users_per_ru: int
-    n_users: int | None = None  # derived in __post_init__ when omitted
     du_fanout_cap: float | None = None
+    n_users: int = field(init=False)
 
     def __post_init__(self):
-        if self.n_users is None:
-            object.__setattr__(self, "n_users", self.n_ru * self.users_per_ru)
+        counts = {name: getattr(self, name)
+                  for name in ("n_ru", "n_du", "n_cu", "n_dc", "users_per_ru")}
+        bad = {name for name, count in counts.items()
+               if not (isinstance(count, int) and count >= 1)}
+        violations = [f"{name} must be an integer >= 1, got {counts[name]}"
+                      for name in counts if name in bad]
+        for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
+            if not {wide, narrow} & bad and counts[wide] < counts[narrow]:
+                violations.append(
+                    f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
+        cap = self.du_fanout_cap
+        if cap is not None and not (math.isfinite(cap) and cap >= 1):
+            violations.append(f"du_fanout_cap must be a finite number >= 1, got {cap}")
+        if violations:
+            raise TopologyError("invalid topology: " + "; ".join(violations))
+        object.__setattr__(self, "n_users", self.n_ru * self.users_per_ru)
 
     def node_count(self, node: Node) -> int:
         return {
@@ -87,29 +85,6 @@ class Topology:
             Node.OCU: self.n_cu,
             Node.DC: self.n_dc,
         }[node]
-
-
-def validate(topology: Topology) -> list[str]:
-    """Return every violated structural invariant (empty list means valid)."""
-    violations = []
-    for name in ("n_ru", "n_du", "n_cu", "n_dc", "users_per_ru", "n_users"):
-        count = getattr(topology, name)
-        if not (isinstance(count, int) and count >= 1):
-            violations.append(f"{name} must be an integer >= 1, got {count}")
-    if topology.n_ru < topology.n_du:
-        violations.append(f"n_ru >= n_du violated ({topology.n_ru} < {topology.n_du})")
-    if topology.n_du < topology.n_cu:
-        violations.append(f"n_du >= n_cu violated ({topology.n_du} < {topology.n_cu})")
-    if topology.n_cu < topology.n_dc:
-        violations.append(f"n_cu >= n_dc violated ({topology.n_cu} < {topology.n_dc})")
-    if topology.n_users != topology.n_ru * topology.users_per_ru:
-        violations.append(
-            f"n_users = n_ru * users_per_ru violated "
-            f"({topology.n_users} != {topology.n_ru} * {topology.users_per_ru})"
-        )
-    if topology.du_fanout_cap is not None and not topology.du_fanout_cap >= 1:
-        violations.append(f"du_fanout_cap must be >= 1, got {topology.du_fanout_cap}")
-    return violations
 
 
 @dataclass(frozen=True)
@@ -133,10 +108,11 @@ class SegmentParams:
     gamma: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 1:
-            raise TopologyError(f"{self.segment.value}: sigma must be >= 1, got {self.sigma}")
-        if not self.alpha >= 1:
-            raise TopologyError(f"{self.segment.value}: alpha must be >= 1, got {self.alpha}")
+        for name in ("sigma", "alpha"):
+            factor = getattr(self, name)
+            if not (math.isfinite(factor) and factor >= 1):
+                raise TopologyError(
+                    f"{self.segment.value}: {name} must be a finite number >= 1, got {factor}")
         for name in ("hops_switch", "hops_wdm", "hops_router"):
             hops = getattr(self, name)
             if not (isinstance(hops, int) and hops >= 0):

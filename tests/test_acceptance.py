@@ -16,7 +16,6 @@ from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
     ProvisioningPolicy,
-    bbp_server_power,
     equipment_power,
 )
 from oranpower.topology import FANOUT_CASES, Node, build_sweep_topology
@@ -168,8 +167,8 @@ def test_criterion_9_quantized_never_below_linear():
             unit = server.server_capacity_gbps if rng.random() < 0.5 else rng.uniform(0.1, 20.0)
             load = k * unit if exact else (k + rng.uniform(0.01, 0.99)) * unit
             policy = ClassPolicy.quantize(unit_capacity_gbps=unit, minimum_units=minimum)
-            quantized = bbp_server_power(load, server, policy)
-            linear = bbp_server_power(load, server, ClassPolicy.linear())
+            quantized = equipment_power(load, server, policy)
+            linear = equipment_power(load, server, ClassPolicy.linear())
         if quantized < linear - 1e-12 * max(linear, 1.0):
             failures += 1
             continue

@@ -39,8 +39,8 @@ class TestDefaults:
 
     def test_server_energy_per_capacity(self):
         cat = default_catalog()
-        assert rel_equal(cat.edge_server.energy_per_capacity, 24.0)  # 4*6 W over 1 Gbps
-        assert rel_equal(cat.dc_server.energy_per_capacity, 22.0)    # 20*5.5 W over 5 Gbps
+        assert rel_equal(energy_per_capacity(cat.edge_server), 24.0)  # 4*6 W over 1 Gbps
+        assert rel_equal(energy_per_capacity(cat.dc_server), 22.0)    # 20*5.5 W over 5 Gbps
 
 
 class TestEnergyPerCapacity:
@@ -73,7 +73,7 @@ class TestSpecValidation:
     def test_per_core_ratio_matches_server_ratio(self):
         for server in (default_catalog().edge_server, default_catalog().dc_server):
             per_core = server.per_core_power_w / server.per_core_capacity_gbps
-            assert rel_equal(per_core, server.energy_per_capacity)
+            assert rel_equal(per_core, energy_per_capacity(server))
 
 
 class TestLoadCatalog:

@@ -33,7 +33,9 @@ class TestEval:
         code, out, _ = run_cli("eval", "--n-ru", "4", "--users-per-ru", "10",
                                "--bbp", "dc", "--format", "csv")
         assert code == 0
-        header, row = out.splitlines()
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert {"# n_ru = 4", "# users_per_ru = 10", "# policy = quantized"} <= set(comments)
+        header, row = data_lines(out)
         assert header.startswith("n_ru,placement,p_processing_w,p_transmission_w,p_total_w")
         assert row.startswith("4,dc,")
 
@@ -41,9 +43,20 @@ class TestEval:
         code, _, _ = run_cli("eval", "--n-ru", "1", "--users-per-ru", "1", "--bbp", "xyz")
         assert code == 2
 
-    def test_missing_required_flag_is_usage_error(self):
+    def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli("eval", "--bbp", "dc")
         assert code == 2
+        assert "--n-ru" in capsys.readouterr().err
+
+    def test_topology_from_config(self, tmp_path):
+        config = tmp_path / "override.cfg"
+        config.write_text("topology.n_ru = 7\ntopology.users_per_ru = 3\n")
+        code, out, _ = run_cli("eval", "--bbp", "dc", "--config", str(config))
+        assert code == 0
+        assert "n_ru=7 " in out and "users_per_ru=3 " in out
+        code, out, _ = run_cli("eval", "--bbp", "dc", "--n-ru", "100", "--config", str(config))
+        assert code == 0
+        assert "n_ru=100 " in out and "users_per_ru=3 " in out
 
 
 class TestSweep:
@@ -137,6 +150,17 @@ class TestConfigHandling:
                                "--config", str(config))
         assert code == 1
         assert "nonsense.key" in err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc"], "segment.oru.sigma"),
+        (["fanout"], "segment.backhaul.alpha"),
+    ])
+    def test_infinite_segment_factor_is_data_error(self, tmp_path, argv, key):
+        config = tmp_path / "override.cfg"
+        config.write_text(f"{key} = inf\n")
+        code, out, err = run_cli(*argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and key.rsplit(".", 1)[1] in err
 
     def test_missing_config_file_is_data_error(self):
         code, _, err = run_cli("sweep", "--config", "/does/not/exist.cfg")

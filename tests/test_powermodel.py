@@ -1,30 +1,30 @@
 """Closed-form power model: rates, loads, branch selection, and policy modes.
 
 Expected values are frozen from independent arithmetic on the default
-ratings (written out inline), not from the functions under test.
+ratings (written out inline), not from the functions under test. Every
+per-node and per-segment term is read from ``ModelConfig.evaluate``.
 """
+
+import math
 
 import pytest
 
-from oranpower.catalog import default_catalog
+from dataclasses import replace
+
+from oranpower.catalog import default_catalog, energy_per_capacity
 from oranpower.powermodel import (
     ClassPolicy,
+    ModelConfig,
     PowerBreakdown,
     NodePower,
     ProvisioningPolicy,
     SegmentPower,
     TrafficModel,
-    bbp_branch,
-    bbp_server_power,
     equipment_power,
-    node_ecpri_load,
-    processing_power_per_user,
     provision_units,
-    total_power_per_user,
-    transmission_power_per_user,
     user_baseband_rate,
 )
-from oranpower.topology import Link, Node, build_sweep_topology, segment_map
+from oranpower.topology import Link, Node, build_sweep_topology, coverage_factor, segment_map
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
 USER_RATE_10GB = 3.08641975308642e-05
@@ -40,13 +40,33 @@ def catalog():
     return default_catalog()
 
 
-@pytest.fixture
-def params():
-    return segment_map()
-
-
 def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+
+
+def evaluate(topology, placement, policy=None, traffic=None, catalog=None,
+             provision_to_cap=True):
+    """Breakdown under the default segment parameters; linear sizing unless given."""
+    config = ModelConfig(
+        catalog=catalog if catalog is not None else default_catalog(),
+        params=segment_map(),
+        traffic=traffic if traffic is not None else TrafficModel(),
+        policy=policy if policy is not None else ProvisioningPolicy.all_linear(),
+        provision_to_cap=provision_to_cap,
+    )
+    return config.evaluate(topology, placement)
+
+
+def bbp_load(topology, node, provision_to_cap=True):
+    """Per-instance eCPRI load of the BBP node, read back from its linear processing watts."""
+    catalog = default_catalog()
+    chassis = {Node.ORU: catalog.radio, Node.ODU: catalog.access_switch,
+               Node.OCU: catalog.core_switch, Node.DC: catalog.core_switch}[node]
+    server = catalog.dc_server if node is Node.DC else catalog.edge_server
+    seg = segment_map()[node]
+    watts = evaluate(topology, node, provision_to_cap=provision_to_cap).node_watts(node)
+    per_gbps = energy_per_capacity(chassis) + energy_per_capacity(server)
+    return watts / (seg.alpha * seg.sigma * coverage_factor(topology, seg) * per_gbps)
 
 
 class TestUserBasebandRate:
@@ -67,23 +87,20 @@ class TestUserBasebandRate:
 class TestNodeEcpriLoad:
     def test_dc_aggregates_everything(self):
         topo = build_sweep_topology(100, 10, 4)
-        load = node_ecpri_load(topo, TrafficModel(), Node.DC)
-        assert load.load_gbps == 100 * 11.0
-        assert load.instances == 1
+        assert rel_close(bbp_load(topo, Node.DC), 100 * 11.0)
+        assert topo.n_dc == 1
 
     def test_odu_provisioned_to_cap(self):
         topo = build_sweep_topology(3, 10, 4)
-        load = node_ecpri_load(topo, TrafficModel(), Node.ODU, provision_to_cap=True)
-        assert load.load_gbps == 44.0
+        assert rel_close(bbp_load(topo, Node.ODU, provision_to_cap=True), 44.0)
 
     def test_odu_attached_load(self):
         topo = build_sweep_topology(3, 10, 4)
-        load = node_ecpri_load(topo, TrafficModel(), Node.ODU, provision_to_cap=False)
-        assert load.load_gbps == 33.0
+        assert rel_close(bbp_load(topo, Node.ODU, provision_to_cap=False), 33.0)
 
     def test_oru_single(self):
         topo = build_sweep_topology(1, 10, 4)
-        assert node_ecpri_load(topo, TrafficModel(), Node.ORU).load_gbps == 11.0
+        assert rel_close(bbp_load(topo, Node.ORU), 11.0)
 
 
 class TestProvisionUnits:
@@ -107,23 +124,51 @@ class TestProvisionUnits:
         # 3 * 0.1 / 0.1 lands epsilon above 3; must not provision a 4th unit.
         assert provision_units(3 * 0.1, 0.1) == 3
 
+    def test_large_count_keeps_its_fraction(self):
+        # half a unit above 2.5e12 is far more than float noise: one more unit
+        assert provision_units(2.5e12 + 0.5, 1.0) == 2_500_000_000_001
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["monthly_gb_per_user", "ecpri_per_ru_gbps"])
+    def test_traffic_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrafficModel(**{field: value})
+
+    def test_infinite_unit_capacity_rejected(self):
+        with pytest.raises(ValueError, match="unit_capacity_gbps"):
+            ClassPolicy.quantize(unit_capacity_gbps=math.inf)
+
+    def test_nan_node_power_rejected(self):
+        with pytest.raises(ValueError, match="oru"):
+            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", math.nan),), segments=(),
+                           ue_watts=0.0, processing_watts=math.nan, transmission_watts=0.0,
+                           total_watts=math.nan)
+
+    def test_nan_total_rejected(self):
+        with pytest.raises(ValueError, match="total"):
+            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),), segments=(),
+                           ue_watts=0.0, processing_watts=1.0, transmission_watts=0.0,
+                           total_watts=math.nan)
+
 
 class TestBbpServerPower:
     def test_dc_server_quantized(self, catalog):
-        watts = bbp_server_power(11.0, catalog.dc_server, ClassPolicy.quantize())
+        watts = equipment_power(11.0, catalog.dc_server, ClassPolicy.quantize())
         assert watts == 3 * 110.0  # ceil(11/5) servers of 20*5.5 W
 
     def test_dc_server_linear(self, catalog):
-        watts = bbp_server_power(11.0, catalog.dc_server, ClassPolicy.linear())
+        watts = equipment_power(11.0, catalog.dc_server, ClassPolicy.linear())
         assert rel_close(watts, 242.0)  # 11 Gbps * 22 W/Gbps
 
     def test_zero_load_quantized(self, catalog):
-        assert bbp_server_power(0.0, catalog.dc_server, ClassPolicy.quantize()) == 0.0
+        assert equipment_power(0.0, catalog.dc_server, ClassPolicy.quantize()) == 0.0
 
     def test_quantized_at_least_linear(self, catalog):
         for load in (0.3, 1.0, 4.9, 5.0, 7.3, 44.0):
-            quantized = bbp_server_power(load, catalog.dc_server, ClassPolicy.quantize())
-            linear = bbp_server_power(load, catalog.dc_server, ClassPolicy.linear())
+            quantized = equipment_power(load, catalog.dc_server, ClassPolicy.quantize())
+            linear = equipment_power(load, catalog.dc_server, ClassPolicy.linear())
             assert quantized >= linear - 1e-12 * linear
 
 
@@ -144,55 +189,49 @@ class TestEquipmentPower:
 
 class TestBranchSelection:
     def test_placement_partitions_nodes(self):
+        topo = build_sweep_topology(7, 3, 4)
         for placement in Node:
-            branches = [bbp_branch(node, placement) for node in Node]
+            branches = [entry.branch for entry in evaluate(topo, placement).nodes]
             assert branches.count("bbp") == 1
             depth = placement.depth
             assert branches == ["before"] * depth + ["bbp"] + ["after"] * (3 - depth)
 
 
 class TestProcessingPower:
-    def test_bbp_at_oru(self, catalog, params):
+    def test_bbp_at_oru(self):
         # alpha*sigma=5, rho=0.1, 11 Gbps, server 24 W/Gbps + radio 5 W/Gbps
         topo = build_sweep_topology(10, 10, 4)
-        watts = processing_power_per_user(topo, TrafficModel(), catalog, params,
-                                          Node.ORU, ProvisioningPolicy.all_linear(), Node.ORU)
+        watts = evaluate(topo, Node.ORU).node_watts(Node.ORU)
         assert rel_close(watts, 5 * 0.1 * 11 * (24 + 5))
 
-    def test_odu_pass_through(self, catalog, params):
+    def test_odu_pass_through(self):
         # alpha*sigma=10, rho=1/40, 44 Gbps through the access switch
         topo = build_sweep_topology(4, 10, 4)
-        watts = processing_power_per_user(topo, TrafficModel(), catalog, params,
-                                          Node.DC, ProvisioningPolicy.all_linear(), Node.ODU)
+        watts = evaluate(topo, Node.DC).node_watts(Node.ODU)
         assert rel_close(watts, 10 * (1 / 40) * 44 * (86.7 / 480))
 
-    def test_ocu_after_bbp_is_coverage_free(self, catalog, params):
+    def test_ocu_after_bbp_is_coverage_free(self):
         expected = 10 * USER_RATE_10GB * (3000 / 25600)
         for n_ru in (4, 40, 100):
             topo = build_sweep_topology(n_ru, 10, 4)
-            watts = processing_power_per_user(topo, TrafficModel(), catalog, params,
-                                              Node.ORU, ProvisioningPolicy.all_linear(), Node.OCU)
+            watts = evaluate(topo, Node.ORU).node_watts(Node.OCU)
             assert rel_close(watts, expected)
 
-    def test_zero_traffic_after_branch(self, catalog, params):
+    def test_zero_traffic_after_branch(self):
         topo = build_sweep_topology(4, 10, 4)
-        watts = processing_power_per_user(topo, TrafficModel(monthly_gb_per_user=0), catalog,
-                                          params, Node.ORU, ProvisioningPolicy.all_linear(),
-                                          Node.OCU)
-        assert watts == 0.0
+        breakdown = evaluate(topo, Node.ORU, traffic=TrafficModel(monthly_gb_per_user=0))
+        assert breakdown.node_watts(Node.OCU) == 0.0
 
-    def test_unknown_node_rejected(self, catalog, params):
+    def test_unknown_node_rejected(self):
         topo = build_sweep_topology(4, 10, 4)
-        with pytest.raises(ValueError):
-            processing_power_per_user(topo, TrafficModel(), catalog, params,
-                                      Node.ORU, ProvisioningPolicy.all_linear(), "oru")
+        with pytest.raises(ValueError, match="placement"):
+            evaluate(topo, "oru")
 
 
 class TestTransmissionPower:
-    def test_bbp_at_oru_components(self, catalog, params):
+    def test_bbp_at_oru_components(self):
         topo = build_sweep_topology(100, 10, 4)
-        result = transmission_power_per_user(topo, TrafficModel(), catalog, params,
-                                             Node.ORU, ProvisioningPolicy.all_linear())
+        result = evaluate(topo, Node.ORU)
         assert rel_close(result.ue_watts, USER_RATE_10GB * 1e9 * 25e-9)
         by_link = {entry.segment: entry for entry in result.segments}
         assert rel_close(by_link[Link.FRONTHAUL].watts, 10 * USER_RATE_10GB * FRONTHAUL_BRACKET)
@@ -200,49 +239,43 @@ class TestTransmissionPower:
         assert rel_close(by_link[Link.BACKHAUL].watts, 3 * USER_RATE_10GB * BACKHAUL_BRACKET)
         assert not any(entry.before_bbp for entry in result.segments)
 
-    def test_bbp_at_dc_small_topology(self, catalog, params):
+    def test_bbp_at_dc_small_topology(self):
         # every segment carries 1.1 Gbps of provisioned eCPRI per user
         topo = build_sweep_topology(4, 10, 4)
-        result = transmission_power_per_user(topo, TrafficModel(), catalog, params,
-                                             Node.DC, ProvisioningPolicy.all_linear())
+        result = evaluate(topo, Node.DC)
         by_link = {entry.segment: entry for entry in result.segments}
         assert rel_close(by_link[Link.FRONTHAUL].watts, 10 * 1.1 * FRONTHAUL_BRACKET)
         assert rel_close(by_link[Link.MIDHAUL].watts, 10 * 1.1 * MIDHAUL_BRACKET)
         assert rel_close(by_link[Link.BACKHAUL].watts, 3 * 1.1 * BACKHAUL_BRACKET)
         assert all(entry.before_bbp for entry in result.segments)
 
-    def test_no_traffic_no_power(self, catalog, params):
+    def test_no_traffic_no_power(self, catalog):
         topo = build_sweep_topology(4, 10, 4)
-        from dataclasses import replace
         silent = replace(catalog, ue_energy_j_per_bit=0.0)
-        result = transmission_power_per_user(topo, TrafficModel(monthly_gb_per_user=0),
-                                             silent, params, Node.ORU,
-                                             ProvisioningPolicy.all_linear())
-        assert result.total_watts == 0.0
+        result = evaluate(topo, Node.ORU, traffic=TrafficModel(monthly_gb_per_user=0),
+                          catalog=silent)
+        assert result.transmission_watts == 0.0
 
 
 class TestTotalPower:
-    def test_dc_placement_decomposition(self, catalog, params):
+    def test_dc_placement_decomposition(self):
         topo = build_sweep_topology(100, 10, 4)
-        breakdown = total_power_per_user(topo, TrafficModel(), catalog, params,
-                                         Node.DC, ProvisioningPolicy.all_linear())
+        breakdown = evaluate(topo, Node.DC)
         assert rel_close(breakdown.node_watts(Node.ORU), 27.5)
         assert rel_close(breakdown.node_watts(Node.ODU), 1.9868750000000002)
         assert rel_close(breakdown.node_watts(Node.OCU), 1.2890625)
         assert rel_close(breakdown.node_watts(Node.DC), 47.4413671875)
         assert rel_close(breakdown.total_watts, 93.2981596257716, tol=1e-9)
 
-    def test_oru_placement_total(self, catalog, params):
+    def test_oru_placement_total(self):
         topo = build_sweep_topology(100, 10, 4)
-        breakdown = total_power_per_user(topo, TrafficModel(), catalog, params,
-                                         Node.ORU, ProvisioningPolicy.all_linear())
+        breakdown = evaluate(topo, Node.ORU)
         assert rel_close(breakdown.total_watts, 159.50129369775593, tol=1e-9)
 
-    def test_totals_consistent(self, catalog, params):
+    def test_totals_consistent(self):
         topo = build_sweep_topology(7, 3, 4)
         for placement in Node:
-            breakdown = total_power_per_user(topo, TrafficModel(), catalog, params,
-                                             placement, ProvisioningPolicy.default())
+            breakdown = evaluate(topo, placement, policy=ProvisioningPolicy.default())
             assert rel_close(breakdown.processing_watts,
                              sum(entry.watts for entry in breakdown.nodes), tol=1e-9)
             assert rel_close(breakdown.transmission_watts,

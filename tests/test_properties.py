@@ -12,9 +12,7 @@ from oranpower.powermodel import (
     ModelConfig,
     ProvisioningPolicy,
     TrafficModel,
-    bbp_server_power,
     equipment_power,
-    total_power_per_user,
 )
 from oranpower.topology import Node, Topology, build_sweep_topology, segment_map
 
@@ -82,8 +80,8 @@ class TestQuantizedVersusLinear:
     @given(load=st.floats(0.0, 500.0, allow_nan=False), minimum=st.integers(0, 2))
     def test_server_quantized_never_below_linear(self, load, minimum):
         server = default_catalog().dc_server
-        quantized = bbp_server_power(load, server, ClassPolicy.quantize(minimum_units=minimum))
-        linear = bbp_server_power(load, server, ClassPolicy.linear())
+        quantized = equipment_power(load, server, ClassPolicy.quantize(minimum_units=minimum))
+        linear = equipment_power(load, server, ClassPolicy.linear())
         assert quantized >= linear - 1e-12 * max(linear, 1.0)
 
 

@@ -1,11 +1,14 @@
 """Topology builders, segment parameter defaults, and structural validation."""
 
+import math
+
 import pytest
 
 from oranpower.topology import (
     FANOUT_CASES,
     Link,
     Node,
+    SegmentParams,
     Topology,
     TopologyError,
     build_sweep_topology,
@@ -14,7 +17,6 @@ from oranpower.topology import (
     fanout_case,
     from_fanout_case,
     segment_map,
-    validate,
 )
 
 
@@ -139,16 +141,37 @@ class TestFromFanoutCase:
 
 class TestValidate:
     def test_valid_topology(self):
-        assert validate(Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10)) == []
+        topo = Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10)
+        assert (topo.n_ru, topo.n_du, topo.n_cu, topo.n_dc) == (4, 1, 1, 1)
 
     def test_inverted_hierarchy(self):
-        violations = validate(Topology(n_ru=2, n_du=4, n_cu=1, n_dc=1, users_per_ru=10))
-        assert any("n_ru >= n_du" in v for v in violations)
+        with pytest.raises(TopologyError, match="n_ru >= n_du"):
+            Topology(n_ru=2, n_du=4, n_cu=1, n_dc=1, users_per_ru=10)
 
     def test_stored_user_count_mismatch(self):
-        violations = validate(Topology(n_ru=10, n_du=5, n_cu=1, n_dc=1,
-                                       users_per_ru=10, n_users=99))
-        assert any("n_users = n_ru * users_per_ru" in v for v in violations)
+        # n_users is derived from n_ru * users_per_ru, so no other count can be stored
+        with pytest.raises(TypeError, match="n_users"):
+            Topology(n_ru=10, n_du=5, n_cu=1, n_dc=1, users_per_ru=10, n_users=99)
 
     def test_derived_user_count(self):
         assert Topology(n_ru=10, n_du=5, n_cu=1, n_dc=1, users_per_ru=10).n_users == 100
+
+    def test_every_violation_in_one_error(self):
+        with pytest.raises(TopologyError) as info:
+            Topology(n_ru=2, n_du=5, n_cu=0, n_dc=1, users_per_ru=10)
+        assert "n_ru >= n_du" in str(info.value)
+        assert "n_cu must be an integer >= 1" in str(info.value)
+
+    @pytest.mark.parametrize("cap", [0.5, math.inf, math.nan])
+    def test_bad_fanout_cap_rejected(self, cap):
+        with pytest.raises(TopologyError, match="du_fanout_cap"):
+            Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10, du_fanout_cap=cap)
+
+
+class TestSegmentParamsValidation:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.5])
+    @pytest.mark.parametrize("field", ["sigma", "alpha"])
+    def test_bad_factor_rejected(self, field, value):
+        factors = {"sigma": 1.0, "alpha": 1.0, field: value}
+        with pytest.raises(TopologyError, match=field):
+            SegmentParams(Node.ORU, coverage_node=Node.ORU, **factors)
