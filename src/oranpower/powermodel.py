@@ -241,6 +241,8 @@ class ModelConfig:
         bbp = placement.depth
         user_rate = self.traffic.user_rate_gbps
         ecpri = self.traffic.ecpri_per_ru_gbps
+        # Per-instance eCPRI load of each tier: an O-DU is sized for the fanout
+        # cap when asked to; every other instance carries all O-RUs beneath it.
         if self.provision_to_cap and topology.du_fanout_cap is not None:
             ru_per_du = topology.du_fanout_cap
         else:
