@@ -6,6 +6,7 @@ per-node and per-segment term is read from ``ModelConfig.evaluate``.
 """
 
 import math
+import random
 
 import pytest
 
@@ -24,7 +25,17 @@ from oranpower.powermodel import (
     provision_units,
     user_baseband_rate,
 )
-from oranpower.topology import Link, Node, build_sweep_topology, coverage_factor, segment_map
+from oranpower.topology import (
+    FANOUT_CASES,
+    Link,
+    Node,
+    Topology,
+    build_sweep_topology,
+    coverage_factor,
+    from_fanout_case,
+    segment_map,
+    with_overrides,
+)
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
 USER_RATE_10GB = 3.08641975308642e-05
@@ -294,3 +305,51 @@ class TestTotalPower:
                 transmission_watts=0.6,
                 total_watts=2.6,
             )
+
+
+class TestReusedConfig:
+    """A config evaluated many times gives exactly what a fresh config gives."""
+
+    @staticmethod
+    def config(policy=None):
+        params = with_overrides(segment_map(), {
+            Link.FRONTHAUL: {"hops_switch": 2, "hops_wdm": 1},
+            Link.BACKHAUL: {"hops_router": 1, "sigma": 1.7},
+            Node.ODU: {"alpha": 2.5},
+        })
+        if policy is None:
+            policy = ProvisioningPolicy(
+                servers=ClassPolicy.quantize(),
+                switches=ClassPolicy.quantize(minimum_units=1),
+                routers=ClassPolicy.quantize(unit_capacity_gbps=100.0),
+            )
+        return ModelConfig(catalog=default_catalog(), params=params,
+                           traffic=TrafficModel(monthly_gb_per_user=25.0), policy=policy,
+                           provision_to_cap=False)
+
+    def test_shuffled_repeated_cells_match_fresh_configs(self):
+        topologies = [build_sweep_topology(n_ru, users, cap)
+                      for n_ru in (1, 3, 4, 5, 17, 100) for users, cap in ((1, 1), (10, 4), (7, 6))]
+        topologies += [from_fanout_case(case, 40, 10) for case in FANOUT_CASES.values()]
+        topologies.append(Topology(n_ru=12, n_du=5, n_cu=2, n_dc=1, users_per_ru=3))
+        cells = [(topology, placement) for topology in topologies for placement in Node] * 2
+        random.Random(4).shuffle(cells)
+        shared = self.config()
+        for topology, placement in cells:
+            assert shared.evaluate(topology, placement) == self.config().evaluate(topology, placement)
+
+    def test_evaluating_changes_neither_equality_nor_replace(self):
+        used, fresh = self.config(), self.config()
+        topology = build_sweep_topology(9, 10, 4)
+        for placement in Node:
+            used.evaluate(topology, placement)
+        assert used == fresh
+        assert replace(used) == used
+        linear = ProvisioningPolicy.all_linear()
+        replaced = replace(used, policy=linear)
+        assert replaced == replace(fresh, policy=linear) == self.config(policy=linear)
+        for placement in Node:
+            assert (replaced.evaluate(topology, placement)
+                    == self.config(policy=linear).evaluate(topology, placement))
+        assert ([replaced.evaluate(topology, placement) for placement in Node]
+                != [used.evaluate(topology, placement) for placement in Node])
