@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .catalog import CatalogError, EquipmentCatalog, catalog_from_entries, default_catalog
 from .configfile import ConfigEntry, ConfigError, float_value, int_value, parse_config_text
@@ -20,7 +20,6 @@ from .powermodel import ModelConfig, PowerBreakdown, ProvisioningPolicy, Traffic
 from .topology import (
     LINK_ORDER,
     NODE_ORDER,
-    Link,
     Node,
     Segment,
     SegmentParams,
@@ -59,20 +58,22 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _breakdown_fields(breakdown: PowerBreakdown) -> list[str]:
-    return [
-        _fmt(breakdown.processing_watts),
-        _fmt(breakdown.transmission_watts),
-        _fmt(breakdown.total_watts),
-        _fmt(breakdown.node_watts(Node.ORU)),
-        _fmt(breakdown.node_watts(Node.ODU)),
-        _fmt(breakdown.node_watts(Node.OCU)),
-        _fmt(breakdown.node_watts(Node.DC)),
-        _fmt(breakdown.segment_watts(Link.FRONTHAUL)),
-        _fmt(breakdown.segment_watts(Link.MIDHAUL)),
-        _fmt(breakdown.segment_watts(Link.BACKHAUL)),
-        _fmt(breakdown.ue_watts),
-    ]
+# One CSV data row: n_ru, the placement and the CSV_COLUMNS. "%.6g" renders a
+# float exactly as _fmt does.
+_ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS))
+
+
+def _csv_row(n_ru: int, placement: Node, breakdown: PowerBreakdown) -> str:
+    """One CSV data row of a breakdown from ``ModelConfig.evaluate``, whose
+    nodes and segments are in NODE_ORDER and LINK_ORDER."""
+    nodes, segments = breakdown.nodes, breakdown.segments
+    return _ROW_FORMAT % (
+        n_ru, placement.value,
+        breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
+        nodes[0].watts, nodes[1].watts, nodes[2].watts, nodes[3].watts,
+        segments[0].watts, segments[1].watts, segments[2].watts,
+        breakdown.ue_watts,
+    )
 
 
 @dataclass
@@ -169,12 +170,13 @@ def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[Node]:
     return [node for node in NODE_ORDER if node in set(placements)]
 
 
-def _emit(text: str, output: str | None, stdout: TextIO) -> None:
+def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> None:
+    """Write ``lines`` as they are produced, to ``output`` or to stdout."""
     if output is None or output == "stdout":
-        stdout.write(text)
+        stdout.writelines(lines)
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
 
 
 def _topology_value(args, run: RunConfig, name: str, default: int | None,
@@ -187,12 +189,14 @@ def _topology_value(args, run: RunConfig, name: str, default: int | None,
     parser.error(f"{flag} is required, as a flag or as topology.{name} in --config")
 
 
-def _csv_text(metadata: Sequence[tuple[str, object]], header: str, rows: Iterable[str]) -> str:
-    """``# key = value`` metadata lines, then the header row and the data rows."""
-    lines = [f"# {key} = {value}" for key, value in metadata]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _csv_lines(metadata: Sequence[tuple[str, object]], header: str,
+               rows: Iterable[str]) -> Iterator[str]:
+    """``# key = value`` metadata lines, then the header row and the data rows, as lines."""
+    for key, value in metadata:
+        yield f"# {key} = {value}\n"
+    yield header + "\n"
+    for row in rows:
+        yield row + "\n"
 
 
 def _render_eval_table(topology, placement: Node, policy_name: str,
@@ -228,13 +232,13 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     placement = _SEGMENT_BY_NAME[args.bbp]
     breakdown = config.evaluate(topology, placement)
     if args.format == "table":
-        text = _render_eval_table(topology, placement, args.policy, breakdown)
+        lines = [_render_eval_table(topology, placement, args.policy, breakdown)]
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", run.du_fanout_cap)]
-        row = ",".join([str(n_ru), placement.value] + _breakdown_fields(breakdown))
-        text = _csv_text(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
-    _emit(text, args.output, stdout)
+        row = _csv_row(n_ru, placement, breakdown)
+        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
+    _emit(lines, args.output, stdout)
     return EXIT_OK
 
 
@@ -255,9 +259,8 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    rows = (",".join([str(record.n_ru), record.placement.value]
-                     + _breakdown_fields(record.breakdown)) for record in records)
-    _emit(_csv_text(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows),
+    rows = (_csv_row(record.n_ru, record.placement, record.breakdown) for record in records)
+    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows),
           args.output, stdout)
     return EXIT_OK
 
@@ -278,7 +281,7 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         _fmt(record.breakdown.transmission_watts),
         _fmt(record.breakdown.total_watts),
     ]) for record in records)
-    _emit(_csv_text(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
+    _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
           args.output, stdout)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ brute-force network enumeration used to cross-check the closed-form model."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import EquipmentCatalog, ServerSpec
 from .powermodel import (
@@ -61,22 +62,22 @@ def _ordered_placements(placements: Iterable[Node]) -> list[Node]:
 
 def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
                placements: Iterable[Node], config: ModelConfig,
-               du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP) -> list[SweepRecord]:
-    """Evaluate every (n_ru, placement) pair over sweep topologies.
+               du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP) -> Iterator[SweepRecord]:
+    """Evaluate every (n_ru, placement) pair over sweep topologies, yielding records lazily.
 
     Records are ordered by (n_ru, placement depth) regardless of the input
-    iteration order, so identical inputs produce identical lists.
+    iteration order, so identical inputs produce identical streams. The call
+    itself raises on an empty range and builds the first topology, so a bad
+    ``users_per_ru`` or ``du_fanout_cap`` is raised before any record.
     """
     counts = sorted(set(n_ru_range))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
-    records = []
-    for n_ru in counts:
-        topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
-        for placement in ordered:
-            records.append(SweepRecord(n_ru, placement, config.evaluate(topology, placement)))
-    return records
+    first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
+    rest = (build_sweep_topology(n_ru, users_per_ru, du_fanout_cap) for n_ru in counts[1:])
+    return (SweepRecord(topology.n_ru, placement, config.evaluate(topology, placement))
+            for topology in chain([first], rest) for placement in ordered)
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from operator import mul
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, energy_per_capacity
 from .topology import (
@@ -22,7 +25,6 @@ from .topology import (
     Segment,
     SegmentParams,
     Topology,
-    coverage_factor,
 )
 
 SECONDS_PER_MONTH = 30 * 24 * 3600  # 30-day month
@@ -134,15 +136,20 @@ def equipment_power(load_gbps: float, spec: EquipmentSpec | ServerSpec,
     Linear mode scales the device's W/Gbps ratio by the load; quantized mode
     buys whole devices (or ``unit_capacity_gbps`` slices of one).
     """
+    return _sizer(spec, policy)(load_gbps)
+
+
+def _sizer(spec: EquipmentSpec | ServerSpec, policy: ClassPolicy) -> Callable[[float], float]:
+    """``equipment_power`` of one device class as a function of the per-instance load."""
     ratio = energy_per_capacity(spec)
     if not policy.quantized:
-        return load_gbps * ratio
+        return partial(mul, ratio)
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else spec.capacity_gbps
-    return provision_units(load_gbps, unit, policy.minimum_units) * ratio * unit
+    minimum_units = policy.minimum_units
+    return lambda load_gbps: provision_units(load_gbps, unit, minimum_units) * ratio * unit
 
 
-@dataclass(frozen=True)
-class SegmentPower:
+class SegmentPower(NamedTuple):
     """Per-user transmission watts of one transport segment."""
 
     segment: Link
@@ -150,13 +157,52 @@ class SegmentPower:
     watts: float
 
 
-@dataclass(frozen=True)
-class NodePower:
+class NodePower(NamedTuple):
     """Per-user processing watts of one node tier, tagged with its BBP branch."""
 
     node: Node
     branch: str
     watts: float
+
+
+class _Term(NamedTuple):
+    """A node or segment at or before the BBP node, less its per-cell factors.
+
+    Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
+    ``devices``, where ρ is the count of NODE_ORDER[coverage] over the user
+    count and the load is tier ``depth``'s per-instance eCPRI load.
+    """
+
+    record: type  # NodePower or SegmentPower
+    key: Segment
+    tag: str | bool  # NodePower.branch or SegmentPower.before_bbp
+    scale: float  # alpha * sigma
+    coverage: int
+    depth: int
+    devices: tuple[tuple[int, Callable[[float], float]], ...]  # (multiplier, _sizer)
+
+
+def _priced(terms: tuple[_Term, ...], loads: tuple[float, ...], counts: tuple[int, ...],
+            n_users: int) -> list:
+    """The NodePower or SegmentPower record of each term for one topology's loads and counts."""
+    records = []
+    for record, key, tag, scale, coverage, depth, devices in terms:
+        load = loads[depth]
+        per_instance = 0.0
+        for multiplier, sized in devices:
+            per_instance += multiplier * sized(load)
+        records.append(record(key, tag, scale * (counts[coverage] / n_users) * per_instance))
+    return records
+
+
+class _Plan(NamedTuple):
+    """Everything about one (config, placement) that does not depend on the topology."""
+
+    nodes: tuple[_Term, ...]
+    nodes_after: tuple[NodePower, ...]
+    segments: tuple[_Term, ...]
+    segments_after: tuple[SegmentPower, ...]
+    ue_watts: float
 
 
 @dataclass(frozen=True)
@@ -206,13 +252,23 @@ class PowerBreakdown:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Everything an evaluation needs except the topology and BBP placement."""
+    """Everything an evaluation needs except the topology and BBP placement.
+
+    ``params`` is stored as a read-only copy. ``evaluate`` builds one plan
+    per placement the first time it sees it and keeps it on the config; the
+    plan cache takes no part in equality, ``repr`` or ``dataclasses.replace``.
+    """
 
     catalog: EquipmentCatalog
     params: Mapping[Segment, SegmentParams]
     traffic: TrafficModel
     policy: ProvisioningPolicy
     provision_to_cap: bool = True
+    _plans: dict[Node, _Plan] = field(init=False, compare=False, repr=False,
+                                      default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @classmethod
     def default(cls, policy: ProvisioningPolicy | None = None) -> "ModelConfig":
@@ -226,78 +282,97 @@ class ModelConfig:
             policy=policy if policy is not None else ProvisioningPolicy.default(),
         )
 
-    def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
-        """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
+    def _plan(self, placement: Node) -> _Plan:
+        """The topology-independent factors of every term for one BBP placement.
 
         Node tier i, and link i that joins it to tier i + 1, carry one
         instance's provisioned eCPRI up to the BBP node, weighted by the
         coverage factor; the BBP node adds its servers. Beyond the BBP node
-        they carry the per-user baseband rate with no coverage weighting.
-        Link i ends in tier i + 1's chassis, which is also its switch.
+        they carry the per-user baseband rate with no coverage weighting, so
+        their watts are fixed here. Link i ends in tier i + 1's chassis,
+        which is also its switch.
         """
-        if placement not in NODE_ORDER:
-            raise ValueError(f"unknown BBP placement: {placement!r}")
         catalog, params, policy = self.catalog, self.params, self.policy
         bbp = placement.depth
         user_rate = self.traffic.user_rate_gbps
+        chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
+
+        nodes, nodes_after = [], []
+        for depth, node in enumerate(NODE_ORDER):
+            seg = params[node]
+            scale = seg.alpha * seg.sigma
+            if depth > bbp:
+                nodes_after.append(NodePower(node, "after",
+                                             scale * user_rate * energy_per_capacity(chassis[depth])))
+                continue
+            devices = [(1, _sizer(chassis[depth], policy.node_interface))]
+            if depth == bbp:
+                server = catalog.dc_server if node is Node.DC else catalog.edge_server
+                devices.append((1, _sizer(server, policy.servers)))
+            nodes.append(_Term(NodePower, node, "bbp" if depth == bbp else "before", scale,
+                               seg.coverage_node.depth, depth, tuple(devices)))
+
+        segments, segments_after = [], []
+        wdm, router = catalog.wdm_link, catalog.router
+        for depth, link in enumerate(LINK_ORDER):
+            seg = params[link]
+            scale = seg.alpha * seg.sigma
+            switch = chassis[depth + 1]
+            multipliers = (seg.hops_switch + 1, seg.hops_wdm + 1,
+                           seg.gamma * (seg.hops_router + 1))
+            if depth < bbp:
+                # A zero multiplier (no router) adds exactly 0.0, so it is left out.
+                devices = tuple((multiplier, _sizer(spec, class_policy))
+                                for multiplier, spec, class_policy in zip(
+                                    multipliers, (switch, wdm, router),
+                                    (policy.switches, policy.links, policy.routers))
+                                if multiplier)
+                segments.append(_Term(SegmentPower, link, True, scale, seg.coverage_node.depth,
+                                      depth, devices))
+            else:
+                bracket = (
+                    multipliers[0] * energy_per_capacity(switch)
+                    + multipliers[1] * energy_per_capacity(wdm)
+                    + multipliers[2] * energy_per_capacity(router)
+                )
+                segments_after.append(SegmentPower(link, False, scale * user_rate * bracket))
+
+        ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
+        return _Plan(tuple(nodes), tuple(nodes_after), tuple(segments), tuple(segments_after),
+                     ue_watts)
+
+    def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
+        """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
+
+        Only the per-instance loads and the coverage factors depend on the
+        topology; every other factor comes from the placement's plan.
+        """
+        if placement not in NODE_ORDER:
+            raise ValueError(f"unknown BBP placement: {placement!r}")
+        plan = self._plans.get(placement)
+        if plan is None:
+            plan = self._plans[placement] = self._plan(placement)
+        n_ru, n_users = topology.n_ru, topology.n_users
+        counts = (n_ru, topology.n_du, topology.n_cu, topology.n_dc)
         ecpri = self.traffic.ecpri_per_ru_gbps
         # Per-instance eCPRI load of each tier: an O-DU is sized for the fanout
         # cap when asked to; every other instance carries all O-RUs beneath it.
         if self.provision_to_cap and topology.du_fanout_cap is not None:
             ru_per_du = topology.du_fanout_cap
         else:
-            ru_per_du = topology.n_ru / topology.n_du
-        loads = (ecpri, ru_per_du * ecpri, topology.n_ru / topology.n_cu * ecpri,
-                 topology.n_ru / topology.n_dc * ecpri)
-        chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
-
-        nodes = []
-        for depth, node in enumerate(NODE_ORDER):
-            seg = params[node]
-            scale = seg.alpha * seg.sigma
-            if depth > bbp:
-                nodes.append(NodePower(node, "after",
-                                       scale * user_rate * energy_per_capacity(chassis[depth])))
-                continue
-            watts = equipment_power(loads[depth], chassis[depth], policy.node_interface)
-            if depth == bbp:
-                server = catalog.dc_server if node is Node.DC else catalog.edge_server
-                watts += equipment_power(loads[depth], server, policy.servers)
-            nodes.append(NodePower(node, "bbp" if depth == bbp else "before",
-                                   scale * coverage_factor(topology, seg) * watts))
-
-        segments = []
-        wdm, router = catalog.wdm_link, catalog.router
-        for depth, link in enumerate(LINK_ORDER):
-            seg = params[link]
-            scale = seg.alpha * seg.sigma
-            switch = chassis[depth + 1]
-            before = depth < bbp
-            if before:
-                load = loads[depth]
-                per_instance = (
-                    (seg.hops_switch + 1) * equipment_power(load, switch, policy.switches)
-                    + (seg.hops_wdm + 1) * equipment_power(load, wdm, policy.links)
-                    + seg.gamma * (seg.hops_router + 1)
-                    * equipment_power(load, router, policy.routers)
-                )
-                watts = scale * coverage_factor(topology, seg) * per_instance
-            else:
-                bracket = (
-                    (seg.hops_switch + 1) * energy_per_capacity(switch)
-                    + (seg.hops_wdm + 1) * energy_per_capacity(wdm)
-                    + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(router)
-                )
-                watts = scale * user_rate * bracket
-            segments.append(SegmentPower(link, before, watts))
-
-        ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
+            ru_per_du = n_ru / topology.n_du
+        loads = (ecpri, ru_per_du * ecpri, n_ru / topology.n_cu * ecpri,
+                 n_ru / topology.n_dc * ecpri)
+        nodes = _priced(plan.nodes, loads, counts, n_users)
+        nodes.extend(plan.nodes_after)
+        segments = _priced(plan.segments, loads, counts, n_users)
+        segments.extend(plan.segments_after)
         processing = sum(entry.watts for entry in nodes)
-        transmission = ue_watts + sum(entry.watts for entry in segments)
+        transmission = plan.ue_watts + sum(entry.watts for entry in segments)
         return PowerBreakdown(
             nodes=tuple(nodes),
             segments=tuple(segments),
-            ue_watts=ue_watts,
+            ue_watts=plan.ue_watts,
             processing_watts=processing,
             transmission_watts=transmission,
             total_watts=processing + transmission,

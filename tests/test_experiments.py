@@ -32,13 +32,13 @@ def default_config():
 
 class TestSweep:
     def test_cardinality_and_order(self, default_config):
-        records = sweep_orus(range(1, 101), 10, ALL_PLACEMENTS, default_config)
+        records = list(sweep_orus(range(1, 101), 10, ALL_PLACEMENTS, default_config))
         assert len(records) == 400
         keys = [(r.n_ru, r.placement.depth) for r in records]
         assert keys == sorted(keys)
 
     def test_dc_total_at_hundred_orus(self, linear_config):
-        records = sweep_orus([100], 10, [Node.DC], linear_config)
+        records = list(sweep_orus([100], 10, [Node.DC], linear_config))
         assert records[0].breakdown.total_watts == pytest.approx(93.2981596257716, rel=1e-9)
 
     def test_sawtooth_step_at_new_odu(self, default_config):
@@ -46,13 +46,23 @@ class TestSweep:
         assert records[5].breakdown.processing_watts > records[4].breakdown.processing_watts
 
     def test_deterministic(self, default_config):
-        first = sweep_orus(range(1, 21), 10, ALL_PLACEMENTS, default_config)
-        second = sweep_orus(range(1, 21), 10, ALL_PLACEMENTS, default_config)
+        first = list(sweep_orus(range(1, 21), 10, ALL_PLACEMENTS, default_config))
+        second = list(sweep_orus(range(1, 21), 10, ALL_PLACEMENTS, default_config))
         assert first == second
 
     def test_empty_range_rejected(self, default_config):
         with pytest.raises(ValueError):
             sweep_orus([], 10, ALL_PLACEMENTS, default_config)
+
+    def test_records_are_streamed(self, default_config):
+        records = sweep_orus(range(1, 50), 10, ALL_PLACEMENTS, default_config)
+        assert iter(records) is records
+        first = next(records)
+        assert (first.n_ru, first.placement) == (1, Node.ORU)
+
+    def test_bad_topology_rejected_by_the_call(self, default_config):
+        with pytest.raises(TopologyError):
+            sweep_orus(range(1, 5), 0, ALL_PLACEMENTS, default_config)
 
 
 class TestFanoutStudy:

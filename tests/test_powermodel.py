@@ -353,3 +353,14 @@ class TestReusedConfig:
                     == self.config(policy=linear).evaluate(topology, placement))
         assert ([replaced.evaluate(topology, placement) for placement in Node]
                 != [used.evaluate(topology, placement) for placement in Node])
+
+    def test_params_are_a_read_only_copy(self):
+        params = segment_map()
+        config = ModelConfig(catalog=default_catalog(), params=params, traffic=TrafficModel(),
+                             policy=ProvisioningPolicy.default())
+        topology = build_sweep_topology(9, 10, 4)
+        before = config.evaluate(topology, Node.DC)
+        params[Node.DC] = replace(params[Node.DC], sigma=4.0)
+        assert config.evaluate(topology, Node.DC) == before
+        with pytest.raises(TypeError):
+            config.params[Node.DC] = params[Node.DC]
