@@ -34,10 +34,10 @@ class EquipmentSpec:
     capacity_gbps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rated_power_w) and self.rated_power_w > 0):
-            raise CatalogError(f"{self.name}: rated power must be positive, got {self.rated_power_w}")
-        if not (math.isfinite(self.capacity_gbps) and self.capacity_gbps > 0):
-            raise CatalogError(f"{self.name}: capacity must be positive, got {self.capacity_gbps}")
+        for field in ("rated_power_w", "capacity_gbps"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise CatalogError(f"{self.name}: {field} must be a finite number > 0, got {value}")
 
 
 def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
@@ -66,16 +66,10 @@ class ServerSpec:
     def __post_init__(self):
         if not (isinstance(self.cores, int) and self.cores >= 1):
             raise CatalogError(f"server: cores must be an integer >= 1, got {self.cores}")
-        if not (math.isfinite(self.per_core_power_w) and self.per_core_power_w > 0):
-            raise CatalogError(f"server: per-core power must be positive, got {self.per_core_power_w}")
-        if not (math.isfinite(self.per_core_capacity_gbps) and self.per_core_capacity_gbps > 0):
-            raise CatalogError(
-                f"server: per-core capacity must be positive, got {self.per_core_capacity_gbps}"
-            )
-        if not (math.isfinite(self.server_capacity_gbps) and self.server_capacity_gbps > 0):
-            raise CatalogError(
-                f"server: server capacity must be positive, got {self.server_capacity_gbps}"
-            )
+        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
         expected = self.cores * self.per_core_capacity_gbps
         if abs(self.server_capacity_gbps - expected) > _REL_TOL * expected:
             raise CatalogError(
@@ -110,7 +104,7 @@ class EquipmentCatalog:
     def __post_init__(self):
         if not (math.isfinite(self.ue_energy_j_per_bit) and self.ue_energy_j_per_bit >= 0):
             raise CatalogError(
-                f"ue: energy per bit must be >= 0, got {self.ue_energy_j_per_bit}"
+                f"ue_energy_j_per_bit must be a finite number >= 0, got {self.ue_energy_j_per_bit}"
             )
 
 
@@ -148,6 +142,22 @@ CATALOG_KEYS = frozenset(
 )
 
 
+def _catalog_value(key: str, entry: ConfigEntry) -> float | int:
+    """The value of one catalog key, checked against that key's bounds."""
+    if key.endswith(".cores"):
+        value, bound = int_value(key, entry), "an integer >= 1"
+        valid = value >= 1
+    elif key == _UE_KEY:
+        value, bound = float_value(key, entry), "a finite number >= 0"
+        valid = math.isfinite(value) and value >= 0
+    else:
+        value, bound = float_value(key, entry), "a finite number > 0"
+        valid = math.isfinite(value) and value > 0
+    if not valid:
+        raise ConfigError(f"line {entry.lineno}: {key} must be {bound}, got {entry.value}")
+    return value
+
+
 def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog:
     """Build a catalog from parsed config entries; absent keys keep defaults."""
     for key in entries:
@@ -158,31 +168,26 @@ def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog
     for section in _EQUIPMENT_SECTIONS:
         spec: EquipmentSpec = getattr(catalog, section)
         updates = {}
-        entry = entries.get(f"{section}.power_w")
-        if entry is not None:
-            updates["rated_power_w"] = float_value(f"{section}.power_w", entry)
-        entry = entries.get(f"{section}.capacity_gbps")
-        if entry is not None:
-            updates["capacity_gbps"] = float_value(f"{section}.capacity_gbps", entry)
+        for key, field in (("power_w", "rated_power_w"), ("capacity_gbps", "capacity_gbps")):
+            entry = entries.get(f"{section}.{key}")
+            if entry is not None:
+                updates[field] = _catalog_value(f"{section}.{key}", entry)
         if updates:
             catalog = replace(catalog, **{section: replace(spec, **updates)})
 
     for section in _SERVER_SECTIONS:
         server: ServerSpec = getattr(catalog, section)
         updates = {}
-        entry = entries.get(f"{section}.cores")
-        if entry is not None:
-            updates["cores"] = int_value(f"{section}.cores", entry)
-        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
+        for field in _SERVER_KEYS:
             entry = entries.get(f"{section}.{field}")
             if entry is not None:
-                updates[field] = float_value(f"{section}.{field}", entry)
+                updates[field] = _catalog_value(f"{section}.{field}", entry)
         if updates:
             catalog = replace(catalog, **{section: replace(server, **updates)})
 
     entry = entries.get(_UE_KEY)
     if entry is not None:
-        catalog = replace(catalog, ue_energy_j_per_bit=float_value(_UE_KEY, entry) * 1e-9)
+        catalog = replace(catalog, ue_energy_j_per_bit=_catalog_value(_UE_KEY, entry) * 1e-9)
     return catalog
 
 

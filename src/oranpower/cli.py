@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -84,7 +85,7 @@ class RunConfig:
     params: Mapping[Segment, SegmentParams]
     n_ru: int | None = None
     users_per_ru: int | None = None
-    du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP
+    du_fanout_cap: int | None = None
 
 
 def _split_entries(entries: Mapping[str, ConfigEntry]):
@@ -139,8 +140,11 @@ def load_run_config(config_path: str | None) -> RunConfig:
     """Read the optional config file and resolve catalog/topology/segment overrides."""
     if config_path is None:
         return RunConfig(catalog=default_catalog(), params=segment_map())
-    with open(config_path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(config_path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config_path}: not UTF-8 text ({exc})") from None
     catalog_entries, topology_entries, segment_entries = _split_entries(parse_config_text(text))
     run = RunConfig(
         catalog=catalog_from_entries(catalog_entries),
@@ -182,7 +186,7 @@ def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> None:
 def _topology_value(args, run: RunConfig, name: str, default: int | None,
                     parser: argparse.ArgumentParser) -> int:
     """The ``--name`` flag, else the config's ``topology.name``, else ``default``."""
-    for value in (getattr(args, name), getattr(run, name), default):
+    for value in (getattr(args, name, None), getattr(run, name), default):
         if value is not None:
             return value
     flag = "--" + name.replace("_", "-")
@@ -227,15 +231,16 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     run = load_run_config(args.config)
     n_ru = _topology_value(args, run, "n_ru", None, parser)
     users_per_ru = _topology_value(args, run, "users_per_ru", None, parser)
+    du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
-    topology = build_sweep_topology(n_ru, users_per_ru, run.du_fanout_cap)
+    topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
     placement = _SEGMENT_BY_NAME[args.bbp]
     breakdown = config.evaluate(topology, placement)
     if args.format == "table":
         lines = [_render_eval_table(topology, placement, args.policy, breakdown)]
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
-                    ("du_fanout_cap", run.du_fanout_cap)]
+                    ("du_fanout_cap", du_fanout_cap)]
         row = _csv_row(n_ru, placement, breakdown)
         lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
     _emit(lines, args.output, stdout)
@@ -246,16 +251,20 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     if args.max_ru < 1:
         parser.error(f"--max-ru must be >= 1, got {args.max_ru}")
     run = load_run_config(args.config)
+    if run.n_ru is not None:
+        raise ConfigError("topology.n_ru does not apply to sweep, which takes n_ru from 1 "
+                          "to --max-ru")
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
     users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
+    du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     placements = _parse_placements(args.placements, parser)
     records = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
-                         du_fanout_cap=run.du_fanout_cap)
+                         du_fanout_cap=du_fanout_cap)
     metadata = [
         ("max_ru", args.max_ru),
         ("users_per_ru", users_per_ru),
         ("policy", args.policy),
-        ("du_fanout_cap", run.du_fanout_cap),
+        ("du_fanout_cap", du_fanout_cap),
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
@@ -267,6 +276,9 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
 
 def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     run = load_run_config(args.config)
+    if run.du_fanout_cap is not None:
+        raise ConfigError("topology.du_fanout_cap does not apply to fanout, where each case "
+                          "sets its own O-DU fanout")
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
     users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
     n_ru = _topology_value(args, run, "n_ru", DEFAULT_FANOUT_N_RU, parser)
@@ -296,7 +308,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="size O-DUs for attached O-RUs instead of the fanout cap")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="oranpower",
         description="Per-user power for centralized O-RAN deployments under "
@@ -348,7 +362,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
         return args.handler(args, parser, stdout)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ConfigError, CatalogError, TopologyError, OSError, ValueError) as exc:
+    except (ConfigError, CatalogError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_DATA_ERROR
 

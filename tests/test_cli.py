@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from oranpower.cli import main
+from oranpower.cli import build_parser, main
+from oranpower.powermodel import ModelConfig
 
 
 def run_cli(*argv):
@@ -143,6 +144,48 @@ class TestConfigHandling:
         assert code == 0
         assert "# n_ru = 80" in out
 
+    @pytest.mark.parametrize("argv,key", [
+        (["sweep", "--max-ru", "3"], "topology.n_ru"),
+        (["fanout", "--cases", "C-5", "--n-ru", "40"], "topology.du_fanout_cap"),
+    ])
+    def test_topology_key_the_subcommand_cannot_honour(self, tmp_path, argv, key):
+        config = tmp_path / "override.cfg"
+        config.write_text(f"{key} = 2\n")
+        code, out, err = run_cli(*argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("key", [
+        "router.power_w", "core_switch.capacity_gbps", "access_switch.power_w",
+        "wdm_link.capacity_gbps", "radio.power_w", "radio.capacity_gbps",
+        "edge_server.per_core_power_w", "edge_server.per_core_capacity_gbps",
+        "dc_server.server_capacity_gbps", "ue.energy_nj_per_bit",
+    ])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_catalog_error_names_key_and_says_finite(self, tmp_path, key, value):
+        config = tmp_path / "override.cfg"
+        config.write_text(f"{key} = {value}\n")
+        code, out, err = run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and key in err and "finite" in err
+
+    def test_server_cores_error_names_key(self, tmp_path):
+        config = tmp_path / "override.cfg"
+        config.write_text("dc_server.cores = 0\n")
+        code, _, err = run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc",
+                               "--config", str(config))
+        assert code == 1
+        assert "dc_server.cores" in err
+
+    def test_undecodable_config_is_data_error(self, tmp_path):
+        config = tmp_path / "override.cfg"
+        config.write_bytes(b"radio.power_w = 1\xff\n")
+        code, out, err = run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(config) in err
+
     def test_unknown_key_is_data_error(self, tmp_path):
         config = tmp_path / "override.cfg"
         config.write_text("nonsense.key = 1\n")
@@ -179,3 +222,26 @@ class TestConfigHandling:
         attached = run_cli("eval", "--n-ru", "3", "--users-per-ru", "10", "--bbp", "odu",
                            "--attached-load")
         assert capped[1] != attached[1]
+
+
+class TestMain:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_after_usage_error(self, capsys):
+        assert run_cli("eval", "--bbp", "xyz")[0] == 2
+        assert "--bbp" in capsys.readouterr().err
+        assert run_cli("eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc",
+                       "--policy", "linear") == run_cli("eval", "--n-ru", "100",
+                                                        "--users-per-ru", "10", "--bbp", "dc",
+                                                        "--policy", "linear")
+        assert run_cli("sweep", "--max-ru", "0")[0] == 2
+
+    def test_plain_value_error_is_not_a_data_error(self, monkeypatch):
+        def broken(self, topology, placement):
+            raise ValueError("a fault in the model")
+
+        monkeypatch.setattr(ModelConfig, "evaluate", broken)
+        with pytest.raises(ValueError, match="a fault in the model"):
+            main(["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc"],
+                 stdout=io.StringIO(), stderr=io.StringIO())
