@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseband-processing node")
     p_eval.add_argument("--format", choices=["table", "csv"], default="table")
     _add_common_flags(p_eval)
-    p_eval.set_defaults(handler=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="sweep the O-RU count and emit CSV")
     p_sweep.add_argument("--max-ru", type=int, default=100, help="sweep n_ru from 1 to this")
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--placements", default="oru,odu,ocu,dc",
                          help="comma-separated subset of oru,odu,ocu,dc")
     _add_common_flags(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
 
     p_fanout = sub.add_parser("fanout", help="evaluate the nodal fanout cases and emit CSV")
     p_fanout.add_argument("--cases", default="C-1,C-2,C-3,C-4,C-5",
@@ -345,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fanout.add_argument("--users-per-ru", type=int, default=None)
     p_fanout.add_argument("--placements", default="oru,odu,ocu,dc")
     _add_common_flags(p_fanout)
-    p_fanout.set_defaults(handler=cmd_fanout)
     return parser
 
 
@@ -359,7 +356,10 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.handler(args, parser, stdout)
+        # Looked up on each call, not stored in the parser that is built once,
+        # so a replaced cmd_* function (a test double, a tracing wrapper) is the one called.
+        handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
+        return handler(args, parser, stdout)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code) if exc.code is not None else EXIT_OK
     except (ConfigError, CatalogError, TopologyError, OSError) as exc:

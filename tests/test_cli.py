@@ -237,6 +237,13 @@ class TestMain:
                                                         "--policy", "linear")
         assert run_cli("sweep", "--max-ru", "0")[0] == 2
 
+    def test_replaced_handler_is_called(self, monkeypatch):
+        from oranpower import cli
+
+        build_parser()
+        monkeypatch.setattr(cli, "cmd_eval", lambda args, parser, stdout: 7)
+        assert run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc")[0] == 7
+
     def test_plain_value_error_is_not_a_data_error(self, monkeypatch):
         def broken(self, topology, placement):
             raise ValueError("a fault in the model")
