@@ -70,7 +70,10 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
     itself raises on an empty range and builds the first topology, so a bad
     ``users_per_ru`` or ``du_fanout_cap`` is raised before any record.
     """
-    counts = sorted(set(n_ru_range))
+    # An ascending range is already sorted and unique; kept as it is, a long
+    # sweep holds no list of its counts.
+    counts = (n_ru_range if isinstance(n_ru_range, range) and n_ru_range.step > 0
+              else sorted(set(n_ru_range)))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)

@@ -270,6 +270,12 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through __init__: a mappingproxy cannot
+        # be pickled, and plans hold closures that are rebuilt on demand.
+        return type(self), (self.catalog, dict(self.params), self.traffic, self.policy,
+                            self.provision_to_cap)
+
     @classmethod
     def default(cls, policy: ProvisioningPolicy | None = None) -> "ModelConfig":
         from .catalog import default_catalog

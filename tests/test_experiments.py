@@ -54,6 +54,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_orus([], 10, ALL_PLACEMENTS, default_config)
 
+    def test_any_iteration_order_gives_the_same_records(self, default_config):
+        expected = list(sweep_orus(range(1, 30, 3), 10, ALL_PLACEMENTS, default_config))
+        for counts in (range(28, 0, -3), [28, 1, 4, 4, 25, 7, 10, 13, 16, 19, 22]):
+            assert list(sweep_orus(counts, 10, ALL_PLACEMENTS, default_config)) == expected
+
     def test_records_are_streamed(self, default_config):
         records = sweep_orus(range(1, 50), 10, ALL_PLACEMENTS, default_config)
         assert iter(records) is records

@@ -5,7 +5,9 @@ ratings (written out inline), not from the functions under test. Every
 per-node and per-segment term is read from ``ModelConfig.evaluate``.
 """
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -364,3 +366,13 @@ class TestReusedConfig:
         assert config.evaluate(topology, Node.DC) == before
         with pytest.raises(TypeError):
             config.params[Node.DC] = params[Node.DC]
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda config: pickle.loads(pickle.dumps(config))])
+    def test_copies_and_pickles_of_a_used_config(self, duplicate):
+        config = self.config()
+        topology = build_sweep_topology(9, 10, 4)
+        expected = [config.evaluate(topology, placement) for placement in Node]
+        twin = duplicate(config)
+        assert twin == config
+        assert [twin.evaluate(topology, placement) for placement in Node] == expected
