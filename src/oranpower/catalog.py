@@ -168,10 +168,11 @@ def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog
     for section in _EQUIPMENT_SECTIONS:
         spec: EquipmentSpec = getattr(catalog, section)
         updates = {}
-        for key, field in (("power_w", "rated_power_w"), ("capacity_gbps", "capacity_gbps")):
-            entry = entries.get(f"{section}.{key}")
+        for name, field in (("power_w", "rated_power_w"), ("capacity_gbps", "capacity_gbps")):
+            key = f"{section}.{name}"
+            entry = entries.get(key)
             if entry is not None:
-                updates[field] = _catalog_value(f"{section}.{key}", entry)
+                updates[field] = _catalog_value(key, entry)
         if updates:
             catalog = replace(catalog, **{section: replace(spec, **updates)})
 
@@ -179,9 +180,10 @@ def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog
         server: ServerSpec = getattr(catalog, section)
         updates = {}
         for field in _SERVER_KEYS:
-            entry = entries.get(f"{section}.{field}")
+            key = f"{section}.{field}"
+            entry = entries.get(key)
             if entry is not None:
-                updates[field] = _catalog_value(f"{section}.{field}", entry)
+                updates[field] = _catalog_value(key, entry)
         if updates:
             catalog = replace(catalog, **{section: replace(server, **updates)})
 
