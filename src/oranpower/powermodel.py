@@ -143,7 +143,7 @@ def _sizer(spec: EquipmentSpec | ServerSpec, policy: ClassPolicy) -> Callable[[f
     """``equipment_power`` of one device class as a function of the per-instance load."""
     ratio = energy_per_capacity(spec)
     if not policy.quantized:
-        return partial(mul, ratio)
+        return partial(mul, ratio)  # ratio * load, which is exactly load * ratio
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else spec.capacity_gbps
     minimum_units = policy.minimum_units
     return lambda load_gbps: provision_units(load_gbps, unit, minimum_units) * ratio * unit
