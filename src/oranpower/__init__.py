@@ -28,6 +28,7 @@ from .powermodel import (
     ClassPolicy,
     ModelConfig,
     PowerBreakdown,
+    PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
     equipment_power,

@@ -38,6 +38,9 @@ class EquipmentSpec:
             value = getattr(self, field)
             if not (math.isfinite(value) and value > 0):
                 raise CatalogError(f"{self.name}: {field} must be a finite number > 0, got {value}")
+        if not math.isfinite(self.rated_power_w / self.capacity_gbps):
+            raise CatalogError(f"{self.name}: rated_power_w / capacity_gbps must be finite, "
+                               f"got {self.rated_power_w} / {self.capacity_gbps}")
 
 
 def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
@@ -76,6 +79,10 @@ class ServerSpec:
                 "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
                 f"({self.cores} * {self.per_core_capacity_gbps} != {self.server_capacity_gbps})"
             )
+        if not math.isfinite(self.rated_power_w / self.capacity_gbps):
+            raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must be "
+                               f"finite, got {self.cores} * {self.per_core_power_w} / "
+                               f"{self.server_capacity_gbps}")
 
     @property
     def rated_power_w(self) -> float:
@@ -142,20 +149,14 @@ CATALOG_KEYS = frozenset(
 )
 
 
-def _catalog_value(key: str, entry: ConfigEntry) -> float | int:
-    """The value of one catalog key, checked against that key's bounds."""
-    if key.endswith(".cores"):
-        value, bound = int_value(key, entry), "an integer >= 1"
-        valid = value >= 1
-    elif key == _UE_KEY:
-        value, bound = float_value(key, entry), "a finite number >= 0"
-        valid = math.isfinite(value) and value >= 0
-    else:
-        value, bound = float_value(key, entry), "a finite number > 0"
-        valid = math.isfinite(value) and value > 0
-    if not valid:
-        raise ConfigError(f"line {entry.lineno}: {key} must be {bound}, got {entry.value}")
-    return value
+def _replaced(spec, updates: dict, section: str, entries: Mapping[str, ConfigEntry]):
+    """``replace(spec, **updates)``; a rejected value names the section's config keys."""
+    try:
+        return replace(spec, **updates)
+    except CatalogError as exc:
+        where = "; ".join(f"line {entry.lineno}: {key} = {entry.value}"
+                          for key, entry in entries.items() if key.startswith(section + "."))
+        raise CatalogError(f"{where}: {exc}") from None
 
 
 def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog:
@@ -168,28 +169,32 @@ def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog
     for section in _EQUIPMENT_SECTIONS:
         spec: EquipmentSpec = getattr(catalog, section)
         updates = {}
-        for name, field in (("power_w", "rated_power_w"), ("capacity_gbps", "capacity_gbps")):
-            key = f"{section}.{name}"
-            entry = entries.get(key)
-            if entry is not None:
-                updates[field] = _catalog_value(key, entry)
+        entry = entries.get(f"{section}.power_w")
+        if entry is not None:
+            updates["rated_power_w"] = float_value(f"{section}.power_w", entry)
+        entry = entries.get(f"{section}.capacity_gbps")
+        if entry is not None:
+            updates["capacity_gbps"] = float_value(f"{section}.capacity_gbps", entry)
         if updates:
-            catalog = replace(catalog, **{section: replace(spec, **updates)})
+            catalog = replace(catalog, **{section: _replaced(spec, updates, section, entries)})
 
     for section in _SERVER_SECTIONS:
         server: ServerSpec = getattr(catalog, section)
         updates = {}
-        for field in _SERVER_KEYS:
-            key = f"{section}.{field}"
-            entry = entries.get(key)
+        entry = entries.get(f"{section}.cores")
+        if entry is not None:
+            updates["cores"] = int_value(f"{section}.cores", entry)
+        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
+            entry = entries.get(f"{section}.{field}")
             if entry is not None:
-                updates[field] = _catalog_value(key, entry)
+                updates[field] = float_value(f"{section}.{field}", entry)
         if updates:
-            catalog = replace(catalog, **{section: replace(server, **updates)})
+            catalog = replace(catalog, **{section: _replaced(server, updates, section, entries)})
 
     entry = entries.get(_UE_KEY)
     if entry is not None:
-        catalog = replace(catalog, ue_energy_j_per_bit=_catalog_value(_UE_KEY, entry) * 1e-9)
+        catalog = _replaced(catalog, {"ue_energy_j_per_bit": float_value(_UE_KEY, entry) * 1e-9},
+                            "ue", entries)
     return catalog
 
 

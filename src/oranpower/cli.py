@@ -17,7 +17,13 @@ from .experiments import (
     fanout_study,
     sweep_orus,
 )
-from .powermodel import ModelConfig, PowerBreakdown, ProvisioningPolicy, TrafficModel
+from .powermodel import (
+    ModelConfig,
+    PowerBreakdown,
+    PowerOverflowError,
+    ProvisioningPolicy,
+    TrafficModel,
+)
 from .topology import (
     LINK_ORDER,
     NODE_ORDER,
@@ -362,7 +368,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
         return handler(args, parser, stdout)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ConfigError, CatalogError, TopologyError, OSError) as exc:
+    except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_DATA_ERROR
 

@@ -67,20 +67,21 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
 
     Records are ordered by (n_ru, placement depth) regardless of the input
     iteration order, so identical inputs produce identical streams. The call
-    itself raises on an empty range and builds the first topology, so a bad
-    ``users_per_ru`` or ``du_fanout_cap`` is raised before any record.
+    itself raises on an empty range and evaluates every placement at the
+    first O-RU count, so a bad ``users_per_ru`` or ``du_fanout_cap``, or a
+    config that fails for some placement, is raised before any record.
     """
-    # An ascending range is already sorted and unique; kept as it is, a long
-    # sweep holds no list of its counts.
-    counts = (n_ru_range if isinstance(n_ru_range, range) and n_ru_range.step > 0
-              else sorted(set(n_ru_range)))
+    counts = sorted(set(n_ru_range))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
     first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
+    head = [SweepRecord(first.n_ru, placement, config.evaluate(first, placement))
+            for placement in ordered]
     rest = (build_sweep_topology(n_ru, users_per_ru, du_fanout_cap) for n_ru in counts[1:])
-    return (SweepRecord(topology.n_ru, placement, config.evaluate(topology, placement))
-            for topology in chain([first], rest) for placement in ordered)
+    tail = (SweepRecord(topology.n_ru, placement, config.evaluate(topology, placement))
+            for topology in rest for placement in ordered)
+    return chain(head, tail)
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,

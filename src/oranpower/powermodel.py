@@ -40,6 +40,10 @@ _SNAP_ULPS = 4
 _SUM_TOL = 1e-9
 
 
+class PowerOverflowError(ValueError):
+    """Valid inputs whose per-user power is too large for a float."""
+
+
 def user_baseband_rate(monthly_gb: float) -> float:
     """Mean user data rate in Gbps for a monthly consumption in decimal GB."""
     if monthly_gb < 0:
@@ -375,11 +379,19 @@ class ModelConfig:
         segments.extend(plan.segments_after)
         processing = sum(entry.watts for entry in nodes)
         transmission = plan.ue_watts + sum(entry.watts for entry in segments)
+        total = processing + transmission
+        if not math.isfinite(total):
+            terms = [(entry.node.value, entry.watts) for entry in nodes]
+            terms += [(entry.segment.value, entry.watts) for entry in segments]
+            terms.append(("ue", plan.ue_watts))
+            raise PowerOverflowError(
+                f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a "
+                "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in terms))
         return PowerBreakdown(
             nodes=tuple(nodes),
             segments=tuple(segments),
             ue_watts=plan.ue_watts,
             processing_watts=processing,
             transmission_watts=transmission,
-            total_watts=processing + transmission,
+            total_watts=total,
         )

@@ -113,6 +113,9 @@ class SegmentParams:
             if not (math.isfinite(factor) and factor >= 1):
                 raise TopologyError(
                     f"{self.segment.value}: {name} must be a finite number >= 1, got {factor}")
+        if not math.isfinite(self.alpha * self.sigma):
+            raise TopologyError(f"{self.segment.value}: alpha * sigma must be finite, "
+                                f"got {self.alpha} * {self.sigma}")
         for name in ("hops_switch", "hops_wdm", "hops_router"):
             hops = getattr(self, name)
             if not (isinstance(hops, int) and hops >= 0):

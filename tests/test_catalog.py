@@ -70,6 +70,13 @@ class TestSpecValidation:
             ServerSpec(cores=0, per_core_power_w=6.0, per_core_capacity_gbps=0.25,
                        server_capacity_gbps=0.0)
 
+    def test_overflowing_ratio_rejected(self):
+        with pytest.raises(CatalogError, match="rated_power_w / capacity_gbps must be finite"):
+            EquipmentSpec("radio", 1e300, 1e-10)
+        with pytest.raises(CatalogError, match="per_core_power_w / server_capacity_gbps"):
+            ServerSpec(cores=4, per_core_power_w=1e308, per_core_capacity_gbps=0.25,
+                       server_capacity_gbps=1.0)
+
     def test_per_core_ratio_matches_server_ratio(self):
         for server in (default_catalog().edge_server, default_catalog().dc_server):
             per_core = server.per_core_power_w / server.per_core_capacity_gbps
@@ -93,6 +100,10 @@ class TestLoadCatalog:
     def test_invariant_violation_reported(self):
         with pytest.raises(CatalogError, match="server_capacity_gbps"):
             load_catalog("edge_server.cores = 3")
+
+    def test_rejected_value_names_key_and_line(self):
+        with pytest.raises(CatalogError, match="line 2: router.power_w = inf: .* finite"):
+            load_catalog("core_switch.power_w = 10\nrouter.power_w = inf")
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigError, match="router.colour"):

@@ -178,6 +178,27 @@ class TestConfigHandling:
         assert code == 1
         assert "dc_server.cores" in err
 
+    @pytest.mark.parametrize("config_text,message", [
+        ("segment.oru.sigma = 1e308\n", "alpha * sigma must be finite"),
+        ("radio.power_w = 1e300\nradio.capacity_gbps = 1e-10\n", "radio.capacity_gbps"),
+        ("segment.oru.sigma = 1e200\nradio.power_w = 1e200\n", "overflows a float"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--max-ru", "5"],
+        ["fanout"],
+        ["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc"],
+    ])
+    def test_overflow_is_data_error_and_leaves_output_untouched(self, tmp_path, argv,
+                                                               config_text, message):
+        config = tmp_path / "override.cfg"
+        config.write_text(config_text)
+        output = tmp_path / "out.csv"
+        output.write_text("earlier output\n")
+        code, out, err = run_cli(*argv, "--config", str(config), "--output", str(output))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+        assert output.read_text() == "earlier output\n"
+
     def test_undecodable_config_is_data_error(self, tmp_path):
         config = tmp_path / "override.cfg"
         config.write_bytes(b"radio.power_w = 1\xff\n")

@@ -8,13 +8,14 @@ from oranpower.experiments import (
     reduction_ratio,
     sweep_orus,
 )
-from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy
+from oranpower.powermodel import ClassPolicy, ModelConfig, PowerOverflowError, ProvisioningPolicy
 from oranpower.topology import (
     FANOUT_CASES,
     Node,
     TopologyError,
     build_sweep_topology,
     from_fanout_case,
+    with_overrides,
 )
 
 ALL_PLACEMENTS = list(Node)
@@ -68,6 +69,13 @@ class TestSweep:
     def test_bad_topology_rejected_by_the_call(self, default_config):
         with pytest.raises(TopologyError):
             sweep_orus(range(1, 5), 0, ALL_PLACEMENTS, default_config)
+
+    def test_failing_placement_rejected_by_the_call(self, default_config):
+        params = with_overrides(default_config.params, {Node.DC: {"sigma": 1e307}})
+        config = ModelConfig(default_config.catalog, params, default_config.traffic,
+                             default_config.policy)
+        with pytest.raises(PowerOverflowError):
+            sweep_orus(range(1, 5), 1, ALL_PLACEMENTS, config)
 
 
 class TestFanoutStudy:

@@ -19,6 +19,7 @@ from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
     PowerBreakdown,
+    PowerOverflowError,
     NodePower,
     ProvisioningPolicy,
     SegmentPower,
@@ -158,6 +159,14 @@ class TestNonFiniteInputs:
             PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", math.nan),), segments=(),
                            ue_watts=0.0, processing_watts=math.nan, transmission_watts=0.0,
                            total_watts=math.nan)
+
+    def test_overflowing_product_of_finite_inputs(self):
+        config = ModelConfig.default()
+        config = replace(config, params=with_overrides(config.params, {Node.DC: {"sigma": 1e307}}))
+        topology = build_sweep_topology(4, 1, 4)
+        assert config.evaluate(topology, Node.ORU).total_watts > 0
+        with pytest.raises(PowerOverflowError, match="BBP at dc and n_ru=4 .* dc = inf"):
+            config.evaluate(topology, Node.DC)
 
     def test_nan_total_rejected(self):
         with pytest.raises(ValueError, match="total"):

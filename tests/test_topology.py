@@ -175,3 +175,7 @@ class TestSegmentParamsValidation:
         factors = {"sigma": 1.0, "alpha": 1.0, field: value}
         with pytest.raises(TopologyError, match=field):
             SegmentParams(Node.ORU, coverage_node=Node.ORU, **factors)
+
+    def test_overflowing_alpha_sigma_rejected(self):
+        with pytest.raises(TopologyError, match=r"alpha \* sigma must be finite"):
+            SegmentParams(Node.ORU, sigma=1e308, alpha=5.0, coverage_node=Node.ORU)
