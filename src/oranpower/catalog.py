@@ -74,7 +74,8 @@ class ServerSpec:
             if not (math.isfinite(value) and value > 0):
                 raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
         expected = self.cores * self.per_core_capacity_gbps
-        if abs(self.server_capacity_gbps - expected) > _REL_TOL * expected:
+        if (not math.isfinite(expected)
+                or abs(self.server_capacity_gbps - expected) > _REL_TOL * expected):
             raise CatalogError(
                 "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
                 f"({self.cores} * {self.per_core_capacity_gbps} != {self.server_capacity_gbps})"

@@ -65,6 +65,11 @@ class TestSpecValidation:
             ServerSpec(cores=3, per_core_power_w=6.0, per_core_capacity_gbps=0.25,
                        server_capacity_gbps=1.0)
 
+    def test_server_capacity_product_must_not_overflow(self):
+        with pytest.raises(CatalogError, match="server_capacity_gbps must equal"):
+            ServerSpec(cores=10**308, per_core_power_w=1.0, per_core_capacity_gbps=10.0,
+                       server_capacity_gbps=1.0)
+
     def test_server_cores_must_be_positive_int(self):
         with pytest.raises(CatalogError):
             ServerSpec(cores=0, per_core_power_w=6.0, per_core_capacity_gbps=0.25,
