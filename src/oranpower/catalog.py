@@ -8,10 +8,18 @@ equipment ratings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
-from .configfile import ConfigEntry, ConfigError, float_value, int_value, parse_config_text
+from .configfile import (
+    CONFIG_KEYS,
+    NJ_PER_J,
+    SPEC_SECTIONS,
+    ConfigEntry,
+    apply_entries,
+    parse_config_text,
+)
+from .topology import MAX_COUNT
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
 _REL_TOL = 1e-12
@@ -67,8 +75,9 @@ class ServerSpec:
     server_capacity_gbps: float
 
     def __post_init__(self):
-        if not (isinstance(self.cores, int) and self.cores >= 1):
-            raise CatalogError(f"server: cores must be an integer >= 1, got {self.cores}")
+        if not (isinstance(self.cores, int) and 1 <= self.cores <= MAX_COUNT):
+            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, "
+                               f"got {self.cores}")
         for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
             value = getattr(self, field)
             if not (math.isfinite(value) and value > 0):
@@ -137,66 +146,20 @@ def default_catalog() -> EquipmentCatalog:
     )
 
 
-_EQUIPMENT_SECTIONS = ("router", "core_switch", "access_switch", "wdm_link", "radio")
-_EQUIPMENT_KEYS = ("power_w", "capacity_gbps")
-_SERVER_SECTIONS = ("edge_server", "dc_server")
-_SERVER_KEYS = ("cores", "per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps")
-_UE_KEY = "ue.energy_nj_per_bit"
-
-CATALOG_KEYS = frozenset(
-    [f"{sec}.{key}" for sec in _EQUIPMENT_SECTIONS for key in _EQUIPMENT_KEYS]
-    + [f"{sec}.{key}" for sec in _SERVER_SECTIONS for key in _SERVER_KEYS]
-    + [_UE_KEY]
-)
+def catalog_sections(catalog: EquipmentCatalog) -> dict[str, object]:
+    """The catalog's config sections: each spec by name, and ``ue`` for the catalog itself."""
+    return {"ue": catalog, **{name: getattr(catalog, name) for name in SPEC_SECTIONS}}
 
 
-def _replaced(spec, updates: dict, section: str, entries: Mapping[str, ConfigEntry]):
-    """``replace(spec, **updates)``; a rejected value names the section's config keys."""
-    try:
-        return replace(spec, **updates)
-    except CatalogError as exc:
-        where = "; ".join(f"line {entry.lineno}: {key} = {entry.value}"
-                          for key, entry in entries.items() if key.startswith(section + "."))
-        raise CatalogError(f"{where}: {exc}") from None
+def catalog_from_sections(sections: Mapping[str, object]) -> EquipmentCatalog:
+    """Reassemble sections laid out as by ``catalog_sections``: the ``ue`` catalog with each spec."""
+    return EquipmentCatalog(**{name: sections[name] for name in SPEC_SECTIONS},
+                            ue_energy_j_per_bit=sections["ue"].ue_energy_j_per_bit)
 
 
 def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog:
     """Build a catalog from parsed config entries; absent keys keep defaults."""
-    for key in entries:
-        if key not in CATALOG_KEYS:
-            raise ConfigError(f"unknown catalog key {key!r}")
-    catalog = default_catalog()
-
-    for section in _EQUIPMENT_SECTIONS:
-        spec: EquipmentSpec = getattr(catalog, section)
-        updates = {}
-        entry = entries.get(f"{section}.power_w")
-        if entry is not None:
-            updates["rated_power_w"] = float_value(f"{section}.power_w", entry)
-        entry = entries.get(f"{section}.capacity_gbps")
-        if entry is not None:
-            updates["capacity_gbps"] = float_value(f"{section}.capacity_gbps", entry)
-        if updates:
-            catalog = replace(catalog, **{section: _replaced(spec, updates, section, entries)})
-
-    for section in _SERVER_SECTIONS:
-        server: ServerSpec = getattr(catalog, section)
-        updates = {}
-        entry = entries.get(f"{section}.cores")
-        if entry is not None:
-            updates["cores"] = int_value(f"{section}.cores", entry)
-        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
-            entry = entries.get(f"{section}.{field}")
-            if entry is not None:
-                updates[field] = float_value(f"{section}.{field}", entry)
-        if updates:
-            catalog = replace(catalog, **{section: _replaced(server, updates, section, entries)})
-
-    entry = entries.get(_UE_KEY)
-    if entry is not None:
-        catalog = _replaced(catalog, {"ue_energy_j_per_bit": float_value(_UE_KEY, entry) * 1e-9},
-                            "ue", entries)
-    return catalog
+    return catalog_from_sections(apply_entries(entries, catalog_sections(default_catalog())))
 
 
 def load_catalog(config_text: str) -> EquipmentCatalog:
@@ -210,16 +173,10 @@ def load_catalog(config_text: str) -> EquipmentCatalog:
 
 def dump_catalog(catalog: EquipmentCatalog) -> str:
     """Serialize a catalog to config text that ``load_catalog`` accepts."""
+    sections = catalog_sections(catalog)
     lines = []
-    for section in _EQUIPMENT_SECTIONS:
-        spec: EquipmentSpec = getattr(catalog, section)
-        lines.append(f"{section}.power_w = {spec.rated_power_w!r}")
-        lines.append(f"{section}.capacity_gbps = {spec.capacity_gbps!r}")
-    for section in _SERVER_SECTIONS:
-        server: ServerSpec = getattr(catalog, section)
-        lines.append(f"{section}.cores = {server.cores}")
-        lines.append(f"{section}.per_core_power_w = {server.per_core_power_w!r}")
-        lines.append(f"{section}.per_core_capacity_gbps = {server.per_core_capacity_gbps!r}")
-        lines.append(f"{section}.server_capacity_gbps = {server.server_capacity_gbps!r}")
-    lines.append(f"{_UE_KEY} = {catalog.ue_energy_j_per_bit * 1e9!r}")
+    for key, (section, field, _) in CONFIG_KEYS.items():
+        if section in sections:
+            value = getattr(sections[section], field)
+            lines.append(f"{key} = {value * NJ_PER_J if section == 'ue' else value!r}")
     return "\n".join(lines) + "\n"

@@ -5,11 +5,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .catalog import CatalogError, EquipmentCatalog, catalog_from_entries, default_catalog
-from .configfile import ConfigEntry, ConfigError, float_value, int_value, parse_config_text
+from .catalog import (
+    CatalogError,
+    EquipmentCatalog,
+    catalog_from_sections,
+    catalog_sections,
+    default_catalog,
+)
+from .configfile import ConfigError, apply_entries, parse_config_text
 from .experiments import (
     DEFAULT_DU_FANOUT_CAP,
     DEFAULT_FANOUT_N_RU,
@@ -25,7 +31,6 @@ from .powermodel import (
     TrafficModel,
 )
 from .topology import (
-    LINK_ORDER,
     NODE_ORDER,
     Node,
     Segment,
@@ -34,7 +39,6 @@ from .topology import (
     build_sweep_topology,
     fanout_case,
     segment_map,
-    with_overrides,
 )
 
 EXIT_OK = 0
@@ -45,13 +49,6 @@ _POLICIES = {
     "linear": ProvisioningPolicy.all_linear,
     "quantized": ProvisioningPolicy.default,
 }
-
-_SEGMENT_BY_NAME: dict[str, Segment] = {node.value: node for node in NODE_ORDER}
-_SEGMENT_BY_NAME.update({link.value: link for link in LINK_ORDER})
-
-_SEGMENT_FLOAT_FIELDS = {"sigma", "alpha"}
-_SEGMENT_INT_FIELDS = {"hops_switch": "hops_switch", "hops_wdm": "hops_wdm",
-                       "hops_router": "hops_router"}
 
 CSV_COLUMNS = (
     "p_processing_w", "p_transmission_w", "p_total_w",
@@ -85,7 +82,7 @@ def _csv_row(n_ru: int, placement: Node, breakdown: PowerBreakdown) -> str:
 
 @dataclass
 class RunConfig:
-    """Resolved configuration for one invocation."""
+    """Resolved configuration for one invocation; ``topology.*`` keys set its counts."""
 
     catalog: EquipmentCatalog
     params: Mapping[Segment, SegmentParams]
@@ -94,70 +91,20 @@ class RunConfig:
     du_fanout_cap: int | None = None
 
 
-def _split_entries(entries: Mapping[str, ConfigEntry]):
-    from .catalog import CATALOG_KEYS
-
-    catalog_entries: dict[str, ConfigEntry] = {}
-    topology_entries: dict[str, ConfigEntry] = {}
-    segment_entries: dict[str, ConfigEntry] = {}
-    for key, entry in entries.items():
-        if key in CATALOG_KEYS:
-            catalog_entries[key] = entry
-        elif key.startswith("topology."):
-            topology_entries[key] = entry
-        elif key.startswith("segment."):
-            segment_entries[key] = entry
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return catalog_entries, topology_entries, segment_entries
-
-
-def _apply_topology_entries(run: RunConfig, entries: Mapping[str, ConfigEntry]) -> None:
-    for key, entry in entries.items():
-        if key == "topology.n_ru":
-            run.n_ru = int_value(key, entry)
-        elif key == "topology.users_per_ru":
-            run.users_per_ru = int_value(key, entry)
-        elif key == "topology.du_fanout_cap":
-            run.du_fanout_cap = int_value(key, entry)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-
-
-def _segment_overrides(entries: Mapping[str, ConfigEntry]) -> dict[Segment, dict]:
-    overrides: dict[Segment, dict] = {}
-    for key, entry in entries.items():
-        parts = key.split(".")
-        if len(parts) != 3 or parts[1] not in _SEGMENT_BY_NAME:
-            raise ConfigError(f"unknown config key {key!r}")
-        segment = _SEGMENT_BY_NAME[parts[1]]
-        field = parts[2]
-        if field in _SEGMENT_FLOAT_FIELDS:
-            value = float_value(key, entry)
-        elif field in _SEGMENT_INT_FIELDS:
-            value = int_value(key, entry)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-        overrides.setdefault(segment, {})[field] = value
-    return overrides
-
-
 def load_run_config(config_path: str | None) -> RunConfig:
-    """Read the optional config file and resolve catalog/topology/segment overrides."""
+    """Read the optional config file and apply its catalog, segment and topology keys."""
+    run = RunConfig(catalog=default_catalog(), params=segment_map())
     if config_path is None:
-        return RunConfig(catalog=default_catalog(), params=segment_map())
+        return run
     try:
         with open(config_path, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{config_path}: not UTF-8 text ({exc})") from None
-    catalog_entries, topology_entries, segment_entries = _split_entries(parse_config_text(text))
-    run = RunConfig(
-        catalog=catalog_from_entries(catalog_entries),
-        params=with_overrides(segment_map(), _segment_overrides(segment_entries)),
-    )
-    _apply_topology_entries(run, topology_entries)
-    return run
+    sections = apply_entries(parse_config_text(text),
+                             {**catalog_sections(run.catalog), **run.params, "topology": run})
+    return replace(sections["topology"], catalog=catalog_from_sections(sections),
+                   params={segment: sections[segment] for segment in run.params})
 
 
 def _model_config(run: RunConfig, policy_name: str, provision_to_cap: bool = True) -> ModelConfig:
@@ -174,10 +121,11 @@ def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[Node]:
     placements = []
     for token in raw.split(","):
         token = token.strip().lower()
-        if token not in _SEGMENT_BY_NAME or not isinstance(_SEGMENT_BY_NAME[token], Node):
+        try:
+            placements.append(Node(token))
+        except ValueError:
             parser.error(f"invalid placement {token!r}; expected oru, odu, ocu, dc")
-        placements.append(_SEGMENT_BY_NAME[token])
-    return [node for node in NODE_ORDER if node in set(placements)]
+    return placements
 
 
 def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> None:
@@ -240,7 +188,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
     topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
-    placement = _SEGMENT_BY_NAME[args.bbp]
+    placement = Node(args.bbp)
     breakdown = config.evaluate(topology, placement)
     if args.format == "table":
         lines = [_render_eval_table(topology, placement, args.policy, breakdown)]

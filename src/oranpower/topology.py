@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
 
 
 class TopologyError(ValueError):
     """Structural topology problem (bad counts, non-divisible fanout)."""
+
+
+# Upper bound on every count: the model mixes counts with floats, and a float
+# holds every integer exactly only up to 2**53.
+MAX_COUNT = 2**53
+
+
+def _count_errors(counts: Mapping[str, object]) -> dict[str, str]:
+    """An error for each count that is not an integer from 1 to ``MAX_COUNT``."""
+    return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
+            for name, count in counts.items()
+            if not (isinstance(count, int) and 1 <= count <= MAX_COUNT)}
+
+
+def check_counts(**counts: object) -> None:
+    """Raise one ``TopologyError`` naming every count out of range; builders call it first."""
+    errors = _count_errors(counts)
+    if errors:
+        raise TopologyError("invalid topology: " + "; ".join(errors.values()))
 
 
 class Node(Enum):
@@ -63,17 +82,15 @@ class Topology:
     def __post_init__(self):
         counts = {name: getattr(self, name)
                   for name in ("n_ru", "n_du", "n_cu", "n_dc", "users_per_ru")}
-        bad = {name for name, count in counts.items()
-               if not (isinstance(count, int) and count >= 1)}
-        violations = [f"{name} must be an integer >= 1, got {counts[name]}"
-                      for name in counts if name in bad]
+        bad = _count_errors(counts)
+        violations = list(bad.values())
         for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
-            if not {wide, narrow} & bad and counts[wide] < counts[narrow]:
+            if not {wide, narrow} & bad.keys() and counts[wide] < counts[narrow]:
                 violations.append(
                     f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
         cap = self.du_fanout_cap
-        if cap is not None and not (math.isfinite(cap) and cap >= 1):
-            violations.append(f"du_fanout_cap must be a finite number >= 1, got {cap}")
+        if cap is not None and not 1 <= cap <= MAX_COUNT:
+            violations.append(f"du_fanout_cap must be a number >= 1 and <= 2**53, got {cap}")
         if violations:
             raise TopologyError("invalid topology: " + "; ".join(violations))
         object.__setattr__(self, "n_users", self.n_ru * self.users_per_ru)
@@ -118,8 +135,9 @@ class SegmentParams:
                                 f"got {self.alpha} * {self.sigma}")
         for name in ("hops_switch", "hops_wdm", "hops_router"):
             hops = getattr(self, name)
-            if not (isinstance(hops, int) and hops >= 0):
-                raise TopologyError(f"{self.segment.value}: {name} must be an integer >= 0, got {hops}")
+            if not (isinstance(hops, int) and 0 <= hops <= MAX_COUNT):
+                raise TopologyError(f"{self.segment.value}: {name} must be an integer >= 0 and "
+                                    f"<= 2**53, got {hops}")
         if self.gamma not in (0, 1):
             raise TopologyError(f"{self.segment.value}: gamma must be 0 or 1, got {self.gamma}")
 
@@ -194,11 +212,7 @@ def build_sweep_topology(n_ru: int, users_per_ru: int, du_fanout_cap: int = 4) -
     Another O-DU is added whenever the O-RU count crosses a multiple of the
     cap; a single O-CU and a single DC aggregate the whole tree.
     """
-    if n_ru < 1 or users_per_ru < 1 or du_fanout_cap < 1:
-        raise TopologyError(
-            f"n_ru, users_per_ru, du_fanout_cap must all be >= 1, "
-            f"got ({n_ru}, {users_per_ru}, {du_fanout_cap})"
-        )
+    check_counts(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
     return Topology(
         n_ru=n_ru,
         n_du=math.ceil(n_ru / du_fanout_cap),
@@ -220,8 +234,7 @@ def _divide_exact(count: int, fanout: float, level: str, case: FanoutCase) -> in
 
 def from_fanout_case(case: FanoutCase, n_ru: int, users_per_ru: int) -> Topology:
     """Topology whose successive node-count ratios match the fanout case exactly."""
-    if n_ru < 1 or users_per_ru < 1:
-        raise TopologyError(f"n_ru and users_per_ru must be >= 1, got ({n_ru}, {users_per_ru})")
+    check_counts(n_ru=n_ru, users_per_ru=users_per_ru)
     n_du = _divide_exact(n_ru, case.du_fanout, "O-DU", case)
     n_cu = _divide_exact(n_du, case.cu_fanout, "O-CU", case)
     n_dc = _divide_exact(n_cu, case.dc_fanout, "DC", case)
@@ -233,12 +246,3 @@ def from_fanout_case(case: FanoutCase, n_ru: int, users_per_ru: int) -> Topology
         users_per_ru=users_per_ru,
         du_fanout_cap=case.du_fanout,
     )
-
-
-def with_overrides(params: Mapping[Segment, SegmentParams],
-                   overrides: Mapping[Segment, dict]) -> dict[Segment, SegmentParams]:
-    """Return a new segment map with per-segment field overrides applied."""
-    updated = dict(params)
-    for segment, fields in overrides.items():
-        updated[segment] = replace(updated[segment], **fields)
-    return updated

@@ -67,13 +67,16 @@ class TestSpecValidation:
 
     def test_server_capacity_product_must_not_overflow(self):
         with pytest.raises(CatalogError, match="server_capacity_gbps must equal"):
-            ServerSpec(cores=10**308, per_core_power_w=1.0, per_core_capacity_gbps=10.0,
+            ServerSpec(cores=2**53, per_core_power_w=1.0, per_core_capacity_gbps=1e300,
                        server_capacity_gbps=1.0)
 
     def test_server_cores_must_be_positive_int(self):
         with pytest.raises(CatalogError):
             ServerSpec(cores=0, per_core_power_w=6.0, per_core_capacity_gbps=0.25,
                        server_capacity_gbps=0.0)
+        with pytest.raises(CatalogError, match=r"cores must be an integer >= 1 and <= 2\*\*53"):
+            ServerSpec(cores=10**400, per_core_power_w=6.0, per_core_capacity_gbps=0.25,
+                       server_capacity_gbps=1.0)
 
     def test_overflowing_ratio_rejected(self):
         with pytest.raises(CatalogError, match="rated_power_w / capacity_gbps must be finite"):

@@ -49,6 +49,17 @@ class TestEval:
         assert code == 2
         assert "--n-ru" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["eval", "--n-ru", "1" + "0" * 400, "--users-per-ru", "2", "--bbp", "dc"], "n_ru"),
+        (["eval", "--n-ru", "4", "--users-per-ru", "1" + "0" * 400, "--bbp", "dc"],
+         "users_per_ru"),
+        (["fanout", "--n-ru", "1" + "0" * 400], "n_ru"),
+    ])
+    def test_count_beyond_float_range_is_data_error(self, argv, field):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and f"{field} must be an integer" in err
+
     def test_topology_from_config(self, tmp_path):
         config = tmp_path / "override.cfg"
         config.write_text("topology.n_ru = 7\ntopology.users_per_ru = 3\n")
@@ -207,13 +218,17 @@ class TestConfigHandling:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and str(config) in err
 
-    def test_unknown_key_is_data_error(self, tmp_path):
+    # Hop counts are read only for links, so a node's hop key is unknown.
+    @pytest.mark.parametrize("key", ["nonsense.key"] + [
+        f"segment.{node}.{field}" for node in ("oru", "odu", "ocu", "dc")
+        for field in ("hops_switch", "hops_wdm", "hops_router")])
+    def test_unknown_key_is_data_error(self, tmp_path, key):
         config = tmp_path / "override.cfg"
-        config.write_text("nonsense.key = 1\n")
+        config.write_text(f"{key} = 1\n")
         code, _, err = run_cli("eval", "--n-ru", "1", "--users-per-ru", "1", "--bbp", "dc",
                                "--config", str(config))
         assert code == 1
-        assert "nonsense.key" in err
+        assert key in err
 
     @pytest.mark.parametrize("argv,key", [
         (["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc"], "segment.oru.sigma"),

@@ -1,5 +1,7 @@
 """Sweep and fanout harnesses plus the brute-force enumeration cross-check."""
 
+from dataclasses import replace
+
 import pytest
 
 from oranpower.experiments import (
@@ -15,7 +17,6 @@ from oranpower.topology import (
     TopologyError,
     build_sweep_topology,
     from_fanout_case,
-    with_overrides,
 )
 
 ALL_PLACEMENTS = list(Node)
@@ -71,7 +72,8 @@ class TestSweep:
             sweep_orus(range(1, 5), 0, ALL_PLACEMENTS, default_config)
 
     def test_failing_placement_rejected_by_the_call(self, default_config):
-        params = with_overrides(default_config.params, {Node.DC: {"sigma": 1e307}})
+        params = {**default_config.params,
+                  Node.DC: replace(default_config.params[Node.DC], sigma=1e307)}
         config = ModelConfig(default_config.catalog, params, default_config.traffic,
                              default_config.policy)
         with pytest.raises(PowerOverflowError):

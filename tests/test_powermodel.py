@@ -37,7 +37,6 @@ from oranpower.topology import (
     coverage_factor,
     from_fanout_case,
     segment_map,
-    with_overrides,
 )
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
@@ -162,7 +161,8 @@ class TestNonFiniteInputs:
 
     def test_overflowing_product_of_finite_inputs(self):
         config = ModelConfig.default()
-        config = replace(config, params=with_overrides(config.params, {Node.DC: {"sigma": 1e307}}))
+        config = replace(config, params={**config.params,
+                                         Node.DC: replace(config.params[Node.DC], sigma=1e307)})
         topology = build_sweep_topology(4, 1, 4)
         assert config.evaluate(topology, Node.ORU).total_watts > 0
         with pytest.raises(PowerOverflowError, match="BBP at dc and n_ru=4 .* dc = inf"):
@@ -323,10 +323,11 @@ class TestReusedConfig:
 
     @staticmethod
     def config(policy=None):
-        params = with_overrides(segment_map(), {
-            Link.FRONTHAUL: {"hops_switch": 2, "hops_wdm": 1},
-            Link.BACKHAUL: {"hops_router": 1, "sigma": 1.7},
-            Node.ODU: {"alpha": 2.5},
+        params = segment_map()
+        params.update({
+            Link.FRONTHAUL: replace(params[Link.FRONTHAUL], hops_switch=2, hops_wdm=1),
+            Link.BACKHAUL: replace(params[Link.BACKHAUL], hops_router=1, sigma=1.7),
+            Node.ODU: replace(params[Node.ODU], alpha=2.5),
         })
         if policy is None:
             policy = ProvisioningPolicy(

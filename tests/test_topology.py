@@ -162,7 +162,12 @@ class TestValidate:
         assert "n_ru >= n_du" in str(info.value)
         assert "n_cu must be an integer >= 1" in str(info.value)
 
-    @pytest.mark.parametrize("cap", [0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("n_ru", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_count_above_2_53_rejected(self, n_ru):
+        with pytest.raises(TopologyError, match=r"n_ru must be an integer >= 1 and <= 2\*\*53"):
+            Topology(n_ru=n_ru, n_du=1, n_cu=1, n_dc=1, users_per_ru=10)
+
+    @pytest.mark.parametrize("cap", [0.5, math.inf, math.nan, pytest.param(10**400, id="10**400")])
     def test_bad_fanout_cap_rejected(self, cap):
         with pytest.raises(TopologyError, match="du_fanout_cap"):
             Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10, du_fanout_cap=cap)
