@@ -44,7 +44,6 @@ from .topology import (
     Topology,
     TopologyError,
     build_sweep_topology,
-    coverage_factor,
     default_segment_params,
     fanout_case,
     from_fanout_case,

@@ -11,14 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .configfile import (
-    CONFIG_KEYS,
-    NJ_PER_J,
-    SPEC_SECTIONS,
-    ConfigEntry,
-    apply_entries,
-    parse_config_text,
-)
+from .configfile import CONFIG_KEYS, NJ_PER_J, SPEC_SECTIONS, apply_entries, parse_config_text
 from .topology import MAX_COUNT
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
@@ -157,18 +150,14 @@ def catalog_from_sections(sections: Mapping[str, object]) -> EquipmentCatalog:
                             ue_energy_j_per_bit=sections["ue"].ue_energy_j_per_bit)
 
 
-def catalog_from_entries(entries: Mapping[str, ConfigEntry]) -> EquipmentCatalog:
-    """Build a catalog from parsed config entries; absent keys keep defaults."""
-    return catalog_from_sections(apply_entries(entries, catalog_sections(default_catalog())))
-
-
 def load_catalog(config_text: str) -> EquipmentCatalog:
     """Parse catalog config text and return the defaults with overrides applied.
 
     Every key present overrides the matching default; unknown keys and
     non-numeric values are rejected, and the resulting catalog is re-validated.
     """
-    return catalog_from_entries(parse_config_text(config_text))
+    entries = parse_config_text(config_text)
+    return catalog_from_sections(apply_entries(entries, catalog_sections(default_catalog())))
 
 
 def dump_catalog(catalog: EquipmentCatalog) -> str:

@@ -31,6 +31,7 @@ from .powermodel import (
     TrafficModel,
 )
 from .topology import (
+    MAX_COUNT,
     NODE_ORDER,
     Node,
     Segment,
@@ -202,8 +203,8 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
 
 
 def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
-    if args.max_ru < 1:
-        parser.error(f"--max-ru must be >= 1, got {args.max_ru}")
+    if not 1 <= args.max_ru <= MAX_COUNT:
+        parser.error(f"--max-ru must be >= 1 and <= 2**53, got {args.max_ru}")
     run = load_run_config(args.config)
     if run.n_ru is not None:
         raise ConfigError("topology.n_ru does not apply to sweep, which takes n_ru from 1 "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
@@ -23,8 +22,8 @@ def parse_config_text(text: str) -> dict[str, ConfigEntry]:
     """Parse UTF-8 key-value config text into ``{key: ConfigEntry}``.
 
     One ``section.key = value`` per line; ``#`` starts a comment; blank
-    lines are skipped; whitespace around ``=`` is ignored. A duplicate key
-    wins over earlier occurrences and emits a warning on stderr.
+    lines are skipped; whitespace around ``=`` is ignored. A key given twice
+    is an error that names both lines.
     """
     entries: dict[str, ConfigEntry] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -41,8 +40,8 @@ def parse_config_text(text: str) -> dict[str, ConfigEntry]:
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         if key in entries:
-            print(f"config warning: duplicate key {key!r} on line {lineno}, last value wins",
-                  file=sys.stderr)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
+                              f"already set on line {entries[key].lineno}")
         entries[key] = ConfigEntry(value=value, lineno=lineno)
     return entries
 

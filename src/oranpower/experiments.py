@@ -66,12 +66,17 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
     """Evaluate every (n_ru, placement) pair over sweep topologies, yielding records lazily.
 
     Records are ordered by (n_ru, placement depth) regardless of the input
-    iteration order, so identical inputs produce identical streams. The call
+    iteration order, so identical inputs produce identical streams; a
+    ``range`` with a positive step is already in that order and is iterated
+    as it is, without being held in memory. The call
     itself raises on an empty range and evaluates every placement at the
     first O-RU count, so a bad ``users_per_ru`` or ``du_fanout_cap``, or a
     config that fails for some placement, is raised before any record.
     """
-    counts = sorted(set(n_ru_range))
+    if isinstance(n_ru_range, range) and n_ru_range.step > 0:
+        counts = n_ru_range
+    else:
+        counts = sorted(set(n_ru_range))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)

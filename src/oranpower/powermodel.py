@@ -31,13 +31,12 @@ SECONDS_PER_MONTH = 30 * 24 * 3600  # 30-day month
 BITS_PER_GIGABYTE = 8e9  # decimal units
 GBPS_TO_BITS_PER_S = 1e9
 
-# A load/unit ratio this many ULPs from a whole number is that number: loads
-# that are exact unit multiples up to float rounding buy no extra unit. Above
-# about 2**50 units a half-unit fraction is itself within this distance.
+# A load/unit ratio within this many ULPs of a whole number is that number:
+# loads that are exact unit multiples up to float rounding buy no extra unit.
+# The snap spans at most _SNAP_UNITS of a unit, a bound that binds only from
+# 2**31 units up; without it, 4 ULPs reach half a unit at 2**49 units.
 _SNAP_ULPS = 4
-
-# Relative tolerance for the breakdown sum invariants.
-_SUM_TOL = 1e-9
+_SNAP_UNITS = 2**-20
 
 
 class PowerOverflowError(ValueError):
@@ -128,7 +127,8 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
         raise ValueError(f"load_gbps must be >= 0, got {load_gbps}")
     ratio = load_gbps / unit_capacity_gbps
     nearest = round(ratio)
-    if abs(ratio - nearest) <= _SNAP_ULPS * math.ulp(ratio):
+    distance = abs(ratio - nearest)
+    if distance <= _SNAP_UNITS and distance <= _SNAP_ULPS * math.ulp(ratio):
         return max(minimum_units, nearest)
     return max(minimum_units, math.ceil(ratio))
 
@@ -211,14 +211,20 @@ class _Plan(NamedTuple):
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Per-user power split by node, segment, and UE, with consistent totals."""
+    """Per-user power split by node, segment, and UE.
+
+    The totals are derived from the parts, so P_T = P_pr + P_tr holds
+    exactly: processing is the sum of the node terms, transmission the UE
+    plus the sum of the segment terms. Every part must be >= 0 and the total
+    finite.
+    """
 
     nodes: tuple[NodePower, ...]
     segments: tuple[SegmentPower, ...]
     ue_watts: float
-    processing_watts: float
-    transmission_watts: float
-    total_watts: float
+    processing_watts: float = field(init=False)
+    transmission_watts: float = field(init=False)
+    total_watts: float = field(init=False)
 
     def __post_init__(self):
         for entry in self.nodes:
@@ -230,16 +236,14 @@ class PowerBreakdown:
                     f"segment power for {entry.segment.value} must be >= 0, got {entry.watts}")
         if not (self.ue_watts >= 0):
             raise ValueError(f"UE power must be >= 0, got {self.ue_watts}")
-        node_sum = sum(entry.watts for entry in self.nodes)
-        transmission_sum = self.ue_watts + sum(entry.watts for entry in self.segments)
-        total_sum = self.processing_watts + self.transmission_watts
-        for label, stored, computed in (
-            ("processing", self.processing_watts, node_sum),
-            ("transmission", self.transmission_watts, transmission_sum),
-            ("total", self.total_watts, total_sum),
-        ):
-            if not (abs(stored - computed) <= _SUM_TOL * max(abs(stored), abs(computed), 1e-300)):
-                raise ValueError(f"{label} total {stored} inconsistent with parts {computed}")
+        processing = sum(entry.watts for entry in self.nodes)
+        transmission = self.ue_watts + sum(entry.watts for entry in self.segments)
+        total = processing + transmission
+        if not math.isfinite(total):
+            raise ValueError(f"total power must be finite, got {total}")
+        object.__setattr__(self, "processing_watts", processing)
+        object.__setattr__(self, "transmission_watts", transmission)
+        object.__setattr__(self, "total_watts", total)
 
     def node_watts(self, node: Node) -> float:
         for entry in self.nodes:
@@ -377,21 +381,14 @@ class ModelConfig:
         nodes.extend(plan.nodes_after)
         segments = _priced(plan.segments, loads, counts, n_users)
         segments.extend(plan.segments_after)
-        processing = sum(entry.watts for entry in nodes)
-        transmission = plan.ue_watts + sum(entry.watts for entry in segments)
-        total = processing + transmission
-        if not math.isfinite(total):
+        try:
+            return PowerBreakdown(tuple(nodes), tuple(segments), plan.ue_watts)
+        except ValueError:
+            # No part computed here is negative: a part rejected as NaN (an
+            # infinite factor times zero) or an infinite total has overflowed.
             terms = [(entry.node.value, entry.watts) for entry in nodes]
             terms += [(entry.segment.value, entry.watts) for entry in segments]
             terms.append(("ue", plan.ue_watts))
             raise PowerOverflowError(
                 f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a "
-                "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in terms))
-        return PowerBreakdown(
-            nodes=tuple(nodes),
-            segments=tuple(segments),
-            ue_watts=plan.ue_watts,
-            processing_watts=processing,
-            transmission_watts=transmission,
-            total_watts=total,
-        )
+                "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in terms)) from None

@@ -68,7 +68,8 @@ class Topology:
     ``n_users`` is derived as ``n_ru * users_per_ru``. ``du_fanout_cap``
     records how many O-RUs each O-DU is provisioned to serve; ``None`` means
     O-DUs are sized for the O-RUs actually attached. Construction raises one
-    ``TopologyError`` that lists every violated structural invariant.
+    ``TopologyError`` that lists every violated structural invariant; the cap
+    is a count like the others.
     """
 
     n_ru: int
@@ -76,32 +77,23 @@ class Topology:
     n_cu: int
     n_dc: int
     users_per_ru: int
-    du_fanout_cap: float | None = None
+    du_fanout_cap: int | None = None
     n_users: int = field(init=False)
 
     def __post_init__(self):
         counts = {name: getattr(self, name)
                   for name in ("n_ru", "n_du", "n_cu", "n_dc", "users_per_ru")}
+        if self.du_fanout_cap is not None:
+            counts["du_fanout_cap"] = self.du_fanout_cap
         bad = _count_errors(counts)
         violations = list(bad.values())
         for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
             if not {wide, narrow} & bad.keys() and counts[wide] < counts[narrow]:
                 violations.append(
                     f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
-        cap = self.du_fanout_cap
-        if cap is not None and not 1 <= cap <= MAX_COUNT:
-            violations.append(f"du_fanout_cap must be a number >= 1 and <= 2**53, got {cap}")
         if violations:
             raise TopologyError("invalid topology: " + "; ".join(violations))
         object.__setattr__(self, "n_users", self.n_ru * self.users_per_ru)
-
-    def node_count(self, node: Node) -> int:
-        return {
-            Node.ORU: self.n_ru,
-            Node.ODU: self.n_du,
-            Node.OCU: self.n_cu,
-            Node.DC: self.n_dc,
-        }[node]
 
 
 @dataclass(frozen=True)
@@ -165,24 +157,20 @@ def segment_map(params: list[SegmentParams] | None = None) -> dict[Segment, Segm
     return {entry.segment: entry for entry in entries}
 
 
-def coverage_factor(topology: Topology, params: SegmentParams) -> float:
-    """Instance count of the segment's coverage node divided by the user count."""
-    return topology.node_count(params.coverage_node) / topology.n_users
-
-
 @dataclass(frozen=True)
 class FanoutCase:
-    """A nodal fanout configuration: children per parent at each tier."""
+    """A nodal fanout configuration: the whole number of children per parent at each tier."""
 
     label: str
-    du_fanout: float
-    cu_fanout: float
-    dc_fanout: float
+    du_fanout: int
+    cu_fanout: int
+    dc_fanout: int
 
     def __post_init__(self):
-        for name in ("du_fanout", "cu_fanout", "dc_fanout"):
-            if not getattr(self, name) >= 1:
-                raise TopologyError(f"{self.label}: {name} must be >= 1, got {getattr(self, name)}")
+        errors = _count_errors({name: getattr(self, name)
+                                for name in ("du_fanout", "cu_fanout", "dc_fanout")})
+        if errors:
+            raise TopologyError(f"{self.label}: " + "; ".join(errors.values()))
 
 
 FANOUT_CASES: dict[str, FanoutCase] = {
@@ -215,7 +203,7 @@ def build_sweep_topology(n_ru: int, users_per_ru: int, du_fanout_cap: int = 4) -
     check_counts(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
     return Topology(
         n_ru=n_ru,
-        n_du=math.ceil(n_ru / du_fanout_cap),
+        n_du=-(-n_ru // du_fanout_cap),  # integer ceiling, exact at any count
         n_cu=1,
         n_dc=1,
         users_per_ru=users_per_ru,
@@ -223,13 +211,13 @@ def build_sweep_topology(n_ru: int, users_per_ru: int, du_fanout_cap: int = 4) -
     )
 
 
-def _divide_exact(count: int, fanout: float, level: str, case: FanoutCase) -> int:
-    quotient = count / fanout
-    if abs(quotient - round(quotient)) > 1e-9 or round(quotient) < 1:
+def _divide_exact(count: int, fanout: int, level: str, case: FanoutCase) -> int:
+    quotient, remainder = divmod(count, fanout)
+    if remainder:
         raise TopologyError(
             f"{case.label}: {count} nodes not divisible by {level} fanout {fanout}"
         )
-    return int(round(quotient))
+    return quotient
 
 
 def from_fanout_case(case: FanoutCase, n_ru: int, users_per_ru: int) -> Topology:

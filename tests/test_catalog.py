@@ -121,10 +121,10 @@ class TestLoadCatalog:
         with pytest.raises(ConfigError, match="line 2"):
             load_catalog("router.power_w = 200\nrouter.capacity_gbps = fast")
 
-    def test_duplicate_key_warns_and_last_wins(self, capsys):
-        cat = load_catalog("router.power_w = 200\nrouter.power_w = 300")
-        assert cat.router.rated_power_w == 300.0
-        assert "duplicate key" in capsys.readouterr().err
+    def test_duplicate_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'router.power_w', "
+                                              "already set on line 1"):
+            load_catalog("router.power_w = 200\nradio.power_w = 1\nrouter.power_w = 300")
 
     def test_ue_energy_in_nanojoules(self):
         cat = load_catalog("ue.energy_nj_per_bit = 50")

@@ -90,6 +90,11 @@ class TestSweep:
         code, _, _ = run_cli("sweep", "--max-ru", "0")
         assert code == 2
 
+    def test_max_ru_above_2_53_is_usage_error(self, capsys):
+        code, out, _ = run_cli("sweep", "--max-ru", str(2**53 + 1))
+        assert (code, out) == (2, "")
+        assert "--max-ru must be >= 1 and <= 2**53" in capsys.readouterr().err
+
     def test_metadata_comments_present(self):
         code, out, _ = run_cli("sweep", "--max-ru", "1")
         comments = [line for line in out.splitlines() if line.startswith("#")]
@@ -240,6 +245,15 @@ class TestConfigHandling:
         code, out, err = run_cli(*argv, "--config", str(config))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and key.rsplit(".", 1)[1] in err
+
+    def test_duplicate_key_is_data_error_on_the_given_stderr(self, tmp_path, capsys):
+        config = tmp_path / "override.cfg"
+        config.write_text("radio.power_w = 100\nradio.power_w = 120\n")
+        code, out, err = run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert "line 2: duplicate key 'radio.power_w', already set on line 1" in err
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_file_is_data_error(self):
         code, _, err = run_cli("sweep", "--config", "/does/not/exist.cfg")

@@ -1,6 +1,8 @@
 """Sweep and fanout harnesses plus the brute-force enumeration cross-check."""
 
+import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -66,6 +68,16 @@ class TestSweep:
         assert iter(records) is records
         first = next(records)
         assert (first.n_ru, first.placement) == (1, Node.ORU)
+
+    def test_ascending_range_is_not_held(self, default_config):
+        tracemalloc.start()
+        try:
+            records = sweep_orus(range(1, 1_000_001), 10, [Node.DC], default_config)
+            assert len(list(islice(records, 1000))) == 1000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_bad_topology_rejected_by_the_call(self, default_config):
         with pytest.raises(TopologyError):

@@ -34,7 +34,6 @@ from oranpower.topology import (
     Node,
     Topology,
     build_sweep_topology,
-    coverage_factor,
     from_fanout_case,
     segment_map,
 )
@@ -77,9 +76,11 @@ def bbp_load(topology, node, provision_to_cap=True):
                Node.OCU: catalog.core_switch, Node.DC: catalog.core_switch}[node]
     server = catalog.dc_server if node is Node.DC else catalog.edge_server
     seg = segment_map()[node]
+    count = {Node.ORU: topology.n_ru, Node.ODU: topology.n_du,
+             Node.OCU: topology.n_cu, Node.DC: topology.n_dc}[node]
     watts = evaluate(topology, node, provision_to_cap=provision_to_cap).node_watts(node)
     per_gbps = energy_per_capacity(chassis) + energy_per_capacity(server)
-    return watts / (seg.alpha * seg.sigma * coverage_factor(topology, seg) * per_gbps)
+    return watts / (seg.alpha * seg.sigma * (count / topology.n_users) * per_gbps)
 
 
 class TestUserBasebandRate:
@@ -141,6 +142,11 @@ class TestProvisionUnits:
         # half a unit above 2.5e12 is far more than float noise: one more unit
         assert provision_units(2.5e12 + 0.5, 1.0) == 2_500_000_000_001
 
+    @pytest.mark.parametrize("exponent", [49, 50, 51])
+    def test_half_unit_within_four_ulps_kept(self, exponent):
+        # from 2**49 up a half unit is within 4 ULPs of a whole number
+        assert provision_units(2**exponent + 0.5, 1.0) == 2**exponent + 1
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -156,8 +162,7 @@ class TestNonFiniteInputs:
     def test_nan_node_power_rejected(self):
         with pytest.raises(ValueError, match="oru"):
             PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", math.nan),), segments=(),
-                           ue_watts=0.0, processing_watts=math.nan, transmission_watts=0.0,
-                           total_watts=math.nan)
+                           ue_watts=0.0)
 
     def test_overflowing_product_of_finite_inputs(self):
         config = ModelConfig.default()
@@ -168,11 +173,17 @@ class TestNonFiniteInputs:
         with pytest.raises(PowerOverflowError, match="BBP at dc and n_ru=4 .* dc = inf"):
             config.evaluate(topology, Node.DC)
 
-    def test_nan_total_rejected(self):
-        with pytest.raises(ValueError, match="total"):
-            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),), segments=(),
-                           ue_watts=0.0, processing_watts=1.0, transmission_watts=0.0,
-                           total_watts=math.nan)
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ValueError, match="total power must be finite, got inf"):
+            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1e308),),
+                           segments=(SegmentPower(Link.FRONTHAUL, True, 1e308),), ue_watts=0.0)
+
+    def test_nan_part_from_overflow_is_overflow_error(self):
+        # an infinite user rate times a zero UE energy gives a NaN UE term
+        catalog = replace(default_catalog(), ue_energy_j_per_bit=0.0)
+        with pytest.raises(PowerOverflowError, match="ue = nan"):
+            evaluate(build_sweep_topology(4, 1, 4), Node.ORU, catalog=catalog,
+                     traffic=TrafficModel(monthly_gb_per_user=1e300))
 
 
 class TestBbpServerPower:
@@ -298,24 +309,26 @@ class TestTotalPower:
         topo = build_sweep_topology(7, 3, 4)
         for placement in Node:
             breakdown = evaluate(topo, placement, policy=ProvisioningPolicy.default())
-            assert rel_close(breakdown.processing_watts,
-                             sum(entry.watts for entry in breakdown.nodes), tol=1e-9)
-            assert rel_close(breakdown.transmission_watts,
-                             breakdown.ue_watts + sum(e.watts for e in breakdown.segments),
-                             tol=1e-9)
-            assert rel_close(breakdown.total_watts,
-                             breakdown.processing_watts + breakdown.transmission_watts, tol=1e-9)
+            assert breakdown.processing_watts == sum(entry.watts for entry in breakdown.nodes)
+            assert breakdown.transmission_watts == (
+                breakdown.ue_watts + sum(e.watts for e in breakdown.segments))
+            assert breakdown.total_watts == (
+                breakdown.processing_watts + breakdown.transmission_watts)
 
-    def test_inconsistent_breakdown_rejected(self):
-        with pytest.raises(ValueError, match="processing"):
-            PowerBreakdown(
-                nodes=(NodePower(Node.ORU, "bbp", 1.0),),
-                segments=(SegmentPower(Link.FRONTHAUL, False, 0.5),),
-                ue_watts=0.1,
-                processing_watts=2.0,
-                transmission_watts=0.6,
-                total_watts=2.6,
-            )
+    @pytest.mark.parametrize("total", ["processing_watts", "transmission_watts", "total_watts"])
+    def test_totals_cannot_be_passed(self, total):
+        # the totals are derived from the parts, so no inconsistent total can be stored
+        with pytest.raises(TypeError, match=total):
+            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),),
+                           segments=(SegmentPower(Link.FRONTHAUL, False, 0.5),),
+                           ue_watts=0.1, **{total: 2.0})
+
+    def test_totals_derived_from_parts(self):
+        breakdown = PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),),
+                                   segments=(SegmentPower(Link.FRONTHAUL, False, 0.5),),
+                                   ue_watts=0.25)
+        assert (breakdown.processing_watts, breakdown.transmission_watts,
+                breakdown.total_watts) == (1.0, 0.75, 1.75)
 
 
 class TestReusedConfig:

@@ -86,17 +86,17 @@ class TestQuantizedVersusLinear:
 
 
 class TestBreakdownInvariants:
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies())
+    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies(),
+           provision_to_cap=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_decomposition(self, topology, placement, policy):
-        config = ModelConfig.default(policy=policy)
+    def test_decomposition(self, topology, placement, policy, provision_to_cap):
+        # exact: the breakdown derives its totals from its parts in this order
+        config = replace(ModelConfig.default(policy=policy), provision_to_cap=provision_to_cap)
         breakdown = config.evaluate(topology, placement)
-        assert rel_close(breakdown.total_watts,
-                         breakdown.processing_watts + breakdown.transmission_watts)
-        assert rel_close(breakdown.processing_watts,
-                         sum(entry.watts for entry in breakdown.nodes))
-        assert rel_close(breakdown.transmission_watts,
-                         breakdown.ue_watts + sum(entry.watts for entry in breakdown.segments))
+        assert breakdown.total_watts == breakdown.processing_watts + breakdown.transmission_watts
+        assert breakdown.processing_watts == sum(entry.watts for entry in breakdown.nodes)
+        assert breakdown.transmission_watts == (
+            breakdown.ue_watts + sum(entry.watts for entry in breakdown.segments))
 
     @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies())
     @settings(max_examples=40, deadline=None)

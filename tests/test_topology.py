@@ -4,15 +4,17 @@ import math
 
 import pytest
 
+from oranpower.catalog import default_catalog, energy_per_capacity
+from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import (
     FANOUT_CASES,
+    FanoutCase,
     Link,
     Node,
     SegmentParams,
     Topology,
     TopologyError,
     build_sweep_topology,
-    coverage_factor,
     default_segment_params,
     fanout_case,
     from_fanout_case,
@@ -52,26 +54,50 @@ class TestDefaultSegmentParams:
             assert (entry.hops_switch, entry.hops_wdm, entry.hops_router) == (0, 0, 0)
 
 
+def rel_close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+def coverage_factor(topology, node):
+    """ρ of a node tier, read back from its per-user watts as the BBP node under linear sizing.
+
+    With O-DUs sized for the attached O-RUs, one instance of a tier with
+    ``count`` instances carries ``n_ru / count`` O-RUs of eCPRI.
+    """
+    catalog, params, traffic = default_catalog(), segment_map(), TrafficModel()
+    config = ModelConfig(catalog, params, traffic, ProvisioningPolicy.all_linear(),
+                         provision_to_cap=False)
+    count = {Node.ORU: topology.n_ru, Node.ODU: topology.n_du,
+             Node.OCU: topology.n_cu, Node.DC: topology.n_dc}[node]
+    chassis = {Node.ORU: catalog.radio, Node.ODU: catalog.access_switch,
+               Node.OCU: catalog.core_switch, Node.DC: catalog.core_switch}[node]
+    server = catalog.dc_server if node is Node.DC else catalog.edge_server
+    load = topology.n_ru / count * traffic.ecpri_per_ru_gbps
+    per_gbps = energy_per_capacity(chassis) + energy_per_capacity(server)
+    watts = config.evaluate(topology, node).node_watts(node)
+    return watts / (params[node].alpha * params[node].sigma * load * per_gbps)
+
+
 class TestCoverageFactor:
     def test_oru_segment(self):
         topo = build_sweep_topology(10, 10)
-        assert coverage_factor(topo, segment_map()[Node.ORU]) == 0.1
+        assert rel_close(coverage_factor(topo, Node.ORU), 0.1)
 
     def test_dc_segment(self):
         topo = build_sweep_topology(100, 10)
-        assert coverage_factor(topo, segment_map()[Node.DC]) == 0.001
+        assert rel_close(coverage_factor(topo, Node.DC), 0.001)
 
     def test_one_user_per_ru(self):
         topo = build_sweep_topology(7, 1)
-        assert coverage_factor(topo, segment_map()[Node.ORU]) == 1.0
+        assert rel_close(coverage_factor(topo, Node.ORU), 1.0)
 
     def test_monotone_along_hierarchy(self):
-        params = segment_map()
         for n_ru in (1, 4, 5, 40, 97):
             topo = build_sweep_topology(n_ru, 10)
-            factors = [coverage_factor(topo, params[node]) for node in Node]
-            assert all(0 < f <= 1 for f in factors)
-            assert factors == sorted(factors, reverse=True)
+            factors = [coverage_factor(topo, node) for node in Node]
+            assert all(0 < f <= 1 + 1e-12 for f in factors)
+            assert all(deep <= shallow * (1 + 1e-12)
+                       for shallow, deep in zip(factors, factors[1:]))
 
 
 class TestBuildSweepTopology:
@@ -114,6 +140,16 @@ class TestFromFanoutCase:
     def test_divisibility_error_names_level(self):
         with pytest.raises(TopologyError, match="O-DU"):
             from_fanout_case(FANOUT_CASES["C-4"], 7, 10)
+
+    def test_remainder_below_float_resolution_rejected(self):
+        # (3 * 2**31 + 1) / 2**31 is within 1e-9 of 3, but one O-RU is left over
+        with pytest.raises(TopologyError, match="not divisible by O-DU fanout"):
+            from_fanout_case(FanoutCase("wide", 2**31, 1, 1), 3 * 2**31 + 1, 1)
+
+    @pytest.mark.parametrize("fanout", [2.5, 2.0, 0, 2**53 + 1])
+    def test_fanout_must_be_a_count(self, fanout):
+        with pytest.raises(TopologyError, match="x: du_fanout must be an integer >= 1"):
+            FanoutCase("x", fanout, 1, 1)
 
     def test_fanouts_reproduced_exactly(self):
         for case in FANOUT_CASES.values():
@@ -167,7 +203,8 @@ class TestValidate:
         with pytest.raises(TopologyError, match=r"n_ru must be an integer >= 1 and <= 2\*\*53"):
             Topology(n_ru=n_ru, n_du=1, n_cu=1, n_dc=1, users_per_ru=10)
 
-    @pytest.mark.parametrize("cap", [0.5, math.inf, math.nan, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("cap", [0.5, math.inf, math.nan, pytest.param(10**400, id="10**400"),
+                                     4.0])
     def test_bad_fanout_cap_rejected(self, cap):
         with pytest.raises(TopologyError, match="du_fanout_cap"):
             Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10, du_fanout_cap=cap)
