@@ -31,6 +31,7 @@ from .powermodel import (
     TrafficModel,
 )
 from .topology import (
+    LINK_ORDER,
     MAX_COUNT,
     NODE_ORDER,
     Node,
@@ -68,16 +69,12 @@ def _fmt(value: float) -> str:
 _ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS))
 
 
-def _csv_row(n_ru: int, placement: Node, breakdown: PowerBreakdown) -> str:
-    """One CSV data row of a breakdown from ``ModelConfig.evaluate``, whose
-    nodes and segments are in NODE_ORDER and LINK_ORDER."""
-    nodes, segments = breakdown.nodes, breakdown.segments
+def _csv_row(n_ru: int, breakdown: PowerBreakdown) -> str:
+    """One CSV data row of a breakdown; its nodes and segments are in column order."""
     return _ROW_FORMAT % (
-        n_ru, placement.value,
+        n_ru, breakdown.placement.value,
         breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
-        nodes[0].watts, nodes[1].watts, nodes[2].watts, nodes[3].watts,
-        segments[0].watts, segments[1].watts, segments[2].watts,
-        breakdown.ue_watts,
+        *breakdown.nodes, *breakdown.segments, breakdown.ue_watts,
     )
 
 
@@ -158,22 +155,21 @@ def _csv_lines(metadata: Sequence[tuple[str, object]], header: str,
         yield row + "\n"
 
 
-def _render_eval_table(topology, placement: Node, policy_name: str,
-                       breakdown: PowerBreakdown) -> str:
+def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) -> str:
     lines = [
-        f"bbp placement : {placement.value}",
+        f"bbp placement : {breakdown.placement.value}",
         f"topology      : n_ru={topology.n_ru} n_du={topology.n_du} n_cu={topology.n_cu} "
         f"n_dc={topology.n_dc} users_per_ru={topology.users_per_ru} n_users={topology.n_users}",
         f"policy        : {policy_name}",
         "",
         "processing (W per user)",
     ]
-    for entry in breakdown.nodes:
-        lines.append(f"  {entry.node.value:<10} {entry.branch:<7} {_fmt(entry.watts)}")
+    for node, watts in zip(NODE_ORDER, breakdown.nodes):
+        lines.append(f"  {node.value:<10} {breakdown.branch(node):<7} {_fmt(watts)}")
     lines.append("transmission (W per user)")
-    for entry in breakdown.segments:
-        traffic_kind = "ecpri" if entry.before_bbp else "baseband"
-        lines.append(f"  {entry.segment.value:<10} {traffic_kind:<8} {_fmt(entry.watts)}")
+    for link, watts in zip(LINK_ORDER, breakdown.segments):
+        traffic_kind = "ecpri" if breakdown.branch(link) == "before" else "baseband"
+        lines.append(f"  {link.value:<10} {traffic_kind:<8} {_fmt(watts)}")
     lines.append(f"  {'ue':<10} {'':<8} {_fmt(breakdown.ue_watts)}")
     lines.append("totals (W per user)")
     lines.append(f"  processing   {_fmt(breakdown.processing_watts)}")
@@ -189,14 +185,13 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
     topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
-    placement = Node(args.bbp)
-    breakdown = config.evaluate(topology, placement)
+    breakdown = config.evaluate(topology, Node(args.bbp))
     if args.format == "table":
-        lines = [_render_eval_table(topology, placement, args.policy, breakdown)]
+        lines = [_render_eval_table(topology, args.policy, breakdown)]
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        row = _csv_row(n_ru, placement, breakdown)
+        row = _csv_row(n_ru, breakdown)
         lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
     _emit(lines, args.output, stdout)
     return EXIT_OK
@@ -223,7 +218,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    rows = (_csv_row(record.n_ru, record.placement, record.breakdown) for record in records)
+    rows = (_csv_row(record.n_ru, record.breakdown) for record in records)
     _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows),
           args.output, stdout)
     return EXIT_OK
@@ -243,7 +238,7 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
     rows = (",".join([
         record.case,
-        record.placement.value,
+        record.breakdown.placement.value,
         _fmt(record.breakdown.processing_watts),
         _fmt(record.breakdown.transmission_watts),
         _fmt(record.breakdown.total_watts),

@@ -42,7 +42,6 @@ class SweepRecord:
     """One evaluated (O-RU count, BBP placement) cell of the sweep."""
 
     n_ru: int
-    placement: Node
     breakdown: PowerBreakdown
 
 
@@ -51,7 +50,6 @@ class FanoutStudyRecord:
     """One evaluated (fanout case, BBP placement) cell of the fanout study."""
 
     case: str
-    placement: Node
     breakdown: PowerBreakdown
 
 
@@ -81,10 +79,10 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
     first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    head = [SweepRecord(first.n_ru, placement, config.evaluate(first, placement))
+    head = [SweepRecord(first.n_ru, config.evaluate(first, placement))
             for placement in ordered]
     rest = (build_sweep_topology(n_ru, users_per_ru, du_fanout_cap) for n_ru in counts[1:])
-    tail = (SweepRecord(topology.n_ru, placement, config.evaluate(topology, placement))
+    tail = (SweepRecord(topology.n_ru, config.evaluate(topology, placement))
             for topology in rest for placement in ordered)
     return chain(head, tail)
 
@@ -102,8 +100,7 @@ def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,
     for case in cases:
         topology = from_fanout_case(case, n_ru, users_per_ru)
         for placement in ordered:
-            records.append(FanoutStudyRecord(case.label, placement,
-                                             config.evaluate(topology, placement)))
+            records.append(FanoutStudyRecord(case.label, config.evaluate(topology, placement)))
     return records
 
 

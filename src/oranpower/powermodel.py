@@ -20,7 +20,6 @@ from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, energy_per_cap
 from .topology import (
     LINK_ORDER,
     NODE_ORDER,
-    Link,
     Node,
     Segment,
     SegmentParams,
@@ -126,6 +125,9 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
     if load_gbps < 0:
         raise ValueError(f"load_gbps must be >= 0, got {load_gbps}")
     ratio = load_gbps / unit_capacity_gbps
+    if not math.isfinite(ratio):
+        raise PowerOverflowError(f"{load_gbps} Gbps of load in units of {unit_capacity_gbps} "
+                                 "Gbps needs more units than a float holds")
     nearest = round(ratio)
     distance = abs(ratio - nearest)
     if distance <= _SNAP_UNITS and distance <= _SNAP_ULPS * math.ulp(ratio):
@@ -153,91 +155,73 @@ def _sizer(spec: EquipmentSpec | ServerSpec, policy: ClassPolicy) -> Callable[[f
     return lambda load_gbps: provision_units(load_gbps, unit, minimum_units) * ratio * unit
 
 
-class SegmentPower(NamedTuple):
-    """Per-user transmission watts of one transport segment."""
-
-    segment: Link
-    before_bbp: bool
-    watts: float
-
-
-class NodePower(NamedTuple):
-    """Per-user processing watts of one node tier, tagged with its BBP branch."""
-
-    node: Node
-    branch: str
-    watts: float
-
-
 class _Term(NamedTuple):
     """A node or segment at or before the BBP node, less its per-cell factors.
 
     Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
-    ``devices``, where ρ is the count of NODE_ORDER[coverage] over the user
-    count and the load is tier ``depth``'s per-instance eCPRI load.
+    ``devices``, where ρ is tier ``depth``'s instance count over the user
+    count and the load is that tier's per-instance eCPRI load.
     """
 
-    record: type  # NodePower or SegmentPower
-    key: Segment
-    tag: str | bool  # NodePower.branch or SegmentPower.before_bbp
     scale: float  # alpha * sigma
-    coverage: int
     depth: int
     devices: tuple[tuple[int, Callable[[float], float]], ...]  # (multiplier, _sizer)
 
 
 def _priced(terms: tuple[_Term, ...], loads: tuple[float, ...], counts: tuple[int, ...],
-            n_users: int) -> list:
-    """The NodePower or SegmentPower record of each term for one topology's loads and counts."""
-    records = []
-    for record, key, tag, scale, coverage, depth, devices in terms:
+            n_users: int) -> tuple[float, ...]:
+    """The per-user watts of each term for one topology's loads and counts."""
+    watts = []
+    for scale, depth, devices in terms:
         load = loads[depth]
         per_instance = 0.0
         for multiplier, sized in devices:
             per_instance += multiplier * sized(load)
-        records.append(record(key, tag, scale * (counts[coverage] / n_users) * per_instance))
-    return records
+        watts.append(scale * (counts[depth] / n_users) * per_instance)
+    return tuple(watts)
 
 
 class _Plan(NamedTuple):
     """Everything about one (config, placement) that does not depend on the topology."""
 
     nodes: tuple[_Term, ...]
-    nodes_after: tuple[NodePower, ...]
+    nodes_after: tuple[float, ...]
     segments: tuple[_Term, ...]
-    segments_after: tuple[SegmentPower, ...]
+    segments_after: tuple[float, ...]
     ue_watts: float
 
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Per-user power split by node, segment, and UE.
+    """Per-user power of one BBP placement, split by node tier, link, and UE.
 
-    The totals are derived from the parts, so P_T = P_pr + P_tr holds
-    exactly: processing is the sum of the node terms, transmission the UE
-    plus the sum of the segment terms. Every part must be >= 0 and the total
-    finite.
+    ``nodes`` holds one watts figure per tier in NODE_ORDER and ``segments``
+    one per link in LINK_ORDER. The totals are derived from the parts, so
+    P_T = P_pr + P_tr holds exactly: processing is the sum of the node terms,
+    transmission the UE plus the sum of the segment terms. Every part must
+    be >= 0 and the total finite.
     """
 
-    nodes: tuple[NodePower, ...]
-    segments: tuple[SegmentPower, ...]
+    placement: Node
+    nodes: tuple[float, ...]
+    segments: tuple[float, ...]
     ue_watts: float
     processing_watts: float = field(init=False)
     transmission_watts: float = field(init=False)
     total_watts: float = field(init=False)
 
     def __post_init__(self):
-        for entry in self.nodes:
-            if not (entry.watts >= 0):
-                raise ValueError(f"node power for {entry.node.value} must be >= 0, got {entry.watts}")
-        for entry in self.segments:
-            if not (entry.watts >= 0):
-                raise ValueError(
-                    f"segment power for {entry.segment.value} must be >= 0, got {entry.watts}")
+        for kind, parts, order in (("node", self.nodes, NODE_ORDER),
+                                   ("segment", self.segments, LINK_ORDER)):
+            if len(parts) != len(order):
+                raise ValueError(f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
+            for segment, watts in zip(order, parts):
+                if not (watts >= 0):
+                    raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
         if not (self.ue_watts >= 0):
             raise ValueError(f"UE power must be >= 0, got {self.ue_watts}")
-        processing = sum(entry.watts for entry in self.nodes)
-        transmission = self.ue_watts + sum(entry.watts for entry in self.segments)
+        processing = sum(self.nodes)
+        transmission = self.ue_watts + sum(self.segments)
         total = processing + transmission
         if not math.isfinite(total):
             raise ValueError(f"total power must be finite, got {total}")
@@ -246,16 +230,18 @@ class PowerBreakdown:
         object.__setattr__(self, "total_watts", total)
 
     def node_watts(self, node: Node) -> float:
-        for entry in self.nodes:
-            if entry.node is node:
-                return entry.watts
-        raise KeyError(node)
+        return self.nodes[node.depth]
 
-    def segment_watts(self, link: Link) -> float:
-        for entry in self.segments:
-            if entry.segment is link:
-                return entry.watts
-        raise KeyError(link)
+    def branch(self, segment: Segment) -> str:
+        """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` the BBP node.
+
+        Link i ends in tier i + 1, so it is before the BBP node, and carries
+        eCPRI, while tier i + 1 is at or before it.
+        """
+        depth, bbp = segment.depth, self.placement.depth
+        if depth < bbp:
+            return "before"
+        return "bbp" if depth == bbp and isinstance(segment, Node) else "after"
 
 
 @dataclass(frozen=True)
@@ -316,15 +302,13 @@ class ModelConfig:
             seg = params[node]
             scale = seg.alpha * seg.sigma
             if depth > bbp:
-                nodes_after.append(NodePower(node, "after",
-                                             scale * user_rate * energy_per_capacity(chassis[depth])))
+                nodes_after.append(scale * user_rate * energy_per_capacity(chassis[depth]))
                 continue
             devices = [(1, _sizer(chassis[depth], policy.node_interface))]
             if depth == bbp:
                 server = catalog.dc_server if node is Node.DC else catalog.edge_server
                 devices.append((1, _sizer(server, policy.servers)))
-            nodes.append(_Term(NodePower, node, "bbp" if depth == bbp else "before", scale,
-                               seg.coverage_node.depth, depth, tuple(devices)))
+            nodes.append(_Term(scale, depth, tuple(devices)))
 
         segments, segments_after = [], []
         wdm, router = catalog.wdm_link, catalog.router
@@ -341,15 +325,14 @@ class ModelConfig:
                                     multipliers, (switch, wdm, router),
                                     (policy.switches, policy.links, policy.routers))
                                 if multiplier)
-                segments.append(_Term(SegmentPower, link, True, scale, seg.coverage_node.depth,
-                                      depth, devices))
+                segments.append(_Term(scale, depth, devices))
             else:
                 bracket = (
                     multipliers[0] * energy_per_capacity(switch)
                     + multipliers[1] * energy_per_capacity(wdm)
                     + multipliers[2] * energy_per_capacity(router)
                 )
-                segments_after.append(SegmentPower(link, False, scale * user_rate * bracket))
+                segments_after.append(scale * user_rate * bracket)
 
         ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
         return _Plan(tuple(nodes), tuple(nodes_after), tuple(segments), tuple(segments_after),
@@ -377,18 +360,15 @@ class ModelConfig:
             ru_per_du = n_ru / topology.n_du
         loads = (ecpri, ru_per_du * ecpri, n_ru / topology.n_cu * ecpri,
                  n_ru / topology.n_dc * ecpri)
-        nodes = _priced(plan.nodes, loads, counts, n_users)
-        nodes.extend(plan.nodes_after)
-        segments = _priced(plan.segments, loads, counts, n_users)
-        segments.extend(plan.segments_after)
+        nodes = _priced(plan.nodes, loads, counts, n_users) + plan.nodes_after
+        segments = _priced(plan.segments, loads, counts, n_users) + plan.segments_after
         try:
-            return PowerBreakdown(tuple(nodes), tuple(segments), plan.ue_watts)
+            return PowerBreakdown(placement, nodes, segments, plan.ue_watts)
         except ValueError:
             # No part computed here is negative: a part rejected as NaN (an
             # infinite factor times zero) or an infinite total has overflowed.
-            terms = [(entry.node.value, entry.watts) for entry in nodes]
-            terms += [(entry.segment.value, entry.watts) for entry in segments]
-            terms.append(("ue", plan.ue_watts))
+            names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
+            terms = zip(names, nodes + segments + (plan.ue_watts,))
             raise PowerOverflowError(
                 f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a "
                 "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in terms)) from None

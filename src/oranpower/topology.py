@@ -54,6 +54,10 @@ class Link(Enum):
     MIDHAUL = "midhaul"
     BACKHAUL = "backhaul"
 
+    @property
+    def depth(self) -> int:
+        return LINK_ORDER.index(self)
+
 
 # Link i joins tier NODE_ORDER[i] to tier NODE_ORDER[i + 1].
 LINK_ORDER: tuple[Link, ...] = (Link.FRONTHAUL, Link.MIDHAUL, Link.BACKHAUL)
@@ -100,9 +104,10 @@ class Topology:
 class SegmentParams:
     """Modeling parameters of one node tier or transport segment.
 
-    ``sigma`` covers cooling/conversion/distribution overhead, ``alpha`` the
-    peak-versus-mean provisioning headroom, and ``coverage_node`` names the
-    count whose ratio to the user population forms the coverage factor.
+    ``sigma`` covers cooling/conversion/distribution overhead and ``alpha``
+    the peak-versus-mean provisioning headroom. The coverage factor is not a
+    parameter: tier i and link i share each instance of tier i among the
+    users, so their factor is tier i's instance count over the user count.
     The hop counts give extra devices per segment beyond the built-in one
     switch and one WDM link (plus one router where ``gamma`` is 1).
     """
@@ -110,7 +115,6 @@ class SegmentParams:
     segment: Segment
     sigma: float
     alpha: float
-    coverage_node: Node
     hops_switch: int = 0
     hops_wdm: int = 0
     hops_router: int = 0
@@ -135,19 +139,19 @@ class SegmentParams:
 
 
 def default_segment_params() -> list[SegmentParams]:
-    """Default overhead, overprovisioning, and coverage settings per segment.
+    """Default overhead and overprovisioning settings per segment.
 
     Routers participate on the backhaul only (gamma = 1 there); hop counts
     default to zero, i.e. one device of each class per segment.
     """
     return [
-        SegmentParams(Node.ORU, sigma=1.0, alpha=5.0, coverage_node=Node.ORU),
-        SegmentParams(Node.ODU, sigma=2.0, alpha=5.0, coverage_node=Node.ODU),
-        SegmentParams(Node.OCU, sigma=2.0, alpha=5.0, coverage_node=Node.OCU),
-        SegmentParams(Node.DC, sigma=1.5, alpha=1.3, coverage_node=Node.DC),
-        SegmentParams(Link.FRONTHAUL, sigma=2.0, alpha=5.0, coverage_node=Node.ORU),
-        SegmentParams(Link.MIDHAUL, sigma=2.0, alpha=5.0, coverage_node=Node.ODU),
-        SegmentParams(Link.BACKHAUL, sigma=1.5, alpha=2.0, coverage_node=Node.OCU, gamma=1),
+        SegmentParams(Node.ORU, sigma=1.0, alpha=5.0),
+        SegmentParams(Node.ODU, sigma=2.0, alpha=5.0),
+        SegmentParams(Node.OCU, sigma=2.0, alpha=5.0),
+        SegmentParams(Node.DC, sigma=1.5, alpha=1.3),
+        SegmentParams(Link.FRONTHAUL, sigma=2.0, alpha=5.0),
+        SegmentParams(Link.MIDHAUL, sigma=2.0, alpha=5.0),
+        SegmentParams(Link.BACKHAUL, sigma=1.5, alpha=2.0, gamma=1),
     ]
 
 

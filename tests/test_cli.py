@@ -215,6 +215,17 @@ class TestConfigHandling:
         assert err.startswith("error:") and message in err
         assert output.read_text() == "earlier output\n"
 
+    def test_overflowing_unit_count_is_data_error(self, tmp_path):
+        # 44 Gbps of DC load over 1e-307 Gbps servers is more units than a float holds
+        config = tmp_path / "override.cfg"
+        config.write_text("dc_server.cores = 1\ndc_server.per_core_power_w = 1e-307\n"
+                          "dc_server.per_core_capacity_gbps = 1e-307\n"
+                          "dc_server.server_capacity_gbps = 1e-307\n")
+        code, out, err = run_cli("eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "44.0 Gbps of load in units of 1e-307 Gbps" in err
+
     def test_undecodable_config_is_data_error(self, tmp_path):
         config = tmp_path / "override.cfg"
         config.write_bytes(b"radio.power_w = 1\xff\n")

@@ -38,7 +38,7 @@ class TestSweep:
     def test_cardinality_and_order(self, default_config):
         records = list(sweep_orus(range(1, 101), 10, ALL_PLACEMENTS, default_config))
         assert len(records) == 400
-        keys = [(r.n_ru, r.placement.depth) for r in records]
+        keys = [(r.n_ru, r.breakdown.placement.depth) for r in records]
         assert keys == sorted(keys)
 
     def test_dc_total_at_hundred_orus(self, linear_config):
@@ -67,7 +67,7 @@ class TestSweep:
         records = sweep_orus(range(1, 50), 10, ALL_PLACEMENTS, default_config)
         assert iter(records) is records
         first = next(records)
-        assert (first.n_ru, first.placement) == (1, Node.ORU)
+        assert (first.n_ru, first.breakdown.placement) == (1, Node.ORU)
 
     def test_ascending_range_is_not_held(self, default_config):
         tracemalloc.start()

@@ -20,9 +20,7 @@ from oranpower.powermodel import (
     ModelConfig,
     PowerBreakdown,
     PowerOverflowError,
-    NodePower,
     ProvisioningPolicy,
-    SegmentPower,
     TrafficModel,
     equipment_power,
     provision_units,
@@ -30,6 +28,8 @@ from oranpower.powermodel import (
 )
 from oranpower.topology import (
     FANOUT_CASES,
+    LINK_ORDER,
+    NODE_ORDER,
     Link,
     Node,
     Topology,
@@ -147,6 +147,12 @@ class TestProvisionUnits:
         # from 2**49 up a half unit is within 4 ULPs of a whole number
         assert provision_units(2**exponent + 0.5, 1.0) == 2**exponent + 1
 
+    @pytest.mark.parametrize("load,unit,named", [(1e300, 1e-10, r"1e\+300 Gbps .* 1e-10 Gbps"),
+                                                 (math.inf, 1.0, "inf Gbps .* 1.0 Gbps")])
+    def test_overflowing_ratio_is_overflow_error(self, load, unit, named):
+        with pytest.raises(PowerOverflowError, match=named):
+            provision_units(load, unit)
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -161,8 +167,26 @@ class TestNonFiniteInputs:
 
     def test_nan_node_power_rejected(self):
         with pytest.raises(ValueError, match="oru"):
-            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", math.nan),), segments=(),
+            PowerBreakdown(Node.ORU, nodes=(math.nan, 0.0, 0.0, 0.0), segments=(0.0, 0.0, 0.0),
                            ue_watts=0.0)
+
+    @pytest.mark.parametrize("index,name", list(enumerate(
+        [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["UE"])))
+    def test_negative_part_rejected_naming_it(self, index, name):
+        parts = [0.0] * 8
+        parts[index] = -1.0
+        with pytest.raises(ValueError, match=f"{name}.* must be >= 0, got -1.0"):
+            PowerBreakdown(Node.DC, nodes=tuple(parts[:4]), segments=tuple(parts[4:7]),
+                           ue_watts=parts[7])
+
+    @pytest.mark.parametrize("nodes,segments,message", [
+        ((0.0,) * 3, (0.0,) * 3, "nodes must hold 4 watts figures, got 3"),
+        ((0.0,) * 4, (0.0,) * 4, "segments must hold 3 watts figures, got 4"),
+        ((), (), "nodes must hold 4 watts figures, got 0"),
+    ])
+    def test_wrong_length_rejected(self, nodes, segments, message):
+        with pytest.raises(ValueError, match=message):
+            PowerBreakdown(Node.DC, nodes=nodes, segments=segments, ue_watts=0.0)
 
     def test_overflowing_product_of_finite_inputs(self):
         config = ModelConfig.default()
@@ -175,8 +199,8 @@ class TestNonFiniteInputs:
 
     def test_overflowing_total_rejected(self):
         with pytest.raises(ValueError, match="total power must be finite, got inf"):
-            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1e308),),
-                           segments=(SegmentPower(Link.FRONTHAUL, True, 1e308),), ue_watts=0.0)
+            PowerBreakdown(Node.DC, nodes=(1e308, 0.0, 0.0, 0.0), segments=(1e308, 0.0, 0.0),
+                           ue_watts=0.0)
 
     def test_nan_part_from_overflow_is_overflow_error(self):
         # an infinite user rate times a zero UE energy gives a NaN UE term
@@ -224,10 +248,14 @@ class TestBranchSelection:
     def test_placement_partitions_nodes(self):
         topo = build_sweep_topology(7, 3, 4)
         for placement in Node:
-            branches = [entry.branch for entry in evaluate(topo, placement).nodes]
+            breakdown = evaluate(topo, placement)
+            assert breakdown.placement is placement
+            branches = [breakdown.branch(node) for node in NODE_ORDER]
             assert branches.count("bbp") == 1
             depth = placement.depth
             assert branches == ["before"] * depth + ["bbp"] + ["after"] * (3 - depth)
+            links = [breakdown.branch(link) for link in LINK_ORDER]
+            assert links == ["before"] * depth + ["after"] * (3 - depth)
 
 
 class TestProcessingPower:
@@ -266,21 +294,21 @@ class TestTransmissionPower:
         topo = build_sweep_topology(100, 10, 4)
         result = evaluate(topo, Node.ORU)
         assert rel_close(result.ue_watts, USER_RATE_10GB * 1e9 * 25e-9)
-        by_link = {entry.segment: entry for entry in result.segments}
-        assert rel_close(by_link[Link.FRONTHAUL].watts, 10 * USER_RATE_10GB * FRONTHAUL_BRACKET)
-        assert rel_close(by_link[Link.MIDHAUL].watts, 10 * USER_RATE_10GB * MIDHAUL_BRACKET)
-        assert rel_close(by_link[Link.BACKHAUL].watts, 3 * USER_RATE_10GB * BACKHAUL_BRACKET)
-        assert not any(entry.before_bbp for entry in result.segments)
+        by_link = dict(zip(LINK_ORDER, result.segments))
+        assert rel_close(by_link[Link.FRONTHAUL], 10 * USER_RATE_10GB * FRONTHAUL_BRACKET)
+        assert rel_close(by_link[Link.MIDHAUL], 10 * USER_RATE_10GB * MIDHAUL_BRACKET)
+        assert rel_close(by_link[Link.BACKHAUL], 3 * USER_RATE_10GB * BACKHAUL_BRACKET)
+        assert [result.branch(link) for link in LINK_ORDER] == ["after"] * 3
 
     def test_bbp_at_dc_small_topology(self):
         # every segment carries 1.1 Gbps of provisioned eCPRI per user
         topo = build_sweep_topology(4, 10, 4)
         result = evaluate(topo, Node.DC)
-        by_link = {entry.segment: entry for entry in result.segments}
-        assert rel_close(by_link[Link.FRONTHAUL].watts, 10 * 1.1 * FRONTHAUL_BRACKET)
-        assert rel_close(by_link[Link.MIDHAUL].watts, 10 * 1.1 * MIDHAUL_BRACKET)
-        assert rel_close(by_link[Link.BACKHAUL].watts, 3 * 1.1 * BACKHAUL_BRACKET)
-        assert all(entry.before_bbp for entry in result.segments)
+        by_link = dict(zip(LINK_ORDER, result.segments))
+        assert rel_close(by_link[Link.FRONTHAUL], 10 * 1.1 * FRONTHAUL_BRACKET)
+        assert rel_close(by_link[Link.MIDHAUL], 10 * 1.1 * MIDHAUL_BRACKET)
+        assert rel_close(by_link[Link.BACKHAUL], 3 * 1.1 * BACKHAUL_BRACKET)
+        assert [result.branch(link) for link in LINK_ORDER] == ["before"] * 3
 
     def test_no_traffic_no_power(self, catalog):
         topo = build_sweep_topology(4, 10, 4)
@@ -309,9 +337,8 @@ class TestTotalPower:
         topo = build_sweep_topology(7, 3, 4)
         for placement in Node:
             breakdown = evaluate(topo, placement, policy=ProvisioningPolicy.default())
-            assert breakdown.processing_watts == sum(entry.watts for entry in breakdown.nodes)
-            assert breakdown.transmission_watts == (
-                breakdown.ue_watts + sum(e.watts for e in breakdown.segments))
+            assert breakdown.processing_watts == sum(breakdown.nodes)
+            assert breakdown.transmission_watts == breakdown.ue_watts + sum(breakdown.segments)
             assert breakdown.total_watts == (
                 breakdown.processing_watts + breakdown.transmission_watts)
 
@@ -319,14 +346,12 @@ class TestTotalPower:
     def test_totals_cannot_be_passed(self, total):
         # the totals are derived from the parts, so no inconsistent total can be stored
         with pytest.raises(TypeError, match=total):
-            PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),),
-                           segments=(SegmentPower(Link.FRONTHAUL, False, 0.5),),
+            PowerBreakdown(Node.ORU, nodes=(1.0, 0.0, 0.0, 0.0), segments=(0.5, 0.0, 0.0),
                            ue_watts=0.1, **{total: 2.0})
 
     def test_totals_derived_from_parts(self):
-        breakdown = PowerBreakdown(nodes=(NodePower(Node.ORU, "bbp", 1.0),),
-                                   segments=(SegmentPower(Link.FRONTHAUL, False, 0.5),),
-                                   ue_watts=0.25)
+        breakdown = PowerBreakdown(Node.ORU, nodes=(1.0, 0.0, 0.0, 0.0),
+                                   segments=(0.5, 0.0, 0.0), ue_watts=0.25)
         assert (breakdown.processing_watts, breakdown.transmission_watts,
                 breakdown.total_watts) == (1.0, 0.75, 1.75)
 

@@ -14,7 +14,14 @@ from oranpower.powermodel import (
     TrafficModel,
     equipment_power,
 )
-from oranpower.topology import Node, Topology, build_sweep_topology, segment_map
+from oranpower.topology import (
+    LINK_ORDER,
+    NODE_ORDER,
+    Node,
+    Topology,
+    build_sweep_topology,
+    segment_map,
+)
 
 PLACEMENTS = list(Node)
 
@@ -43,6 +50,18 @@ def class_policies(draw):
     unit = draw(st.one_of(st.none(), st.floats(0.1, 50.0, allow_nan=False)))
     return ClassPolicy.quantize(unit_capacity_gbps=unit,
                                 minimum_units=draw(st.integers(0, 2)))
+
+
+@st.composite
+def segment_params(draw):
+    """Every settable factor of every node and link: σ and α, hop counts and γ."""
+    return {segment: replace(entry, sigma=draw(st.floats(1.0, 10.0)),
+                             alpha=draw(st.floats(1.0, 10.0)),
+                             hops_switch=draw(st.integers(0, 3)),
+                             hops_wdm=draw(st.integers(0, 3)),
+                             hops_router=draw(st.integers(0, 3)),
+                             gamma=draw(st.sampled_from([0, 1])))
+            for segment, entry in segment_map().items()}
 
 
 @st.composite
@@ -94,18 +113,19 @@ class TestBreakdownInvariants:
         config = replace(ModelConfig.default(policy=policy), provision_to_cap=provision_to_cap)
         breakdown = config.evaluate(topology, placement)
         assert breakdown.total_watts == breakdown.processing_watts + breakdown.transmission_watts
-        assert breakdown.processing_watts == sum(entry.watts for entry in breakdown.nodes)
-        assert breakdown.transmission_watts == (
-            breakdown.ue_watts + sum(entry.watts for entry in breakdown.segments))
+        assert breakdown.processing_watts == sum(breakdown.nodes)
+        assert breakdown.transmission_watts == breakdown.ue_watts + sum(breakdown.segments)
 
     @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies())
     @settings(max_examples=40, deadline=None)
     def test_branch_assignment(self, topology, placement, policy):
         config = ModelConfig.default(policy=policy)
         breakdown = config.evaluate(topology, placement)
-        branches = [entry.branch for entry in breakdown.nodes]
+        branches = [breakdown.branch(node) for node in NODE_ORDER]
         assert branches.count("bbp") == 1
         assert branches[placement.depth] == "bbp"
+        for link in LINK_ORDER:
+            assert (breakdown.branch(link) == "before") == (link.depth < placement.depth)
 
 
 class TestTransmissionShape:
@@ -169,12 +189,14 @@ class TestScalingAndZero:
 
 
 class TestOracleAgreement:
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies())
+    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies(),
+           params=segment_params(), provision_to_cap=st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_enumeration_matches_closed_form(self, topology, placement, policy):
-        config = ModelConfig.default(policy=policy)
+    def test_enumeration_matches_closed_form(self, topology, placement, policy, params,
+                                             provision_to_cap):
+        config = ModelConfig(default_catalog(), params, TrafficModel(), policy, provision_to_cap)
         oracle = brute_force_oracle(topology, config.traffic, config.catalog, config.params,
-                                    placement, config.policy)
+                                    placement, config.policy, provision_to_cap)
         closed = config.evaluate(topology, placement).total_watts
         assert rel_close(oracle / topology.n_users, closed)
 

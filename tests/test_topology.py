@@ -8,6 +8,8 @@ from oranpower.catalog import default_catalog, energy_per_capacity
 from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import (
     FANOUT_CASES,
+    LINK_ORDER,
+    NODE_ORDER,
     FanoutCase,
     Link,
     Node,
@@ -42,12 +44,13 @@ class TestDefaultSegmentParams:
         assert all(params[seg].gamma == 0 for seg in params if seg is not Link.BACKHAUL)
 
     def test_coverage_numerators(self):
-        params = segment_map()
-        assert params[Link.FRONTHAUL].coverage_node is Node.ORU
-        assert params[Link.MIDHAUL].coverage_node is Node.ODU
-        assert params[Link.BACKHAUL].coverage_node is Node.OCU
-        for node in Node:
-            assert params[node].coverage_node is node
+        # tier i and link i share each instance of tier i among the users
+        topology = Topology(n_ru=40, n_du=10, n_cu=5, n_dc=1, users_per_ru=3)
+        counts = (topology.n_ru, topology.n_du, topology.n_cu, topology.n_dc)
+        for node in NODE_ORDER:
+            assert rel_close(coverage_factor(topology, node), counts[node.depth] / 120)
+        for link in LINK_ORDER:
+            assert rel_close(link_coverage_factor(topology, link), counts[link.depth] / 120)
 
     def test_default_hops_are_zero(self):
         for entry in default_segment_params():
@@ -76,6 +79,26 @@ def coverage_factor(topology, node):
     per_gbps = energy_per_capacity(chassis) + energy_per_capacity(server)
     watts = config.evaluate(topology, node).node_watts(node)
     return watts / (params[node].alpha * params[node].sigma * load * per_gbps)
+
+
+def link_coverage_factor(topology, link):
+    """ρ of a link, read back from its per-user watts with BBP at the DC under linear sizing.
+
+    Link i carries the eCPRI of one tier-i instance, ``n_ru / count`` O-RUs,
+    through its switch, WDM link and router.
+    """
+    catalog, params, traffic = default_catalog(), segment_map(), TrafficModel()
+    config = ModelConfig(catalog, params, traffic, ProvisioningPolicy.all_linear(),
+                         provision_to_cap=False)
+    count = (topology.n_ru, topology.n_du, topology.n_cu)[link.depth]
+    switch = catalog.access_switch if link is Link.FRONTHAUL else catalog.core_switch
+    seg = params[link]
+    load = topology.n_ru / count * traffic.ecpri_per_ru_gbps
+    per_gbps = ((seg.hops_switch + 1) * energy_per_capacity(switch)
+                + (seg.hops_wdm + 1) * energy_per_capacity(catalog.wdm_link)
+                + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(catalog.router))
+    watts = config.evaluate(topology, Node.DC).segments[link.depth]
+    return watts / (seg.alpha * seg.sigma * load * per_gbps)
 
 
 class TestCoverageFactor:
@@ -216,8 +239,8 @@ class TestSegmentParamsValidation:
     def test_bad_factor_rejected(self, field, value):
         factors = {"sigma": 1.0, "alpha": 1.0, field: value}
         with pytest.raises(TopologyError, match=field):
-            SegmentParams(Node.ORU, coverage_node=Node.ORU, **factors)
+            SegmentParams(Node.ORU, **factors)
 
     def test_overflowing_alpha_sigma_rejected(self):
         with pytest.raises(TopologyError, match=r"alpha \* sigma must be finite"):
-            SegmentParams(Node.ORU, sigma=1e308, alpha=5.0, coverage_node=Node.ORU)
+            SegmentParams(Node.ORU, sigma=1e308, alpha=5.0)
