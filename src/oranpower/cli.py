@@ -6,7 +6,8 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .catalog import (
     CatalogError,
@@ -64,13 +65,13 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-# One CSV data row: n_ru, the placement and the CSV_COLUMNS. "%.6g" renders a
+# One CSV data line: n_ru, the placement and the CSV_COLUMNS. "%.6g" renders a
 # float exactly as _fmt does.
-_ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS))
+_ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS)) + "\n"
 
 
 def _csv_row(n_ru: int, breakdown: PowerBreakdown) -> str:
-    """One CSV data row of a breakdown; its nodes and segments are in column order."""
+    """One CSV data line of a breakdown; its nodes and segments are in column order."""
     return _ROW_FORMAT % (
         n_ru, breakdown.placement.value,
         breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
@@ -146,13 +147,11 @@ def _topology_value(args, run: RunConfig, name: str, default: int | None,
 
 
 def _csv_lines(metadata: Sequence[tuple[str, object]], header: str,
-               rows: Iterable[str]) -> Iterator[str]:
-    """``# key = value`` metadata lines, then the header row and the data rows, as lines."""
-    for key, value in metadata:
-        yield f"# {key} = {value}\n"
-    yield header + "\n"
-    for row in rows:
-        yield row + "\n"
+               rows: Iterable[str]) -> Iterable[str]:
+    """``# key = value`` metadata lines and the header row, then ``rows``, which end in newlines."""
+    head = [f"# {key} = {value}\n" for key, value in metadata]
+    head.append(header + "\n")
+    return chain(head, rows)
 
 
 def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) -> str:
@@ -236,13 +235,10 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     placements = _parse_placements(args.placements, parser)
     records = fanout_study(cases, n_ru, users_per_ru, placements, config)
     metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
-    rows = (",".join([
-        record.case,
-        record.breakdown.placement.value,
-        _fmt(record.breakdown.processing_watts),
-        _fmt(record.breakdown.transmission_watts),
-        _fmt(record.breakdown.total_watts),
-    ]) for record in records)
+    rows = ("%s,%s,%.6g,%.6g,%.6g\n" % (
+        record.case, record.breakdown.placement.value, record.breakdown.processing_watts,
+        record.breakdown.transmission_watts, record.breakdown.total_watts,
+    ) for record in records)
     _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
           args.output, stdout)
     return EXIT_OK

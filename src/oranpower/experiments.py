@@ -37,12 +37,15 @@ DEFAULT_USERS_PER_RU = 10
 DEFAULT_DU_FANOUT_CAP = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRecord:
     """One evaluated (O-RU count, BBP placement) cell of the sweep."""
 
     n_ru: int
     breakdown: PowerBreakdown
+
+    def __init__(self, n_ru: int, breakdown: PowerBreakdown):
+        self.__dict__.update(n_ru=n_ru, breakdown=breakdown)
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,11 @@ class FanoutStudyRecord:
 
 
 def _ordered_placements(placements: Iterable[Node]) -> list[Node]:
-    wanted = set(placements)
+    """The distinct placements in depth order; an unknown one is rejected as ``evaluate`` does."""
+    wanted = list(placements)
+    for placement in wanted:
+        if placement not in NODE_ORDER:
+            raise ValueError(f"unknown BBP placement: {placement!r}")
     return [node for node in NODE_ORDER if node in wanted]
 
 

@@ -158,40 +158,40 @@ def _sizer(spec: EquipmentSpec | ServerSpec, policy: ClassPolicy) -> Callable[[f
 class _Term(NamedTuple):
     """A node or segment at or before the BBP node, less its per-cell factors.
 
-    Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
-    ``devices``, where ρ is tier ``depth``'s instance count over the user
+    Its per-user watts are ``scale · ρ · (per_instance + Σ multiplier · sized(load))``
+    over ``devices``, where ρ is tier ``depth``'s instance count over the user
     count and the load is that tier's per-instance eCPRI load.
     """
 
     scale: float  # alpha * sigma
     depth: int
+    per_instance: float  # watts of the devices already priced
     devices: tuple[tuple[int, Callable[[float], float]], ...]  # (multiplier, _sizer)
 
 
-def _priced(terms: tuple[_Term, ...], loads: tuple[float, ...], counts: tuple[int, ...],
-            n_users: int) -> tuple[float, ...]:
-    """The per-user watts of each term for one topology's loads and counts."""
-    watts = []
-    for scale, depth, devices in terms:
-        load = loads[depth]
-        per_instance = 0.0
+def _term(scale: float, depth: int, devices: tuple, ecpri: float) -> _Term:
+    """A plan term; at depth 0, whose load is the constant ``ecpri``, its devices are priced now."""
+    if depth:
+        return _Term(scale, depth, 0.0, devices)
+    per_instance = 0.0
+    try:
         for multiplier, sized in devices:
-            per_instance += multiplier * sized(load)
-        watts.append(scale * (counts[depth] / n_users) * per_instance)
-    return tuple(watts)
+            per_instance += multiplier * sized(ecpri)
+    except PowerOverflowError:  # left for evaluate, which raises it after any earlier term's error
+        return _Term(scale, depth, 0.0, devices)
+    return _Term(scale, depth, per_instance, ())
 
 
 class _Plan(NamedTuple):
     """Everything about one (config, placement) that does not depend on the topology."""
 
-    nodes: tuple[_Term, ...]
+    terms: tuple[_Term, ...]  # the node terms, then the segment terms
     nodes_after: tuple[float, ...]
-    segments: tuple[_Term, ...]
     segments_after: tuple[float, ...]
     ue_watts: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """Per-user power of one BBP placement, split by node tier, link, and UE.
 
@@ -210,24 +210,30 @@ class PowerBreakdown:
     transmission_watts: float = field(init=False)
     total_watts: float = field(init=False)
 
-    def __post_init__(self):
-        for kind, parts, order in (("node", self.nodes, NODE_ORDER),
-                                   ("segment", self.segments, LINK_ORDER)):
-            if len(parts) != len(order):
-                raise ValueError(f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
-            for segment, watts in zip(order, parts):
-                if not (watts >= 0):
-                    raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
-        if not (self.ue_watts >= 0):
-            raise ValueError(f"UE power must be >= 0, got {self.ue_watts}")
-        processing = sum(self.nodes)
-        transmission = self.ue_watts + sum(self.segments)
+    def __init__(self, placement: Node, nodes: tuple[float, ...], segments: tuple[float, ...],
+                 ue_watts: float):
+        processing = sum(nodes)
+        transmission = ue_watts + sum(segments)
         total = processing + transmission
-        if not math.isfinite(total):
-            raise ValueError(f"total power must be finite, got {total}")
-        object.__setattr__(self, "processing_watts", processing)
-        object.__setattr__(self, "transmission_watts", transmission)
-        object.__setattr__(self, "total_watts", total)
+        # One test passes every valid breakdown; the per-part checks name a failure.
+        if not (len(nodes) == len(NODE_ORDER) and len(segments) == len(LINK_ORDER)
+                and min(*nodes, *segments, ue_watts) >= 0 and math.isfinite(total)):
+            for kind, parts, order in (("node", nodes, NODE_ORDER),
+                                       ("segment", segments, LINK_ORDER)):
+                if len(parts) != len(order):
+                    raise ValueError(
+                        f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
+                for segment, watts in zip(order, parts):
+                    if not (watts >= 0):
+                        raise ValueError(
+                            f"{kind} power for {segment.value} must be >= 0, got {watts}")
+            if not (ue_watts >= 0):
+                raise ValueError(f"UE power must be >= 0, got {ue_watts}")
+            if not math.isfinite(total):
+                raise ValueError(f"total power must be finite, got {total}")
+        self.__dict__.update(placement=placement, nodes=nodes, segments=segments,
+                             ue_watts=ue_watts, processing_watts=processing,
+                             transmission_watts=transmission, total_watts=total)
 
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
@@ -258,8 +264,8 @@ class ModelConfig:
     traffic: TrafficModel
     policy: ProvisioningPolicy
     provision_to_cap: bool = True
-    _plans: dict[Node, _Plan] = field(init=False, compare=False, repr=False,
-                                      default_factory=dict)
+    _plans: dict[int, _Plan] = field(init=False, compare=False, repr=False,
+                                     default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -282,8 +288,8 @@ class ModelConfig:
             policy=policy if policy is not None else ProvisioningPolicy.default(),
         )
 
-    def _plan(self, placement: Node) -> _Plan:
-        """The topology-independent factors of every term for one BBP placement.
+    def _plan(self, bbp: int) -> _Plan:
+        """The topology-independent factors of every term for the BBP node at depth ``bbp``.
 
         Node tier i, and link i that joins it to tier i + 1, carry one
         instance's provisioned eCPRI up to the BBP node, weighted by the
@@ -293,11 +299,11 @@ class ModelConfig:
         which is also its switch.
         """
         catalog, params, policy = self.catalog, self.params, self.policy
-        bbp = placement.depth
         user_rate = self.traffic.user_rate_gbps
+        ecpri = self.traffic.ecpri_per_ru_gbps
         chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
 
-        nodes, nodes_after = [], []
+        terms, nodes_after = [], []
         for depth, node in enumerate(NODE_ORDER):
             seg = params[node]
             scale = seg.alpha * seg.sigma
@@ -308,9 +314,9 @@ class ModelConfig:
             if depth == bbp:
                 server = catalog.dc_server if node is Node.DC else catalog.edge_server
                 devices.append((1, _sizer(server, policy.servers)))
-            nodes.append(_Term(scale, depth, tuple(devices)))
+            terms.append(_term(scale, depth, tuple(devices), ecpri))
 
-        segments, segments_after = [], []
+        segments_after = []
         wdm, router = catalog.wdm_link, catalog.router
         for depth, link in enumerate(LINK_ORDER):
             seg = params[link]
@@ -325,7 +331,7 @@ class ModelConfig:
                                     multipliers, (switch, wdm, router),
                                     (policy.switches, policy.links, policy.routers))
                                 if multiplier)
-                segments.append(_Term(scale, depth, devices))
+                terms.append(_term(scale, depth, devices, ecpri))
             else:
                 bracket = (
                     multipliers[0] * energy_per_capacity(switch)
@@ -335,8 +341,7 @@ class ModelConfig:
                 segments_after.append(scale * user_rate * bracket)
 
         ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
-        return _Plan(tuple(nodes), tuple(nodes_after), tuple(segments), tuple(segments_after),
-                     ue_watts)
+        return _Plan(tuple(terms), tuple(nodes_after), tuple(segments_after), ue_watts)
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
@@ -344,11 +349,13 @@ class ModelConfig:
         Only the per-instance loads and the coverage factors depend on the
         topology; every other factor comes from the placement's plan.
         """
-        if placement not in NODE_ORDER:
-            raise ValueError(f"unknown BBP placement: {placement!r}")
-        plan = self._plans.get(placement)
+        try:
+            bbp = NODE_ORDER.index(placement)
+        except ValueError:
+            raise ValueError(f"unknown BBP placement: {placement!r}") from None
+        plan = self._plans.get(bbp)
         if plan is None:
-            plan = self._plans[placement] = self._plan(placement)
+            plan = self._plans[bbp] = self._plan(bbp)
         n_ru, n_users = topology.n_ru, topology.n_users
         counts = (n_ru, topology.n_du, topology.n_cu, topology.n_dc)
         ecpri = self.traffic.ecpri_per_ru_gbps
@@ -360,8 +367,15 @@ class ModelConfig:
             ru_per_du = n_ru / topology.n_du
         loads = (ecpri, ru_per_du * ecpri, n_ru / topology.n_cu * ecpri,
                  n_ru / topology.n_dc * ecpri)
-        nodes = _priced(plan.nodes, loads, counts, n_users) + plan.nodes_after
-        segments = _priced(plan.segments, loads, counts, n_users) + plan.segments_after
+        watts = []
+        for scale, depth, per_instance, devices in plan.terms:
+            load = loads[depth]
+            for multiplier, sized in devices:
+                per_instance += multiplier * sized(load)
+            watts.append(scale * (counts[depth] / n_users) * per_instance)
+        # The plan prices tiers 0 to bbp, then links 0 to bbp - 1.
+        nodes = (*watts[:bbp + 1], *plan.nodes_after)
+        segments = (*watts[bbp + 1:], *plan.segments_after)
         try:
             return PowerBreakdown(placement, nodes, segments, plan.ue_watts)
         except ValueError:

@@ -25,10 +25,14 @@ def _count_errors(counts: Mapping[str, object]) -> dict[str, str]:
 
 
 def check_counts(**counts: object) -> None:
-    """Raise one ``TopologyError`` naming every count out of range; builders call it first."""
-    errors = _count_errors(counts)
-    if errors:
-        raise TopologyError("invalid topology: " + "; ".join(errors.values()))
+    """Raise one ``TopologyError`` naming every count out of range and every inverted tier pair."""
+    bad = _count_errors(counts)
+    violations = list(bad.values())
+    for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
+        if {wide, narrow} <= counts.keys() - bad.keys() and counts[wide] < counts[narrow]:
+            violations.append(f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
+    if violations:
+        raise TopologyError("invalid topology: " + "; ".join(violations))
 
 
 class Node(Enum):
@@ -65,7 +69,7 @@ LINK_ORDER: tuple[Link, ...] = (Link.FRONTHAUL, Link.MIDHAUL, Link.BACKHAUL)
 Segment = Union[Node, Link]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Topology:
     """Node counts and user population of one aggregation tree.
 
@@ -84,20 +88,19 @@ class Topology:
     du_fanout_cap: int | None = None
     n_users: int = field(init=False)
 
-    def __post_init__(self):
-        counts = {name: getattr(self, name)
-                  for name in ("n_ru", "n_du", "n_cu", "n_dc", "users_per_ru")}
-        if self.du_fanout_cap is not None:
-            counts["du_fanout_cap"] = self.du_fanout_cap
-        bad = _count_errors(counts)
-        violations = list(bad.values())
-        for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
-            if not {wide, narrow} & bad.keys() and counts[wide] < counts[narrow]:
-                violations.append(
-                    f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
-        if violations:
-            raise TopologyError("invalid topology: " + "; ".join(violations))
-        object.__setattr__(self, "n_users", self.n_ru * self.users_per_ru)
+    def __init__(self, n_ru: int, n_du: int, n_cu: int, n_dc: int, users_per_ru: int,
+                 du_fanout_cap: int | None = None):
+        # One test passes every valid tree of plain ints; check_counts lists what fails.
+        if not (type(n_ru) is type(n_du) is type(n_cu) is type(n_dc) is type(users_per_ru) is int
+                and MAX_COUNT >= n_ru >= n_du >= n_cu >= n_dc >= 1
+                and MAX_COUNT >= users_per_ru >= 1
+                and (du_fanout_cap is None
+                     or type(du_fanout_cap) is int and MAX_COUNT >= du_fanout_cap >= 1)):
+            cap = {} if du_fanout_cap is None else {"du_fanout_cap": du_fanout_cap}
+            check_counts(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc, users_per_ru=users_per_ru, **cap)
+        self.__dict__.update(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc,
+                             users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap,
+                             n_users=n_ru * users_per_ru)
 
 
 @dataclass(frozen=True)
@@ -204,15 +207,14 @@ def build_sweep_topology(n_ru: int, users_per_ru: int, du_fanout_cap: int = 4) -
     Another O-DU is added whenever the O-RU count crosses a multiple of the
     cap; a single O-CU and a single DC aggregate the whole tree.
     """
-    check_counts(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
-    return Topology(
-        n_ru=n_ru,
-        n_du=-(-n_ru // du_fanout_cap),  # integer ceiling, exact at any count
-        n_cu=1,
-        n_dc=1,
-        users_per_ru=users_per_ru,
-        du_fanout_cap=du_fanout_cap,
-    )
+    try:
+        # n_du is the integer ceiling of n_ru / du_fanout_cap, exact at any count.
+        return Topology(n_ru=n_ru, n_du=-(-n_ru // du_fanout_cap), n_cu=1, n_dc=1,
+                        users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
+    except (ArithmeticError, TypeError, ValueError):
+        # Valid inputs give a valid tree: name the bad input, not the n_du derived from it.
+        check_counts(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
+        raise
 
 
 def _divide_exact(count: int, fanout: int, level: str, case: FanoutCase) -> int:

@@ -91,6 +91,10 @@ class TestSweep:
         with pytest.raises(PowerOverflowError):
             sweep_orus(range(1, 5), 1, ALL_PLACEMENTS, config)
 
+    def test_unknown_placement_rejected_by_the_call(self, default_config):
+        with pytest.raises(ValueError, match="unknown BBP placement: 'dc'"):
+            sweep_orus(range(1, 6), 10, ["dc"], default_config)
+
 
 class TestFanoutStudy:
     def test_oru_placement_identical_across_cases(self, default_config):
@@ -119,6 +123,10 @@ class TestFanoutStudy:
     def test_divisibility_error_carries_label(self, default_config):
         with pytest.raises(TopologyError, match="C-4"):
             fanout_study([FANOUT_CASES["C-4"]], 7, 10, ALL_PLACEMENTS, default_config)
+
+    def test_unknown_placement_rejected(self, default_config):
+        with pytest.raises(ValueError, match="unknown BBP placement: 'dc'"):
+            fanout_study(list(FANOUT_CASES.values()), 40, 10, ["dc", "oru"], default_config)
 
 
 class TestReductionRatio:

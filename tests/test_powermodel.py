@@ -9,12 +9,14 @@ import copy
 import math
 import pickle
 import random
+import re
 
 import pytest
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from oranpower.catalog import default_catalog, energy_per_capacity
+from oranpower.experiments import SweepRecord
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -33,6 +35,7 @@ from oranpower.topology import (
     Link,
     Node,
     Topology,
+    TopologyError,
     build_sweep_topology,
     from_fanout_case,
     segment_map,
@@ -288,6 +291,18 @@ class TestProcessingPower:
         with pytest.raises(ValueError, match="placement"):
             evaluate(topo, "oru")
 
+    @pytest.mark.parametrize("placement", ["dc", None, 0, []], ids=repr)
+    def test_unknown_placement_named_before_and_after_plans_are_cached(self, placement):
+        config = ModelConfig.default()
+        topo = build_sweep_topology(4, 10, 4)
+        message = re.escape(f"unknown BBP placement: {placement!r}")
+        with pytest.raises(ValueError, match=message):
+            config.evaluate(topo, placement)
+        for node in NODE_ORDER:  # the plan of depth 0 is cached, like any other
+            config.evaluate(topo, node)
+        with pytest.raises(ValueError, match=message):
+            config.evaluate(topo, placement)
+
 
 class TestTransmissionPower:
     def test_bbp_at_oru_components(self):
@@ -354,6 +369,41 @@ class TestTotalPower:
                                    segments=(0.5, 0.0, 0.0), ue_watts=0.25)
         assert (breakdown.processing_watts, breakdown.transmission_watts,
                 breakdown.total_watts) == (1.0, 0.75, 1.75)
+
+
+class TestRecords:
+    """Breakdowns, topologies and sweep records behave as frozen dataclasses."""
+
+    @staticmethod
+    def records():
+        breakdown = PowerBreakdown(Node.ODU, nodes=(1.0, 2.0, 0.0, 0.0), segments=(0.5, 0.0, 0.0),
+                                   ue_watts=0.25)
+        topology = Topology(n_ru=8, n_du=2, n_cu=1, n_dc=1, users_per_ru=3, du_fanout_cap=4)
+        return breakdown, topology, SweepRecord(8, breakdown)
+
+    @pytest.mark.parametrize("index,name", [
+        (0, "placement"), (0, "nodes"), (0, "ue_watts"), (0, "total_watts"),
+        (1, "n_ru"), (1, "du_fanout_cap"), (1, "n_users"), (2, "n_ru"), (2, "breakdown"),
+    ])
+    def test_fields_cannot_be_assigned(self, index, name):
+        record = self.records()[index]
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda record: pickle.loads(pickle.dumps(record))])
+    def test_copies_equal_and_hash_alike(self, duplicate):
+        for record in self.records():
+            twin = duplicate(record)
+            assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+
+    def test_replace_derives_fields_again(self):
+        breakdown, topology, record = self.records()
+        assert replace(breakdown, ue_watts=1.0).total_watts == 4.5
+        assert replace(topology, n_ru=7).n_users == 21
+        assert replace(record, n_ru=9) == SweepRecord(9, breakdown)
+        with pytest.raises(TopologyError, match=r"n_ru >= n_du violated \(1 < 2\)"):
+            replace(topology, n_ru=1)
 
 
 class TestReusedConfig:

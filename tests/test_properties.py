@@ -1,5 +1,6 @@
 """Property-based tests for model invariants across randomized inputs."""
 
+import math
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from oranpower.experiments import brute_force_oracle
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
+    PowerBreakdown,
     ProvisioningPolicy,
     TrafficModel,
     equipment_power,
@@ -19,7 +21,9 @@ from oranpower.topology import (
     NODE_ORDER,
     Node,
     Topology,
+    TopologyError,
     build_sweep_topology,
+    check_counts,
     segment_map,
 )
 
@@ -225,3 +229,129 @@ class TestCatalogRoundTrip:
         assert reloaded.radio == catalog.radio
         assert reloaded.edge_server == catalog.edge_server
         assert rel_close(reloaded.ue_energy_j_per_bit, catalog.ue_energy_j_per_bit, tol=1e-12)
+
+
+# Reference checks: one test per part or count, in field order, as records
+# were checked before they gained a single combined test for valid input.
+
+def per_part_breakdown(nodes, segments, ue_watts):
+    """The totals of a breakdown, or the error naming its first bad part."""
+    for kind, parts, order in (("node", nodes, NODE_ORDER), ("segment", segments, LINK_ORDER)):
+        if len(parts) != len(order):
+            raise ValueError(f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
+        for segment, watts in zip(order, parts):
+            if not (watts >= 0):
+                raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
+    if not (ue_watts >= 0):
+        raise ValueError(f"UE power must be >= 0, got {ue_watts}")
+    processing = sum(nodes)
+    transmission = ue_watts + sum(segments)
+    total = processing + transmission
+    if not math.isfinite(total):
+        raise ValueError(f"total power must be finite, got {total}")
+    return processing, transmission, total
+
+
+def per_count_errors(counts):
+    return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
+            for name, count in counts.items()
+            if not (isinstance(count, int) and 1 <= count <= 2**53)}
+
+
+def per_count_check(**counts):
+    errors = per_count_errors(counts)
+    if errors:
+        raise TopologyError("invalid topology: " + "; ".join(errors.values()))
+
+
+def per_count_topology(n_ru, n_du, n_cu, n_dc, users_per_ru, du_fanout_cap):
+    """The fields of a topology, or one error listing every violation."""
+    counts = {"n_ru": n_ru, "n_du": n_du, "n_cu": n_cu, "n_dc": n_dc,
+              "users_per_ru": users_per_ru}
+    if du_fanout_cap is not None:
+        counts["du_fanout_cap"] = du_fanout_cap
+    bad = per_count_errors(counts)
+    violations = list(bad.values())
+    for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
+        if not {wide, narrow} & bad.keys() and counts[wide] < counts[narrow]:
+            violations.append(f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
+    if violations:
+        raise TopologyError("invalid topology: " + "; ".join(violations))
+    return n_ru, n_du, n_cu, n_dc, users_per_ru, du_fanout_cap, n_ru * users_per_ru
+
+
+def per_count_sweep_topology(n_ru, users_per_ru, du_fanout_cap):
+    per_count_check(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
+    return per_count_topology(n_ru, -(-n_ru // du_fanout_cap), 1, 1, users_per_ru,
+                              du_fanout_cap)
+
+
+def outcome(build, *args, **kwargs):
+    """``("ok", repr(result))``, which tells -0.0 from 0.0, or the error's type and message."""
+    try:
+        return "ok", repr(build(*args, **kwargs))
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def topology_fields(topology):
+    return (topology.n_ru, topology.n_du, topology.n_cu, topology.n_dc, topology.users_per_ru,
+            topology.du_fanout_cap, topology.n_users)
+
+
+WATTS = st.one_of(
+    st.floats(0.0, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-300, math.nan, math.inf, -math.inf,
+                     1e308, 1.7976931348623157e308]),
+    st.floats(min_value=1e307),
+    st.floats(),
+)
+SPECIAL_COUNTS = st.sampled_from([True, 4.0, 0, 1, 2**53, 2**53 + 1, 10**400])
+COUNTS = st.one_of(st.integers(1, 12), SPECIAL_COUNTS)
+CAPS = st.one_of(st.none(), st.integers(1, 12), SPECIAL_COUNTS,
+                 st.sampled_from([0.5, 4.0, math.nan, math.inf, -1, "4"]))
+
+
+@st.composite
+def tree_counts(draw):
+    """Five counts: a valid tree or an inverted one, either with one count maybe replaced."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=5, max_size=5))
+    if draw(st.booleans()):
+        counts[:4] = sorted(counts[:4], reverse=True)
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, 4))] = draw(SPECIAL_COUNTS)
+    return counts
+
+
+class TestSinglePassChecksMatchPerFieldChecks:
+    """A record accepts exactly what the per-field checks accept, and fails with their error."""
+
+    @given(nodes=st.lists(WATTS, min_size=4, max_size=4) | st.lists(WATTS, max_size=5),
+           segments=st.lists(WATTS, min_size=3, max_size=3) | st.lists(WATTS, max_size=5),
+           ue_watts=WATTS, placement=st.sampled_from(PLACEMENTS))
+    @settings(max_examples=400, deadline=None)
+    def test_breakdown(self, nodes, segments, ue_watts, placement):
+        nodes, segments = tuple(nodes), tuple(segments)
+
+        def totals():
+            breakdown = PowerBreakdown(placement, nodes, segments, ue_watts)
+            assert (breakdown.placement, breakdown.nodes, breakdown.segments,
+                    breakdown.ue_watts) == (placement, nodes, segments, ue_watts)
+            return (breakdown.processing_watts, breakdown.transmission_watts,
+                    breakdown.total_watts)
+
+        assert outcome(totals) == outcome(per_part_breakdown, nodes, segments, ue_watts)
+
+    @given(counts=tree_counts(), cap=CAPS)
+    @settings(max_examples=400, deadline=None)
+    def test_topology(self, counts, cap):
+        assert (outcome(lambda: topology_fields(Topology(*counts, du_fanout_cap=cap)))
+                == outcome(per_count_topology, *counts, cap))
+
+    @given(n_ru=COUNTS, users_per_ru=COUNTS, cap=CAPS)
+    @settings(max_examples=400, deadline=None)
+    def test_sweep_topology_and_check_counts(self, n_ru, users_per_ru, cap):
+        assert (outcome(lambda: topology_fields(build_sweep_topology(n_ru, users_per_ru, cap)))
+                == outcome(per_count_sweep_topology, n_ru, users_per_ru, cap))
+        counts = {"n_ru": n_ru, "users_per_ru": users_per_ru, "du_fanout_cap": cap}
+        assert outcome(check_counts, **counts) == outcome(per_count_check, **counts)
