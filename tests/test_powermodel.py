@@ -298,7 +298,7 @@ class TestProcessingPower:
         message = re.escape(f"unknown BBP placement: {placement!r}")
         with pytest.raises(ValueError, match=message):
             config.evaluate(topo, placement)
-        for node in NODE_ORDER:  # the plan of depth 0 is cached, like any other
+        for node in NODE_ORDER:  # plans are keyed by depth, so 0 must not find the O-RU plan
             config.evaluate(topo, node)
         with pytest.raises(ValueError, match=message):
             config.evaluate(topo, placement)
