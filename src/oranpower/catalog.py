@@ -7,6 +7,7 @@ equipment ratings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -118,12 +119,13 @@ class EquipmentCatalog:
             )
 
 
+@functools.cache
 def default_catalog() -> EquipmentCatalog:
     """Built-in equipment set: commercial transport gear plus edge and DC servers.
 
     Edge servers (used at O-RU, O-DU, and O-CU) run 4 cores of 6 W for 1 Gbps
     of total capacity; DC servers run 20 cores of 5.5 W for 5 Gbps. The UE
-    spends 25 nJ per transmitted bit.
+    spends 25 nJ per transmitted bit. The catalog is frozen, so one is shared.
     """
     return EquipmentCatalog(
         radio=EquipmentSpec("radio", 110.0, 22.0),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -48,10 +49,13 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
+# Frozen, so built once and shared by every call, like default_catalog().
 _POLICIES = {
-    "linear": ProvisioningPolicy.all_linear,
-    "quantized": ProvisioningPolicy.default,
+    "linear": ProvisioningPolicy.all_linear(),
+    "quantized": ProvisioningPolicy.default(),
 }
+_TRAFFIC = TrafficModel()
+_PLACEMENT_NAMES = {node: node.value for node in NODE_ORDER}  # a C-level lookup, unlike .value
 
 CSV_COLUMNS = (
     "p_processing_w", "p_transmission_w", "p_total_w",
@@ -73,7 +77,7 @@ _ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS)) + "\n"
 def _csv_row(n_ru: int, breakdown: PowerBreakdown) -> str:
     """One CSV data line of a breakdown; its nodes and segments are in column order."""
     return _ROW_FORMAT % (
-        n_ru, breakdown.placement.value,
+        n_ru, _PLACEMENT_NAMES[breakdown.placement],
         breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
         *breakdown.nodes, *breakdown.segments, breakdown.ue_watts,
     )
@@ -110,8 +114,8 @@ def _model_config(run: RunConfig, policy_name: str, provision_to_cap: bool = Tru
     return ModelConfig(
         catalog=run.catalog,
         params=run.params,
-        traffic=TrafficModel(),
-        policy=_POLICIES[policy_name](),
+        traffic=_TRAFFIC,
+        policy=_POLICIES[policy_name],
         provision_to_cap=provision_to_cap,
     )
 
@@ -236,7 +240,8 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     records = fanout_study(cases, n_ru, users_per_ru, placements, config)
     metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
     rows = ("%s,%s,%.6g,%.6g,%.6g\n" % (
-        record.case, record.breakdown.placement.value, record.breakdown.processing_watts,
+        record.case, _PLACEMENT_NAMES[record.breakdown.placement],
+        record.breakdown.processing_watts,
         record.breakdown.transmission_watts, record.breakdown.total_watts,
     ) for record in records)
     _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
@@ -256,7 +261,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing does not change it."""
+    """The command-line parser, built once per process; ``subcommands`` maps names to parsers."""
     parser = argparse.ArgumentParser(
         prog="oranpower",
         description="Per-user power for centralized O-RAN deployments under "
@@ -289,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fanout.add_argument("--users-per-ru", type=int, default=None)
     p_fanout.add_argument("--placements", default="oru,odu,ocu,dc")
     _add_common_flags(p_fanout)
+    parser.subcommands = {"eval": p_eval, "sweep": p_sweep, "fanout": p_fanout}
     return parser
 
 
@@ -297,20 +303,24 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        # Looked up on each call, not stored in the parser that is built once,
-        # so a replaced cmd_* function (a test double, a tracing wrapper) is the one called.
-        handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
-        return handler(args, parser, stdout)
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_DATA_ERROR
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    with redirect_stdout(stdout), redirect_stderr(stderr):  # argparse prints to sys.stdout/err
+        try:
+            # One pass: in parse_args the top-level parser scans each token before the subparser.
+            args, extras = (subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                            if subparser else parser.parse_known_args(argv))
+            if extras:  # as parse_args reports them
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            # Looked up on each call, not stored in the parser that is built once, so a
+            # replaced cmd_* function (a test double, a tracing wrapper) is the one called.
+            handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
+            return handler(args, parser, stdout)
+        except SystemExit as exc:  # a usage error or --help, while parsing or in a handler
+            return int(exc.code) if exc.code is not None else EXIT_OK
+        except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:
+            print(f"error: {exc}", file=stderr)
+            return EXIT_DATA_ERROR
 
 
 if __name__ == "__main__":

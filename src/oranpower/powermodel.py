@@ -16,7 +16,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, energy_per_capacity
+from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, default_catalog, energy_per_capacity
 from .topology import (
     LINK_ORDER,
     NODE_ORDER,
@@ -24,6 +24,7 @@ from .topology import (
     Segment,
     SegmentParams,
     Topology,
+    segment_map,
 )
 
 SECONDS_PER_MONTH = 30 * 24 * 3600  # 30-day month
@@ -216,8 +217,11 @@ class PowerBreakdown:
         transmission = ue_watts + sum(segments)
         total = processing + transmission
         # One test passes every valid breakdown; the per-part checks name a failure.
-        if not (len(nodes) == len(NODE_ORDER) and len(segments) == len(LINK_ORDER)
+        if not (type(placement) is Node
+                and len(nodes) == len(NODE_ORDER) and len(segments) == len(LINK_ORDER)
                 and min(*nodes, *segments, ue_watts) >= 0 and math.isfinite(total)):
+            if type(placement) is not Node:
+                raise ValueError(f"unknown BBP placement: {placement!r}")
             for kind, parts, order in (("node", nodes, NODE_ORDER),
                                        ("segment", segments, LINK_ORDER)):
                 if len(parts) != len(order):
@@ -278,9 +282,6 @@ class ModelConfig:
 
     @classmethod
     def default(cls, policy: ProvisioningPolicy | None = None) -> "ModelConfig":
-        from .catalog import default_catalog
-        from .topology import segment_map
-
         return cls(
             catalog=default_catalog(),
             params=segment_map(),

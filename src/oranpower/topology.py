@@ -43,6 +43,8 @@ class Node(Enum):
     OCU = "ocu"
     DC = "dc"
 
+    __hash__ = object.__hash__  # exact for singletons compared by identity, and runs in C
+
     @property
     def depth(self) -> int:
         return NODE_ORDER.index(self)
@@ -57,6 +59,8 @@ class Link(Enum):
     FRONTHAUL = "fronthaul"
     MIDHAUL = "midhaul"
     BACKHAUL = "backhaul"
+
+    __hash__ = object.__hash__  # as for Node
 
     @property
     def depth(self) -> int:
@@ -141,27 +145,30 @@ class SegmentParams:
             raise TopologyError(f"{self.segment.value}: gamma must be 0 or 1, got {self.gamma}")
 
 
+# Built once and shared, as SegmentParams is frozen; callers get a new list or dict.
+_DEFAULT_SEGMENT_MAP = {entry.segment: entry for entry in (
+    SegmentParams(Node.ORU, sigma=1.0, alpha=5.0),
+    SegmentParams(Node.ODU, sigma=2.0, alpha=5.0),
+    SegmentParams(Node.OCU, sigma=2.0, alpha=5.0),
+    SegmentParams(Node.DC, sigma=1.5, alpha=1.3),
+    SegmentParams(Link.FRONTHAUL, sigma=2.0, alpha=5.0),
+    SegmentParams(Link.MIDHAUL, sigma=2.0, alpha=5.0),
+    SegmentParams(Link.BACKHAUL, sigma=1.5, alpha=2.0, gamma=1),
+)}
+
+
 def default_segment_params() -> list[SegmentParams]:
     """Default overhead and overprovisioning settings per segment.
 
     Routers participate on the backhaul only (gamma = 1 there); hop counts
     default to zero, i.e. one device of each class per segment.
     """
-    return [
-        SegmentParams(Node.ORU, sigma=1.0, alpha=5.0),
-        SegmentParams(Node.ODU, sigma=2.0, alpha=5.0),
-        SegmentParams(Node.OCU, sigma=2.0, alpha=5.0),
-        SegmentParams(Node.DC, sigma=1.5, alpha=1.3),
-        SegmentParams(Link.FRONTHAUL, sigma=2.0, alpha=5.0),
-        SegmentParams(Link.MIDHAUL, sigma=2.0, alpha=5.0),
-        SegmentParams(Link.BACKHAUL, sigma=1.5, alpha=2.0, gamma=1),
-    ]
+    return list(_DEFAULT_SEGMENT_MAP.values())
 
 
 def segment_map(params: list[SegmentParams] | None = None) -> dict[Segment, SegmentParams]:
     """Key segment parameters by segment; defaults when ``params`` is omitted."""
-    entries = default_segment_params() if params is None else params
-    return {entry.segment: entry for entry in entries}
+    return dict(_DEFAULT_SEGMENT_MAP) if params is None else {entry.segment: entry for entry in params}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from oranpower.catalog import (
     energy_per_capacity,
     load_catalog,
 )
+from oranpower.cli import load_run_config
 from oranpower.configfile import ConfigError
 
 
@@ -41,6 +42,18 @@ class TestDefaults:
         cat = default_catalog()
         assert rel_equal(energy_per_capacity(cat.edge_server), 24.0)  # 4*6 W over 1 Gbps
         assert rel_equal(energy_per_capacity(cat.dc_server), 22.0)    # 20*5.5 W over 5 Gbps
+
+    def test_one_shared_instance(self):
+        assert default_catalog() is default_catalog()
+
+    def test_overrides_leave_the_default_unchanged(self, tmp_path):
+        before = dump_catalog(default_catalog())
+        assert load_catalog("radio.power_w = 99\nue.energy_nj_per_bit = 7\n").radio.rated_power_w == 99
+        config = tmp_path / "override.cfg"
+        config.write_text("dc_server.cores = 40\ndc_server.server_capacity_gbps = 10\n")
+        assert load_run_config(str(config)).catalog.dc_server.cores == 40
+        assert dump_catalog(default_catalog()) == before
+        assert default_catalog().dc_server.cores == 20
 
 
 class TestEnergyPerCapacity:

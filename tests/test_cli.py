@@ -1,6 +1,7 @@
 """CLI subcommands: flags, exit codes, CSV shape, config handling, determinism."""
 
 import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -44,10 +45,10 @@ class TestEval:
         code, _, _ = run_cli("eval", "--n-ru", "1", "--users-per-ru", "1", "--bbp", "xyz")
         assert code == 2
 
-    def test_missing_required_flag_is_usage_error(self, capsys):
-        code, _, _ = run_cli("eval", "--bbp", "dc")
+    def test_missing_required_flag_is_usage_error(self):
+        code, _, err = run_cli("eval", "--bbp", "dc")
         assert code == 2
-        assert "--n-ru" in capsys.readouterr().err
+        assert "--n-ru" in err
 
     @pytest.mark.parametrize("argv,field", [
         (["eval", "--n-ru", "1" + "0" * 400, "--users-per-ru", "2", "--bbp", "dc"], "n_ru"),
@@ -90,10 +91,10 @@ class TestSweep:
         code, _, _ = run_cli("sweep", "--max-ru", "0")
         assert code == 2
 
-    def test_max_ru_above_2_53_is_usage_error(self, capsys):
-        code, out, _ = run_cli("sweep", "--max-ru", str(2**53 + 1))
+    def test_max_ru_above_2_53_is_usage_error(self):
+        code, out, err = run_cli("sweep", "--max-ru", str(2**53 + 1))
         assert (code, out) == (2, "")
-        assert "--max-ru must be >= 1 and <= 2**53" in capsys.readouterr().err
+        assert "--max-ru must be >= 1 and <= 2**53" in err
 
     def test_metadata_comments_present(self):
         code, out, _ = run_cli("sweep", "--max-ru", "1")
@@ -285,13 +286,59 @@ class TestConfigHandling:
         assert capped[1] != attached[1]
 
 
+def parse_args_outcome(argv):
+    """Exit code, stdout, stderr and Namespace of ``build_parser().parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    args = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = build_parser().parse_args(argv), 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
 class TestMain:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_reused_parser_after_usage_error(self, capsys):
-        assert run_cli("eval", "--bbp", "xyz")[0] == 2
-        assert "--bbp" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["ev"], ["eval", "-h"],
+        ["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc", "extra"],
+        ["eval", "--n-ru", "4", "--users", "2", "--bbp", "dc"],
+        ["sweep", "--max-ru=3"],
+        ["fanout", "--n-ru", "40", "--", "x"],
+        ["eval", "--n-ru", "4", "--n-ru", "5", "--users-per-ru", "2", "--bbp", "odu"],
+        ["fanout", "-h", "--bogus"],
+    ])
+    def test_main_parses_as_parse_args_does(self, monkeypatch, argv):
+        from oranpower import cli
+
+        seen = []
+        for name in ("cmd_eval", "cmd_sweep", "cmd_fanout"):
+            monkeypatch.setattr(cli, name, lambda args, parser, stdout: seen.append(args) or 0)
+        code, out, err = run_cli(*argv)
+        assert (code, out, err, seen[0] if seen else None) == parse_args_outcome(argv)
+
+    @pytest.mark.parametrize("argv,expected_code,out_text,err_text", [
+        (["eval", "--n-ru", "4"], 2, "", "the following arguments are required: --bbp"),
+        (["eval", "--bbp", "dc"], 2, "", "--n-ru is required"),
+        (["sweep", "--max-ru", "0"], 2, "", "--max-ru must be >= 1"),
+        (["fanout", "--placements", "xyz"], 2, "", "invalid placement 'xyz'"),
+        (["sweep", "--help"], 0, "usage: oranpower sweep", ""),
+    ])
+    def test_usage_errors_and_help_go_to_the_given_streams(self, capsys, argv, expected_code,
+                                                           out_text, err_text):
+        code, out, err = run_cli(*argv)
+        assert code == expected_code
+        assert out_text in out and bool(out) == bool(out_text)
+        assert err_text in err and bool(err) == bool(err_text)
+        assert capsys.readouterr() == ("", "")
+
+    def test_reused_parser_after_usage_error(self):
+        code, _, err = run_cli("eval", "--bbp", "xyz")
+        assert code == 2
+        assert "--bbp" in err
         assert run_cli("eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc",
                        "--policy", "linear") == run_cli("eval", "--n-ru", "100",
                                                         "--users-per-ru", "10", "--bbp", "dc",

@@ -370,6 +370,12 @@ class TestTotalPower:
         assert (breakdown.processing_watts, breakdown.transmission_watts,
                 breakdown.total_watts) == (1.0, 0.75, 1.75)
 
+    @pytest.mark.parametrize("placement", ["dc", None, 0, [], Link.FRONTHAUL])
+    def test_placement_must_be_a_node(self, placement):
+        # branch() reads the placement's depth, which only a Node has
+        with pytest.raises(ValueError, match=re.escape(f"unknown BBP placement: {placement!r}")):
+            PowerBreakdown(placement, (0.0,) * 4, (0.0,) * 3, 0.0)
+
 
 class TestRecords:
     """Breakdowns, topologies and sweep records behave as frozen dataclasses."""

@@ -1,6 +1,8 @@
 """Topology builders, segment parameter defaults, and structural validation."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -55,6 +57,26 @@ class TestDefaultSegmentParams:
     def test_default_hops_are_zero(self):
         for entry in default_segment_params():
             assert (entry.hops_switch, entry.hops_wdm, entry.hops_router) == (0, 0, 0)
+
+    def test_each_call_returns_a_new_container(self):
+        params = segment_map()
+        params[Node.ORU] = SegmentParams(Node.ORU, sigma=3.0, alpha=3.0)
+        del params[Link.BACKHAUL]
+        assert segment_map()[Node.ORU].sigma == 1.0 and Link.BACKHAUL in segment_map()
+        entries = default_segment_params()
+        entries.clear()
+        assert len(default_segment_params()) == 7
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda member: pickle.loads(pickle.dumps(member))])
+def test_segments_found_by_their_copies(duplicate):
+    params = segment_map()
+    for segment in NODE_ORDER + LINK_ORDER:
+        twin = duplicate(segment)
+        assert twin is segment and hash(twin) == hash(segment)
+        assert params[twin].segment is segment
+    assert pickle.loads(pickle.dumps(params)) == params
 
 
 def rel_close(a, b, tol=1e-12):
