@@ -315,7 +315,8 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
             # Looked up on each call, not stored in the parser that is built once, so a
             # replaced cmd_* function (a test double, a tracing wrapper) is the one called.
             handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
-            return handler(args, parser, stdout)
+            # The subcommand's parser, so a usage error in the handler shows its usage.
+            return handler(args, parser.subcommands[args.command], stdout)
         except SystemExit as exc:  # a usage error or --help, while parsing or in a handler
             return int(exc.code) if exc.code is not None else EXIT_OK
         except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:

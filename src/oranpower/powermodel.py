@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -129,11 +127,12 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
     if not math.isfinite(ratio):
         raise PowerOverflowError(f"{load_gbps} Gbps of load in units of {unit_capacity_gbps} "
                                  "Gbps needs more units than a float holds")
-    nearest = round(ratio)
-    distance = abs(ratio - nearest)
-    if distance <= _SNAP_UNITS and distance <= _SNAP_ULPS * math.ulp(ratio):
-        return max(minimum_units, nearest)
-    return max(minimum_units, math.ceil(ratio))
+    units = round(ratio)
+    distance = abs(ratio - units)
+    if not (distance <= _SNAP_UNITS and distance <= _SNAP_ULPS * math.ulp(ratio)):
+        units = math.ceil(ratio)
+    # max(minimum_units, units), without max's per-call keyword parsing
+    return units if units > minimum_units else minimum_units
 
 
 def equipment_power(load_gbps: float, spec: EquipmentSpec | ServerSpec,
@@ -143,17 +142,24 @@ def equipment_power(load_gbps: float, spec: EquipmentSpec | ServerSpec,
     Linear mode scales the device's W/Gbps ratio by the load; quantized mode
     buys whole devices (or ``unit_capacity_gbps`` slices of one).
     """
-    return _sizer(spec, policy)(load_gbps)
+    return _sized(load_gbps, *_sizing(spec, policy))
 
 
-def _sizer(spec: EquipmentSpec | ServerSpec, policy: ClassPolicy) -> Callable[[float], float]:
-    """``equipment_power`` of one device class as a function of the per-instance load."""
+def _sizing(spec: EquipmentSpec | ServerSpec,
+            policy: ClassPolicy) -> tuple[float, float | None, int]:
+    """A device class's W/Gbps ratio, unit capacity (``None`` when linear) and minimum units."""
     ratio = energy_per_capacity(spec)
     if not policy.quantized:
-        return partial(mul, ratio)  # ratio * load, which is exactly load * ratio
+        return ratio, None, 0
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else spec.capacity_gbps
-    minimum_units = policy.minimum_units
-    return lambda load_gbps: provision_units(load_gbps, unit, minimum_units) * ratio * unit
+    return ratio, unit, policy.minimum_units
+
+
+def _sized(load_gbps: float, ratio: float, unit: float | None, minimum_units: int) -> float:
+    """``equipment_power`` from a class's ``_sizing``; a kernel inlines the same expressions."""
+    if unit is None:
+        return ratio * load_gbps
+    return provision_units(load_gbps, unit, minimum_units) * ratio * unit
 
 
 class _Term(NamedTuple):
@@ -167,7 +173,7 @@ class _Term(NamedTuple):
     scale: float  # alpha * sigma
     depth: int
     per_instance: float  # watts of the devices already priced
-    devices: tuple[tuple[int, Callable[[float], float]], ...]  # (multiplier, _sizer)
+    devices: tuple[tuple[int, float, float | None, int], ...]  # (multiplier, *_sizing)
 
 
 def _term(scale: float, depth: int, devices: tuple, ecpri: float) -> _Term:
@@ -176,11 +182,79 @@ def _term(scale: float, depth: int, devices: tuple, ecpri: float) -> _Term:
         return _Term(scale, depth, 0.0, devices)
     per_instance = 0.0
     try:
-        for multiplier, sized in devices:
-            per_instance += multiplier * sized(ecpri)
-    except PowerOverflowError:  # left for evaluate, which raises it after any earlier term's error
+        for multiplier, *sizing in devices:
+            per_instance += multiplier * _sized(ecpri, *sizing)
+    except PowerOverflowError:  # left for the kernel, which raises it after earlier terms' errors
         return _Term(scale, depth, 0.0, devices)
     return _Term(scale, depth, per_instance, ())
+
+
+# Compiled kernel factories by plan shape, shared by every config in the process.
+_FACTORIES: dict[tuple[int, ...], Callable] = {}
+# The per-instance eCPRI load and the instance count of each tier, by depth.
+_LOADS = ("ecpri", "ru_per_du * ecpri", "n_ru / n_cu * ecpri", "n_ru / n_dc * ecpri")
+_COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
+
+
+def _factory_source(shape: tuple[int, ...]) -> str:
+    """Python source of the kernel factory for plans of one shape.
+
+    ``shape`` is the BBP depth, then for each term its number of devices
+    and whether each one is quantized. The source holds only fixed names and
+    small integers; every value of a config reaches the kernel as an
+    argument of the factory.
+    """
+    bbp, rest = shape[0], iter(shape[1:])
+    params, loads, terms = ["ecpri"], {}, []
+    # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
+    for i, depth in enumerate([*range(bbp + 1), *range(bbp)]):
+        params += f"s{i}", f"p{i}"
+        load = f"load{depth}" if depth else "ecpri"
+        per_instance = [f"p{i}"]
+        for j in range(next(rest)):
+            if depth:
+                loads[load] = f"        {load} = {_LOADS[depth]}\n"
+            m, r, u, k = (f"{name}{i}_{j}" for name in "mruk")
+            params += m, r, u, k
+            per_instance.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
+                                if next(rest) else f"{m} * ({r} * {load})")
+        terms.append(f"s{i} * ({_COUNTS[depth]} / n_users) * ({' + '.join(per_instance)})")
+    nodes_after = [f"a{k}" for k in range(len(NODE_ORDER) - 1 - bbp)]
+    segments_after = [f"b{k}" for k in range(len(LINK_ORDER) - bbp)]
+    nodes = terms[:bbp + 1] + nodes_after
+    segments = terms[bbp + 1:] + segments_after
+    return (f"def factory({', '.join(params + nodes_after + segments_after)}):\n"
+            "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
+            + "".join(loads.values())
+            + f"        return ({', '.join(nodes)}), ({', '.join(segments)})\n"
+            "    return kernel\n")
+
+
+def _kernel(bbp: int, terms: tuple[_Term, ...], ecpri: float,
+            nodes_after: tuple[float, ...], segments_after: tuple[float, ...]) -> Callable:
+    """The function from a topology's counts to the ``(nodes, segments)`` watts of a plan.
+
+    It evaluates each term in order with the float operations of
+    ``scale * (count / n_users) * per_instance`` after adding every device's
+    ``multiplier * _sized(load, ...)`` to ``per_instance``. Its factory is
+    compiled once per shape; the plan's values are bound by calling it.
+    """
+    shape, values = [bbp], [ecpri]
+    for term in terms:
+        shape.append(len(term.devices))
+        values += term.scale, term.per_instance
+        for device in term.devices:
+            shape.append(device[2] is not None)
+            values += device
+    shape = tuple(shape)
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        namespace = {}
+        # The module's globals, so the kernel calls provision_units by its module name.
+        exec(compile(_factory_source(shape), f"<oranpower kernel {shape}>", "exec"),
+             globals(), namespace)
+        factory = _FACTORIES[shape] = namespace["factory"]
+    return factory(*values, *nodes_after, *segments_after)
 
 
 class _Plan(NamedTuple):
@@ -190,6 +264,7 @@ class _Plan(NamedTuple):
     nodes_after: tuple[float, ...]
     segments_after: tuple[float, ...]
     ue_watts: float
+    kernel: Callable  # (n_ru, n_du, n_cu, n_dc, n_users, ru_per_du) -> (nodes, segments)
 
 
 @dataclass(frozen=True, init=False)
@@ -216,10 +291,13 @@ class PowerBreakdown:
         processing = sum(nodes)
         transmission = ue_watts + sum(segments)
         total = processing + transmission
-        # One test passes every valid breakdown; the per-part checks name a failure.
-        if not (type(placement) is Node
-                and len(nodes) == len(NODE_ORDER) and len(segments) == len(LINK_ORDER)
-                and min(*nodes, *segments, ue_watts) >= 0 and math.isfinite(total)):
+        # One test passes every valid breakdown; the per-part checks name a failure. The
+        # parts are compared one by one: min() parses keywords on each call, which costs
+        # more than the eight comparisons.
+        if not (type(placement) is Node and len(nodes) == 4 and len(segments) == 3
+                and nodes[0] >= 0.0 and nodes[1] >= 0.0 and nodes[2] >= 0.0 and nodes[3] >= 0.0
+                and segments[0] >= 0.0 and segments[1] >= 0.0 and segments[2] >= 0.0
+                and ue_watts >= 0.0 and math.isfinite(total)):
             if type(placement) is not Node:
                 raise ValueError(f"unknown BBP placement: {placement!r}")
             for kind, parts, order in (("node", nodes, NODE_ORDER),
@@ -268,15 +346,15 @@ class ModelConfig:
     traffic: TrafficModel
     policy: ProvisioningPolicy
     provision_to_cap: bool = True
-    _plans: dict[int, _Plan] = field(init=False, compare=False, repr=False,
-                                     default_factory=dict)
+    _plans: dict[Node, _Plan] = field(init=False, compare=False, repr=False,
+                                      default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through __init__: a mappingproxy cannot
-        # be pickled, and plans hold closures that are rebuilt on demand.
+        # be pickled, and plans hold kernels that are rebuilt on demand.
         return type(self), (self.catalog, dict(self.params), self.traffic, self.policy,
                             self.provision_to_cap)
 
@@ -289,8 +367,8 @@ class ModelConfig:
             policy=policy if policy is not None else ProvisioningPolicy.default(),
         )
 
-    def _plan(self, bbp: int) -> _Plan:
-        """The topology-independent factors of every term for the BBP node at depth ``bbp``.
+    def _plan(self, placement: Node) -> _Plan:
+        """The topology-independent factors of every term for the BBP node ``placement``.
 
         Node tier i, and link i that joins it to tier i + 1, carry one
         instance's provisioned eCPRI up to the BBP node, weighted by the
@@ -299,6 +377,9 @@ class ModelConfig:
         their watts are fixed here. Link i ends in tier i + 1's chassis,
         which is also its switch.
         """
+        if type(placement) is not Node:  # evaluate's failed cache lookup is no part of the error
+            raise ValueError(f"unknown BBP placement: {placement!r}") from None
+        bbp = placement.depth
         catalog, params, policy = self.catalog, self.params, self.policy
         user_rate = self.traffic.user_rate_gbps
         ecpri = self.traffic.ecpri_per_ru_gbps
@@ -311,10 +392,10 @@ class ModelConfig:
             if depth > bbp:
                 nodes_after.append(scale * user_rate * energy_per_capacity(chassis[depth]))
                 continue
-            devices = [(1, _sizer(chassis[depth], policy.node_interface))]
+            devices = [(1, *_sizing(chassis[depth], policy.node_interface))]
             if depth == bbp:
                 server = catalog.dc_server if node is Node.DC else catalog.edge_server
-                devices.append((1, _sizer(server, policy.servers)))
+                devices.append((1, *_sizing(server, policy.servers)))
             terms.append(_term(scale, depth, tuple(devices), ecpri))
 
         segments_after = []
@@ -327,7 +408,7 @@ class ModelConfig:
                            seg.gamma * (seg.hops_router + 1))
             if depth < bbp:
                 # A zero multiplier (no router) adds exactly 0.0, so it is left out.
-                devices = tuple((multiplier, _sizer(spec, class_policy))
+                devices = tuple((multiplier, *_sizing(spec, class_policy))
                                 for multiplier, spec, class_policy in zip(
                                     multipliers, (switch, wdm, router),
                                     (policy.switches, policy.links, policy.routers))
@@ -342,41 +423,29 @@ class ModelConfig:
                 segments_after.append(scale * user_rate * bracket)
 
         ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
-        return _Plan(tuple(terms), tuple(nodes_after), tuple(segments_after), ue_watts)
+        terms, nodes_after, segments_after = tuple(terms), tuple(nodes_after), tuple(segments_after)
+        return _Plan(terms, nodes_after, segments_after, ue_watts,
+                     _kernel(bbp, terms, ecpri, nodes_after, segments_after))
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
 
         Only the per-instance loads and the coverage factors depend on the
-        topology; every other factor comes from the placement's plan.
+        topology; the placement's plan prices every term with its kernel.
         """
         try:
-            bbp = NODE_ORDER.index(placement)
-        except ValueError:
-            raise ValueError(f"unknown BBP placement: {placement!r}") from None
-        plan = self._plans.get(bbp)
-        if plan is None:
-            plan = self._plans[bbp] = self._plan(bbp)
-        n_ru, n_users = topology.n_ru, topology.n_users
-        counts = (n_ru, topology.n_du, topology.n_cu, topology.n_dc)
-        ecpri = self.traffic.ecpri_per_ru_gbps
-        # Per-instance eCPRI load of each tier: an O-DU is sized for the fanout
-        # cap when asked to; every other instance carries all O-RUs beneath it.
+            plan = self._plans[placement]
+        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
+            plan = self._plans[placement] = self._plan(placement)
+        n_ru = topology.n_ru
+        # An O-DU is sized for the fanout cap when asked to; every other
+        # instance carries all O-RUs beneath it.
         if self.provision_to_cap and topology.du_fanout_cap is not None:
             ru_per_du = topology.du_fanout_cap
         else:
             ru_per_du = n_ru / topology.n_du
-        loads = (ecpri, ru_per_du * ecpri, n_ru / topology.n_cu * ecpri,
-                 n_ru / topology.n_dc * ecpri)
-        watts = []
-        for scale, depth, per_instance, devices in plan.terms:
-            load = loads[depth]
-            for multiplier, sized in devices:
-                per_instance += multiplier * sized(load)
-            watts.append(scale * (counts[depth] / n_users) * per_instance)
-        # The plan prices tiers 0 to bbp, then links 0 to bbp - 1.
-        nodes = (*watts[:bbp + 1], *plan.nodes_after)
-        segments = (*watts[bbp + 1:], *plan.segments_after)
+        nodes, segments = plan.kernel(n_ru, topology.n_du, topology.n_cu, topology.n_dc,
+                                      topology.n_users, ru_per_du)
         try:
             return PowerBreakdown(placement, nodes, segments, plan.ue_watts)
         except ValueError:

@@ -47,7 +47,7 @@ class Node(Enum):
 
     @property
     def depth(self) -> int:
-        return NODE_ORDER.index(self)
+        return _DEPTHS[self]
 
 
 NODE_ORDER: tuple[Node, ...] = (Node.ORU, Node.ODU, Node.OCU, Node.DC)
@@ -64,13 +64,17 @@ class Link(Enum):
 
     @property
     def depth(self) -> int:
-        return LINK_ORDER.index(self)
+        return _DEPTHS[self]
 
 
 # Link i joins tier NODE_ORDER[i] to tier NODE_ORDER[i + 1].
 LINK_ORDER: tuple[Link, ...] = (Link.FRONTHAUL, Link.MIDHAUL, Link.BACKHAUL)
 
 Segment = Union[Node, Link]
+
+# The position of each tier in NODE_ORDER and of each link in LINK_ORDER.
+_DEPTHS: dict[Segment, int] = {segment: depth for order in (NODE_ORDER, LINK_ORDER)
+                               for depth, segment in enumerate(order)}
 
 
 @dataclass(frozen=True, init=False)

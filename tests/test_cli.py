@@ -335,6 +335,17 @@ class TestMain:
         assert err_text in err and bool(err) == bool(err_text)
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--max-ru", "0"], "--max-ru must be >= 1"),
+        (["eval", "--bbp", "dc"], "--n-ru is required"),
+        (["fanout", "--placements", "xyz"], "invalid placement 'xyz'"),
+    ])
+    def test_usage_error_in_a_handler_shows_the_subcommand_usage(self, argv, message):
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith(f"usage: oranpower {argv[0]} [-h]")
+        assert f"\noranpower {argv[0]}: error: {message}" in err
+
     def test_reused_parser_after_usage_error(self):
         code, _, err = run_cli("eval", "--bbp", "xyz")
         assert code == 2

@@ -1,0 +1,255 @@
+"""Plan kernels: each compiled kernel against the plan's term records, and shared factories.
+
+A kernel is compiled once per plan shape and prices every term in straight-
+line code. The reference here is the generic loop over ``plan.terms`` that
+the kernel replaced; every float must match it by ``repr``, so a sign of
+zero counts, and every error must match in type and message.
+"""
+
+import copy
+import pickle
+import random
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oranpower.catalog import CatalogError, EquipmentSpec, ServerSpec, default_catalog
+from oranpower.experiments import brute_force_oracle
+from oranpower.powermodel import (
+    ClassPolicy,
+    ModelConfig,
+    PowerBreakdown,
+    PowerOverflowError,
+    ProvisioningPolicy,
+    TrafficModel,
+    provision_units,
+)
+from oranpower.topology import (
+    FANOUT_CASES,
+    NODE_ORDER,
+    SegmentParams,
+    Topology,
+    TopologyError,
+    build_sweep_topology,
+    from_fanout_case,
+    segment_map,
+)
+
+EXTREME_FLOATS = (5e-324, 1e-300, 1e-12, 1e12, 1e300)
+EXTREME_COUNTS = (2**40, 2**53)
+
+
+def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):
+    """The generic loop over the plan's terms that ``evaluate`` ran before kernels."""
+    counts = (n_ru, n_du, n_cu, n_dc)
+    ecpri = config.traffic.ecpri_per_ru_gbps
+    loads = (ecpri, ru_per_du * ecpri, n_ru / n_cu * ecpri, n_ru / n_dc * ecpri)
+    watts = []
+    for scale, depth, per_instance, devices in plan.terms:
+        load = loads[depth]
+        for multiplier, ratio, unit, minimum_units in devices:
+            if unit is None:
+                sized = ratio * load
+            else:
+                sized = provision_units(load, unit, minimum_units) * ratio * unit
+            per_instance += multiplier * sized
+        watts.append(scale * (counts[depth] / n_users) * per_instance)
+    return (*watts[:bbp + 1], *plan.nodes_after), (*watts[bbp + 1:], *plan.segments_after)
+
+
+def outcome(call, *args):
+    """``repr`` of what ``call`` returns, or the type and message of what it raises."""
+    try:
+        return repr(call(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def kernel_args(config, topology):
+    if config.provision_to_cap and topology.du_fanout_cap is not None:
+        ru_per_du = topology.du_fanout_cap
+    else:
+        ru_per_du = topology.n_ru / topology.n_du
+    return (topology.n_ru, topology.n_du, topology.n_cu, topology.n_dc, topology.n_users,
+            ru_per_du)
+
+
+def positive(extreme):
+    values = st.floats(0.01, 1e4)
+    return st.one_of(values, st.sampled_from(EXTREME_FLOATS)) if extreme else values
+
+
+def counts(low, high, extreme):
+    values = st.integers(low, high)
+    return st.one_of(values, st.sampled_from(EXTREME_COUNTS)) if extreme else values
+
+
+def valid_or(default, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or ``default`` where those values are rejected."""
+    try:
+        return build(*args, **kwargs)
+    except (CatalogError, TopologyError, ValueError):
+        return default
+
+
+@st.composite
+def catalogs(draw, extreme):
+    catalog = default_catalog()
+    entries = {}
+    for name in ("radio", "access_switch", "core_switch", "wdm_link", "router"):
+        default = getattr(catalog, name)
+        entries[name] = valid_or(default, EquipmentSpec, default.name,
+                                 draw(positive(extreme)), draw(positive(extreme)))
+    for name in ("edge_server", "dc_server"):
+        cores, per_core_gbps = draw(st.integers(1, 64)), draw(positive(extreme))
+        entries[name] = valid_or(getattr(catalog, name), ServerSpec, cores,
+                                 draw(positive(extreme)), per_core_gbps, cores * per_core_gbps)
+    return replace(catalog, **entries)
+
+
+@st.composite
+def params(draw, extreme):
+    factor = st.floats(1.0, 10.0)
+    if extreme:
+        factor = st.one_of(factor, st.sampled_from((1e150, 1e300)))
+    return {segment: valid_or(entry, SegmentParams, segment, draw(factor), draw(factor),
+                              draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                              draw(st.integers(0, 3)), draw(st.sampled_from((0, 1))))
+            for segment, entry in segment_map().items()}
+
+
+@st.composite
+def class_policies(draw, extreme):
+    if not draw(st.booleans()):
+        return ClassPolicy.linear()
+    minimum = draw(st.one_of(st.integers(0, 3), st.sampled_from(EXTREME_COUNTS))
+                   if extreme else st.integers(0, 3))
+    return ClassPolicy.quantize(draw(st.one_of(st.none(), positive(extreme))), minimum)
+
+
+@st.composite
+def configs(draw, extreme):
+    policy = ProvisioningPolicy(*(draw(class_policies(extreme)) for _ in range(5)))
+    rate = st.floats(0.0, 1e3)
+    if extreme:
+        rate = st.one_of(rate, st.sampled_from((0.0, 5e-324) + EXTREME_FLOATS))
+    traffic = valid_or(TrafficModel(), TrafficModel, draw(rate), draw(rate))
+    return ModelConfig(draw(catalogs(extreme)), draw(params(extreme)), traffic, policy,
+                       draw(st.booleans()))
+
+
+@st.composite
+def topologies(draw, extreme):
+    """Sweep, fanout and hand-built trees."""
+    users_per_ru = draw(counts(1, 50, extreme))
+    kind = draw(st.sampled_from(("sweep", "fanout", "tree")))
+    if kind == "sweep":
+        return build_sweep_topology(draw(counts(1, 2000, extreme)), users_per_ru,
+                                    draw(st.integers(1, 16)))
+    if kind == "fanout":
+        case = draw(st.sampled_from(sorted(FANOUT_CASES.values(), key=lambda case: case.label)))
+        per_dc = case.du_fanout * case.cu_fanout * case.dc_fanout
+        return from_fanout_case(case, per_dc * draw(st.integers(1, 50)), users_per_ru)
+    n_dc = draw(st.integers(1, 3))
+    n_cu = n_dc * draw(st.integers(1, 3))
+    n_du = n_cu * draw(st.integers(1, 4))
+    n_ru = n_du * draw(st.integers(1, 4))
+    if extreme and draw(st.booleans()):
+        n_ru = draw(st.sampled_from(EXTREME_COUNTS))
+    return Topology(n_ru, n_du, n_cu, n_dc, users_per_ru,
+                    draw(st.one_of(st.none(), counts(1, 8, extreme))))
+
+
+def check_kernel_matches_reference(config, topology, placement):
+    plan = config._plan(placement)
+    args = kernel_args(config, topology)
+    expected = outcome(reference_kernel, plan, placement.depth, config, *args)
+    assert outcome(plan.kernel, *args) == expected
+    if isinstance(expected, tuple):  # the kernel raised, and evaluate raises the same
+        assert outcome(config.evaluate, topology, placement) == expected
+        return
+    built = outcome(lambda: PowerBreakdown(placement, *plan.kernel(*args), plan.ue_watts))
+    evaluated = outcome(config.evaluate, topology, placement)
+    if isinstance(built, tuple):  # rejected as overflowed
+        assert isinstance(evaluated, tuple) and evaluated[0] == PowerOverflowError.__name__
+    else:
+        assert evaluated == built
+
+
+class TestKernelMatchesTermRecords:
+    @given(config=configs(extreme=False), topology=topologies(extreme=False),
+           placement=st.sampled_from(NODE_ORDER))
+    @settings(max_examples=100, deadline=None)
+    def test_random_inputs(self, config, topology, placement):
+        check_kernel_matches_reference(config, topology, placement)
+
+    @given(config=configs(extreme=True), topology=topologies(extreme=True),
+           placement=st.sampled_from(NODE_ORDER))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_inputs(self, config, topology, placement):
+        check_kernel_matches_reference(config, topology, placement)
+
+
+def same_shape_configs():
+    """Two configs whose plans differ in every value but share every shape."""
+    base = ModelConfig.default()
+    catalog = base.catalog
+    other = replace(catalog, radio=replace(catalog.radio, rated_power_w=123.0),
+                    core_switch=replace(catalog.core_switch, capacity_gbps=777.0),
+                    dc_server=replace(catalog.dc_server, per_core_power_w=9.5))
+    params = {segment: replace(entry, sigma=entry.sigma + 0.25, alpha=entry.alpha * 1.5)
+              for segment, entry in base.params.items()}
+    traffic = TrafficModel(monthly_gb_per_user=37.0, ecpri_per_ru_gbps=9.0)
+    policy = ProvisioningPolicy(servers=ClassPolicy.quantize(unit_capacity_gbps=2.5,
+                                                             minimum_units=1))
+    return base, ModelConfig(other, params, traffic, policy)
+
+
+def breakdown_floats(breakdown):
+    return repr((breakdown.nodes, breakdown.segments, breakdown.ue_watts,
+                 breakdown.total_watts))
+
+
+class TestSharedFactories:
+    def test_same_shape_shares_code_but_not_constants(self):
+        rng = random.Random(7)
+        cells = [(build_sweep_topology(rng.randint(1, 300), rng.randint(1, 20),
+                                       rng.randint(1, 8)), rng.choice(NODE_ORDER))
+                 for _ in range(200)]
+        first, second = same_shape_configs()
+        alone = [[breakdown_floats(config.evaluate(*cell)) for cell in cells]
+                 for config in same_shape_configs()]
+        interleaved = [[], []]
+        for cell in cells:
+            for side, config in enumerate((first, second)):
+                interleaved[side].append(breakdown_floats(config.evaluate(*cell)))
+        assert interleaved == alone
+        assert alone[0] != alone[1]
+        for placement in NODE_ORDER:
+            kernels = [config._plans[placement].kernel for config in (first, second)]
+            assert kernels[0].__code__ is kernels[1].__code__
+            assert kernels[0].__code__.co_filename.startswith("<oranpower kernel")
+            # Every value of the config is bound in the closure, none in the code.
+            assert not [value for value in kernels[0].__code__.co_consts
+                        if isinstance(value, (int, float)) and not isinstance(value, bool)]
+        for config in (first, second):
+            for topology, placement in cells[:40]:
+                oracle = brute_force_oracle(topology, config.traffic, config.catalog,
+                                            config.params, placement, config.policy,
+                                            config.provision_to_cap)
+                total = config.evaluate(topology, placement).total_watts
+                assert abs(oracle / topology.n_users - total) <= 1e-9 * total
+
+    def test_copies_rebuild_their_kernels(self):
+        config = same_shape_configs()[1]
+        topology = build_sweep_topology(37, 6, 5)
+        expected = [breakdown_floats(config.evaluate(topology, node)) for node in NODE_ORDER]
+        for clone in (copy.copy(config), copy.deepcopy(config),
+                      pickle.loads(pickle.dumps(config))):
+            assert clone == config and clone._plans == {}
+            assert [breakdown_floats(clone.evaluate(topology, node))
+                    for node in NODE_ORDER] == expected
+            for node in NODE_ORDER:
+                assert clone._plans[node].kernel is not config._plans[node].kernel
+                assert clone._plans[node].kernel.__code__ is config._plans[node].kernel.__code__
