@@ -19,7 +19,6 @@ from .catalog import (
 )
 from .configfile import ConfigError, apply_entries, parse_config_text
 from .experiments import (
-    DEFAULT_DU_FANOUT_CAP,
     DEFAULT_FANOUT_N_RU,
     DEFAULT_USERS_PER_RU,
     fanout_study,
@@ -33,6 +32,7 @@ from .powermodel import (
     TrafficModel,
 )
 from .topology import (
+    DEFAULT_DU_FANOUT_CAP,
     LINK_ORDER,
     MAX_COUNT,
     NODE_ORDER,
@@ -64,13 +64,8 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    """Fixed 6-significant-digit rendering used for every power field."""
-    return format(value, ".6g")
-
-
-# One CSV data line: n_ru, the placement and the CSV_COLUMNS. "%.6g" renders a
-# float exactly as _fmt does.
+# One CSV data line: n_ru, the placement and the CSV_COLUMNS. Every power field,
+# here and in the eval table, is rendered with 6 significant digits.
 _ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS)) + "\n"
 
 
@@ -168,16 +163,16 @@ def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) ->
         "processing (W per user)",
     ]
     for node, watts in zip(NODE_ORDER, breakdown.nodes):
-        lines.append(f"  {node.value:<10} {breakdown.branch(node):<7} {_fmt(watts)}")
+        lines.append(f"  {node.value:<10} {breakdown.branch(node):<7} {watts:.6g}")
     lines.append("transmission (W per user)")
     for link, watts in zip(LINK_ORDER, breakdown.segments):
         traffic_kind = "ecpri" if breakdown.branch(link) == "before" else "baseband"
-        lines.append(f"  {link.value:<10} {traffic_kind:<8} {_fmt(watts)}")
-    lines.append(f"  {'ue':<10} {'':<8} {_fmt(breakdown.ue_watts)}")
+        lines.append(f"  {link.value:<10} {traffic_kind:<8} {watts:.6g}")
+    lines.append(f"  {'ue':<10} {'':<8} {breakdown.ue_watts:.6g}")
     lines.append("totals (W per user)")
-    lines.append(f"  processing   {_fmt(breakdown.processing_watts)}")
-    lines.append(f"  transmission {_fmt(breakdown.transmission_watts)}")
-    lines.append(f"  total        {_fmt(breakdown.total_watts)}")
+    lines.append(f"  processing   {breakdown.processing_watts:.6g}")
+    lines.append(f"  transmission {breakdown.transmission_watts:.6g}")
+    lines.append(f"  total        {breakdown.total_watts:.6g}")
     return "\n".join(lines) + "\n"
 
 

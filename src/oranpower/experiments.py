@@ -18,6 +18,7 @@ from .powermodel import (
     provision_units,
 )
 from .topology import (
+    DEFAULT_DU_FANOUT_CAP,
     LINK_ORDER,
     NODE_ORDER,
     FanoutCase,
@@ -34,7 +35,6 @@ from .topology import (
 # need 10, C-5 needs 8).
 DEFAULT_FANOUT_N_RU = 40
 DEFAULT_USERS_PER_RU = 10
-DEFAULT_DU_FANOUT_CAP = 4
 
 
 @dataclass(frozen=True, init=False)
@@ -111,17 +111,10 @@ def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,
     return records
 
 
-def reduction_ratio(a: PowerBreakdown, b: PowerBreakdown) -> float:
-    """Fractional total-power reduction of ``b`` relative to ``a``."""
-    if not a.total_watts > 0:
-        raise ValueError(f"baseline total must be > 0, got {a.total_watts}")
-    return 1.0 - b.total_watts / a.total_watts
-
-
 def _device_watts(load_gbps: float, rated_power_w: float, capacity_gbps: float,
                   policy: ClassPolicy) -> float:
-    # Deliberately re-derived here instead of calling powermodel.equipment_power,
-    # so the enumeration stays an independent check of the closed form.
+    # Deliberately re-derived here, not taken from powermodel's plan, so the
+    # enumeration stays an independent check of the closed form.
     if not policy.quantized:
         return load_gbps * rated_power_w / capacity_gbps
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else capacity_gbps

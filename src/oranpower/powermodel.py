@@ -41,14 +41,6 @@ class PowerOverflowError(ValueError):
     """Valid inputs whose per-user power is too large for a float."""
 
 
-def user_baseband_rate(monthly_gb: float) -> float:
-    """Mean user data rate in Gbps for a monthly consumption in decimal GB."""
-    if monthly_gb < 0:
-        raise ValueError(f"monthly consumption must be >= 0, got {monthly_gb}")
-    bits_per_second = monthly_gb * BITS_PER_GIGABYTE / SECONDS_PER_MONTH
-    return bits_per_second / GBPS_TO_BITS_PER_S
-
-
 @dataclass(frozen=True)
 class TrafficModel:
     """Per-user demand: mean monthly volume plus the provisioned eCPRI rate per O-RU."""
@@ -64,7 +56,8 @@ class TrafficModel:
 
     @property
     def user_rate_gbps(self) -> float:
-        return user_baseband_rate(self.monthly_gb_per_user)
+        """Mean user data rate in Gbps for the monthly volume in decimal GB."""
+        return self.monthly_gb_per_user * BITS_PER_GIGABYTE / SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S
 
 
 @dataclass(frozen=True)
@@ -135,16 +128,6 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
     return units if units > minimum_units else minimum_units
 
 
-def equipment_power(load_gbps: float, spec: EquipmentSpec | ServerSpec,
-                    policy: ClassPolicy) -> float:
-    """Watts one device class draws for a per-instance load, under the class policy.
-
-    Linear mode scales the device's W/Gbps ratio by the load; quantized mode
-    buys whole devices (or ``unit_capacity_gbps`` slices of one).
-    """
-    return _sized(load_gbps, *_sizing(spec, policy))
-
-
 def _sizing(spec: EquipmentSpec | ServerSpec,
             policy: ClassPolicy) -> tuple[float, float | None, int]:
     """A device class's W/Gbps ratio, unit capacity (``None`` when linear) and minimum units."""
@@ -155,38 +138,18 @@ def _sizing(spec: EquipmentSpec | ServerSpec,
     return ratio, unit, policy.minimum_units
 
 
-def _sized(load_gbps: float, ratio: float, unit: float | None, minimum_units: int) -> float:
-    """``equipment_power`` from a class's ``_sizing``; a kernel inlines the same expressions."""
-    if unit is None:
-        return ratio * load_gbps
-    return provision_units(load_gbps, unit, minimum_units) * ratio * unit
-
-
 class _Term(NamedTuple):
     """A node or segment at or before the BBP node, less its per-cell factors.
 
-    Its per-user watts are ``scale · ρ · (per_instance + Σ multiplier · sized(load))``
-    over ``devices``, where ρ is tier ``depth``'s instance count over the user
-    count and the load is that tier's per-instance eCPRI load.
+    Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
+    ``devices``, where ρ is tier ``depth``'s instance count over the user
+    count, the load is that tier's per-instance eCPRI load, and ``sized`` is
+    ``ratio · load`` when linear, else ``provision_units(load, unit, minimum) · ratio · unit``.
     """
 
     scale: float  # alpha * sigma
     depth: int
-    per_instance: float  # watts of the devices already priced
     devices: tuple[tuple[int, float, float | None, int], ...]  # (multiplier, *_sizing)
-
-
-def _term(scale: float, depth: int, devices: tuple, ecpri: float) -> _Term:
-    """A plan term; at depth 0, whose load is the constant ``ecpri``, its devices are priced now."""
-    if depth:
-        return _Term(scale, depth, 0.0, devices)
-    per_instance = 0.0
-    try:
-        for multiplier, *sizing in devices:
-            per_instance += multiplier * _sized(ecpri, *sizing)
-    except PowerOverflowError:  # left for the kernel, which raises it after earlier terms' errors
-        return _Term(scale, depth, 0.0, devices)
-    return _Term(scale, depth, per_instance, ())
 
 
 # Compiled kernel factories by plan shape, shared by every config in the process.
@@ -208,17 +171,17 @@ def _factory_source(shape: tuple[int, ...]) -> str:
     params, loads, terms = ["ecpri"], {}, []
     # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
     for i, depth in enumerate([*range(bbp + 1), *range(bbp)]):
-        params += f"s{i}", f"p{i}"
+        params.append(f"s{i}")
         load = f"load{depth}" if depth else "ecpri"
-        per_instance = [f"p{i}"]
+        devices = []
         for j in range(next(rest)):
             if depth:
                 loads[load] = f"        {load} = {_LOADS[depth]}\n"
             m, r, u, k = (f"{name}{i}_{j}" for name in "mruk")
             params += m, r, u, k
-            per_instance.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
-                                if next(rest) else f"{m} * ({r} * {load})")
-        terms.append(f"s{i} * ({_COUNTS[depth]} / n_users) * ({' + '.join(per_instance)})")
+            devices.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
+                           if next(rest) else f"{m} * ({r} * {load})")
+        terms.append(f"s{i} * ({_COUNTS[depth]} / n_users) * ({' + '.join(devices)})")
     nodes_after = [f"a{k}" for k in range(len(NODE_ORDER) - 1 - bbp)]
     segments_after = [f"b{k}" for k in range(len(LINK_ORDER) - bbp)]
     nodes = terms[:bbp + 1] + nodes_after
@@ -234,15 +197,14 @@ def _kernel(bbp: int, terms: tuple[_Term, ...], ecpri: float,
             nodes_after: tuple[float, ...], segments_after: tuple[float, ...]) -> Callable:
     """The function from a topology's counts to the ``(nodes, segments)`` watts of a plan.
 
-    It evaluates each term in order with the float operations of
-    ``scale * (count / n_users) * per_instance`` after adding every device's
-    ``multiplier * _sized(load, ...)`` to ``per_instance``. Its factory is
-    compiled once per shape; the plan's values are bound by calling it.
+    It evaluates each term in order as ``scale * (count / n_users) * (d1 + d2 + ...)``,
+    summing its devices' ``multiplier * sized(load)`` left to right. Its factory
+    is compiled once per shape; the plan's values are bound by calling it.
     """
     shape, values = [bbp], [ecpri]
     for term in terms:
         shape.append(len(term.devices))
-        values += term.scale, term.per_instance
+        values.append(term.scale)
         for device in term.devices:
             shape.append(device[2] is not None)
             values += device
@@ -396,7 +358,7 @@ class ModelConfig:
             if depth == bbp:
                 server = catalog.dc_server if node is Node.DC else catalog.edge_server
                 devices.append((1, *_sizing(server, policy.servers)))
-            terms.append(_term(scale, depth, tuple(devices), ecpri))
+            terms.append(_Term(scale, depth, tuple(devices)))
 
         segments_after = []
         wdm, router = catalog.wdm_link, catalog.router
@@ -413,7 +375,7 @@ class ModelConfig:
                                     multipliers, (switch, wdm, router),
                                     (policy.switches, policy.links, policy.routers))
                                 if multiplier)
-                terms.append(_term(scale, depth, devices, ecpri))
+                terms.append(_Term(scale, depth, devices))
             else:
                 bracket = (
                     multipliers[0] * energy_per_capacity(switch)

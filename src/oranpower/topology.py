@@ -161,18 +161,13 @@ _DEFAULT_SEGMENT_MAP = {entry.segment: entry for entry in (
 )}
 
 
-def default_segment_params() -> list[SegmentParams]:
-    """Default overhead and overprovisioning settings per segment.
+def segment_map() -> dict[Segment, SegmentParams]:
+    """The default overhead and overprovisioning settings, keyed by segment.
 
     Routers participate on the backhaul only (gamma = 1 there); hop counts
     default to zero, i.e. one device of each class per segment.
     """
-    return list(_DEFAULT_SEGMENT_MAP.values())
-
-
-def segment_map(params: list[SegmentParams] | None = None) -> dict[Segment, SegmentParams]:
-    """Key segment parameters by segment; defaults when ``params`` is omitted."""
-    return dict(_DEFAULT_SEGMENT_MAP) if params is None else {entry.segment: entry for entry in params}
+    return dict(_DEFAULT_SEGMENT_MAP)
 
 
 @dataclass(frozen=True)
@@ -190,6 +185,9 @@ class FanoutCase:
         if errors:
             raise TopologyError(f"{self.label}: " + "; ".join(errors.values()))
 
+
+# O-RUs per O-DU in the sweep topology unless a caller sets the cap.
+DEFAULT_DU_FANOUT_CAP = 4
 
 FANOUT_CASES: dict[str, FanoutCase] = {
     case.label: case
@@ -212,7 +210,8 @@ def fanout_case(label: str) -> FanoutCase:
         ) from None
 
 
-def build_sweep_topology(n_ru: int, users_per_ru: int, du_fanout_cap: int = 4) -> Topology:
+def build_sweep_topology(n_ru: int, users_per_ru: int,
+                         du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP) -> Topology:
     """Topology for the O-RU count sweep: one O-DU per ``du_fanout_cap`` O-RUs.
 
     Another O-DU is added whenever the O-RU count crosses a multiple of the

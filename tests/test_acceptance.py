@@ -11,14 +11,11 @@ import pytest
 
 from oranpower.catalog import default_catalog
 from oranpower.cli import main as cli_main
-from oranpower.experiments import brute_force_oracle, fanout_study, reduction_ratio
-from oranpower.powermodel import (
-    ClassPolicy,
-    ModelConfig,
-    ProvisioningPolicy,
-    equipment_power,
-)
+from oranpower.experiments import brute_force_oracle, fanout_study
+from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy
 from oranpower.topology import FANOUT_CASES, Node, build_sweep_topology
+
+from model_helpers import equipment_power, total_reduction
 
 import io
 
@@ -71,7 +68,7 @@ def test_criterion_1_oracle_equivalence(grid):
 def test_criterion_2_dc_vs_oru_reduction():
     config = ModelConfig.default()
     topology = build_sweep_topology(100, USERS_PER_RU, 4)
-    reduction = reduction_ratio(config.evaluate(topology, Node.ORU),
+    reduction = total_reduction(config.evaluate(topology, Node.ORU),
                                 config.evaluate(topology, Node.DC))
     in_band = 0.30 <= reduction <= 0.90
     frozen = abs(reduction - FROZEN_REDUCTION) <= REL_TOL * FROZEN_REDUCTION

@@ -6,12 +6,7 @@ from itertools import islice
 
 import pytest
 
-from oranpower.experiments import (
-    brute_force_oracle,
-    fanout_study,
-    reduction_ratio,
-    sweep_orus,
-)
+from oranpower.experiments import brute_force_oracle, fanout_study, sweep_orus
 from oranpower.powermodel import ClassPolicy, ModelConfig, PowerOverflowError, ProvisioningPolicy
 from oranpower.topology import (
     FANOUT_CASES,
@@ -20,6 +15,8 @@ from oranpower.topology import (
     build_sweep_topology,
     from_fanout_case,
 )
+
+from model_helpers import total_reduction
 
 ALL_PLACEMENTS = list(Node)
 
@@ -134,12 +131,12 @@ class TestReductionRatio:
         topo = build_sweep_topology(100, 10, 4)
         oru = linear_config.evaluate(topo, Node.ORU)
         dc = linear_config.evaluate(topo, Node.DC)
-        assert reduction_ratio(oru, dc) == pytest.approx(0.41506330473679254, rel=1e-9)
+        assert total_reduction(oru, dc) == pytest.approx(0.41506330473679254, rel=1e-9)
 
     def test_identical_breakdowns(self, linear_config):
         topo = build_sweep_topology(10, 10, 4)
         breakdown = linear_config.evaluate(topo, Node.ORU)
-        assert reduction_ratio(breakdown, breakdown) == 0.0
+        assert total_reduction(breakdown, breakdown) == 0.0
 
     def test_zero_target(self, linear_config):
         topo = build_sweep_topology(10, 10, 4)
@@ -151,19 +148,7 @@ class TestReductionRatio:
         silent = ModelConfig(silent_catalog, zero.params,
                              TrafficModel(monthly_gb_per_user=0, ecpri_per_ru_gbps=0),
                              zero.policy)
-        assert reduction_ratio(breakdown, silent.evaluate(topo, Node.ORU)) == 1.0
-
-    def test_zero_baseline_rejected(self, linear_config):
-        topo = build_sweep_topology(10, 10, 4)
-        breakdown = linear_config.evaluate(topo, Node.ORU)
-        from oranpower.powermodel import TrafficModel
-        from dataclasses import replace
-        silent_catalog = replace(linear_config.catalog, ue_energy_j_per_bit=0.0)
-        silent = ModelConfig(silent_catalog, linear_config.params,
-                             TrafficModel(monthly_gb_per_user=0, ecpri_per_ru_gbps=0),
-                             linear_config.policy)
-        with pytest.raises(ValueError):
-            reduction_ratio(silent.evaluate(topo, Node.ORU), breakdown)
+        assert total_reduction(breakdown, silent.evaluate(topo, Node.ORU)) == 1.0
 
 
 class TestBruteForceOracle:

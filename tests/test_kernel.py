@@ -9,8 +9,10 @@ zero counts, and every error must match in type and message.
 import copy
 import pickle
 import random
+import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from oranpower.powermodel import (
 from oranpower.topology import (
     FANOUT_CASES,
     NODE_ORDER,
+    Node,
     SegmentParams,
     Topology,
     TopologyError,
@@ -46,8 +49,8 @@ def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_
     ecpri = config.traffic.ecpri_per_ru_gbps
     loads = (ecpri, ru_per_du * ecpri, n_ru / n_cu * ecpri, n_ru / n_dc * ecpri)
     watts = []
-    for scale, depth, per_instance, devices in plan.terms:
-        load = loads[depth]
+    for scale, depth, devices in plan.terms:
+        load, per_instance = loads[depth], 0.0
         for multiplier, ratio, unit, minimum_units in devices:
             if unit is None:
                 sized = ratio * load
@@ -189,6 +192,17 @@ class TestKernelMatchesTermRecords:
     @settings(max_examples=100, deadline=None)
     def test_extreme_inputs(self, config, topology, placement):
         check_kernel_matches_reference(config, topology, placement)
+
+
+class TestOverflowOrder:
+    def test_first_term_in_order_raises(self):
+        # The O-DU servers' 44 Gbps and the fronthaul links' 11 Gbps both need more units
+        # than a float holds; the O-DU tier precedes the fronthaul in term order.
+        policy = ProvisioningPolicy(servers=ClassPolicy.quantize(1e-307),
+                                    links=ClassPolicy.quantize(1e-308))
+        message = "44.0 Gbps of load in units of 1e-307 Gbps needs more units than a float holds"
+        with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
+            ModelConfig.default(policy).evaluate(build_sweep_topology(8, 10), Node.ODU)
 
 
 def same_shape_configs():

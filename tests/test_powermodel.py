@@ -24,9 +24,7 @@ from oranpower.powermodel import (
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
-    equipment_power,
     provision_units,
-    user_baseband_rate,
 )
 from oranpower.topology import (
     FANOUT_CASES,
@@ -40,6 +38,8 @@ from oranpower.topology import (
     from_fanout_case,
     segment_map,
 )
+
+from model_helpers import equipment_power
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
 USER_RATE_10GB = 3.08641975308642e-05
@@ -86,19 +86,23 @@ def bbp_load(topology, node, provision_to_cap=True):
     return watts / (seg.alpha * seg.sigma * (count / topology.n_users) * per_gbps)
 
 
+def user_rate(monthly_gb):
+    return TrafficModel(monthly_gb_per_user=monthly_gb).user_rate_gbps
+
+
 class TestUserBasebandRate:
     def test_ten_gb_per_month(self):
-        assert rel_close(user_baseband_rate(10), USER_RATE_10GB)
+        assert rel_close(user_rate(10), USER_RATE_10GB)
 
     def test_zero(self):
-        assert user_baseband_rate(0) == 0.0
+        assert user_rate(0) == 0.0
 
     def test_linear_scaling(self):
-        assert rel_close(user_baseband_rate(1), USER_RATE_10GB / 10)
+        assert rel_close(user_rate(1), USER_RATE_10GB / 10)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            user_baseband_rate(-1)
+        with pytest.raises(ValueError, match="monthly_gb_per_user"):
+            user_rate(-1)
 
 
 class TestNodeEcpriLoad:

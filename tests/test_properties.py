@@ -14,7 +14,6 @@ from oranpower.powermodel import (
     PowerBreakdown,
     ProvisioningPolicy,
     TrafficModel,
-    equipment_power,
 )
 from oranpower.topology import (
     LINK_ORDER,
@@ -26,6 +25,8 @@ from oranpower.topology import (
     check_counts,
     segment_map,
 )
+
+from model_helpers import equipment_power
 
 PLACEMENTS = list(Node)
 

@@ -19,7 +19,6 @@ from oranpower.topology import (
     Topology,
     TopologyError,
     build_sweep_topology,
-    default_segment_params,
     fanout_case,
     from_fanout_case,
     segment_map,
@@ -28,7 +27,7 @@ from oranpower.topology import (
 
 class TestDefaultSegmentParams:
     def test_seven_entries(self):
-        assert len(default_segment_params()) == 7
+        assert len(segment_map()) == 7
 
     def test_table_values(self):
         params = segment_map()
@@ -55,7 +54,7 @@ class TestDefaultSegmentParams:
             assert rel_close(link_coverage_factor(topology, link), counts[link.depth] / 120)
 
     def test_default_hops_are_zero(self):
-        for entry in default_segment_params():
+        for entry in segment_map().values():
             assert (entry.hops_switch, entry.hops_wdm, entry.hops_router) == (0, 0, 0)
 
     def test_each_call_returns_a_new_container(self):
@@ -63,9 +62,6 @@ class TestDefaultSegmentParams:
         params[Node.ORU] = SegmentParams(Node.ORU, sigma=3.0, alpha=3.0)
         del params[Link.BACKHAUL]
         assert segment_map()[Node.ORU].sigma == 1.0 and Link.BACKHAUL in segment_map()
-        entries = default_segment_params()
-        entries.clear()
-        assert len(default_segment_params()) == 7
 
 
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
