@@ -7,8 +7,9 @@ import functools
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Mapping, Sequence, TextIO
+from itertools import chain, compress
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .catalog import (
     CatalogError,
@@ -21,6 +22,7 @@ from .configfile import ConfigError, apply_entries, parse_config_text
 from .experiments import (
     DEFAULT_FANOUT_N_RU,
     DEFAULT_USERS_PER_RU,
+    SweepRecord,
     fanout_study,
     sweep_orus,
 )
@@ -64,18 +66,36 @@ CSV_COLUMNS = (
 )
 
 
-# One CSV data line: n_ru, the placement and the CSV_COLUMNS. Every power field,
-# here and in the eval table, is rendered with 6 significant digits.
-_ROW_FORMAT = ",".join(["%s", "%s"] + ["%.6g"] * len(CSV_COLUMNS)) + "\n"
+def _csv_rows(records: Iterable[SweepRecord]) -> Iterator[str]:
+    """CSV data lines: n_ru, the placement and the CSV_COLUMNS, powers to 6 significant digits.
+
+    Each placement's lines come from a template of its first record that renders once each
+    column that cannot change with n_ru. In a sweep ``users_per_ru``, the eCPRI rate and the
+    plan are fixed and ``n_users == n_ru * users_per_ru``, so at BBP depth d only tiers 1..d,
+    links 1..d-1 and their totals vary: at depth 0, n_ru / n_users is 1 / users_per_ru rounded.
+    """
+    templates = {}
+    for record in records:
+        breakdown = record.breakdown
+        render = templates.get(breakdown.placement) or templates.setdefault(
+            breakdown.placement, _row_template(breakdown))
+        yield render(record.n_ru, breakdown)
 
 
-def _csv_row(n_ru: int, breakdown: PowerBreakdown) -> str:
-    """One CSV data line of a breakdown; its nodes and segments are in column order."""
-    return _ROW_FORMAT % (
-        n_ru, _PLACEMENT_NAMES[breakdown.placement],
-        breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
-        *breakdown.nodes, *breakdown.segments, breakdown.ue_watts,
-    )
+def _row_template(first: PowerBreakdown) -> Callable[[int, PowerBreakdown], str]:
+    depth = first.placement.depth
+    varies = (depth >= 1, depth >= 2, depth >= 1, False, depth >= 1, depth >= 2, depth >= 3,
+              False, depth >= 2, depth >= 3, False)
+    values = (first.processing_watts, first.transmission_watts, first.total_watts,
+              *first.nodes, *first.segments, first.ue_watts)
+    template = ",".join(["%s", _PLACEMENT_NAMES[first.placement]] + [
+        "%.6g" if vary else "%.6g" % value for vary, value in zip(varies, values)]) + "\n"
+    if not depth:
+        return lambda n_ru, breakdown: template % n_ru
+    totals = attrgetter(*compress(("processing_watts", "transmission_watts", "total_watts"),
+                                  varies))
+    return lambda n_ru, breakdown: template % (
+        n_ru, *totals(breakdown), *breakdown.nodes[1:depth + 1], *breakdown.segments[1:depth])
 
 
 @dataclass
@@ -189,8 +209,8 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        row = _csv_row(n_ru, breakdown)
-        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
+        rows = _csv_rows([SweepRecord(n_ru, breakdown)])
+        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows)
     _emit(lines, args.output, stdout)
     return EXIT_OK
 
@@ -216,8 +236,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    rows = (_csv_row(record.n_ru, record.breakdown) for record in records)
-    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows),
+    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), _csv_rows(records)),
           args.output, stdout)
     return EXIT_OK
 

@@ -9,7 +9,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import EquipmentCatalog, ServerSpec
 from .powermodel import (
-    GBPS_TO_BITS_PER_S,
     ClassPolicy,
     ModelConfig,
     PowerBreakdown,
@@ -137,13 +136,15 @@ def brute_force_oracle(topology: Topology, traffic: TrafficModel,
     Walks each physical node instance, each transport device on each link
     instance (including every extra hop device), each user's share of the
     multiplexed downstream equipment, and each UE, without using the
-    closed-form per-user expressions. Loads, instance counts, equipment and
-    the side of the BBP node are derived here, not taken from ``powermodel``.
+    closed-form per-user expressions. Loads, instance counts, the user rate,
+    equipment and the side of the BBP node are derived here, not taken from ``powermodel``.
     Dividing the result by the user count must reproduce
     ``ModelConfig.evaluate(...).total_watts``.
     """
     n_users = topology.n_users
-    user_rate = traffic.user_rate_gbps
+    # Derived here, not read from TrafficModel: decimal gigabytes over a 30-day month.
+    user_bits_per_s = traffic.monthly_gb_per_user * 8e9 / (30 * 24 * 3600)
+    user_rate = user_bits_per_s / 1e9
     ecpri = traffic.ecpri_per_ru_gbps
     instances = {Node.ORU: topology.n_ru, Node.ODU: topology.n_du,
                  Node.OCU: topology.n_cu, Node.DC: topology.n_dc}
@@ -210,7 +211,7 @@ def brute_force_oracle(topology: Topology, traffic: TrafficModel,
                     for _ in range(seg.hops_router + 1):
                         total += scale * user_rate * router.rated_power_w / router.capacity_gbps
 
-    ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
+    ue_watts = user_bits_per_s * catalog.ue_energy_j_per_bit
     for _ in range(n_users):
         total += ue_watts
     return total

@@ -2,11 +2,19 @@
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oranpower import cli
 from oranpower.cli import build_parser, main
-from oranpower.powermodel import ModelConfig
+from oranpower.experiments import sweep_orus
+from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
+from oranpower.topology import NODE_ORDER, build_sweep_topology
+
+from test_kernel import catalogs, params
 
 
 def run_cli(*argv):
@@ -106,6 +114,52 @@ class TestSweep:
         first = run_cli("sweep", "--max-ru", "30")
         second = run_cli("sweep", "--max-ru", "30")
         assert first == second
+
+
+def reference_row(n_ru, breakdown):
+    """A CSV data line with every one of its 11 power fields formatted on its own."""
+    fields = (breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts,
+              *breakdown.nodes, *breakdown.segments, breakdown.ue_watts)
+    return ",".join([str(n_ru), breakdown.placement.value] + ["%.6g" % x for x in fields])
+
+
+class TestRowTemplates:
+    """Sweep rows render only the columns that vary with n_ru; all must still be right.
+
+    A model change that makes a column the row templates hold constant depend on
+    n_ru fails here.
+    """
+
+    @given(catalog=catalogs(False), segments=params(False),
+           policy=st.sampled_from(["linear", "quantized"]), attached=st.booleans(),
+           users_per_ru=st.integers(1, 64), cap=st.integers(1, 16), max_ru=st.integers(1, 60),
+           placements=st.lists(st.sampled_from(NODE_ORDER), min_size=1, unique=True),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_per_field_rendering(self, catalog, segments, policy, attached,
+                                            users_per_ru, cap, max_ru, placements, data):
+        config = ModelConfig(catalog, segments, TrafficModel(),
+                             ProvisioningPolicy.all_linear() if policy == "linear"
+                             else ProvisioningPolicy.default(), provision_to_cap=not attached)
+        flags = ["--users-per-ru", str(users_per_ru), "--policy", policy]
+        flags += ["--attached-load"] if attached else []
+        # Drawn in-process, as no config key sets a link's gamma (routers on it).
+        run = cli.RunConfig(catalog=catalog, params=segments, du_fanout_cap=cap)
+        n_ru = data.draw(st.integers(1, max_ru), label="n_ru")
+        bbp = data.draw(st.sampled_from(placements), label="bbp")
+        with mock.patch.object(cli, "load_run_config", return_value=run):
+            sweep = run_cli("sweep", "--max-ru", str(max_ru), *flags,
+                            "--placements", ",".join(node.value for node in placements))
+            one = run_cli("eval", "--n-ru", str(n_ru), "--bbp", bbp.value, "--format", "csv",
+                          *flags)
+        records = sweep_orus(range(1, max_ru + 1), users_per_ru, placements, config,
+                             du_fanout_cap=cap)
+        assert sweep[0] == 0 and sweep[2] == ""
+        assert data_lines(sweep[1])[1:] == [reference_row(record.n_ru, record.breakdown)
+                                            for record in records]
+        breakdown = config.evaluate(build_sweep_topology(n_ru, users_per_ru, cap), bbp)
+        assert one[0] == 0 and one[2] == ""
+        assert data_lines(one[1])[1:] == [reference_row(n_ru, breakdown)]
 
 
 class TestFanout:

@@ -7,7 +7,13 @@ from itertools import islice
 import pytest
 
 from oranpower.experiments import brute_force_oracle, fanout_study, sweep_orus
-from oranpower.powermodel import ClassPolicy, ModelConfig, PowerOverflowError, ProvisioningPolicy
+from oranpower.powermodel import (
+    ClassPolicy,
+    ModelConfig,
+    PowerOverflowError,
+    ProvisioningPolicy,
+    TrafficModel,
+)
 from oranpower.topology import (
     FANOUT_CASES,
     Node,
@@ -174,6 +180,19 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(topo, default_config.traffic, default_config.catalog,
                                     default_config.params, placement, default_config.policy)
         closed = default_config.evaluate(topo, placement).total_watts
+        assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("placement", ALL_PLACEMENTS)
+    def test_user_rate_terms_alone(self, placement, linear_config):
+        # With no eCPRI every watt is priced at the user rate, so a fault of one part in
+        # 10**6 in the closed form's user rate shows here; the oracle derives the rate itself.
+        config = replace(linear_config, traffic=TrafficModel(monthly_gb_per_user=37.0,
+                                                             ecpri_per_ru_gbps=0.0))
+        topo = build_sweep_topology(6, 7, 4)
+        oracle = brute_force_oracle(topo, config.traffic, config.catalog, config.params,
+                                    placement, config.policy)
+        closed = config.evaluate(topo, placement).total_watts
+        assert closed > 0
         assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
 
     def test_quantized_transport_equivalence(self):

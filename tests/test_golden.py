@@ -38,6 +38,13 @@ RUNS = {
     "sweep-quantized": (["sweep", "--max-ru", "500"], CONFIG_TEXT),
     "sweep-linear": (["sweep", "--max-ru", "500", "--policy", "linear"], CONFIG_TEXT),
     "sweep-quantized-attached": (["sweep", "--max-ru", "500", "--attached-load"], CONFIG_TEXT),
+    # Row templates: a placement subset given out of order with one user per O-RU,
+    # a single O-RU count, and the O-DU alone with partial O-DUs.
+    "sweep-subset-rho1": (["sweep", "--max-ru", "37", "--placements", "dc,oru",
+                           "--users-per-ru", "1"], CONFIG_TEXT),
+    "sweep-one-count": (["sweep", "--max-ru", "1"], None),
+    "sweep-odu-linear-attached": (["sweep", "--max-ru", "200", "--placements", "odu",
+                                   "--policy", "linear", "--attached-load"], None),
     "fanout": (["fanout"], None),
     "fanout-linear-config": (["fanout", "--policy", "linear"], FANOUT_CONFIG_TEXT),
     "fanout-attached-config": (["fanout", "--attached-load"], FANOUT_CONFIG_TEXT),
@@ -53,6 +60,9 @@ DIGESTS = {
     "sweep-quantized": "57d39d700cc2d507a7f72468115f3d49f37b8d2d1203e2777e2c71d07fd0cd3f",
     "sweep-linear": "52deceb29cb31d34b22873ffd1f1861dee745dc31ce3f601275127259a5004e5",
     "sweep-quantized-attached": "5bfeb88f17bde4b5e5f2f470c6f076105dc2d0139882162824e88a192216261c",
+    "sweep-subset-rho1": "7d2206851a78cce02cfa1fee60d5d2ac3c0994422eec43e9532e9fd7984e43b8",
+    "sweep-one-count": "3cc349bdc3ae7838a6f5ed5f34a081e6a60249950785bce1d152adaeda8b463c",
+    "sweep-odu-linear-attached": "c2fecfa8d3e15d54699f64e9ec64b466673c9044cb31e75e3c70f47e97fee6f2",
     "fanout": "40805b59f2e207a9c49bc25d34da3f8de5c8922423b96986c2410891d161faf6",
     "fanout-linear-config": "8dfaebdbd34894ad171734dcc7e22bb74b283fcf2c09c4ff3f83bac6108b8876",
     "fanout-attached-config": "5ac5b30422261c64e50f71fffb8f686a59e94d8f15d766f794a60abd088c4ae9",
