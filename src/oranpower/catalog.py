@@ -1,4 +1,4 @@
-"""Equipment and server specifications: rated powers, capacities, defaults, config I/O.
+"""Equipment and server specifications: rated powers, capacities and the built-in defaults.
 
 All capacities are stored in Gbps and all powers in watts. Data volumes use
 decimal units (1 GB = 8e9 bits), matching the Gbps convention of the
@@ -10,9 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .configfile import CONFIG_KEYS, NJ_PER_J, SPEC_SECTIONS, apply_entries, parse_config_text
 from .topology import MAX_COUNT
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
@@ -117,6 +115,8 @@ class EquipmentCatalog:
             raise CatalogError(
                 f"ue_energy_j_per_bit must be a finite number >= 0, got {self.ue_energy_j_per_bit}"
             )
+        # abs() of a value >= 0 changes only -0.0, stored as 0.0 so no watts print as -0.
+        object.__setattr__(self, "ue_energy_j_per_bit", abs(self.ue_energy_j_per_bit))
 
 
 @functools.cache
@@ -140,34 +140,3 @@ def default_catalog() -> EquipmentCatalog:
         ue_energy_j_per_bit=25e-9,
     )
 
-
-def catalog_sections(catalog: EquipmentCatalog) -> dict[str, object]:
-    """The catalog's config sections: each spec by name, and ``ue`` for the catalog itself."""
-    return {"ue": catalog, **{name: getattr(catalog, name) for name in SPEC_SECTIONS}}
-
-
-def catalog_from_sections(sections: Mapping[str, object]) -> EquipmentCatalog:
-    """Reassemble sections laid out as by ``catalog_sections``: the ``ue`` catalog with each spec."""
-    return EquipmentCatalog(**{name: sections[name] for name in SPEC_SECTIONS},
-                            ue_energy_j_per_bit=sections["ue"].ue_energy_j_per_bit)
-
-
-def load_catalog(config_text: str) -> EquipmentCatalog:
-    """Parse catalog config text and return the defaults with overrides applied.
-
-    Every key present overrides the matching default; unknown keys and
-    non-numeric values are rejected, and the resulting catalog is re-validated.
-    """
-    entries = parse_config_text(config_text)
-    return catalog_from_sections(apply_entries(entries, catalog_sections(default_catalog())))
-
-
-def dump_catalog(catalog: EquipmentCatalog) -> str:
-    """Serialize a catalog to config text that ``load_catalog`` accepts."""
-    sections = catalog_sections(catalog)
-    lines = []
-    for key, (section, field, _) in CONFIG_KEYS.items():
-        if section in sections:
-            value = getattr(sections[section], field)
-            lines.append(f"{key} = {value * NJ_PER_J if section == 'ue' else value!r}")
-    return "\n".join(lines) + "\n"

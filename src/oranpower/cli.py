@@ -6,19 +6,12 @@ import argparse
 import functools
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass, replace
 from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .catalog import (
-    CatalogError,
-    EquipmentCatalog,
-    catalog_from_sections,
-    catalog_sections,
-    default_catalog,
-)
-from .configfile import ConfigError, apply_entries, parse_config_text
+from .catalog import CatalogError, default_catalog
+from .configfile import ConfigError, TopologyCounts, load_config
 from .experiments import (
     DEFAULT_FANOUT_N_RU,
     DEFAULT_USERS_PER_RU,
@@ -39,8 +32,6 @@ from .topology import (
     MAX_COUNT,
     NODE_ORDER,
     Node,
-    Segment,
-    SegmentParams,
     TopologyError,
     build_sweep_topology,
     fanout_case,
@@ -98,41 +89,18 @@ def _row_template(first: PowerBreakdown) -> Callable[[int, PowerBreakdown], str]
         n_ru, *totals(breakdown), *breakdown.nodes[1:depth + 1], *breakdown.segments[1:depth])
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration for one invocation; ``topology.*`` keys set its counts."""
-
-    catalog: EquipmentCatalog
-    params: Mapping[Segment, SegmentParams]
-    n_ru: int | None = None
-    users_per_ru: int | None = None
-    du_fanout_cap: int | None = None
-
-
-def load_run_config(config_path: str | None) -> RunConfig:
-    """Read the optional config file and apply its catalog, segment and topology keys."""
-    run = RunConfig(catalog=default_catalog(), params=segment_map())
-    if config_path is None:
-        return run
+def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
+    """The ``ModelConfig`` the flags ask for, with ``--config`` applied, and its topology counts."""
+    config = ModelConfig(default_catalog(), segment_map(), _TRAFFIC, _POLICIES[args.policy],
+                         provision_to_cap=not args.attached_load)
+    if args.config is None:
+        return config, TopologyCounts()
     try:
-        with open(config_path, encoding="utf-8") as handle:
+        with open(args.config, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{config_path}: not UTF-8 text ({exc})") from None
-    sections = apply_entries(parse_config_text(text),
-                             {**catalog_sections(run.catalog), **run.params, "topology": run})
-    return replace(sections["topology"], catalog=catalog_from_sections(sections),
-                   params={segment: sections[segment] for segment in run.params})
-
-
-def _model_config(run: RunConfig, policy_name: str, provision_to_cap: bool = True) -> ModelConfig:
-    return ModelConfig(
-        catalog=run.catalog,
-        params=run.params,
-        traffic=_TRAFFIC,
-        policy=_POLICIES[policy_name],
-        provision_to_cap=provision_to_cap,
-    )
+        raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
+    return load_config(text, config)
 
 
 def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[Node]:
@@ -155,10 +123,10 @@ def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> None:
             handle.writelines(lines)
 
 
-def _topology_value(args, run: RunConfig, name: str, default: int | None,
+def _topology_value(args, counts: TopologyCounts, name: str, default: int | None,
                     parser: argparse.ArgumentParser) -> int:
     """The ``--name`` flag, else the config's ``topology.name``, else ``default``."""
-    for value in (getattr(args, name, None), getattr(run, name), default):
+    for value in (getattr(args, name, None), getattr(counts, name), default):
         if value is not None:
             return value
     flag = "--" + name.replace("_", "-")
@@ -197,11 +165,10 @@ def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) ->
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
-    run = load_run_config(args.config)
-    n_ru = _topology_value(args, run, "n_ru", None, parser)
-    users_per_ru = _topology_value(args, run, "users_per_ru", None, parser)
-    du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
-    config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
+    config, counts = load_run_config(args)
+    n_ru = _topology_value(args, counts, "n_ru", None, parser)
+    users_per_ru = _topology_value(args, counts, "users_per_ru", None, parser)
+    du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
     breakdown = config.evaluate(topology, Node(args.bbp))
     if args.format == "table":
@@ -218,13 +185,12 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
 def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     if not 1 <= args.max_ru <= MAX_COUNT:
         parser.error(f"--max-ru must be >= 1 and <= 2**53, got {args.max_ru}")
-    run = load_run_config(args.config)
-    if run.n_ru is not None:
+    config, counts = load_run_config(args)
+    if counts.n_ru is not None:
         raise ConfigError("topology.n_ru does not apply to sweep, which takes n_ru from 1 "
                           "to --max-ru")
-    config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
-    users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
-    du_fanout_cap = _topology_value(args, run, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
+    users_per_ru = _topology_value(args, counts, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
+    du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     placements = _parse_placements(args.placements, parser)
     records = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
                          du_fanout_cap=du_fanout_cap)
@@ -242,13 +208,12 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
 
 
 def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
-    run = load_run_config(args.config)
-    if run.du_fanout_cap is not None:
+    config, counts = load_run_config(args)
+    if counts.du_fanout_cap is not None:
         raise ConfigError("topology.du_fanout_cap does not apply to fanout, where each case "
                           "sets its own O-DU fanout")
-    config = _model_config(run, args.policy, provision_to_cap=not args.attached_load)
-    users_per_ru = _topology_value(args, run, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
-    n_ru = _topology_value(args, run, "n_ru", DEFAULT_FANOUT_N_RU, parser)
+    users_per_ru = _topology_value(args, counts, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
+    n_ru = _topology_value(args, counts, "n_ru", DEFAULT_FANOUT_N_RU, parser)
     cases = [fanout_case(label.strip()) for label in args.cases.split(",")]
     placements = _parse_placements(args.placements, parser)
     records = fanout_study(cases, n_ru, users_per_ru, placements, config)

@@ -1,10 +1,11 @@
-"""Flat ``section.key = value`` config files: the parser and the one table of accepted keys."""
+"""Flat ``section.key = value`` config files: the parser, the table of keys and ``load_config``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
+from .powermodel import ModelConfig
 from .topology import LINK_ORDER, MAX_COUNT, NODE_ORDER
 
 
@@ -72,17 +73,14 @@ def _count(text: str) -> int:
     return count
 
 
-# ue.energy_nj_per_bit is written in nJ per bit and stored in J per bit.
-NJ_PER_J = 1e9
-
-
 def _nanojoules(text: str) -> float:
+    """``ue.energy_nj_per_bit`` is written in nJ per bit and stored in J per bit."""
     return _float(text) * 1e-9
 
 
 _EQUIPMENT = ("router", "core_switch", "access_switch", "wdm_link", "radio")
 _SERVERS = ("edge_server", "dc_server")
-SPEC_SECTIONS = _EQUIPMENT + _SERVERS
+_SPECS = _EQUIPMENT + _SERVERS
 
 # Every accepted key: (section, dataclass field, reader). Sections are the
 # seven catalog specs, ``ue`` (the catalog's own field), the seven segments
@@ -139,3 +137,26 @@ def apply_entries(entries: Mapping[str, ConfigEntry], sections: Mapping[Any, Any
         except ValueError as exc:  # the section's own error type, such as CatalogError
             raise type(exc)(f"{_where(section_entries)}: {exc}") from None
     return applied
+
+
+@dataclass(frozen=True)
+class TopologyCounts:
+    """A config file's ``topology.*`` counts, ``None`` where it sets none."""
+
+    n_ru: int | None = None
+    users_per_ru: int | None = None
+    du_fanout_cap: int | None = None
+
+
+def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
+    """Apply config text to ``config``'s catalog and segments, and read its ``topology.*`` counts.
+
+    Every entry goes through ``apply_entries``, so each error names its key and line.
+    ``config`` is unchanged; the counts, which no ``ModelConfig`` holds, come beside the new one.
+    """
+    sections = apply_entries(parse_config_text(text), {
+        "ue": config.catalog, **{name: getattr(config.catalog, name) for name in _SPECS},
+        **config.params, "topology": TopologyCounts()})
+    catalog = replace(sections["ue"], **{name: sections[name] for name in _SPECS})
+    params = {segment: sections[segment] for segment in config.params}
+    return replace(config, catalog=catalog, params=params), sections["topology"]

@@ -53,6 +53,7 @@ class TrafficModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+            object.__setattr__(self, name, abs(value))  # -0.0 as 0.0, so no watts print as -0
 
     @property
     def user_rate_gbps(self) -> float:

@@ -1,4 +1,6 @@
-"""Catalog defaults, spec invariants, and config round-trips."""
+"""Catalog defaults, spec invariants, and catalog keys applied by ``load_config``."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -7,16 +9,20 @@ from oranpower.catalog import (
     EquipmentSpec,
     ServerSpec,
     default_catalog,
-    dump_catalog,
     energy_per_capacity,
-    load_catalog,
 )
-from oranpower.cli import load_run_config
-from oranpower.configfile import ConfigError
+from oranpower.cli import build_parser, load_run_config
+from oranpower.configfile import ConfigError, TopologyCounts, load_config
+from oranpower.powermodel import ModelConfig
 
 
 def rel_equal(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+
+
+def load_catalog(text):
+    """The catalog of the default config with ``text`` applied to it."""
+    return load_config(text, ModelConfig.default())[0].catalog
 
 
 class TestDefaults:
@@ -47,12 +53,14 @@ class TestDefaults:
         assert default_catalog() is default_catalog()
 
     def test_overrides_leave_the_default_unchanged(self, tmp_path):
-        before = dump_catalog(default_catalog())
-        assert load_catalog("radio.power_w = 99\nue.energy_nj_per_bit = 7\n").radio.rated_power_w == 99
-        config = tmp_path / "override.cfg"
-        config.write_text("dc_server.cores = 40\ndc_server.server_capacity_gbps = 10\n")
-        assert load_run_config(str(config)).catalog.dc_server.cores == 40
-        assert dump_catalog(default_catalog()) == before
+        before, config = replace(default_catalog()), ModelConfig.default()
+        loaded, _ = load_config("radio.power_w = 99\nue.energy_nj_per_bit = 7\n", config)
+        assert loaded.catalog.radio.rated_power_w == 99
+        path = tmp_path / "override.cfg"
+        path.write_text("dc_server.cores = 40\ndc_server.server_capacity_gbps = 10\n")
+        args = build_parser().parse_args(["eval", "--bbp", "dc", "--config", str(path)])
+        assert load_run_config(args)[0].catalog.dc_server.cores == 40
+        assert default_catalog() == before and config == ModelConfig.default()
         assert default_catalog().dc_server.cores == 20
 
 
@@ -104,9 +112,10 @@ class TestSpecValidation:
             assert rel_equal(per_core, energy_per_capacity(server))
 
 
-class TestLoadCatalog:
+class TestLoadConfig:
     def test_empty_text_gives_defaults(self):
         assert load_catalog("") == default_catalog()
+        assert load_config("", ModelConfig.default()) == (ModelConfig.default(), TopologyCounts())
 
     def test_comments_and_blanks_ignored(self):
         text = "\n# just a comment\n   \nrouter.power_w = 172  # inline\n"
@@ -143,29 +152,3 @@ class TestLoadCatalog:
         cat = load_catalog("ue.energy_nj_per_bit = 50")
         assert rel_equal(cat.ue_energy_j_per_bit, 50e-9)
 
-
-def catalogs_equal(a, b, tol=1e-12):
-    """Field-by-field equality within a relative tolerance."""
-    for section in ("radio", "access_switch", "core_switch", "wdm_link", "router"):
-        sa, sb = getattr(a, section), getattr(b, section)
-        if not (rel_equal(sa.rated_power_w, sb.rated_power_w, tol)
-                and rel_equal(sa.capacity_gbps, sb.capacity_gbps, tol)):
-            return False
-    for section in ("edge_server", "dc_server"):
-        sa, sb = getattr(a, section), getattr(b, section)
-        if sa.cores != sb.cores:
-            return False
-        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
-            if not rel_equal(getattr(sa, field), getattr(sb, field), tol):
-                return False
-    return rel_equal(a.ue_energy_j_per_bit, b.ue_energy_j_per_bit, tol)
-
-
-class TestRoundTrip:
-    def test_default_round_trip(self):
-        cat = default_catalog()
-        assert catalogs_equal(load_catalog(dump_catalog(cat)), cat)
-
-    def test_modified_round_trip(self):
-        cat = load_catalog("radio.power_w = 123.456\nedge_server.per_core_power_w = 7.25")
-        assert catalogs_equal(load_catalog(dump_catalog(cat)), cat)

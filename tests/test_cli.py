@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oranpower import cli
-from oranpower.cli import build_parser, main
-from oranpower.experiments import sweep_orus
+from oranpower.cli import CSV_COLUMNS, build_parser, main
+from oranpower.configfile import TopologyCounts, load_config
+from oranpower.experiments import SweepRecord, sweep_orus
 from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
-from oranpower.topology import NODE_ORDER, build_sweep_topology
+from oranpower.topology import NODE_ORDER, Node, build_sweep_topology
 
 from test_kernel import catalogs, params
 
@@ -68,6 +70,20 @@ class TestEval:
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and f"{field} must be an integer" in err
+
+    def test_negative_zero_ue_energy_prints_zero(self, tmp_path):
+        config = tmp_path / "zero.cfg"
+        config.write_text("ue.energy_nj_per_bit = -0.0\n")
+        argv = ["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "oru",
+                "--config", str(config)]
+        code, out, _ = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        header, row = data_lines(out)
+        assert dict(zip(header.split(","), row.split(",")))["p_ue_w"] == "0"
+        assert "-0" not in row.split(",")
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert "  ue                  0\n" in out and "-0" not in out.split()
 
     def test_topology_from_config(self, tmp_path):
         config = tmp_path / "override.cfg"
@@ -143,11 +159,11 @@ class TestRowTemplates:
                              else ProvisioningPolicy.default(), provision_to_cap=not attached)
         flags = ["--users-per-ru", str(users_per_ru), "--policy", policy]
         flags += ["--attached-load"] if attached else []
-        # Drawn in-process, as no config key sets a link's gamma (routers on it).
-        run = cli.RunConfig(catalog=catalog, params=segments, du_fanout_cap=cap)
+        # The drawn config itself, as no config key sets a link's gamma (routers on it).
+        loaded = (config, TopologyCounts(du_fanout_cap=cap))
         n_ru = data.draw(st.integers(1, max_ru), label="n_ru")
         bbp = data.draw(st.sampled_from(placements), label="bbp")
-        with mock.patch.object(cli, "load_run_config", return_value=run):
+        with mock.patch.object(cli, "load_run_config", return_value=loaded):
             sweep = run_cli("sweep", "--max-ru", str(max_ru), *flags,
                             "--placements", ",".join(node.value for node in placements))
             one = run_cli("eval", "--n-ru", str(n_ru), "--bbp", bbp.value, "--format", "csv",
@@ -189,6 +205,31 @@ class TestFanout:
 
 
 class TestConfigHandling:
+    def test_config_file_is_load_config_applied_to_the_flags_config(self, tmp_path):
+        text = ("radio.power_w = 150\ndc_server.cores = 10\ndc_server.server_capacity_gbps = 2.5\n"
+                "ue.energy_nj_per_bit = 30\nsegment.odu.sigma = 3\n"
+                "segment.backhaul.hops_wdm = 2\ntopology.n_ru = 24\ntopology.users_per_ru = 6\n"
+                "topology.du_fanout_cap = 3\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli("eval", "--bbp", "odu", "--policy", "linear", "--attached-load",
+                                 "--format", "csv", "--config", str(path))
+        assert (code, err) == (0, "")
+        flags_config = replace(ModelConfig.default(ProvisioningPolicy.all_linear()),
+                               provision_to_cap=False)
+        config, counts = load_config(text, flags_config)
+        assert counts == TopologyCounts(24, 6, 3)
+        breakdown = config.evaluate(build_sweep_topology(24, 6, 3), Node.ODU)
+        [row] = cli._csv_rows([SweepRecord(24, breakdown)])
+        assert out.endswith("n_ru,placement," + ",".join(CSV_COLUMNS) + "\n" + row)
+
+    def test_fronthaul_and_midhaul_router_hops_change_nothing(self, tmp_path):
+        argv = ["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc", "--format", "csv"]
+        config = tmp_path / "routers.cfg"
+        config.write_text("segment.fronthaul.hops_router = 3\nsegment.midhaul.hops_router = 2\n")
+        without = run_cli(*argv)
+        assert without[0] == 0 and run_cli(*argv, "--config", str(config)) == without
+
     def test_catalog_override(self, tmp_path):
         config = tmp_path / "override.cfg"
         config.write_text("radio.power_w = 220\n")

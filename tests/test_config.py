@@ -1,7 +1,8 @@
-"""The config-key table: exact integer keys, the README key list, and fuzzed config text."""
+"""The config-key table and ``load_config``: exact integer keys, the fields no key sets, the
+README key list, and fuzzed config text."""
 
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oranpower.catalog import CatalogError
-from oranpower.cli import load_run_config
-from oranpower.configfile import CONFIG_KEYS, ConfigError
-from oranpower.topology import Link, TopologyError
+from oranpower.catalog import CatalogError, EquipmentSpec, default_catalog
+from oranpower.configfile import CONFIG_KEYS, ConfigError, TopologyCounts, load_config
+from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
+from oranpower.topology import Link, Node, TopologyError, segment_map
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 INPUT_ERRORS = (ConfigError, CatalogError, TopologyError)
@@ -23,42 +24,57 @@ def readme_config_block():
     return section.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
-def load(tmp_path, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text, encoding="utf-8")
-    return load_run_config(str(path))
+def load(text):
+    """The default config with ``text`` applied, and the text's topology counts."""
+    return load_config(text, ModelConfig.default())
 
 
 class TestIntegerKeys:
     @pytest.mark.parametrize("key", ["segment.backhaul.hops_switch", "topology.n_ru"])
-    def test_read_exactly(self, tmp_path, key):
+    def test_read_exactly(self, key):
         # As a float, 2**53 + 1 rounds to 2**53, which the bound accepts.
         with pytest.raises(INPUT_ERRORS, match=rf"line 1: {key} = 9007199254740993: .*<= 2\*\*53"):
-            load(tmp_path, f"{key} = 9007199254740993\n")
-        assert load(tmp_path, f"{key} = 9007199254740992\n") is not None
+            load(f"{key} = 9007199254740993\n")
+        assert load(f"{key} = 9007199254740992\n") is not None
 
-    def test_whole_float_literals(self, tmp_path):
-        run = load(tmp_path, "segment.backhaul.hops_switch = 4.0\ntopology.n_ru = 1e3\n")
-        assert run.params[Link.BACKHAUL].hops_switch == 4
-        assert run.n_ru == 1000 and isinstance(run.n_ru, int)
+    def test_whole_float_literals(self):
+        config, counts = load("segment.backhaul.hops_switch = 4.0\ntopology.n_ru = 1e3\n")
+        assert config.params[Link.BACKHAUL].hops_switch == 4
+        assert counts.n_ru == 1000 and isinstance(counts.n_ru, int)
+
+
+class TestLoadConfig:
+    def test_keeps_the_fields_no_key_sets(self):
+        config = ModelConfig(default_catalog(), segment_map(), TrafficModel(1.0, 2.0),
+                             ProvisioningPolicy.all_linear(), provision_to_cap=False)
+        loaded, counts = load_config("router.power_w = 200\nsegment.odu.sigma = 3\n"
+                                     "topology.users_per_ru = 8\n", config)
+        params = {**segment_map(), Node.ODU: replace(segment_map()[Node.ODU], sigma=3.0)}
+        catalog = replace(default_catalog(), router=EquipmentSpec("router", 200.0, 3200.0))
+        assert loaded == replace(config, catalog=catalog, params=params)
+        assert counts == TopologyCounts(users_per_ru=8)
+        assert config.catalog is default_catalog() and config.params == segment_map()
 
 
 class TestReadme:
-    def test_config_block_lists_every_key(self, tmp_path):
+    def test_config_block_lists_every_key(self):
         block = readme_config_block()
         keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
                 if line.split("#", 1)[0].strip()}
         assert keys == set(CONFIG_KEYS)
-        load(tmp_path, block)
+        assert load(block)[1] == TopologyCounts(40, 10, 4)
 
 
 def numbers(value):
-    """Every int and float inside a run config's dataclasses and maps."""
+    """Every int and float inside a loaded config and counts: their dataclasses, maps and tuples."""
     if is_dataclass(value):
         for field in fields(value):
             yield from numbers(getattr(value, field.name))
     elif isinstance(value, Mapping):
         for item in value.values():
+            yield from numbers(item)
+    elif isinstance(value, tuple):
+        for item in value:
             yield from numbers(item)
     elif isinstance(value, (int, float)):
         yield value
@@ -77,46 +93,41 @@ VALUE_TEXT = st.one_of(
 TABLE_LINES = st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), VALUE_TEXT),
                        max_size=8, unique_by=lambda line: line[0])
 
-@pytest.fixture(scope="module")
-def config_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
-
-
-def check_loaded(run):
-    for number in numbers(run):
+def check_loaded(loaded):
+    for number in numbers(loaded):
         if isinstance(number, float):
             assert math.isfinite(number)
         else:
             assert 0 <= number <= 2**53
 
 
-def check_lines(config_dir, lines):
+def check_lines(lines):
     """Load ``key = value`` lines: a valid config, or an input error naming a key and its line."""
     try:
-        run = load(config_dir, "".join(f"{key} = {value}\n" for key, value in lines))
+        loaded = load("".join(f"{key} = {value}\n" for key, value in lines))
     except INPUT_ERRORS as exc:
         named = [f"line {lineno}: {key} = " for lineno, (key, _) in enumerate(lines, start=1)]
         assert any(where in str(exc) for where in named), str(exc)
         return
-    check_loaded(run)
+    check_loaded(loaded)
 
 
 class TestFuzzedConfig:
     @given(text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
     @settings(max_examples=100, deadline=None)
-    def test_arbitrary_text(self, config_dir, text):
+    def test_arbitrary_text(self, text):
         try:
-            run = load(config_dir, text)
+            loaded = load(text)
         except INPUT_ERRORS:
             return
-        check_loaded(run)
+        check_loaded(loaded)
 
     @given(lines=TABLE_LINES)
     @settings(max_examples=200, deadline=None)
-    def test_table_keys_with_arbitrary_values(self, config_dir, lines):
-        check_lines(config_dir, lines)
+    def test_table_keys_with_arbitrary_values(self, lines):
+        check_lines(lines)
 
-    def test_every_key_with_extreme_values(self, config_dir):
+    def test_every_key_with_extreme_values(self):
         for key in CONFIG_KEYS:
             for value in EXTREMES:
-                check_lines(config_dir, [(key, value)])
+                check_lines([(key, value)])

@@ -217,6 +217,30 @@ class TestNonFiniteInputs:
                      traffic=TrafficModel(monthly_gb_per_user=1e300))
 
 
+class TestNegativeZero:
+    """-0.0 is a valid zero input; it is stored as 0.0, so no watts figure is -0.0."""
+
+    def test_stored_as_positive_zero(self):
+        traffic = TrafficModel(monthly_gb_per_user=-0.0, ecpri_per_ru_gbps=-0.0)
+        catalog = replace(default_catalog(), ue_energy_j_per_bit=-0.0)
+        for value in (traffic.monthly_gb_per_user, traffic.ecpri_per_ru_gbps,
+                      catalog.ue_energy_j_per_bit):
+            assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("policy", [None, ProvisioningPolicy.default()])
+    @pytest.mark.parametrize("placement", NODE_ORDER)
+    def test_no_part_has_its_sign_bit_set(self, placement, policy):
+        topology = build_sweep_topology(4, 2, 4)
+        for traffic, catalog in ((TrafficModel(-0.0, -0.0), default_catalog()),
+                                 (TrafficModel(), replace(default_catalog(),
+                                                          ue_energy_j_per_bit=-0.0))):
+            breakdown = evaluate(topology, placement, policy, traffic, catalog)
+            parts = (*breakdown.nodes, *breakdown.segments, breakdown.ue_watts,
+                     breakdown.processing_watts, breakdown.transmission_watts,
+                     breakdown.total_watts)
+            assert all(math.copysign(1.0, part) == 1.0 for part in parts), parts
+
+
 class TestBbpServerPower:
     def test_dc_server_quantized(self, catalog):
         watts = equipment_power(11.0, catalog.dc_server, ClassPolicy.quantize())

@@ -6,7 +6,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oranpower.catalog import EquipmentSpec, ServerSpec, default_catalog, dump_catalog, load_catalog
+from oranpower.catalog import default_catalog
 from oranpower.experiments import brute_force_oracle
 from oranpower.powermodel import (
     ClassPolicy,
@@ -204,32 +204,6 @@ class TestOracleAgreement:
                                     placement, config.policy, provision_to_cap)
         closed = config.evaluate(topology, placement).total_watts
         assert rel_close(oracle / topology.n_users, closed)
-
-
-class TestCatalogRoundTrip:
-    @given(
-        radio_power=st.floats(1.0, 5000.0, allow_nan=False),
-        radio_capacity=st.floats(0.5, 1000.0, allow_nan=False),
-        cores=st.integers(1, 64),
-        core_power=st.floats(0.5, 50.0, allow_nan=False),
-        core_capacity=st.floats(0.05, 5.0, allow_nan=False),
-        ue_nj=st.floats(0.0, 1000.0, allow_nan=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_dump_then_load_is_identity(self, radio_power, radio_capacity, cores,
-                                        core_power, core_capacity, ue_nj):
-        catalog = replace(
-            default_catalog(),
-            radio=EquipmentSpec("radio", radio_power, radio_capacity),
-            edge_server=ServerSpec(cores=cores, per_core_power_w=core_power,
-                                   per_core_capacity_gbps=core_capacity,
-                                   server_capacity_gbps=cores * core_capacity),
-            ue_energy_j_per_bit=ue_nj * 1e-9,
-        )
-        reloaded = load_catalog(dump_catalog(catalog))
-        assert reloaded.radio == catalog.radio
-        assert reloaded.edge_server == catalog.edge_server
-        assert rel_close(reloaded.ue_energy_j_per_bit, catalog.ue_energy_j_per_bit, tol=1e-12)
 
 
 # Reference checks: one test per part or count, in field order, as records
