@@ -44,10 +44,7 @@ class EquipmentSpec:
 
 
 def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
-    """Watts drawn per Gbps of provisioned capacity for one device or server."""
-    if spec.capacity_gbps <= 0:
-        raise CatalogError(
-            f"capacity must be positive to form a W/Gbps ratio, got {spec.capacity_gbps}")
+    """Watts per Gbps of capacity of one device or server: finite and > 0 for any valid spec."""
     return spec.rated_power_w / spec.capacity_gbps
 
 

@@ -75,8 +75,10 @@ def _csv_rows(records: Iterable[SweepRecord]) -> Iterator[str]:
 
 def _row_template(first: PowerBreakdown) -> Callable[[int, PowerBreakdown], str]:
     depth = first.placement.depth
-    varies = (depth >= 1, depth >= 2, depth >= 1, False, depth >= 1, depth >= 2, depth >= 3,
-              False, depth >= 2, depth >= 3, False)
+    # A tier or link varies when the kernel prices it per cell, except at depth 0.
+    nodes, links = ([segment.depth > 0 and first.branch(segment) != "after" for segment in order]
+                    for order in (NODE_ORDER, LINK_ORDER))
+    varies = (any(nodes), any(links), any(nodes) or any(links), *nodes, *links, False)
     values = (first.processing_watts, first.transmission_watts, first.total_watts,
               *first.nodes, *first.segments, first.ue_watts)
     template = ",".join(["%s", _PLACEMENT_NAMES[first.placement]] + [

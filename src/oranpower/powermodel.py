@@ -9,6 +9,7 @@ evaluation here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -129,18 +130,18 @@ def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: 
     return units if units > minimum_units else minimum_units
 
 
-def _sizing(spec: EquipmentSpec | ServerSpec,
-            policy: ClassPolicy) -> tuple[float, float | None, int]:
-    """A device class's W/Gbps ratio, unit capacity (``None`` when linear) and minimum units."""
+def _sizing(multiplier: int, spec: EquipmentSpec | ServerSpec,
+            policy: ClassPolicy) -> tuple[int, float, float | None, int]:
+    """A device's multiplier, W/Gbps ratio, unit (``None`` when linear) and minimum units."""
     ratio = energy_per_capacity(spec)
     if not policy.quantized:
-        return ratio, None, 0
+        return multiplier, ratio, None, 0
     unit = policy.unit_capacity_gbps if policy.unit_capacity_gbps is not None else spec.capacity_gbps
-    return ratio, unit, policy.minimum_units
+    return multiplier, ratio, unit, policy.minimum_units
 
 
 class _Term(NamedTuple):
-    """A node or segment at or before the BBP node, less its per-cell factors.
+    """A tier or link priced per cell: one at or before the BBP node, less its per-cell factors.
 
     Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
     ``devices``, where ρ is tier ``depth``'s instance count over the user
@@ -150,82 +151,69 @@ class _Term(NamedTuple):
 
     scale: float  # alpha * sigma
     depth: int
-    devices: tuple[tuple[int, float, float | None, int], ...]  # (multiplier, *_sizing)
+    devices: tuple[tuple[int, float, float | None, int], ...]  # _sizing of each device
 
 
-# Compiled kernel factories by plan shape, shared by every config in the process.
-_FACTORIES: dict[tuple[int, ...], Callable] = {}
 # The per-instance eCPRI load and the instance count of each tier, by depth.
 _LOADS = ("ecpri", "ru_per_du * ecpri", "n_ru / n_cu * ecpri", "n_ru / n_dc * ecpri")
 _COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
+# Every term in plan order, the tiers and then the links, with its depth.
+_SEGMENTS: tuple[tuple[Segment, int], ...] = tuple(
+    (segment, segment.depth) for segment in NODE_ORDER + LINK_ORDER)
 
 
-def _factory_source(shape: tuple[int, ...]) -> str:
-    """Python source of the kernel factory for plans of one shape.
+@functools.cache
+def _factory(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> Callable:
+    """The kernel factory for plans of one shape, compiled once per process and shared.
 
-    ``shape`` is the BBP depth, then for each term its number of devices
-    and whether each one is quantized. The source holds only fixed names and
-    small integers; every value of a config reaches the kernel as an
-    argument of the factory.
+    ``shape`` is the BBP depth and, for each term priced per cell, whether
+    each of its devices is quantized. The factory unpacks a plan's eCPRI
+    rate, ``_Term`` records and constant terms into the closure of its
+    kernel, the function from a topology's counts to the ``(nodes,
+    segments)`` watts of the plan. The kernel evaluates each term in order as
+    ``scale * (count / n_users) * (d1 + d2 + ...)``, summing its devices'
+    ``multiplier * sized(load)`` left to right. The source holds only fixed
+    names and small integers; every value of a config reaches the kernel as
+    an argument of the factory.
     """
-    bbp, rest = shape[0], iter(shape[1:])
-    params, loads, terms = ["ecpri"], {}, []
+    bbp, flags = shape
+    records, loads, terms = [], {}, []
     # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
-    for i, depth in enumerate([*range(bbp + 1), *range(bbp)]):
-        params.append(f"s{i}")
+    for i, (depth, quantized) in enumerate(zip([*range(bbp + 1), *range(bbp)], flags)):
         load = f"load{depth}" if depth else "ecpri"
-        devices = []
-        for j in range(next(rest)):
-            if depth:
-                loads[load] = f"        {load} = {_LOADS[depth]}\n"
+        if depth:
+            loads[load] = f"        {load} = {_LOADS[depth]}\n"
+        fields, devices = [], []
+        for j, unit_sized in enumerate(quantized):
             m, r, u, k = (f"{name}{i}_{j}" for name in "mruk")
-            params += m, r, u, k
+            fields.append(f"({m}, {r}, {u}, {k}), ")
             devices.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
-                           if next(rest) else f"{m} * ({r} * {load})")
+                           if unit_sized else f"{m} * ({r} * {load})")
+        records.append(f"(s{i}, _, ({''.join(fields)})), ")
         terms.append(f"s{i} * ({_COUNTS[depth]} / n_users) * ({' + '.join(devices)})")
-    nodes_after = [f"a{k}" for k in range(len(NODE_ORDER) - 1 - bbp)]
-    segments_after = [f"b{k}" for k in range(len(LINK_ORDER) - bbp)]
-    nodes = terms[:bbp + 1] + nodes_after
-    segments = terms[bbp + 1:] + segments_after
-    return (f"def factory({', '.join(params + nodes_after + segments_after)}):\n"
-            "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
-            + "".join(loads.values())
-            + f"        return ({', '.join(nodes)}), ({', '.join(segments)})\n"
-            "    return kernel\n")
-
-
-def _kernel(bbp: int, terms: tuple[_Term, ...], ecpri: float,
-            nodes_after: tuple[float, ...], segments_after: tuple[float, ...]) -> Callable:
-    """The function from a topology's counts to the ``(nodes, segments)`` watts of a plan.
-
-    It evaluates each term in order as ``scale * (count / n_users) * (d1 + d2 + ...)``,
-    summing its devices' ``multiplier * sized(load)`` left to right. Its factory
-    is compiled once per shape; the plan's values are bound by calling it.
-    """
-    shape, values = [bbp], [ecpri]
-    for term in terms:
-        shape.append(len(term.devices))
-        values.append(term.scale)
-        for device in term.devices:
-            shape.append(device[2] is not None)
-            values += device
-    shape = tuple(shape)
-    factory = _FACTORIES.get(shape)
-    if factory is None:
-        namespace = {}
-        # The module's globals, so the kernel calls provision_units by its module name.
-        exec(compile(_factory_source(shape), f"<oranpower kernel {shape}>", "exec"),
-             globals(), namespace)
-        factory = _FACTORIES[shape] = namespace["factory"]
-    return factory(*values, *nodes_after, *segments_after)
+    # The other terms are constants: the tiers after the BBP node, then the links from it.
+    after = [f"a{k}" for k in range(len(_SEGMENTS) - len(flags))]
+    tiers_after = len(NODE_ORDER) - 1 - bbp
+    nodes = terms[:bbp + 1] + after[:tiers_after]
+    segments = terms[bbp + 1:] + after[tiers_after:]
+    source = ("def factory(ecpri, terms, after):\n"
+              f"    ({''.join(records)}) = terms\n"
+              f"    ({''.join(name + ', ' for name in after)}) = after\n"
+              "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
+              + "".join(loads.values())
+              + f"        return ({', '.join(nodes)}), ({', '.join(segments)})\n"
+              "    return kernel\n")
+    namespace = {}
+    # The module's globals, so the kernel calls provision_units by its module name.
+    exec(compile(source, f"<oranpower kernel {shape}>", "exec"), globals(), namespace)
+    return namespace["factory"]
 
 
 class _Plan(NamedTuple):
     """Everything about one (config, placement) that does not depend on the topology."""
 
-    terms: tuple[_Term, ...]  # the node terms, then the segment terms
-    nodes_after: tuple[float, ...]
-    segments_after: tuple[float, ...]
+    terms: tuple[_Term, ...]  # the terms priced per cell: tiers, then links
+    after: tuple[float, ...]  # the watts of every other term: tiers, then links
     ue_watts: float
     kernel: Callable  # (n_ru, n_du, n_cu, n_dc, n_users, ru_per_du) -> (nodes, segments)
 
@@ -333,62 +321,56 @@ class ModelConfig:
     def _plan(self, placement: Node) -> _Plan:
         """The topology-independent factors of every term for the BBP node ``placement``.
 
-        Node tier i, and link i that joins it to tier i + 1, carry one
-        instance's provisioned eCPRI up to the BBP node, weighted by the
-        coverage factor; the BBP node adds its servers. Beyond the BBP node
-        they carry the per-user baseband rate with no coverage weighting, so
-        their watts are fixed here. Link i ends in tier i + 1's chassis,
-        which is also its switch.
+        One device table lists each tier's and link's devices as (multiplier,
+        spec, class policy): tier i's chassis, with the servers at the BBP
+        node, and link i's switches, WDM links and routers, its switch being
+        tier i + 1's chassis. A tier or link before the BBP node, and the BBP
+        tier, carries one instance's provisioned eCPRI, weighted by the
+        coverage factor, and the kernel prices it per cell. Every other term
+        carries the per-user baseband rate with no coverage weighting, so its
+        watts are fixed here.
         """
         if type(placement) is not Node:  # evaluate's failed cache lookup is no part of the error
             raise ValueError(f"unknown BBP placement: {placement!r}") from None
         bbp = placement.depth
         catalog, params, policy = self.catalog, self.params, self.policy
         user_rate = self.traffic.user_rate_gbps
-        ecpri = self.traffic.ecpri_per_ru_gbps
         chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
 
-        terms, nodes_after = [], []
-        for depth, node in enumerate(NODE_ORDER):
-            seg = params[node]
-            scale = seg.alpha * seg.sigma
-            if depth > bbp:
-                nodes_after.append(scale * user_rate * energy_per_capacity(chassis[depth]))
-                continue
-            devices = [(1, *_sizing(chassis[depth], policy.node_interface))]
-            if depth == bbp:
-                server = catalog.dc_server if node is Node.DC else catalog.edge_server
-                devices.append((1, *_sizing(server, policy.servers)))
-            terms.append(_Term(scale, depth, tuple(devices)))
-
-        segments_after = []
-        wdm, router = catalog.wdm_link, catalog.router
+        table = [[(1, spec, policy.node_interface)] for spec in chassis]
+        table[bbp].append((1, catalog.dc_server if placement is Node.DC else catalog.edge_server,
+                           policy.servers))
         for depth, link in enumerate(LINK_ORDER):
             seg = params[link]
+            devices = [(seg.hops_switch + 1, chassis[depth + 1], policy.switches),
+                       (seg.hops_wdm + 1, catalog.wdm_link, policy.links)]
+            # Routers sit on a link where gamma = 1; elsewhere their multiplier
+            # gamma * (hops_router + 1) is 0, which adds exactly 0.0, so they are left out.
+            if seg.gamma:
+                devices.append((seg.hops_router + 1, catalog.router, policy.routers))
+            table.append(devices)
+
+        terms, flags, after = [], [], []
+        for (segment, depth), devices in zip(_SEGMENTS, table):
+            seg = params[segment]
             scale = seg.alpha * seg.sigma
-            switch = chassis[depth + 1]
-            multipliers = (seg.hops_switch + 1, seg.hops_wdm + 1,
-                           seg.gamma * (seg.hops_router + 1))
-            if depth < bbp:
-                # A zero multiplier (no router) adds exactly 0.0, so it is left out.
-                devices = tuple((multiplier, *_sizing(spec, class_policy))
-                                for multiplier, spec, class_policy in zip(
-                                    multipliers, (switch, wdm, router),
-                                    (policy.switches, policy.links, policy.routers))
-                                if multiplier)
-                terms.append(_Term(scale, depth, devices))
+            if depth < bbp or segment is placement:
+                sized, quantized = [], []
+                for device in devices:
+                    sized.append(_sizing(*device))
+                    quantized.append(device[2].quantized)
+                terms.append(_Term(scale, depth, tuple(sized)))
+                flags.append(tuple(quantized))
             else:
-                bracket = (
-                    multipliers[0] * energy_per_capacity(switch)
-                    + multipliers[1] * energy_per_capacity(wdm)
-                    + multipliers[2] * energy_per_capacity(router)
-                )
-                segments_after.append(scale * user_rate * bracket)
+                watts_per_gbps = 0.0
+                for multiplier, spec, _ in devices:
+                    watts_per_gbps += multiplier * energy_per_capacity(spec)
+                after.append(scale * user_rate * watts_per_gbps)
 
         ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
-        terms, nodes_after, segments_after = tuple(terms), tuple(nodes_after), tuple(segments_after)
-        return _Plan(terms, nodes_after, segments_after, ue_watts,
-                     _kernel(bbp, terms, ecpri, nodes_after, segments_after))
+        terms, after = tuple(terms), tuple(after)
+        kernel = _factory((bbp, tuple(flags)))(self.traffic.ecpri_per_ru_gbps, terms, after)
+        return _Plan(terms, after, ue_watts, kernel)
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oranpower.catalog import CatalogError, EquipmentSpec, ServerSpec, default_catalog
+from oranpower.catalog import (
+    CatalogError,
+    EquipmentSpec,
+    ServerSpec,
+    default_catalog,
+    energy_per_capacity,
+)
 from oranpower.experiments import brute_force_oracle
 from oranpower.powermodel import (
     ClassPolicy,
@@ -29,6 +35,7 @@ from oranpower.powermodel import (
 )
 from oranpower.topology import (
     FANOUT_CASES,
+    LINK_ORDER,
     NODE_ORDER,
     Node,
     SegmentParams,
@@ -44,7 +51,13 @@ EXTREME_COUNTS = (2**40, 2**53)
 
 
 def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):
-    """The generic loop over the plan's terms that ``evaluate`` ran before kernels."""
+    """The generic loop over the plan's terms that ``evaluate`` ran before kernels.
+
+    The terms after the BBP node are priced here from the catalog and
+    ``params`` alone, not read from the plan: a tier at its chassis W/Gbps,
+    link i at ``(h_s+1)·W_switch + (h_w+1)·W_wdm + γ·(h_r+1)·W_router``, its
+    switch being tier i + 1's chassis, each times ``α·σ`` and the user rate.
+    """
     counts = (n_ru, n_du, n_cu, n_dc)
     ecpri = config.traffic.ecpri_per_ru_gbps
     loads = (ecpri, ru_per_du * ecpri, n_ru / n_cu * ecpri, n_ru / n_dc * ecpri)
@@ -58,7 +71,24 @@ def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_
                 sized = provision_units(load, unit, minimum_units) * ratio * unit
             per_instance += multiplier * sized
         watts.append(scale * (counts[depth] / n_users) * per_instance)
-    return (*watts[:bbp + 1], *plan.nodes_after), (*watts[bbp + 1:], *plan.segments_after)
+    catalog, params = config.catalog, config.params
+    chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
+
+    def baseband(segment, watts_per_gbps):
+        seg = params[segment]
+        return seg.alpha * seg.sigma * config.traffic.user_rate_gbps * watts_per_gbps
+
+    nodes_after = [baseband(node, energy_per_capacity(chassis[depth]))
+                   for depth, node in enumerate(NODE_ORDER) if depth > bbp]
+    links_after = []
+    for depth, link in enumerate(LINK_ORDER):
+        seg = params[link]
+        if depth >= bbp:
+            links_after.append(baseband(link, (
+                (seg.hops_switch + 1) * energy_per_capacity(chassis[depth + 1])
+                + (seg.hops_wdm + 1) * energy_per_capacity(catalog.wdm_link)
+                + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(catalog.router))))
+    return (*watts[:bbp + 1], *nodes_after), (*watts[bbp + 1:], *links_after)
 
 
 def outcome(call, *args):
