@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
@@ -74,8 +75,15 @@ def _count(text: str) -> int:
 
 
 def _nanojoules(text: str) -> float:
-    """``ue.energy_nj_per_bit`` is written in nJ per bit and stored in J per bit."""
-    return _float(text) * 1e-9
+    """``ue.energy_nj_per_bit`` is written in nJ per bit and stored in J per bit, read exactly:
+    the written digits, their exponent lowered by 9, rounded once to the nearest double."""
+    value = _float(text)
+    if not math.isfinite(value):
+        return value
+    from decimal import Decimal  # imported on first use: few config files set this key
+
+    sign, digits, exponent = Decimal(text).as_tuple()
+    return float(Decimal((sign, digits, exponent - 9)))
 
 
 _EQUIPMENT = ("router", "core_switch", "access_switch", "wdm_link", "radio")
@@ -107,38 +115,6 @@ def _where(entries: Mapping[str, ConfigEntry]) -> str:
     return "; ".join(f"line {entry.lineno}: {key} = {entry.value}" for key, entry in entries.items())
 
 
-def apply_entries(entries: Mapping[str, ConfigEntry], sections: Mapping[Any, Any]) -> dict[Any, Any]:
-    """Apply config entries to ``sections``, a map from section to dataclass value.
-
-    Each entry is read by its ``CONFIG_KEYS`` reader and applied to its
-    section with ``dataclasses.replace``, so the section's own checks run. A
-    key whose section is not in ``sections`` is unknown here. Every error
-    names its key and line: a value that cannot be read is a ``ConfigError``,
-    and a section's rejection keeps its type, prefixed with that section's
-    ``line N: key = value`` pairs.
-    """
-    grouped: dict[Any, dict[str, ConfigEntry]] = {}
-    for key, entry in entries.items():
-        section = CONFIG_KEYS[key][0] if key in CONFIG_KEYS else None
-        if section not in sections:
-            raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
-        grouped.setdefault(section, {})[key] = entry
-    applied = dict(sections)
-    for section, section_entries in grouped.items():
-        values = {}
-        for key, entry in section_entries.items():
-            _, field, reader = CONFIG_KEYS[key]
-            try:
-                values[field] = reader(entry.value)
-            except ConfigError as exc:
-                raise ConfigError(f"{_where({key: entry})}: {exc}") from None
-        try:
-            applied[section] = replace(sections[section], **values)
-        except ValueError as exc:  # the section's own error type, such as CatalogError
-            raise type(exc)(f"{_where(section_entries)}: {exc}") from None
-    return applied
-
-
 @dataclass(frozen=True)
 class TopologyCounts:
     """A config file's ``topology.*`` counts, ``None`` where it sets none."""
@@ -151,12 +127,33 @@ class TopologyCounts:
 def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
     """Apply config text to ``config``'s catalog and segments, and read its ``topology.*`` counts.
 
-    Every entry goes through ``apply_entries``, so each error names its key and line.
-    ``config`` is unchanged; the counts, which no ``ModelConfig`` holds, come beside the new one.
+    Each entry is read by its ``CONFIG_KEYS`` reader and applied to its
+    section with ``dataclasses.replace``, so the section's own checks run.
+    Every error names its key and line: an unknown key or a value that
+    cannot be read is a ``ConfigError``, and a section's rejection keeps its
+    type, prefixed with that section's ``line N: key = value`` pairs.
+    ``config`` is unchanged; the counts, which no ``ModelConfig`` holds, come
+    beside the new one.
     """
-    sections = apply_entries(parse_config_text(text), {
-        "ue": config.catalog, **{name: getattr(config.catalog, name) for name in _SPECS},
-        **config.params, "topology": TopologyCounts()})
+    grouped: dict[Any, dict[str, ConfigEntry]] = {}
+    for key, entry in parse_config_text(text).items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
+        grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = entry
+    sections = {"ue": config.catalog, **{name: getattr(config.catalog, name) for name in _SPECS},
+                **config.params, "topology": TopologyCounts()}
+    for section, section_entries in grouped.items():
+        values = {}
+        for key, entry in section_entries.items():
+            _, field, reader = CONFIG_KEYS[key]
+            try:
+                values[field] = reader(entry.value)
+            except ConfigError as exc:
+                raise ConfigError(f"{_where({key: entry})}: {exc}") from None
+        try:
+            sections[section] = replace(sections[section], **values)
+        except ValueError as exc:  # the section's own error type, such as CatalogError
+            raise type(exc)(f"{_where(section_entries)}: {exc}") from None
     catalog = replace(sections["ue"], **{name: sections[name] for name in _SPECS})
     params = {segment: sections[segment] for segment in config.params}
     return replace(config, catalog=catalog, params=params), sections["topology"]

@@ -23,6 +23,7 @@ from .topology import (
     Segment,
     SegmentParams,
     Topology,
+    TopologyError,
     segment_map,
 )
 
@@ -287,9 +288,11 @@ class PowerBreakdown:
 class ModelConfig:
     """Everything an evaluation needs except the topology and BBP placement.
 
-    ``params`` is stored as a read-only copy. ``evaluate`` builds one plan
-    per placement the first time it sees it and keeps it on the config; the
-    plan cache takes no part in equality, ``repr`` or ``dataclasses.replace``.
+    ``params`` must hold the ``SegmentParams`` of every tier and link, each
+    under its own segment, and is stored as a read-only copy. ``evaluate``
+    builds one plan per placement the first time it sees it and keeps it on
+    the config; the plan cache takes no part in equality, ``repr`` or
+    ``dataclasses.replace``.
     """
 
     catalog: EquipmentCatalog
@@ -301,7 +304,16 @@ class ModelConfig:
                                       default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        params = dict(self.params)
+        # Each term reads its own segment's entry, so each must be there, under its own key.
+        for segment, _ in _SEGMENTS:
+            if getattr(params.get(segment), "segment", None) is not segment:
+                raise TopologyError(f"params[{segment.value}] must be the SegmentParams of "
+                                    f"{segment.value}, got {params.get(segment)!r}")
+        if len(params) != len(_SEGMENTS):
+            unknown = [key for key in params if key not in NODE_ORDER + LINK_ORDER]
+            raise TopologyError(f"params holds unknown segments: {unknown!r}")
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through __init__: a mappingproxy cannot

@@ -119,8 +119,9 @@ class SegmentParams:
     the peak-versus-mean provisioning headroom. The coverage factor is not a
     parameter: tier i and link i share each instance of tier i among the
     users, so their factor is tier i's instance count over the user count.
-    The hop counts give extra devices per segment beyond the built-in one
-    switch and one WDM link (plus one router where ``gamma`` is 1).
+    The hop counts give extra devices per link beyond the built-in one
+    switch and one WDM link (plus one router where ``gamma`` is 1); a tier
+    takes only σ and α.
     """
 
     segment: Segment
@@ -147,6 +148,11 @@ class SegmentParams:
                                     f"<= 2**53, got {hops}")
         if self.gamma not in (0, 1):
             raise TopologyError(f"{self.segment.value}: gamma must be 0 or 1, got {self.gamma}")
+        if isinstance(self.segment, Node):
+            for name in ("hops_switch", "hops_wdm", "hops_router", "gamma"):
+                if getattr(self, name):
+                    raise TopologyError(f"{self.segment.value}: {name} must be 0, as only links "
+                                        f"have hops and routers, got {getattr(self, name)}")
 
 
 # Built once and shared, as SegmentParams is frozen; callers get a new list or dict.

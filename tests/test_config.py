@@ -64,6 +64,31 @@ class TestReadme:
         assert keys == set(CONFIG_KEYS)
         assert load(block)[1] == TopologyCounts(40, 10, 4)
 
+    def test_config_block_loads_the_defaults_exactly(self):
+        # ue.energy_nj_per_bit = 25 is 2.5e-08 J, not 25 * 1e-9 == 2.5000000000000002e-08.
+        assert load(readme_config_block())[0] == ModelConfig.default()
+
+
+class TestNanojoules:
+    @given(whole=st.text("0123456789", min_size=1, max_size=30),
+           fraction=st.one_of(st.none(), st.text("0123456789", max_size=30)))
+    def test_nearest_double_to_the_written_value(self, whole, fraction):
+        text = whole if fraction is None else f"{whole}.{fraction}"
+        loaded = load(f"ue.energy_nj_per_bit = {text}\n")[0].catalog.ue_energy_j_per_bit
+        assert loaded == float(text + "e-9")
+
+    @pytest.mark.parametrize("text, joules", [("2.5e1", 2.5e-08), ("25E+0", 2.5e-08),
+                                              ("1e-400", 0.0), ("3e300", 3e291),
+                                              pytest.param("1e" + "0" * 5000, 1e-09,
+                                                           id="5000-digit-exponent")])
+    def test_written_exponents(self, text, joules):
+        assert load(f"ue.energy_nj_per_bit = {text}\n")[0].catalog.ue_energy_j_per_bit == joules
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "-1", "1e400"])
+    def test_non_finite_and_negative_rejected_naming_the_key(self, text):
+        with pytest.raises(CatalogError, match=rf"^line 1: ue.energy_nj_per_bit = {text}: "):
+            load(f"ue.energy_nj_per_bit = {text}\n")
+
 
 def numbers(value):
     """Every int and float inside a loaded config and counts: their dataclasses, maps and tuples."""

@@ -37,6 +37,7 @@ from oranpower.topology import (
     FANOUT_CASES,
     LINK_ORDER,
     NODE_ORDER,
+    Link,
     Node,
     SegmentParams,
     Topology,
@@ -78,7 +79,7 @@ def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_
         seg = params[segment]
         return seg.alpha * seg.sigma * config.traffic.user_rate_gbps * watts_per_gbps
 
-    nodes_after = [baseband(node, energy_per_capacity(chassis[depth]))
+    tiers_after = [baseband(node, energy_per_capacity(chassis[depth]))
                    for depth, node in enumerate(NODE_ORDER) if depth > bbp]
     links_after = []
     for depth, link in enumerate(LINK_ORDER):
@@ -88,7 +89,7 @@ def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_
                 (seg.hops_switch + 1) * energy_per_capacity(chassis[depth + 1])
                 + (seg.hops_wdm + 1) * energy_per_capacity(catalog.wdm_link)
                 + seg.gamma * (seg.hops_router + 1) * energy_per_capacity(catalog.router))))
-    return (*watts[:bbp + 1], *nodes_after), (*watts[bbp + 1:], *links_after)
+    return (*watts[:bbp + 1], *tiers_after), (*watts[bbp + 1:], *links_after)
 
 
 def outcome(call, *args):
@@ -146,10 +147,14 @@ def params(draw, extreme):
     factor = st.floats(1.0, 10.0)
     if extreme:
         factor = st.one_of(factor, st.sampled_from((1e150, 1e300)))
-    return {segment: valid_or(entry, SegmentParams, segment, draw(factor), draw(factor),
-                              draw(st.integers(0, 3)), draw(st.integers(0, 3)),
-                              draw(st.integers(0, 3)), draw(st.sampled_from((0, 1))))
-            for segment, entry in segment_map().items()}
+    result = {}
+    for segment, entry in segment_map().items():
+        # Hop counts and gamma are a link's alone.
+        links_only = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                      draw(st.sampled_from((0, 1)))) if isinstance(segment, Link) else ()
+        result[segment] = valid_or(entry, SegmentParams, segment, draw(factor), draw(factor),
+                                   *links_only)
+    return result
 
 
 @st.composite

@@ -32,6 +32,7 @@ from oranpower.topology import (
     NODE_ORDER,
     Link,
     Node,
+    SegmentParams,
     Topology,
     TopologyError,
     build_sweep_topology,
@@ -438,6 +439,48 @@ class TestRecords:
         assert replace(record, n_ru=9) == SweepRecord(9, breakdown)
         with pytest.raises(TopologyError, match=r"n_ru >= n_du violated \(1 < 2\)"):
             replace(topology, n_ru=1)
+
+
+class TestConfigParams:
+    """A config holds the parameters of every tier and link, each under its own segment."""
+
+    @staticmethod
+    def build(params):
+        return ModelConfig(default_catalog(), params, TrafficModel(), ProvisioningPolicy())
+
+    def test_empty_params_rejected_naming_the_first_segment(self):
+        with pytest.raises(TopologyError, match=r"^params\[oru\] must be the SegmentParams of oru"):
+            self.build({})
+
+    @pytest.mark.parametrize("segment", list(NODE_ORDER + LINK_ORDER))
+    def test_missing_segment_rejected_naming_it(self, segment):
+        params = segment_map()
+        del params[segment]
+        with pytest.raises(TopologyError, match=rf"^params\[{segment.value}\] .* got None$"):
+            self.build(params)
+
+    def test_entry_under_another_segment_rejected(self):
+        params = segment_map()
+        params[Node.ORU] = SegmentParams(Link.BACKHAUL, 3.0, 3.0)
+        with pytest.raises(TopologyError, match=r"^params\[oru\] must be the SegmentParams of "
+                                                r"oru, got SegmentParams\(segment=<Link.BACKHAUL"):
+            self.build(params)
+
+    @pytest.mark.parametrize("entry", [None, (1.0, 5.0), "oru"])
+    def test_entry_that_is_not_segment_params_rejected(self, entry):
+        params = {**segment_map(), Node.ORU: entry}
+        with pytest.raises(TopologyError, match=r"^params\[oru\] must be the SegmentParams"):
+            self.build(params)
+
+    @pytest.mark.parametrize("key", ["oru", 7, None])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(TopologyError, match=re.escape(f"unknown segments: [{key!r}]")):
+            self.build({**segment_map(), key: segment_map()[Node.ORU]})
+
+    def test_every_config_from_the_default_map_accepted(self):
+        config = self.build(segment_map())
+        assert config.params == segment_map()
+        assert replace(config, provision_to_cap=False).params == segment_map()
 
 
 class TestReusedConfig:

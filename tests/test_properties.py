@@ -18,6 +18,7 @@ from oranpower.powermodel import (
 from oranpower.topology import (
     LINK_ORDER,
     NODE_ORDER,
+    Link,
     Node,
     Topology,
     TopologyError,
@@ -59,14 +60,16 @@ def class_policies(draw):
 
 @st.composite
 def segment_params(draw):
-    """Every settable factor of every node and link: σ and α, hop counts and γ."""
-    return {segment: replace(entry, sigma=draw(st.floats(1.0, 10.0)),
-                             alpha=draw(st.floats(1.0, 10.0)),
-                             hops_switch=draw(st.integers(0, 3)),
-                             hops_wdm=draw(st.integers(0, 3)),
-                             hops_router=draw(st.integers(0, 3)),
-                             gamma=draw(st.sampled_from([0, 1])))
-            for segment, entry in segment_map().items()}
+    """Every settable factor of every node and link: σ and α, and a link's hop counts and γ."""
+    result = {}
+    for segment, entry in segment_map().items():
+        changes = {"sigma": draw(st.floats(1.0, 10.0)), "alpha": draw(st.floats(1.0, 10.0))}
+        if isinstance(segment, Link):
+            changes.update(hops_switch=draw(st.integers(0, 3)), hops_wdm=draw(st.integers(0, 3)),
+                           hops_router=draw(st.integers(0, 3)),
+                           gamma=draw(st.sampled_from([0, 1])))
+        result[segment] = replace(entry, **changes)
+    return result
 
 
 @st.composite

@@ -262,3 +262,16 @@ class TestSegmentParamsValidation:
     def test_overflowing_alpha_sigma_rejected(self):
         with pytest.raises(TopologyError, match=r"alpha \* sigma must be finite"):
             SegmentParams(Node.ORU, sigma=1e308, alpha=5.0)
+
+    @pytest.mark.parametrize("node", NODE_ORDER)
+    @pytest.mark.parametrize("field", ["hops_switch", "hops_wdm", "hops_router", "gamma"])
+    def test_tier_takes_only_sigma_and_alpha(self, node, field):
+        # A tier's term has no hops or routers: the value would change only equality.
+        with pytest.raises(TopologyError, match=f"^{node.value}: {field} must be 0, .* got 1$"):
+            SegmentParams(node, 2.0, 5.0, **{field: 1})
+        assert SegmentParams(node, 2.0, 5.0, **{field: 0}) == SegmentParams(node, 2.0, 5.0)
+
+    @pytest.mark.parametrize("link", LINK_ORDER)
+    def test_link_takes_hops_and_gamma(self, link):
+        entry = SegmentParams(link, 2.0, 5.0, hops_switch=7, hops_wdm=2, hops_router=1, gamma=1)
+        assert (entry.hops_switch, entry.hops_wdm, entry.hops_router, entry.gamma) == (7, 2, 1, 1)
