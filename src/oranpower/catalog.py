@@ -44,7 +44,7 @@ class EquipmentSpec:
 
 
 def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
-    """Watts per Gbps of capacity of one device or server: finite and > 0 for any valid spec."""
+    """Watts per Gbps of capacity of one device or server: finite for any valid spec."""
     return spec.rated_power_w / spec.capacity_gbps
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Any, Callable, Mapping
 
 from .powermodel import ModelConfig
@@ -78,10 +79,8 @@ def _nanojoules(text: str) -> float:
     """``ue.energy_nj_per_bit`` is written in nJ per bit and stored in J per bit, read exactly:
     the written digits, their exponent lowered by 9, rounded once to the nearest double."""
     value = _float(text)
-    if not math.isfinite(value):
+    if not value or not math.isfinite(value):
         return value
-    from decimal import Decimal  # imported on first use: few config files set this key
-
     sign, digits, exponent = Decimal(text).as_tuple()
     return float(Decimal((sign, digits, exponent - 9)))
 

@@ -80,7 +80,9 @@ class TestNanojoules:
     @pytest.mark.parametrize("text, joules", [("2.5e1", 2.5e-08), ("25E+0", 2.5e-08),
                                               ("1e-400", 0.0), ("3e300", 3e291),
                                               pytest.param("1e" + "0" * 5000, 1e-09,
-                                                           id="5000-digit-exponent")])
+                                                           id="5000-digit-exponent"),
+                                              ("0e99999999999999999999", 0.0),
+                                              ("1e-99999999999999999999", 0.0)])
     def test_written_exponents(self, text, joules):
         assert load(f"ue.energy_nj_per_bit = {text}\n")[0].catalog.ue_energy_j_per_bit == joules
 
