@@ -7,7 +7,7 @@ for configurable equipment catalogs, topologies, and provisioning policies.
 
 from .catalog import CatalogError
 from .configfile import ConfigError
-from .experiments import brute_force_oracle, sweep_orus
+from .experiments import sweep_orus
 from .powermodel import (
     ClassPolicy,
     ModelConfig,

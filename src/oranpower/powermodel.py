@@ -18,6 +18,7 @@ from typing import Callable, Mapping, NamedTuple
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, default_catalog, energy_per_capacity
 from .topology import (
     LINK_ORDER,
+    MAX_COUNT,
     NODE_ORDER,
     Node,
     Segment,
@@ -80,8 +81,9 @@ class ClassPolicy:
         unit = self.unit_capacity_gbps
         if unit is not None and not (math.isfinite(unit) and unit > 0):
             raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
-        if not (isinstance(self.minimum_units, int) and self.minimum_units >= 0):
-            raise ValueError(f"minimum_units must be an integer >= 0, got {self.minimum_units}")
+        if not (isinstance(self.minimum_units, int) and 0 <= self.minimum_units <= MAX_COUNT):
+            raise ValueError(f"minimum_units must be an integer >= 0 and <= 2**53, "
+                             f"got {self.minimum_units}")
 
     @classmethod
     def linear(cls) -> "ClassPolicy":
@@ -226,8 +228,9 @@ class PowerBreakdown:
     ``nodes`` holds one watts figure per tier in NODE_ORDER and ``segments``
     one per link in LINK_ORDER. The totals are derived from the parts, so
     P_T = P_pr + P_tr holds exactly: processing is the sum of the node terms,
-    transmission the UE plus the sum of the segment terms. Every part must
-    be >= 0 and the total finite.
+    transmission the UE plus the sum of the segment terms, each sum taken
+    left to right in that order on every Python. Every part must be >= 0 and
+    the total finite.
     """
 
     placement: Node
@@ -240,16 +243,13 @@ class PowerBreakdown:
 
     def __init__(self, placement: Node, nodes: tuple[float, ...], segments: tuple[float, ...],
                  ue_watts: float):
-        processing = sum(nodes)
-        transmission = ue_watts + sum(segments)
-        total = processing + transmission
-        # One test passes every valid breakdown; the per-part checks name a failure. The
-        # parts are compared one by one: min() parses keywords on each call, which costs
-        # more than the eight comparisons.
+        # One test passes the parts of every valid breakdown; the per-part checks name a
+        # failure. The parts are compared one by one: min() parses keywords on each call,
+        # which costs more than the eight comparisons.
         if not (type(placement) is Node and len(nodes) == 4 and len(segments) == 3
                 and nodes[0] >= 0.0 and nodes[1] >= 0.0 and nodes[2] >= 0.0 and nodes[3] >= 0.0
                 and segments[0] >= 0.0 and segments[1] >= 0.0 and segments[2] >= 0.0
-                and ue_watts >= 0.0 and math.isfinite(total)):
+                and ue_watts >= 0.0):
             if type(placement) is not Node:
                 raise ValueError(f"unknown BBP placement: {placement!r}")
             for kind, parts, order in (("node", nodes, NODE_ORDER),
@@ -263,8 +263,13 @@ class PowerBreakdown:
                             f"{kind} power for {segment.value} must be >= 0, got {watts}")
             if not (ue_watts >= 0):
                 raise ValueError(f"UE power must be >= 0, got {ue_watts}")
-            if not math.isfinite(total):
-                raise ValueError(f"total power must be finite, got {total}")
+        # Left to right from 0.0, as sum() adds floats up to Python 3.11; since 3.12 sum()
+        # compensates its rounding, which would move a total by an ULP between Pythons.
+        processing = 0.0 + nodes[0] + nodes[1] + nodes[2] + nodes[3]
+        transmission = ue_watts + (0.0 + segments[0] + segments[1] + segments[2])
+        total = processing + transmission
+        if not math.isfinite(total):
+            raise ValueError(f"total power must be finite, got {total}")
         self.__dict__.update(placement=placement, nodes=nodes, segments=segments,
                              ue_watts=ue_watts, processing_watts=processing,
                              transmission_watts=transmission, total_watts=total)

@@ -1,0 +1,65 @@
+"""Known faults that the tests must catch, one row each: ``python tests/mutants.py``.
+
+For each row, the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory, replaces the row's old text, which must occur once
+in its file, and runs the row's pytest selection there against the changed
+copy. A row is caught when the selection fails (pytest exit status 1) and
+survives when it passes; any other outcome is an error. The script prints a
+line per row and exits 1 unless every row is caught. pytest does not collect it.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/oranpower, old text, new text, pytest selection)
+MUTANTS = (
+    ("snap of 1% of a unit at every size", "powermodel.py",
+     "_SNAP_ULPS = 4\n_SNAP_UNITS = 2**-20\n", "_SNAP_ULPS = 2**60\n_SNAP_UNITS = 0.01\n",
+     "tests/test_properties.py::TestOracleAgreement"
+     "::test_a_ratio_just_above_a_whole_number_buys_the_next_unit"),
+    ("user rate off by one part in 10**6", "powermodel.py",
+     "/ SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S\n",
+     "/ SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S * (1 + 1e-6)\n",
+     "tests/test_experiments.py::TestBruteForceOracle::test_user_rate_terms_alone"),
+    ("after-BBP links without the router", "powermodel.py",
+     "for multiplier, spec, _ in devices:", "for multiplier, spec, _ in devices[:2]:",
+     "tests/test_experiments.py::TestBruteForceOracle"),
+)
+
+
+def run(filename, old, new, selection):
+    """``"caught"``, ``"survived"`` or an error message, for one row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, Path(tmp, tree), ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = Path(tmp, "src", "oranpower", filename)
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"error: the old text occurs {text.count(old)} times in {filename}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", selection],
+            cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "caught"}.get(status, f"error: pytest exit status {status}")
+
+
+def main():
+    caught = True
+    for name, filename, old, new, selection in MUTANTS:
+        start = time.perf_counter()
+        result = run(filename, old, new, selection)
+        caught &= result == "caught"
+        print(f"{result:9} {time.perf_counter() - start:5.1f} s  {name}  [{selection}]", flush=True)
+    return 0 if caught else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Sweep and fanout harnesses plus the brute-force enumeration cross-check."""
+"""Sweep and fanout harnesses, and the closed form against the exact reference."""
 
 import tracemalloc
 from dataclasses import replace
@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from oranpower.experiments import brute_force_oracle, fanout_study, sweep_orus
+from oranpower.experiments import fanout_study, sweep_orus
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -22,6 +22,7 @@ from oranpower.topology import (
     from_fanout_case,
 )
 
+import oracle
 from model_helpers import total_reduction
 
 ALL_PLACEMENTS = list(Node)
@@ -158,29 +159,25 @@ class TestReductionRatio:
 
 
 class TestBruteForceOracle:
+    """Every term of ``evaluate`` against the exact reference in ``oracle.py``."""
+
     def test_single_instance_topology(self, linear_config):
         topo = build_sweep_topology(1, 1, 4)
-        oracle = brute_force_oracle(topo, linear_config.traffic, linear_config.catalog,
-                                    linear_config.params, Node.ORU, linear_config.policy)
-        closed = linear_config.evaluate(topo, Node.ORU).total_watts
-        assert oracle == pytest.approx(closed, rel=1e-9)
+        assert not oracle.agrees(linear_config.evaluate(topo, Node.ORU), linear_config, topo,
+                                 Node.ORU)
 
     def test_cap_provisioning_matches(self, default_config):
         # 3 O-RUs share one O-DU sized for 4; both sides must count 44 Gbps
         topo = build_sweep_topology(3, 10, 4)
-        oracle = brute_force_oracle(topo, default_config.traffic, default_config.catalog,
-                                    default_config.params, Node.ODU, default_config.policy)
-        closed = default_config.evaluate(topo, Node.ODU).total_watts
-        assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
+        assert not oracle.agrees(default_config.evaluate(topo, Node.ODU), default_config, topo,
+                                 Node.ODU)
 
     @pytest.mark.parametrize("n_ru", [1, 4, 5, 17, 40])
     @pytest.mark.parametrize("placement", ALL_PLACEMENTS)
     def test_spot_equivalence(self, n_ru, placement, default_config):
         topo = build_sweep_topology(n_ru, 10, 4)
-        oracle = brute_force_oracle(topo, default_config.traffic, default_config.catalog,
-                                    default_config.params, placement, default_config.policy)
-        closed = default_config.evaluate(topo, placement).total_watts
-        assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
+        assert not oracle.agrees(default_config.evaluate(topo, placement), default_config, topo,
+                                 placement)
 
     @pytest.mark.parametrize("placement", ALL_PLACEMENTS)
     def test_user_rate_terms_alone(self, placement, linear_config):
@@ -189,11 +186,9 @@ class TestBruteForceOracle:
         config = replace(linear_config, traffic=TrafficModel(monthly_gb_per_user=37.0,
                                                              ecpri_per_ru_gbps=0.0))
         topo = build_sweep_topology(6, 7, 4)
-        oracle = brute_force_oracle(topo, config.traffic, config.catalog, config.params,
-                                    placement, config.policy)
-        closed = config.evaluate(topo, placement).total_watts
-        assert closed > 0
-        assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
+        breakdown = config.evaluate(topo, placement)
+        assert breakdown.total_watts > 0
+        assert not oracle.agrees(breakdown, config, topo, placement)
 
     def test_quantized_transport_equivalence(self):
         policy = ProvisioningPolicy(
@@ -206,7 +201,4 @@ class TestBruteForceOracle:
         config = ModelConfig.default(policy=policy)
         topo = from_fanout_case(FANOUT_CASES["C-5"], 8, 5)
         for placement in ALL_PLACEMENTS:
-            oracle = brute_force_oracle(topo, config.traffic, config.catalog, config.params,
-                                        placement, config.policy)
-            closed = config.evaluate(topo, placement).total_watts
-            assert oracle / topo.n_users == pytest.approx(closed, rel=1e-9)
+            assert not oracle.agrees(config.evaluate(topo, placement), config, topo, placement)

@@ -1,9 +1,12 @@
-"""Golden CLI output: the sha256 of stdout of fixed sweep, fanout and eval runs.
+"""Golden output: the sha256 of stdout of fixed sweep, fanout and eval runs, and of
+the raw floats of a grid of breakdowns.
 
 README.md promises byte-identical output for identical flags and config;
 these digests also pin that output across refactors of the model. A digest
 changes only when the printed numbers or layout change, which must then be
-a deliberate, documented change of the model or of the output format.
+a deliberate, documented change of the model or of the output format. The
+printed ``%.6g`` values hide a change in the last bit of a float; the raw
+float digest does not, and it must be the same on every supported Python.
 """
 
 import hashlib
@@ -12,6 +15,10 @@ import io
 import pytest
 
 from oranpower.cli import main
+from oranpower.configfile import load_config
+from oranpower.experiments import sweep_orus
+from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy
+from oranpower.topology import Node
 
 # Hop counts, sigma/alpha and server overrides, so every term of the model
 # departs from its default somewhere.
@@ -92,3 +99,20 @@ def test_stdout_digest(name, tmp_path):
     code = main(argv, stdout=out, stderr=err)
     assert (code, err.getvalue()) == (0, "")
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DIGESTS[name]
+
+
+def test_breakdown_floats_digest():
+    """The sha256 of ``repr`` of every float of every breakdown over n_ru 1..2000, 10 users
+    per O-RU and every placement: the default config, then ``CONFIG_TEXT`` with every device
+    class quantized, two with minimum units and one with its own unit."""
+    quantized = ProvisioningPolicy(*(ClassPolicy.quantize(unit, minimum) for unit, minimum in
+                                     ((None, 0), (None, 1), (None, 0), (100.0, 0), (None, 2))))
+    configs = (ModelConfig.default(), load_config(CONFIG_TEXT, ModelConfig.default(quantized))[0])
+    digest = hashlib.sha256()
+    for config in configs:
+        for record in sweep_orus(range(1, 2001), 10, list(Node), config):
+            b = record.breakdown
+            digest.update(repr((b.nodes, b.segments, b.ue_watts, b.processing_watts,
+                                b.transmission_watts, b.total_watts)).encode())
+    assert digest.hexdigest() == (
+        "2df9890dd2aa49f324930ce12b956b9d10dcbf7f9e9cd68cda3c30e92bb6258e")

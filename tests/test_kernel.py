@@ -23,7 +23,6 @@ from oranpower.catalog import (
     default_catalog,
     energy_per_capacity,
 )
-from oranpower.experiments import brute_force_oracle
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -46,6 +45,8 @@ from oranpower.topology import (
     from_fanout_case,
     segment_map,
 )
+
+import oracle
 
 EXTREME_FLOATS = (5e-324, 1e-300, 1e-12, 1e12, 1e300)
 EXTREME_COUNTS = (2**40, 2**53)
@@ -163,12 +164,19 @@ def class_policies(draw, extreme):
         return ClassPolicy.linear()
     minimum = draw(st.one_of(st.integers(0, 3), st.sampled_from(EXTREME_COUNTS))
                    if extreme else st.integers(0, 3))
-    return ClassPolicy.quantize(draw(st.one_of(st.none(), positive(extreme))), minimum)
+    # 0.7 is a float just below 7/10, so a 7 Gbps load is just above a whole number of units.
+    return ClassPolicy.quantize(draw(st.one_of(st.none(), positive(extreme), st.just(0.7))),
+                                minimum)
+
+
+@st.composite
+def policies(draw, extreme):
+    return ProvisioningPolicy(*(draw(class_policies(extreme)) for _ in range(5)))
 
 
 @st.composite
 def configs(draw, extreme):
-    policy = ProvisioningPolicy(*(draw(class_policies(extreme)) for _ in range(5)))
+    policy = draw(policies(extreme))
     rate = st.floats(0.0, 1e3)
     if extreme:
         rate = st.one_of(rate, st.sampled_from((0.0, 5e-324) + EXTREME_FLOATS))
@@ -284,11 +292,8 @@ class TestSharedFactories:
                         if isinstance(value, (int, float)) and not isinstance(value, bool)]
         for config in (first, second):
             for topology, placement in cells[:40]:
-                oracle = brute_force_oracle(topology, config.traffic, config.catalog,
-                                            config.params, placement, config.policy,
-                                            config.provision_to_cap)
-                total = config.evaluate(topology, placement).total_watts
-                assert abs(oracle / topology.n_users - total) <= 1e-9 * total
+                assert not oracle.agrees(config.evaluate(topology, placement), config, topology,
+                                         placement)
 
     def test_copies_rebuild_their_kernels(self):
         config = same_shape_configs()[1]

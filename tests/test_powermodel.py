@@ -173,6 +173,15 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="unit_capacity_gbps"):
             ClassPolicy.quantize(unit_capacity_gbps=math.inf)
 
+    @pytest.mark.parametrize("minimum", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_minimum_units_beyond_max_count_rejected(self, minimum):
+        with pytest.raises(ValueError, match=r"^minimum_units must be an integer >= 0 and "
+                                             rf"<= 2\*\*53, got {minimum}$"):
+            ClassPolicy.quantize(minimum_units=minimum)
+        policy = ProvisioningPolicy(servers=ClassPolicy.quantize(minimum_units=2**53))
+        breakdown = ModelConfig.default(policy).evaluate(build_sweep_topology(4, 1), Node.ODU)
+        assert math.isfinite(breakdown.total_watts)
+
     def test_nan_node_power_rejected(self):
         with pytest.raises(ValueError, match="oru"):
             PowerBreakdown(Node.ORU, nodes=(math.nan, 0.0, 0.0, 0.0), segments=(0.0, 0.0, 0.0),

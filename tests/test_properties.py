@@ -1,24 +1,25 @@
 """Property-based tests for model invariants across randomized inputs."""
 
 import math
+import sys
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oranpower.catalog import default_catalog
-from oranpower.experiments import brute_force_oracle
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
     PowerBreakdown,
+    PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
 )
 from oranpower.topology import (
     LINK_ORDER,
+    MAX_COUNT,
     NODE_ORDER,
-    Link,
     Node,
     Topology,
     TopologyError,
@@ -27,60 +28,15 @@ from oranpower.topology import (
     segment_map,
 )
 
+import oracle
 from model_helpers import equipment_power
+from test_kernel import catalogs, params, policies, topologies
 
 PLACEMENTS = list(Node)
 
 
 def rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
-
-
-@st.composite
-def topologies(draw):
-    """Valid aggregation trees built from per-tier multipliers."""
-    n_dc = draw(st.integers(1, 3))
-    n_cu = n_dc * draw(st.integers(1, 3))
-    n_du = n_cu * draw(st.integers(1, 4))
-    n_ru = n_du * draw(st.integers(1, 4))
-    users_per_ru = draw(st.integers(1, 20))
-    cap = draw(st.one_of(st.none(), st.integers(1, 8)))
-    return Topology(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc,
-                    users_per_ru=users_per_ru, du_fanout_cap=cap)
-
-
-@st.composite
-def class_policies(draw):
-    if not draw(st.booleans()):
-        return ClassPolicy.linear()
-    unit = draw(st.one_of(st.none(), st.floats(0.1, 50.0, allow_nan=False)))
-    return ClassPolicy.quantize(unit_capacity_gbps=unit,
-                                minimum_units=draw(st.integers(0, 2)))
-
-
-@st.composite
-def segment_params(draw):
-    """Every settable factor of every node and link: σ and α, and a link's hop counts and γ."""
-    result = {}
-    for segment, entry in segment_map().items():
-        changes = {"sigma": draw(st.floats(1.0, 10.0)), "alpha": draw(st.floats(1.0, 10.0))}
-        if isinstance(segment, Link):
-            changes.update(hops_switch=draw(st.integers(0, 3)), hops_wdm=draw(st.integers(0, 3)),
-                           hops_router=draw(st.integers(0, 3)),
-                           gamma=draw(st.sampled_from([0, 1])))
-        result[segment] = replace(entry, **changes)
-    return result
-
-
-@st.composite
-def policies(draw):
-    return ProvisioningPolicy(
-        servers=draw(class_policies()),
-        node_interface=draw(class_policies()),
-        switches=draw(class_policies()),
-        links=draw(class_policies()),
-        routers=draw(class_policies()),
-    )
 
 
 class TestQuantizedVersusLinear:
@@ -113,18 +69,21 @@ class TestQuantizedVersusLinear:
 
 
 class TestBreakdownInvariants:
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies(),
-           provision_to_cap=st.booleans())
+    @given(topology=topologies(False), placement=st.sampled_from(PLACEMENTS),
+           policy=policies(False), provision_to_cap=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_decomposition(self, topology, placement, policy, provision_to_cap):
         # exact: the breakdown derives its totals from its parts in this order
         config = replace(ModelConfig.default(policy=policy), provision_to_cap=provision_to_cap)
         breakdown = config.evaluate(topology, placement)
         assert breakdown.total_watts == breakdown.processing_watts + breakdown.transmission_watts
-        assert breakdown.processing_watts == sum(breakdown.nodes)
-        assert breakdown.transmission_watts == breakdown.ue_watts + sum(breakdown.segments)
+        nodes, segments = breakdown.nodes, breakdown.segments
+        assert breakdown.processing_watts == nodes[0] + nodes[1] + nodes[2] + nodes[3]
+        assert breakdown.transmission_watts == breakdown.ue_watts + (
+            segments[0] + segments[1] + segments[2])
 
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies())
+    @given(topology=topologies(False), placement=st.sampled_from(PLACEMENTS),
+           policy=policies(False))
     @settings(max_examples=40, deadline=None)
     def test_branch_assignment(self, topology, placement, policy):
         config = ModelConfig.default(policy=policy)
@@ -158,7 +117,7 @@ class TestTransmissionShape:
 
 
 class TestScalingAndZero:
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS))
+    @given(topology=topologies(False), placement=st.sampled_from(PLACEMENTS))
     @settings(max_examples=40, deadline=None)
     def test_doubling_rated_power_doubles_everything_but_ue(self, topology, placement):
         config = ModelConfig.default()
@@ -184,7 +143,7 @@ class TestScalingAndZero:
                          2 * (base.total_watts - base.ue_watts))
         assert result.ue_watts == base.ue_watts
 
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS))
+    @given(topology=topologies(False), placement=st.sampled_from(PLACEMENTS))
     @settings(max_examples=20, deadline=None)
     def test_zero_traffic_zero_power_linear(self, topology, placement):
         config = ModelConfig(
@@ -196,17 +155,74 @@ class TestScalingAndZero:
         assert config.evaluate(topology, placement).total_watts == 0.0
 
 
+@st.composite
+def wide_topologies(draw):
+    """Valid trees with every count, ``users_per_ru`` and the cap anywhere up to 2**53."""
+    n_ru = draw(st.integers(1, MAX_COUNT))
+    n_du = draw(st.integers(1, n_ru))
+    n_cu = draw(st.integers(1, n_du))
+    n_dc = draw(st.integers(1, n_cu))
+    return Topology(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc,
+                    users_per_ru=draw(st.integers(1, MAX_COUNT)),
+                    du_fanout_cap=draw(st.one_of(st.none(), st.integers(1, MAX_COUNT))))
+
+
+@st.composite
+def wide_configs(draw):
+    """Random configs; in one of four, factors up to 1e300 and traffic up to 1e150.
+
+    Rates stay 0 or at least 1e-6, so no term is a subnormal float that has lost bits. An
+    eCPRI rate of 7 Gbps meets the 0.7 Gbps units of ``class_policies`` in the snap region.
+    """
+    extreme = draw(st.integers(0, 3)) == 0
+    rate = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.just(7.0))
+    if extreme:
+        rate = st.one_of(rate, st.just(1e150))
+    return ModelConfig(draw(catalogs(False)), draw(params(extreme)),
+                       TrafficModel(draw(rate), draw(rate)), draw(policies(False)),
+                       draw(st.booleans()))
+
+
 class TestOracleAgreement:
-    @given(topology=topologies(), placement=st.sampled_from(PLACEMENTS), policy=policies(),
-           params=segment_params(), provision_to_cap=st.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test_enumeration_matches_closed_form(self, topology, placement, policy, params,
-                                             provision_to_cap):
-        config = ModelConfig(default_catalog(), params, TrafficModel(), policy, provision_to_cap)
-        oracle = brute_force_oracle(topology, config.traffic, config.catalog, config.params,
-                                    placement, config.policy, provision_to_cap)
-        closed = config.evaluate(topology, placement).total_watts
-        assert rel_close(oracle / topology.n_users, closed)
+    @given(config=wide_configs(), topology=wide_topologies(),
+           placement=st.sampled_from(PLACEMENTS))
+    @settings(max_examples=60, deadline=None)
+    def test_enumeration_matches_closed_form(self, config, topology, placement):
+        # Outside the snap region every term is within 1e-9 of exact; P_T = P_pr + P_tr;
+        # and no term is below that of the same config sized linearly. The model overflows
+        # only where the exact total is beyond a float too.
+        try:
+            breakdown = config.evaluate(topology, placement)
+        except PowerOverflowError:
+            event("overflows a float")
+            terms, _ = oracle.reference_terms(config, topology, placement)
+            assert sum(terms) > (1 - 1e-9) * sys.float_info.max
+            return
+        if oracle.agrees(breakdown, config, topology, placement):
+            event("a term one unit short in the snap region")
+        assert breakdown.total_watts == (breakdown.processing_watts
+                                         + breakdown.transmission_watts)
+        linear = replace(config, policy=ProvisioningPolicy.all_linear()).evaluate(topology,
+                                                                                  placement)
+        for watts, linear_watts in zip((*breakdown.nodes, *breakdown.segments),
+                                       (*linear.nodes, *linear.segments)):
+            assert watts >= linear_watts * (1 - 1e-12)
+
+    def test_a_ratio_just_above_a_whole_number_buys_the_next_unit(self):
+        # 2.005 Gbps of eCPRI in 1 Gbps server units needs 3; a snap that reached 1% of a
+        # unit would buy 2.
+        config = replace(ModelConfig.default(), traffic=TrafficModel(ecpri_per_ru_gbps=2.005))
+        topology = build_sweep_topology(1, 1)
+        assert not oracle.agrees(config.evaluate(topology, Node.ORU), config, topology,
+                                 Node.ORU)
+
+    def test_a_ratio_in_the_snap_region_is_accepted_one_unit_short(self):
+        # 2**22 + 2**-30 Gbps is one ULP above 2**22 units: the package snaps to 2**22
+        # units, one fewer than the exact ceiling, and the reference counts that.
+        config = replace(ModelConfig.default(),
+                         traffic=TrafficModel(ecpri_per_ru_gbps=2**22 + 2**-30))
+        topology = build_sweep_topology(1, 1)
+        assert oracle.agrees(config.evaluate(topology, Node.ORU), config, topology, Node.ORU)
 
 
 # Reference checks: one test per part or count, in field order, as records
@@ -222,8 +238,8 @@ def per_part_breakdown(nodes, segments, ue_watts):
                 raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
     if not (ue_watts >= 0):
         raise ValueError(f"UE power must be >= 0, got {ue_watts}")
-    processing = sum(nodes)
-    transmission = ue_watts + sum(segments)
+    processing = 0.0 + nodes[0] + nodes[1] + nodes[2] + nodes[3]
+    transmission = ue_watts + (0.0 + segments[0] + segments[1] + segments[2])
     total = processing + transmission
     if not math.isfinite(total):
         raise ValueError(f"total power must be finite, got {total}")
