@@ -7,7 +7,7 @@ import functools
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, compress
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .catalog import CatalogError, default_catalog
@@ -15,7 +15,6 @@ from .configfile import ConfigError, TopologyCounts, load_config
 from .experiments import (
     DEFAULT_FANOUT_N_RU,
     DEFAULT_USERS_PER_RU,
-    SweepRecord,
     fanout_study,
     sweep_orus,
 )
@@ -57,38 +56,33 @@ CSV_COLUMNS = (
 )
 
 
-def _csv_rows(records: Iterable[SweepRecord]) -> Iterator[str]:
+def _csv_rows(rows: Iterable[tuple[int, Node, tuple[float, ...]]]) -> Iterator[str]:
     """CSV data lines: n_ru, the placement and the CSV_COLUMNS, powers to 6 significant digits.
 
-    Each placement's lines come from a template of its first record that renders once each
+    Each placement's lines come from a template of its first row that renders once each
     column that cannot change with n_ru. In a sweep ``users_per_ru``, the eCPRI rate and the
     plan are fixed and ``n_users == n_ru * users_per_ru``, so at BBP depth d only tiers 1..d,
     links 1..d-1 and their totals vary: at depth 0, n_ru / n_users is 1 / users_per_ru rounded.
     """
     templates = {}
-    for record in records:
-        breakdown = record.breakdown
-        render = templates.get(breakdown.placement) or templates.setdefault(
-            breakdown.placement, _row_template(breakdown))
-        yield render(record.n_ru, breakdown)
+    for n_ru, placement, watts in rows:
+        render = templates.get(placement) or templates.setdefault(
+            placement, _row_template(placement, watts))
+        yield render(n_ru, watts)
 
 
-def _row_template(first: PowerBreakdown) -> Callable[[int, PowerBreakdown], str]:
-    depth = first.placement.depth
-    # A tier or link varies when the kernel prices it per cell, except at depth 0.
-    nodes, links = ([segment.depth > 0 and first.branch(segment) != "after" for segment in order]
-                    for order in (NODE_ORDER, LINK_ORDER))
+def _row_template(placement: Node, first: tuple[float, ...]) -> Callable[[int, tuple], str]:
+    depth = placement.depth
+    # The tiers and links that the kernel prices per cell, but those at depth 0.
+    nodes = [0 < i <= depth for i in range(len(NODE_ORDER))]
+    links = [0 < i < depth for i in range(len(LINK_ORDER))]
     varies = (any(nodes), any(links), any(nodes) or any(links), *nodes, *links, False)
-    values = (first.processing_watts, first.transmission_watts, first.total_watts,
-              *first.nodes, *first.segments, first.ue_watts)
-    template = ",".join(["%s", _PLACEMENT_NAMES[first.placement]] + [
-        "%.6g" if vary else "%.6g" % value for vary, value in zip(varies, values)]) + "\n"
+    template = ",".join(["%s", _PLACEMENT_NAMES[placement]] + [
+        "%.6g" if vary else "%.6g" % value for vary, value in zip(varies, first)]) + "\n"
     if not depth:
-        return lambda n_ru, breakdown: template % n_ru
-    totals = attrgetter(*compress(("processing_watts", "transmission_watts", "total_watts"),
-                                  varies))
-    return lambda n_ru, breakdown: template % (
-        n_ru, *totals(breakdown), *breakdown.nodes[1:depth + 1], *breakdown.segments[1:depth])
+        return lambda n_ru, watts: template % n_ru
+    varying = itemgetter(*compress(range(len(varies)), varies))
+    return lambda n_ru, watts: template % (n_ru, *varying(watts))
 
 
 def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
@@ -171,14 +165,14 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     n_ru = _topology_value(args, counts, "n_ru", None, parser)
     users_per_ru = _topology_value(args, counts, "users_per_ru", None, parser)
     du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
-    topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
-    breakdown = config.evaluate(topology, Node(args.bbp))
+    placement = Node(args.bbp)
     if args.format == "table":
-        lines = [_render_eval_table(topology, args.policy, breakdown)]
-    else:
+        topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
+        lines = [_render_eval_table(topology, args.policy, config.evaluate(topology, placement))]
+    else:  # a one-count sweep, which evaluates its cell before the output is opened
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        rows = _csv_rows([SweepRecord(n_ru, breakdown)])
+        rows = _csv_rows(sweep_orus([n_ru], users_per_ru, [placement], config, du_fanout_cap))
         lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows)
     _emit(lines, args.output, stdout)
     return EXIT_OK
@@ -194,8 +188,8 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     users_per_ru = _topology_value(args, counts, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
     du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     placements = _parse_placements(args.placements, parser)
-    records = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
-                         du_fanout_cap=du_fanout_cap)
+    rows = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
+                      du_fanout_cap=du_fanout_cap)
     metadata = [
         ("max_ru", args.max_ru),
         ("users_per_ru", users_per_ru),
@@ -204,7 +198,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), _csv_rows(records)),
+    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), _csv_rows(rows)),
           args.output, stdout)
     return EXIT_OK
 

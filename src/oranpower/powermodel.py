@@ -61,7 +61,10 @@ class TrafficModel:
     @property
     def user_rate_gbps(self) -> float:
         """Mean user data rate in Gbps for the monthly volume in decimal GB."""
-        return self.monthly_gb_per_user * BITS_PER_GIGABYTE / SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S
+        volume = self.monthly_gb_per_user
+        if volume * BITS_PER_GIGABYTE == math.inf:  # above about 2.2e298 GB; the rate fits
+            return volume * (BITS_PER_GIGABYTE / SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S)
+        return volume * BITS_PER_GIGABYTE / SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S
 
 
 @dataclass(frozen=True)
@@ -221,16 +224,35 @@ class _Plan(NamedTuple):
     kernel: Callable  # (n_ru, n_du, n_cu, n_dc, n_users, ru_per_du) -> (nodes, segments)
 
 
+def per_user_watts(nodes: tuple, segments: tuple, ue_watts: float) -> tuple | None:
+    """Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
+    ``None`` unless every part is >= 0 and the total finite.
+
+    Each sum is taken left to right from 0.0, as ``sum()`` adds floats up to
+    Python 3.11; since 3.12 it compensates its rounding, which would move a
+    total by an ULP between Pythons.
+    """
+    n0, n1, n2, n3 = nodes
+    s0, s1, s2 = segments
+    processing = 0.0 + n0 + n1 + n2 + n3
+    transmission = ue_watts + (0.0 + s0 + s1 + s2)
+    total = processing + transmission
+    # Each part compared on its own, as min() parses keywords on each call; with no part
+    # NaN or negative, the total is finite exactly when it is below infinity.
+    if (n0 >= 0.0 and n1 >= 0.0 and n2 >= 0.0 and n3 >= 0.0 and s0 >= 0.0 and s1 >= 0.0
+            and s2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
+        return processing, transmission, total, n0, n1, n2, n3, s0, s1, s2, ue_watts
+    return None
+
+
 @dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """Per-user power of one BBP placement, split by node tier, link, and UE.
 
     ``nodes`` holds one watts figure per tier in NODE_ORDER and ``segments``
-    one per link in LINK_ORDER. The totals are derived from the parts, so
-    P_T = P_pr + P_tr holds exactly: processing is the sum of the node terms,
-    transmission the UE plus the sum of the segment terms, each sum taken
-    left to right in that order on every Python. Every part must be >= 0 and
-    the total finite.
+    one per link in LINK_ORDER. The totals are those of ``per_user_watts``,
+    derived from the parts, so P_T = P_pr + P_tr holds exactly. Every part
+    must be >= 0 and the total finite.
     """
 
     placement: Node
@@ -243,13 +265,9 @@ class PowerBreakdown:
 
     def __init__(self, placement: Node, nodes: tuple[float, ...], segments: tuple[float, ...],
                  ue_watts: float):
-        # One test passes the parts of every valid breakdown; the per-part checks name a
-        # failure. The parts are compared one by one: min() parses keywords on each call,
-        # which costs more than the eight comparisons.
-        if not (type(placement) is Node and len(nodes) == 4 and len(segments) == 3
-                and nodes[0] >= 0.0 and nodes[1] >= 0.0 and nodes[2] >= 0.0 and nodes[3] >= 0.0
-                and segments[0] >= 0.0 and segments[1] >= 0.0 and segments[2] >= 0.0
-                and ue_watts >= 0.0):
+        watts = (per_user_watts(nodes, segments, ue_watts)
+                 if type(placement) is Node and len(nodes) == 4 and len(segments) == 3 else None)
+        if watts is None:  # the per-part checks name the failure
             if type(placement) is not Node:
                 raise ValueError(f"unknown BBP placement: {placement!r}")
             for kind, parts, order in (("node", nodes, NODE_ORDER),
@@ -257,22 +275,17 @@ class PowerBreakdown:
                 if len(parts) != len(order):
                     raise ValueError(
                         f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
-                for segment, watts in zip(order, parts):
-                    if not (watts >= 0):
+                for segment, part in zip(order, parts):
+                    if not (part >= 0):
                         raise ValueError(
-                            f"{kind} power for {segment.value} must be >= 0, got {watts}")
+                            f"{kind} power for {segment.value} must be >= 0, got {part}")
             if not (ue_watts >= 0):
                 raise ValueError(f"UE power must be >= 0, got {ue_watts}")
-        # Left to right from 0.0, as sum() adds floats up to Python 3.11; since 3.12 sum()
-        # compensates its rounding, which would move a total by an ULP between Pythons.
-        processing = 0.0 + nodes[0] + nodes[1] + nodes[2] + nodes[3]
-        transmission = ue_watts + (0.0 + segments[0] + segments[1] + segments[2])
-        total = processing + transmission
-        if not math.isfinite(total):
-            raise ValueError(f"total power must be finite, got {total}")
+            # Every part is >= 0, so a total that is not finite is infinite.
+            raise ValueError("total power must be finite, got inf")
         self.__dict__.update(placement=placement, nodes=nodes, segments=segments,
-                             ue_watts=ue_watts, processing_watts=processing,
-                             transmission_watts=transmission, total_watts=total)
+                             ue_watts=ue_watts, processing_watts=watts[0],
+                             transmission_watts=watts[1], total_watts=watts[2])
 
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
@@ -384,10 +397,18 @@ class ModelConfig:
                     watts_per_gbps += multiplier * energy_per_capacity(spec)
                 after.append(scale * user_rate * watts_per_gbps)
 
-        ue_watts = user_rate * GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit
+        bits_per_s = user_rate * GBPS_TO_BITS_PER_S
+        ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf
+                    else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
         terms, after = tuple(terms), tuple(after)
         kernel = _factory((bbp, tuple(flags)))(self.traffic.ecpri_per_ru_gbps, terms, after)
         return _Plan(terms, after, ue_watts, kernel)
+
+    def _ru_per_du(self, n_ru: int, n_du: int, du_fanout_cap: int | None) -> float:
+        """O-RUs per O-DU load: the fanout cap when provisioned to it, else those beneath it."""
+        if self.provision_to_cap and du_fanout_cap is not None:
+            return du_fanout_cap
+        return n_ru / n_du
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
@@ -399,15 +420,9 @@ class ModelConfig:
             plan = self._plans[placement]
         except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
             plan = self._plans[placement] = self._plan(placement)
-        n_ru = topology.n_ru
-        # An O-DU is sized for the fanout cap when asked to; every other
-        # instance carries all O-RUs beneath it.
-        if self.provision_to_cap and topology.du_fanout_cap is not None:
-            ru_per_du = topology.du_fanout_cap
-        else:
-            ru_per_du = n_ru / topology.n_du
-        nodes, segments = plan.kernel(n_ru, topology.n_du, topology.n_cu, topology.n_dc,
-                                      topology.n_users, ru_per_du)
+        n_ru, n_du = topology.n_ru, topology.n_du
+        nodes, segments = plan.kernel(n_ru, n_du, topology.n_cu, topology.n_dc, topology.n_users,
+                                      self._ru_per_du(n_ru, n_du, topology.du_fanout_cap))
         try:
             return PowerBreakdown(placement, nodes, segments, plan.ue_watts)
         except ValueError:

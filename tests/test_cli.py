@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oranpower import cli
 from oranpower.cli import CSV_COLUMNS, build_parser, main
 from oranpower.configfile import TopologyCounts, load_config
-from oranpower.experiments import SweepRecord, sweep_orus
 from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import NODE_ORDER, Node, build_sweep_topology
 
@@ -126,6 +125,19 @@ class TestSweep:
         assert any("users_per_ru" in line for line in comments)
         assert any("policy" in line for line in comments)
 
+    def test_overflow_at_a_later_count_is_data_error(self, tmp_path):
+        # Whole O-CU servers of 1e-10 Gbps at 1e297 W/Gbps: n_ru * 1.1e11 units of them
+        # are priced within the float range at one O-RU and beyond it from two.
+        config = tmp_path / "tiny.cfg"
+        config.write_text("edge_server.cores = 1\nedge_server.per_core_power_w = 1e287\n"
+                          "edge_server.per_core_capacity_gbps = 1e-10\n"
+                          "edge_server.server_capacity_gbps = 1e-10\n")
+        code, out, err = run_cli("sweep", "--max-ru", "3", "--placements", "ocu",
+                                 "--config", str(config))
+        assert code == 1
+        assert [line.split(",")[:2] for line in data_lines(out)[1:]] == [["1", "ocu"]]
+        assert err.startswith("error: per-user power with BBP at ocu and n_ru=2 overflows")
+
     def test_repeat_runs_byte_identical(self):
         first = run_cli("sweep", "--max-ru", "30")
         second = run_cli("sweep", "--max-ru", "30")
@@ -168,11 +180,12 @@ class TestRowTemplates:
                             "--placements", ",".join(node.value for node in placements))
             one = run_cli("eval", "--n-ru", str(n_ru), "--bbp", bbp.value, "--format", "csv",
                           *flags)
-        records = sweep_orus(range(1, max_ru + 1), users_per_ru, placements, config,
-                             du_fanout_cap=cap)
+        ordered = [node for node in NODE_ORDER if node in placements]
         assert sweep[0] == 0 and sweep[2] == ""
-        assert data_lines(sweep[1])[1:] == [reference_row(record.n_ru, record.breakdown)
-                                            for record in records]
+        assert data_lines(sweep[1])[1:] == [
+            reference_row(count, config.evaluate(build_sweep_topology(count, users_per_ru, cap),
+                                                 node))
+            for count in range(1, max_ru + 1) for node in ordered]
         breakdown = config.evaluate(build_sweep_topology(n_ru, users_per_ru, cap), bbp)
         assert one[0] == 0 and one[2] == ""
         assert data_lines(one[1])[1:] == [reference_row(n_ru, breakdown)]
@@ -220,8 +233,8 @@ class TestConfigHandling:
         config, counts = load_config(text, flags_config)
         assert counts == TopologyCounts(24, 6, 3)
         breakdown = config.evaluate(build_sweep_topology(24, 6, 3), Node.ODU)
-        [row] = cli._csv_rows([SweepRecord(24, breakdown)])
-        assert out.endswith("n_ru,placement," + ",".join(CSV_COLUMNS) + "\n" + row)
+        row = reference_row(24, breakdown)
+        assert out.endswith("n_ru,placement," + ",".join(CSV_COLUMNS) + "\n" + row + "\n")
 
     def test_fronthaul_and_midhaul_router_hops_change_nothing(self, tmp_path):
         argv = ["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc", "--format", "csv"]

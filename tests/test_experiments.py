@@ -5,7 +5,10 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oranpower.catalog import ServerSpec, default_catalog
 from oranpower.experiments import fanout_study, sweep_orus
 from oranpower.powermodel import (
     ClassPolicy,
@@ -16,14 +19,17 @@ from oranpower.powermodel import (
 )
 from oranpower.topology import (
     FANOUT_CASES,
+    NODE_ORDER,
     Node,
     TopologyError,
     build_sweep_topology,
     from_fanout_case,
+    segment_map,
 )
 
 import oracle
 from model_helpers import total_reduction
+from test_kernel import configs
 
 ALL_PLACEMENTS = list(Node)
 
@@ -40,18 +46,19 @@ def default_config():
 
 class TestSweep:
     def test_cardinality_and_order(self, default_config):
-        records = list(sweep_orus(range(1, 101), 10, ALL_PLACEMENTS, default_config))
-        assert len(records) == 400
-        keys = [(r.n_ru, r.breakdown.placement.depth) for r in records]
+        rows = list(sweep_orus(range(1, 101), 10, ALL_PLACEMENTS, default_config))
+        assert len(rows) == 400
+        keys = [(n_ru, placement.depth) for n_ru, placement, _ in rows]
         assert keys == sorted(keys)
 
     def test_dc_total_at_hundred_orus(self, linear_config):
-        records = list(sweep_orus([100], 10, [Node.DC], linear_config))
-        assert records[0].breakdown.total_watts == pytest.approx(93.2981596257716, rel=1e-9)
+        [(_, _, watts)] = sweep_orus([100], 10, [Node.DC], linear_config)
+        assert watts[2] == pytest.approx(93.2981596257716, rel=1e-9)
 
     def test_sawtooth_step_at_new_odu(self, default_config):
-        records = {r.n_ru: r for r in sweep_orus([4, 5], 10, [Node.ODU], default_config)}
-        assert records[5].breakdown.processing_watts > records[4].breakdown.processing_watts
+        processing = {n_ru: watts[0]
+                      for n_ru, _, watts in sweep_orus([4, 5], 10, [Node.ODU], default_config)}
+        assert processing[5] > processing[4]
 
     def test_deterministic(self, default_config):
         first = list(sweep_orus(range(1, 21), 10, ALL_PLACEMENTS, default_config))
@@ -68,16 +75,16 @@ class TestSweep:
             assert list(sweep_orus(counts, 10, ALL_PLACEMENTS, default_config)) == expected
 
     def test_records_are_streamed(self, default_config):
-        records = sweep_orus(range(1, 50), 10, ALL_PLACEMENTS, default_config)
-        assert iter(records) is records
-        first = next(records)
-        assert (first.n_ru, first.breakdown.placement) == (1, Node.ORU)
+        rows = sweep_orus(range(1, 50), 10, ALL_PLACEMENTS, default_config)
+        assert iter(rows) is rows
+        n_ru, placement, watts = next(rows)
+        assert (n_ru, placement, len(watts)) == (1, Node.ORU, 11)
 
     def test_ascending_range_is_not_held(self, default_config):
         tracemalloc.start()
         try:
-            records = sweep_orus(range(1, 1_000_001), 10, [Node.DC], default_config)
-            assert len(list(islice(records, 1000))) == 1000
+            rows = sweep_orus(range(1, 1_000_001), 10, [Node.DC], default_config)
+            assert len(list(islice(rows, 1000))) == 1000
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -98,6 +105,110 @@ class TestSweep:
     def test_unknown_placement_rejected_by_the_call(self, default_config):
         with pytest.raises(ValueError, match="unknown BBP placement: 'dc'"):
             sweep_orus(range(1, 6), 10, ["dc"], default_config)
+
+
+def evaluated_rows(counts, users_per_ru, placements, config, cap):
+    """The rows a sweep must stream, from ``evaluate`` on each cell's sweep topology.
+
+    Cells come in (n_ru, placement depth) order, each count and placement once;
+    every placement at the first count is evaluated before any row.
+    """
+    cells = [(n_ru, node) for n_ru in sorted(set(counts))
+             for node in NODE_ORDER if node in placements]
+    head = sum(n_ru == cells[0][0] for n_ru, _ in cells)
+
+    def row(n_ru, node):
+        b = config.evaluate(build_sweep_topology(n_ru, users_per_ru, cap), node)
+        return n_ru, node, (b.processing_watts, b.transmission_watts, b.total_watts,
+                            *b.nodes, *b.segments, b.ue_watts)
+
+    rows = [row(*cell) for cell in cells[:head]]
+    yield from rows
+    for cell in cells[head:]:
+        yield row(*cell)
+
+
+def streamed(make):
+    """``repr`` of every row ``make()`` yields, which tells each float's bits, and the type
+    and message of the error that ends the stream, if any."""
+    rows = []
+    try:
+        for row in make():
+            rows.append(row)
+    except (ArithmeticError, ValueError) as exc:
+        return repr(rows), (type(exc), str(exc))
+    return repr(rows), None
+
+
+@st.composite
+def sweep_counts(draw):
+    """A positive-step range that need not start at 1, or any list of counts: a descending
+    range, or counts unsorted and repeated."""
+    start, length = draw(st.integers(1, 100)), draw(st.integers(1, 40))
+    step = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("range", "descending", "list")))
+    if kind == "range":
+        return range(start, start + length * step, step)
+    if kind == "descending":
+        return range(start + length * step, start - 1, -step)
+    counts = draw(st.lists(st.integers(1, 120), min_size=1, max_size=40))
+    return counts + draw(st.lists(st.sampled_from(counts), max_size=5))
+
+
+SWEEPS = {"counts": sweep_counts(), "users_per_ru": st.integers(1, 64), "cap": st.integers(1, 16),
+          "placements": st.lists(st.sampled_from(NODE_ORDER), min_size=1)}
+
+
+class TestSweepRows:
+    """Each row of a sweep is ``evaluate``'s cell, bit for bit, and fails as it fails."""
+
+    def check(self, counts, users_per_ru, placements, config, cap):
+        assert (streamed(lambda: sweep_orus(counts, users_per_ru, placements, config, cap))
+                == streamed(lambda: evaluated_rows(counts, users_per_ru, placements, config,
+                                                   cap)))
+
+    @given(config=configs(extreme=False), **SWEEPS)
+    @settings(max_examples=80, deadline=None)
+    def test_random_configs(self, config, counts, users_per_ru, cap, placements):
+        self.check(counts, users_per_ru, placements, config, cap)
+
+    @given(config=configs(extreme=True), **SWEEPS)
+    @settings(max_examples=80, deadline=None)
+    def test_extreme_configs(self, config, counts, users_per_ru, cap, placements):
+        self.check(counts, users_per_ru, placements, config, cap)
+
+    @pytest.mark.parametrize("provision_to_cap", [True, False])
+    def test_partial_odus(self, provision_to_cap):
+        # An O-DU provisioned to the cap of 4 carries 44 Gbps even with fewer O-RUs attached.
+        config = replace(ModelConfig.default(), provision_to_cap=provision_to_cap)
+        for counts in (range(1, 30), [17, 3, 9, 3, 30, 5]):
+            self.check(counts, 10, list(Node), config, 4)
+
+    def test_a_later_count_that_overflows_raises_evaluates_error(self):
+        # Quantized O-CU servers of 1e-10 Gbps: the n_ru * 1.1e11 units times the 1e297 W/Gbps
+        # ratio is below the float range at one O-RU and beyond it from two.
+        edge_server = ServerSpec(cores=1, per_core_power_w=1e287, per_core_capacity_gbps=1e-10,
+                                 server_capacity_gbps=1e-10)
+        config = ModelConfig(replace(default_catalog(), edge_server=edge_server), segment_map(),
+                             TrafficModel(), ProvisioningPolicy.default())
+        with pytest.raises(PowerOverflowError) as evaluated:
+            config.evaluate(build_sweep_topology(2, 10), Node.OCU)
+        assert "BBP at ocu and n_ru=2 overflows a float" in str(evaluated.value)
+        rows = sweep_orus(range(1, 4), 10, [Node.DC, Node.OCU], config)
+        assert [row[:2] for row in islice(rows, 2)] == [(1, Node.OCU), (1, Node.DC)]
+        with pytest.raises(PowerOverflowError) as swept:
+            next(rows)
+        assert str(swept.value) == str(evaluated.value)
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 10**400, 2.5])
+    def test_a_later_count_out_of_range_raises_topology_error(self, count):
+        with pytest.raises(TopologyError) as built:
+            build_sweep_topology(count, 10)
+        rows = sweep_orus([1, count], 10, [Node.DC], ModelConfig.default())
+        assert next(rows)[0] == 1
+        with pytest.raises(TopologyError) as swept:
+            next(rows)
+        assert str(swept.value) == str(built.value)
 
 
 class TestFanoutStudy:
@@ -189,6 +300,15 @@ class TestBruteForceOracle:
         breakdown = config.evaluate(topo, placement)
         assert breakdown.total_watts > 0
         assert not oracle.agrees(breakdown, config, topo, placement)
+
+    @pytest.mark.parametrize("monthly_gb", [1e299, 1e306, 1.7e308])
+    @pytest.mark.parametrize("placement", ALL_PLACEMENTS)
+    def test_volume_beyond_a_float_in_bits(self, monthly_gb, placement, linear_config):
+        # More bits a month than a float holds, and from 1e306 GB more bits per second
+        # at the UE; every term still fits. 1e299 GB at the O-RU totals 1.29e295 W.
+        config = replace(linear_config, traffic=TrafficModel(monthly_gb_per_user=monthly_gb))
+        topo = build_sweep_topology(4, 1, 4)
+        assert not oracle.agrees(config.evaluate(topo, placement), config, topo, placement)
 
     def test_quantized_transport_equivalence(self):
         policy = ProvisioningPolicy(

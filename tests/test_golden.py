@@ -18,7 +18,7 @@ from oranpower.cli import main
 from oranpower.configfile import load_config
 from oranpower.experiments import sweep_orus
 from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy
-from oranpower.topology import Node
+from oranpower.topology import Node, build_sweep_topology
 
 # Hop counts, sigma/alpha and server overrides, so every term of the model
 # departs from its default somewhere.
@@ -104,15 +104,20 @@ def test_stdout_digest(name, tmp_path):
 def test_breakdown_floats_digest():
     """The sha256 of ``repr`` of every float of every breakdown over n_ru 1..2000, 10 users
     per O-RU and every placement: the default config, then ``CONFIG_TEXT`` with every device
-    class quantized, two with minimum units and one with its own unit."""
+    class quantized, two with minimum units and one with its own unit. The floats are read
+    from ``evaluate``, and again from the rows of the sweep over the same cells."""
     quantized = ProvisioningPolicy(*(ClassPolicy.quantize(unit, minimum) for unit, minimum in
                                      ((None, 0), (None, 1), (None, 0), (100.0, 0), (None, 2))))
     configs = (ModelConfig.default(), load_config(CONFIG_TEXT, ModelConfig.default(quantized))[0])
-    digest = hashlib.sha256()
+    evaluated, swept = hashlib.sha256(), hashlib.sha256()
     for config in configs:
-        for record in sweep_orus(range(1, 2001), 10, list(Node), config):
-            b = record.breakdown
-            digest.update(repr((b.nodes, b.segments, b.ue_watts, b.processing_watts,
-                                b.transmission_watts, b.total_watts)).encode())
-    assert digest.hexdigest() == (
-        "2df9890dd2aa49f324930ce12b956b9d10dcbf7f9e9cd68cda3c30e92bb6258e")
+        for n_ru in range(1, 2001):
+            topology = build_sweep_topology(n_ru, 10)
+            for placement in Node:
+                b = config.evaluate(topology, placement)
+                evaluated.update(repr((b.nodes, b.segments, b.ue_watts, b.processing_watts,
+                                       b.transmission_watts, b.total_watts)).encode())
+        for _, _, watts in sweep_orus(range(1, 2001), 10, list(Node), config):
+            swept.update(repr((watts[3:7], watts[7:10], *watts[10:], *watts[:3])).encode())
+    digest = "2df9890dd2aa49f324930ce12b956b9d10dcbf7f9e9cd68cda3c30e92bb6258e"
+    assert (evaluated.hexdigest(), swept.hexdigest()) == (digest, digest)

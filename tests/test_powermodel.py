@@ -16,7 +16,6 @@ import pytest
 from dataclasses import FrozenInstanceError, replace
 
 from oranpower.catalog import default_catalog, energy_per_capacity
-from oranpower.experiments import SweepRecord
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -220,11 +219,15 @@ class TestNonFiniteInputs:
                            ue_watts=0.0)
 
     def test_nan_part_from_overflow_is_overflow_error(self):
-        # an infinite user rate times a zero UE energy gives a NaN UE term
-        catalog = replace(default_catalog(), ue_energy_j_per_bit=0.0)
-        with pytest.raises(PowerOverflowError, match="ue = nan"):
-            evaluate(build_sweep_topology(4, 1, 4), Node.ORU, catalog=catalog,
-                     traffic=TrafficModel(monthly_gb_per_user=1e300))
+        # After the BBP node the DC tier prices an infinite alpha * sigma * rate times
+        # its core switch's W/Gbps ratio, which underflows to 0.0: a NaN DC term.
+        catalog = replace(default_catalog(), core_switch=replace(
+            default_catalog().core_switch, rated_power_w=5e-324, capacity_gbps=1e300))
+        params = {**segment_map(), Node.DC: SegmentParams(Node.DC, sigma=1e308, alpha=1.0)}
+        config = ModelConfig(catalog, params, TrafficModel(monthly_gb_per_user=1e7),
+                             ProvisioningPolicy())
+        with pytest.raises(PowerOverflowError, match="BBP at oru and n_ru=4 .* dc = nan"):
+            config.evaluate(build_sweep_topology(4, 1, 4), Node.ORU)
 
 
 class TestNegativeZero:
@@ -416,18 +419,18 @@ class TestTotalPower:
 
 
 class TestRecords:
-    """Breakdowns, topologies and sweep records behave as frozen dataclasses."""
+    """Breakdowns and topologies behave as frozen dataclasses."""
 
     @staticmethod
     def records():
         breakdown = PowerBreakdown(Node.ODU, nodes=(1.0, 2.0, 0.0, 0.0), segments=(0.5, 0.0, 0.0),
                                    ue_watts=0.25)
         topology = Topology(n_ru=8, n_du=2, n_cu=1, n_dc=1, users_per_ru=3, du_fanout_cap=4)
-        return breakdown, topology, SweepRecord(8, breakdown)
+        return breakdown, topology
 
     @pytest.mark.parametrize("index,name", [
         (0, "placement"), (0, "nodes"), (0, "ue_watts"), (0, "total_watts"),
-        (1, "n_ru"), (1, "du_fanout_cap"), (1, "n_users"), (2, "n_ru"), (2, "breakdown"),
+        (1, "n_ru"), (1, "du_fanout_cap"), (1, "n_users"),
     ])
     def test_fields_cannot_be_assigned(self, index, name):
         record = self.records()[index]
@@ -442,10 +445,9 @@ class TestRecords:
             assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
 
     def test_replace_derives_fields_again(self):
-        breakdown, topology, record = self.records()
+        breakdown, topology = self.records()
         assert replace(breakdown, ue_watts=1.0).total_watts == 4.5
         assert replace(topology, n_ru=7).n_users == 21
-        assert replace(record, n_ru=9) == SweepRecord(9, breakdown)
         with pytest.raises(TopologyError, match=r"n_ru >= n_du violated \(1 < 2\)"):
             replace(topology, n_ru=1)
 
