@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, compress
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .catalog import CatalogError, default_catalog
 from .configfile import ConfigError, TopologyCounts, load_config
@@ -16,7 +16,7 @@ from .experiments import (
     DEFAULT_FANOUT_N_RU,
     DEFAULT_USERS_PER_RU,
     fanout_study,
-    sweep_orus,
+    sweep_chunks,
 )
 from .powermodel import (
     ModelConfig,
@@ -40,6 +40,7 @@ from .topology import (
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command stopped by a closed pipe
 
 # Frozen, so built once and shared by every call, like default_catalog().
 _POLICIES = {
@@ -56,22 +57,16 @@ CSV_COLUMNS = (
 )
 
 
-def _csv_rows(rows: Iterable[tuple[int, Node, tuple[float, ...]]]) -> Iterator[str]:
-    """CSV data lines: n_ru, the placement and the CSV_COLUMNS, powers to 6 significant digits.
+def _row_template(placement: Node, first: tuple[float, ...]) -> tuple[str, tuple[int, ...]]:
+    """A placement's CSV data line template from the watts of its first sweep row, and the
+    indexes of the watts that each row formats into it.
 
-    Each placement's lines come from a template of its first row that renders once each
-    column that cannot change with n_ru. In a sweep ``users_per_ru``, the eCPRI rate and the
-    plan are fixed and ``n_users == n_ru * users_per_ru``, so at BBP depth d only tiers 1..d,
-    links 1..d-1 and their totals vary: at depth 0, n_ru / n_users is 1 / users_per_ru rounded.
+    A line is n_ru, the placement and the CSV_COLUMNS, powers to 6 significant digits. The
+    template renders once each column that cannot change with n_ru. In a sweep
+    ``users_per_ru``, the eCPRI rate and the plan are fixed and ``n_users == n_ru *
+    users_per_ru``, so at BBP depth d only tiers 1..d, links 1..d-1 and their totals vary: at
+    depth 0, n_ru / n_users is 1 / users_per_ru rounded.
     """
-    templates = {}
-    for n_ru, placement, watts in rows:
-        render = templates.get(placement) or templates.setdefault(
-            placement, _row_template(placement, watts))
-        yield render(n_ru, watts)
-
-
-def _row_template(placement: Node, first: tuple[float, ...]) -> Callable[[int, tuple], str]:
     depth = placement.depth
     # The tiers and links that the kernel prices per cell, but those at depth 0.
     nodes = [0 < i <= depth for i in range(len(NODE_ORDER))]
@@ -79,10 +74,7 @@ def _row_template(placement: Node, first: tuple[float, ...]) -> Callable[[int, t
     varies = (any(nodes), any(links), any(nodes) or any(links), *nodes, *links, False)
     template = ",".join(["%s", _PLACEMENT_NAMES[placement]] + [
         "%.6g" if vary else "%.6g" % value for vary, value in zip(varies, first)]) + "\n"
-    if not depth:
-        return lambda n_ru, watts: template % n_ru
-    varying = itemgetter(*compress(range(len(varies)), varies))
-    return lambda n_ru, watts: template % (n_ru, *varying(watts))
+    return template, tuple(compress(range(len(varies)), varies))
 
 
 def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
@@ -110,13 +102,26 @@ def _parse_placements(raw: str, parser: argparse.ArgumentParser) -> list[Node]:
     return placements
 
 
-def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> None:
-    """Write ``lines`` as they are produced, to ``output`` or to stdout."""
+def _emit(lines: Iterable[str], output: str | None, stdout: TextIO) -> int:
+    """Write ``lines`` as they are produced, to ``output`` or to stdout; the exit status.
+
+    When the reader of stdout goes away, writing stops with ``EXIT_BROKEN_PIPE`` and no
+    message, and stdout's descriptor is pointed at the null device, so that the flush at
+    interpreter exit has nothing to report either.
+    """
     if output is None or output == "stdout":
-        stdout.writelines(lines)
+        try:
+            stdout.writelines(lines)
+            stdout.flush()
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stdout.fileno())
+            os.close(null)
+            return EXIT_BROKEN_PIPE
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
+    return EXIT_OK
 
 
 def _topology_value(args, counts: TopologyCounts, name: str, default: int | None,
@@ -172,10 +177,11 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     else:  # a one-count sweep, which evaluates its cell before the output is opened
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        rows = _csv_rows(sweep_orus([n_ru], users_per_ru, [placement], config, du_fanout_cap))
-        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), rows)
-    _emit(lines, args.output, stdout)
-    return EXIT_OK
+        chunks = sweep_chunks([n_ru], users_per_ru, [placement], config, du_fanout_cap,
+                              _row_template)
+        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
+                           map("".join, chunks))
+    return _emit(lines, args.output, stdout)
 
 
 def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
@@ -188,8 +194,8 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     users_per_ru = _topology_value(args, counts, "users_per_ru", DEFAULT_USERS_PER_RU, parser)
     du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     placements = _parse_placements(args.placements, parser)
-    rows = sweep_orus(range(1, args.max_ru + 1), users_per_ru, placements, config,
-                      du_fanout_cap=du_fanout_cap)
+    chunks = sweep_chunks(range(1, args.max_ru + 1), users_per_ru, placements, config,
+                          du_fanout_cap, _row_template)
     metadata = [
         ("max_ru", args.max_ru),
         ("users_per_ru", users_per_ru),
@@ -198,9 +204,8 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), _csv_rows(rows)),
-          args.output, stdout)
-    return EXIT_OK
+    return _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
+                            map("".join, chunks)), args.output, stdout)
 
 
 def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
@@ -219,9 +224,8 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         record.breakdown.processing_watts,
         record.breakdown.transmission_watts, record.breakdown.total_watts,
     ) for record in records)
-    _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,p_total_w", rows),
-          args.output, stdout)
-    return EXIT_OK
+    return _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,"
+                            "p_total_w", rows), args.output, stdout)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

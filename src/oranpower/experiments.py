@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .powermodel import ModelConfig, PowerBreakdown, per_user_watts
+from .powermodel import ModelConfig, PowerBreakdown, PowerOverflowError, per_user_watts
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
-    MAX_COUNT,
     NODE_ORDER,
     FanoutCase,
     Node,
@@ -20,6 +20,9 @@ from .topology import (
 # need 10, C-5 needs 8).
 DEFAULT_FANOUT_N_RU = 40
 DEFAULT_USERS_PER_RU = 10
+# O-RU counts per call of a placement's sweep row loop: enough to spread each call's fixed
+# cost, few enough that a chunk's rows stay small.
+SWEEP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,29 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
     ``config.evaluate`` on that cell's ``build_sweep_topology``, bit for bit.
     Rows are ordered by (n_ru, placement depth) regardless of the input
     iteration order, so identical inputs produce identical streams; a
-    ``range`` with a positive step is already in that order and is iterated
-    as it is, without being held in memory. The call itself raises on an
-    empty range and evaluates every placement at the first O-RU count, so a
-    bad ``users_per_ru`` or ``du_fanout_cap``, or a config that fails for
-    some placement, is raised before any row.
+    ``range`` with a positive step is already in that order and is read as
+    it is, ``SWEEP_CHUNK`` counts at a time, without being held in memory.
+    The call itself raises on an empty range and evaluates every placement
+    at the first O-RU count, so a bad ``users_per_ru`` or ``du_fanout_cap``,
+    or a config that fails for some placement, is raised before any row.
+    """
+    return chain.from_iterable(sweep_chunks(n_ru_range, users_per_ru, placements, config,
+                                            du_fanout_cap))
+
+
+def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Iterable[Node],
+                 config: ModelConfig, du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP,
+                 row_template: Callable | None = None) -> Iterator[list]:
+    """The rows of ``sweep_orus``, in a list for each ``SWEEP_CHUNK`` counts.
+
+    With ``row_template``, each row is the text ``template % (n_ru, ...)``
+    of the watts at ``columns`` instead, where ``(template, columns) =
+    row_template(placement, watts)`` for the watts of the first count. Each
+    placement's compiled row loop (``ModelConfig._sweep_loop``) prices and
+    renders a chunk in one call. A count that fails Topology's test or a
+    cell whose power overflows ends the stream: the rows before it come
+    first, and then the cell is priced again through ``build_sweep_topology``
+    and ``evaluate``, which raise its error.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
@@ -62,27 +83,39 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
     first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
+    loops = []
     for placement in ordered:
-        config.evaluate(first, placement)  # and so caches the placement's plan on the config
-    return _sweep_rows(counts, users_per_ru, ordered, config, du_fanout_cap)
+        breakdown = config.evaluate(first, placement)  # and so caches the placement's plan
+        head, columns = placement, None
+        if row_template is not None:
+            head, columns = row_template(placement, per_user_watts(
+                breakdown.nodes, breakdown.segments, breakdown.ue_watts))
+        loops.append(config._sweep_loop(placement, users_per_ru, du_fanout_cap, columns, head))
+    return _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops)
 
 
-def _sweep_rows(counts, users_per_ru, ordered, config, du_fanout_cap):
-    """The rows of ``sweep_orus``, each count's from each placement's plan kernel directly."""
-    plans = [(placement, config._plans[placement]) for placement in ordered]
-    for n_ru in counts:
-        # Topology's test of n_ru, for a count above the first, which checked the rest.
-        if not (type(n_ru) is int and n_ru <= MAX_COUNT):
-            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its TopologyError
-        n_du = -(-n_ru // du_fanout_cap)
-        n_users = n_ru * users_per_ru
-        ru_per_du = config._ru_per_du(n_ru, n_du, du_fanout_cap)
-        for placement, plan in plans:
-            nodes, segments = plan.kernel(n_ru, n_du, 1, 1, n_users, ru_per_du)
-            watts = per_user_watts(nodes, segments, plan.ue_watts)
-            if watts is None:  # evaluate prices the cell again and raises its overflow error
-                config.evaluate(build_sweep_topology(n_ru, users_per_ru, du_fanout_cap), placement)
-            yield n_ru, placement, watts
+def _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops):
+    """The lists of ``sweep_chunks``: each chunk's rows from every loop, in (n_ru, depth) order."""
+    for start in count(0, SWEEP_CHUNK):
+        chunk = counts[start:start + SWEEP_CHUNK]
+        if not chunk:
+            return
+        done = [[] for _ in loops]
+        for loop, rows in zip(loops, done):
+            try:
+                loop(chunk, rows)
+            except PowerOverflowError:  # a unit count beyond a float; evaluate raises it below
+                pass
+        stop = min(map(len, done))
+        stopped = [len(rows) for rows in done].index(stop)  # the first placement to stop there
+        # The rows in (n_ru, depth) order up to the first cell that stopped a loop, if one did:
+        # every row of the counts before `stop`, then the rows at `stop` of the placements
+        # before `stopped`. evaluate then prices that cell again and raises its error.
+        yield [*chain.from_iterable(zip(*done)), *(rows[stop] for rows in done[:stopped])]
+        if stop < len(chunk):
+            config.evaluate(build_sweep_topology(chunk[stop], users_per_ru, du_fanout_cap),
+                            ordered[stopped])
+            return
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,

@@ -166,29 +166,56 @@ _COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
 # Every term in plan order, the tiers and then the links, with its depth.
 _SEGMENTS: tuple[tuple[Segment, int], ...] = tuple(
     (segment, segment.depth) for segment in NODE_ORDER + LINK_ORDER)
+# The names of a cell's parts in compiled source: the tiers, the links, then the UE.
+_PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_watts")
+# The 11 per-user figures of a cell, in CSV_COLUMNS order.
+_WATTS = ("processing", "transmission", "total", *_PARTS)
+# A cell's totals and validity test, as source over _PARTS: the one statement of both, which
+# per_user_watts and every sweep row loop are compiled from. Each sum is taken left to right
+# from 0.0, as sum() adds floats up to Python 3.11; since 3.12 it compensates its rounding,
+# which would move a total by an ULP between Pythons. Each part is compared on its own, as
+# min() parses keywords on each call; with no part NaN or negative, the total is finite
+# exactly when it is below infinity. A cell that fails returns None.
+_TOTALS = """\
+processing = 0.0 + node0 + node1 + node2 + node3
+transmission = ue_watts + (0.0 + link0 + link1 + link2)
+total = processing + transmission
+if not (node0 >= 0.0 and node1 >= 0.0 and node2 >= 0.0 and node3 >= 0.0 and link0 >= 0.0
+        and link1 >= 0.0 and link2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
+    return None
+"""
 
 
-@functools.cache
-def _factory(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> Callable:
-    """The kernel factory for plans of one shape, compiled once per process and shared.
+def _compile(source: str, name: str, label: str) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled as ``<oranpower label>``."""
+    namespace = {}
+    # The module's globals, so compiled code calls provision_units by its module name.
+    exec(compile(source, f"<oranpower {label}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
+def _indent(source: str, spaces: int) -> str:
+    return "".join(" " * spaces + line + "\n" for line in source.splitlines())
+
+
+def _term_sources(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> tuple[str, list]:
+    """The source of a plan shape's terms, which its kernel and its sweep row loops share.
 
     ``shape`` is the BBP depth and, for each term priced per cell, whether
-    each of its devices is quantized. The factory unpacks a plan's eCPRI
-    rate, ``_Term`` records and constant terms into the closure of its
-    kernel, the function from a topology's counts to the ``(nodes,
-    segments)`` watts of the plan. The kernel evaluates each term in order as
-    ``scale * (count / n_users) * (d1 + d2 + ...)``, summing its devices'
-    ``multiplier * sized(load)`` left to right. The source holds only fixed
-    names and small integers; every value of a config reaches the kernel as
-    an argument of the factory.
+    each of its devices is quantized. Returns the lines that unpack a
+    factory's ``terms`` (``_Term`` records) and ``after`` (constant terms),
+    and each tier and link as ``(depth, factor, devices)`` in ``_PARTS``
+    order. A term priced per cell has its tier's depth and the watts
+    ``factor + devices``, ``s * (count / n_users) * (d1 + d2 + ...)`` with
+    its devices' ``multiplier * sized(load)`` summed left to right; any other
+    has depth ``None``, no factor and its constant's name. The source holds
+    only fixed names and small integers.
     """
     bbp, flags = shape
-    records, loads, terms = [], {}, []
+    records, terms = [], []
     # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
     for i, (depth, quantized) in enumerate(zip([*range(bbp + 1), *range(bbp)], flags)):
         load = f"load{depth}" if depth else "ecpri"
-        if depth:
-            loads[load] = f"        {load} = {_LOADS[depth]}\n"
         fields, devices = [], []
         for j, unit_sized in enumerate(quantized):
             m, r, u, k = (f"{name}{i}_{j}" for name in "mruk")
@@ -196,23 +223,104 @@ def _factory(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> Callable:
             devices.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
                            if unit_sized else f"{m} * ({r} * {load})")
         records.append(f"(s{i}, _, ({''.join(fields)})), ")
-        terms.append(f"s{i} * ({_COUNTS[depth]} / n_users) * ({' + '.join(devices)})")
+        terms.append((depth, f"s{i} * ({_COUNTS[depth]} / n_users) * ",
+                      f"({' + '.join(devices)})"))
     # The other terms are constants: the tiers after the BBP node, then the links from it.
-    after = [f"a{k}" for k in range(len(_SEGMENTS) - len(flags))]
+    after = [(None, "", f"a{k}") for k in range(len(_SEGMENTS) - len(flags))]
     tiers_after = len(NODE_ORDER) - 1 - bbp
-    nodes = terms[:bbp + 1] + after[:tiers_after]
-    segments = terms[bbp + 1:] + after[tiers_after:]
-    source = ("def factory(ecpri, terms, after):\n"
-              f"    ({''.join(records)}) = terms\n"
-              f"    ({''.join(name + ', ' for name in after)}) = after\n"
-              "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
-              + "".join(loads.values())
-              + f"        return ({', '.join(nodes)}), ({', '.join(segments)})\n"
-              "    return kernel\n")
-    namespace = {}
-    # The module's globals, so the kernel calls provision_units by its module name.
-    exec(compile(source, f"<oranpower kernel {shape}>", "exec"), globals(), namespace)
-    return namespace["factory"]
+    parts = terms[:bbp + 1] + after[:tiers_after] + terms[bbp + 1:] + after[tiers_after:]
+    unpack = (f"({''.join(records)}) = terms\n"
+              f"({''.join(name + ', ' for _, _, name in after)}) = after\n")
+    return unpack, parts
+
+
+@functools.cache
+def _factory(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> Callable:
+    """The kernel factory for plans of one shape, compiled once per process and shared.
+
+    The factory unpacks a plan's eCPRI rate, ``_Term`` records and constant
+    terms into the closure of its kernel, the function from a topology's
+    counts to the ``(nodes, segments)`` watts of the plan, each term priced
+    by its expression from ``_term_sources``. Every value of a config
+    reaches the kernel as an argument of the factory.
+    """
+    unpack, parts = _term_sources(shape)
+    watts = [factor + devices for _, factor, devices in parts]
+    return _compile("def factory(ecpri, terms, after):\n" + _indent(unpack, 4)
+                    + "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
+                    + "".join(f"        load{depth} = {_LOADS[depth]}\n"
+                              for depth in range(1, shape[0] + 1))
+                    + f"        return ({', '.join(watts[:4])}), ({', '.join(watts[4:])})\n"
+                    "    return kernel\n", "factory", f"kernel {shape}")
+
+
+@functools.cache
+def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], provision_to_cap: bool,
+                  columns: tuple[int, ...] | None) -> Callable:
+    """The sweep row-loop factory for plans of one shape, compiled once per process and shared.
+
+    ``loop(counts, rows)`` prices O-RU counts of the sweep tree (⌈n_ru / cap⌉
+    O-DUs, one O-CU, one DC, ``n_ru * users_per_ru`` users): each term by its
+    expression from ``_term_sources``, then the totals and check of
+    ``_TOTALS``. It appends each row to ``rows``, ``head % (n_ru, ...)`` of
+    the ``_WATTS`` at ``columns``, or ``(n_ru, head, <the 11 _WATTS>)`` when
+    ``columns`` is ``None``, and returns at a count that fails Topology's test
+    of n_ru or the check; ``provision_units`` raises for a unit count beyond
+    a float. Before its first count a loop prices, with the one-O-RU cell's
+    expressions, what cannot change within a sweep: each depth-0 term, as
+    n_ru / n_users rounds to 1 / users_per_ru at every count, and, when O-DUs
+    are provisioned to the cap, each depth-1 device sum, as the O-DU load is
+    the cap's. Every value of a config reaches the loop as a factory argument.
+    """
+    unpack, parts = _term_sources(shape)
+    bbp = shape[0]
+    # The deepest tier whose device sums are priced once: provisioned to the cap, the O-DU
+    # load is the cap's at every count.
+    hoisted = 1 if provision_to_cap else 0
+    once = []
+    each = ["n_du = -(-n_ru // cap)", "n_users = n_ru * users_per_ru"] if bbp else []
+    # The O-DU load rule, as ModelConfig._ru_per_du states it, then the load of each tier.
+    if bbp:
+        (once if hoisted else each).extend(
+            ["ru_per_du = ru_per_du_of(n_ru, n_du, cap)", f"load1 = {_LOADS[1]}"])
+    each += [f"load{depth} = {_LOADS[depth]}" for depth in range(2, bbp + 1)]
+    for name, (depth, factor, devices) in zip(_PARTS, parts):
+        if depth is None or depth == 0:
+            once.append(f"{name} = {factor}{devices}")
+        elif depth <= hoisted:
+            once.append(f"{name}_devices = {devices}")
+            each.append(f"{name} = {factor}{name}_devices")
+        else:
+            each.append(f"{name} = {factor}{devices}")
+    if columns is None:
+        row = f"(n_ru, head, ({', '.join(_WATTS)}))"
+    else:
+        row = f"head % (n_ru, {''.join(_WATTS[i] + ', ' for i in columns)})"
+    return _compile(
+        "def factory(ecpri, terms, after, ue_watts, cap, users_per_ru, ru_per_du_of, head):\n"
+        + _indent(unpack, 4)
+        + "    def loop(counts, rows):\n"
+        "        append = rows.append\n"
+        "        n_ru = n_du = n_cu = n_dc = 1\n"
+        "        n_users = users_per_ru\n"
+        + _indent("\n".join(once), 8)
+        + "        for n_ru in counts:\n"
+        # Topology's test of a count above the first, which checked the rest.
+        "            if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):\n"
+        "                return\n"
+        + _indent("\n".join(each), 12) + _indent(_TOTALS, 12)
+        + f"            append({row})\n"
+        "    return loop\n", "factory", f"row loop {shape} {provision_to_cap} {columns}")
+
+
+per_user_watts = _compile(
+    "def per_user_watts(nodes, segments, ue_watts):\n"
+    "    node0, node1, node2, node3 = nodes\n"
+    "    link0, link1, link2 = segments\n"
+    + _indent(_TOTALS, 4) + f"    return {', '.join(_WATTS)}\n", "per_user_watts", "per_user_watts")
+per_user_watts.__doc__ = """\
+Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
+``None`` unless every part is >= 0 and the total finite, as ``_TOTALS`` states."""
 
 
 class _Plan(NamedTuple):
@@ -221,28 +329,8 @@ class _Plan(NamedTuple):
     terms: tuple[_Term, ...]  # the terms priced per cell: tiers, then links
     after: tuple[float, ...]  # the watts of every other term: tiers, then links
     ue_watts: float
+    shape: tuple[int, tuple[tuple[bool, ...], ...]]  # the BBP depth and each term's quantized flags
     kernel: Callable  # (n_ru, n_du, n_cu, n_dc, n_users, ru_per_du) -> (nodes, segments)
-
-
-def per_user_watts(nodes: tuple, segments: tuple, ue_watts: float) -> tuple | None:
-    """Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
-    ``None`` unless every part is >= 0 and the total finite.
-
-    Each sum is taken left to right from 0.0, as ``sum()`` adds floats up to
-    Python 3.11; since 3.12 it compensates its rounding, which would move a
-    total by an ULP between Pythons.
-    """
-    n0, n1, n2, n3 = nodes
-    s0, s1, s2 = segments
-    processing = 0.0 + n0 + n1 + n2 + n3
-    transmission = ue_watts + (0.0 + s0 + s1 + s2)
-    total = processing + transmission
-    # Each part compared on its own, as min() parses keywords on each call; with no part
-    # NaN or negative, the total is finite exactly when it is below infinity.
-    if (n0 >= 0.0 and n1 >= 0.0 and n2 >= 0.0 and n3 >= 0.0 and s0 >= 0.0 and s1 >= 0.0
-            and s2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
-        return processing, transmission, total, n0, n1, n2, n3, s0, s1, s2, ue_watts
-    return None
 
 
 @dataclass(frozen=True, init=False)
@@ -401,14 +489,24 @@ class ModelConfig:
         ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf
                     else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
         terms, after = tuple(terms), tuple(after)
-        kernel = _factory((bbp, tuple(flags)))(self.traffic.ecpri_per_ru_gbps, terms, after)
-        return _Plan(terms, after, ue_watts, kernel)
+        shape = (bbp, tuple(flags))
+        kernel = _factory(shape)(self.traffic.ecpri_per_ru_gbps, terms, after)
+        return _Plan(terms, after, ue_watts, shape, kernel)
 
     def _ru_per_du(self, n_ru: int, n_du: int, du_fanout_cap: int | None) -> float:
         """O-RUs per O-DU load: the fanout cap when provisioned to it, else those beneath it."""
         if self.provision_to_cap and du_fanout_cap is not None:
             return du_fanout_cap
         return n_ru / n_du
+
+    def _sweep_loop(self, placement: Node, users_per_ru: int, du_fanout_cap: int,
+                    columns: tuple[int, ...] | None, head: object) -> Callable:
+        """``placement``'s sweep row loop (see ``_loop_factory``), bound to this config's plan,
+        which ``evaluate`` has built."""
+        plan = self._plans[placement]
+        return _loop_factory(plan.shape, self.provision_to_cap, columns)(
+            self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, du_fanout_cap,
+            users_per_ru, self._ru_per_du, head)
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.

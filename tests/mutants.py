@@ -31,18 +31,27 @@ MUTANTS = (
      "for multiplier, spec, _ in devices:", "for multiplier, spec, _ in devices[:2]:",
      "tests/test_experiments.py::TestBruteForceOracle"),
     ("kernel product regrouped", "powermodel.py",
-     'f"s{i} * ({_COUNTS[depth]} / n_users) * (', 'f"s{i} * {_COUNTS[depth]} / n_users * (',
+     'f"s{i} * ({_COUNTS[depth]} / n_users) * "', 'f"s{i} * {_COUNTS[depth]} / n_users * "',
      "tests/test_golden.py::test_breakdown_floats_digest"),
     ("row template holding transmission constant at depth 2", "cli.py",
      "varies = (any(nodes), any(links),", "varies = (any(nodes), depth != 2 and any(links),",
      "tests/test_golden.py::test_stdout_digest"),
-    ("sweep sizing an O-DU for its O-RUs when provisioned to the cap", "experiments.py",
-     "ru_per_du = config._ru_per_du(n_ru, n_du, du_fanout_cap)", "ru_per_du = n_ru / n_du",
+    ("sweep sizing an O-DU for its O-RUs when provisioned to the cap", "powermodel.py",
+     '"ru_per_du = ru_per_du_of(n_ru, n_du, cap)"', '"ru_per_du = n_ru / n_du"',
+     "tests/test_experiments.py::TestSweepRows::test_partial_odus"),
+    ("O-DU device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
+     "hoisted = 1 if provision_to_cap else 0\n", "hoisted = 1\n",
      "tests/test_experiments.py::TestSweepRows::test_partial_odus"),
     ("row check ignoring a total that is not finite", "powermodel.py",
      " and total < math.inf):", "):",
      "tests/test_experiments.py::TestSweepRows"
      "::test_a_later_count_that_overflows_raises_evaluates_error"),
+    ("depth-0 devices sized when the plan is built", "powermodel.py",
+     "                    sized.append(_sizing(*device))\n",
+     "                    sized.append(_sizing(*device))\n"
+     "                    if not depth and device[2].quantized:\n"
+     "                        provision_units(self.traffic.ecpri_per_ru_gbps, *sized[-1][2:])\n",
+     "tests/test_kernel.py::TestOverflowOrder"),
 )
 
 

@@ -1,8 +1,12 @@
 """CLI subcommands: flags, exit codes, CSV shape, config handling, determinism."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from oranpower import cli
 from oranpower.cli import CSV_COLUMNS, build_parser, main
 from oranpower.configfile import TopologyCounts, load_config
+from oranpower.experiments import SWEEP_CHUNK
 from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import NODE_ORDER, Node, build_sweep_topology
 
@@ -126,17 +131,19 @@ class TestSweep:
         assert any("policy" in line for line in comments)
 
     def test_overflow_at_a_later_count_is_data_error(self, tmp_path):
-        # Whole O-CU servers of 1e-10 Gbps at 1e297 W/Gbps: n_ru * 1.1e11 units of them
-        # are priced within the float range at one O-RU and beyond it from two.
+        # Whole O-CU servers of 1e-10 Gbps at 5e294 W/Gbps: n_ru * 1.1e11 units of them are
+        # priced within the float range up to 326 O-RUs and beyond it from 327, a count in
+        # the second chunk.
         config = tmp_path / "tiny.cfg"
-        config.write_text("edge_server.cores = 1\nedge_server.per_core_power_w = 1e287\n"
+        config.write_text("edge_server.cores = 1\nedge_server.per_core_power_w = 5e284\n"
                           "edge_server.per_core_capacity_gbps = 1e-10\n"
                           "edge_server.server_capacity_gbps = 1e-10\n")
-        code, out, err = run_cli("sweep", "--max-ru", "3", "--placements", "ocu",
+        code, out, err = run_cli("sweep", "--max-ru", "400", "--placements", "ocu",
                                  "--config", str(config))
         assert code == 1
-        assert [line.split(",")[:2] for line in data_lines(out)[1:]] == [["1", "ocu"]]
-        assert err.startswith("error: per-user power with BBP at ocu and n_ru=2 overflows")
+        assert [line.split(",")[:2] for line in data_lines(out)[1:]] == [
+            [str(n_ru), "ocu"] for n_ru in range(1, 327)]
+        assert err.startswith("error: per-user power with BBP at ocu and n_ru=327 overflows")
 
     def test_repeat_runs_byte_identical(self):
         first = run_cli("sweep", "--max-ru", "30")
@@ -189,6 +196,40 @@ class TestRowTemplates:
         breakdown = config.evaluate(build_sweep_topology(n_ru, users_per_ru, cap), bbp)
         assert one[0] == 0 and one[2] == ""
         assert data_lines(one[1])[1:] == [reference_row(n_ru, breakdown)]
+
+    @pytest.mark.parametrize("flags", [[], ["--policy", "linear", "--attached-load"]])
+    @pytest.mark.parametrize("max_ru", [1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3])
+    def test_sweeps_across_chunk_boundaries(self, max_ru, flags):
+        code, out, err = run_cli("sweep", "--max-ru", str(max_ru), "--users-per-ru", "3", *flags)
+        config = ModelConfig.default(ProvisioningPolicy.all_linear() if flags else None)
+        config = replace(config, provision_to_cap=not flags)
+        assert (code, err) == (0, "")
+        assert data_lines(out)[1:] == [
+            reference_row(n_ru, config.evaluate(build_sweep_topology(n_ru, 3), node))
+            for n_ru in range(1, max_ru + 1) for node in NODE_ORDER]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestClosedOutput:
+    def test_a_reader_that_stops_after_one_line_ends_the_run_quietly(self):
+        argv = [sys.executable, "-m", "oranpower.cli", "sweep", "--max-ru", "100000"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as process:
+            first = process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+            code = process.wait(timeout=120)
+        assert first == b"# max_ru = 100000\n"
+        assert (code, err) == (cli.EXIT_BROKEN_PIPE, b"")
+        assert code not in (cli.EXIT_OK, cli.EXIT_DATA_ERROR, cli.EXIT_USAGE_ERROR)
+
+    def test_an_output_file_that_cannot_be_opened_is_data_error(self, tmp_path):
+        code, out, err = run_cli("sweep", "--max-ru", "3", "--output", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestFanout:

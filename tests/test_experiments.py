@@ -1,5 +1,6 @@
 """Sweep and fanout harnesses, and the closed form against the exact reference."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oranpower.catalog import ServerSpec, default_catalog
-from oranpower.experiments import fanout_study, sweep_orus
+from oranpower.experiments import SWEEP_CHUNK, fanout_study, sweep_orus
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -29,7 +30,7 @@ from oranpower.topology import (
 
 import oracle
 from model_helpers import total_reduction
-from test_kernel import configs
+from test_kernel import configs, same_shape_configs
 
 ALL_PLACEMENTS = list(Node)
 
@@ -184,18 +185,54 @@ class TestSweepRows:
         for counts in (range(1, 30), [17, 3, 9, 3, 30, 5]):
             self.check(counts, 10, list(Node), config, 4)
 
+    @pytest.mark.parametrize("config", [
+        ModelConfig.default(),
+        replace(ModelConfig.default(ProvisioningPolicy.all_linear()), provision_to_cap=False),
+        same_shape_configs()[1],
+    ])
+    @pytest.mark.parametrize("length", [1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3])
+    def test_sweeps_across_chunk_boundaries(self, config, length):
+        self.check(range(1, length + 1), 10, list(Node), config, 3)
+
+    def test_unsorted_counts_with_repeats_across_a_chunk_boundary(self):
+        rng = random.Random(18)
+        counts = rng.sample(range(1, 1000), SWEEP_CHUNK + 7)
+        counts += rng.choices(counts, k=20)
+        rng.shuffle(counts)
+        self.check(counts, 7, [Node.DC, Node.ODU, Node.DC], ModelConfig.default(), 5)
+
     def test_a_later_count_that_overflows_raises_evaluates_error(self):
-        # Quantized O-CU servers of 1e-10 Gbps: the n_ru * 1.1e11 units times the 1e297 W/Gbps
-        # ratio is below the float range at one O-RU and beyond it from two.
-        edge_server = ServerSpec(cores=1, per_core_power_w=1e287, per_core_capacity_gbps=1e-10,
+        # Quantized O-CU servers of 1e-10 Gbps: the n_ru * 1.1e11 units times the 5e294 W/Gbps
+        # ratio is within the float range up to 326 O-RUs and beyond it from 327, a count in
+        # the second chunk, where the O-RU placement still prices.
+        assert SWEEP_CHUNK < 327 <= 2 * SWEEP_CHUNK
+        edge_server = ServerSpec(cores=1, per_core_power_w=5e284, per_core_capacity_gbps=1e-10,
                                  server_capacity_gbps=1e-10)
         config = ModelConfig(replace(default_catalog(), edge_server=edge_server), segment_map(),
                              TrafficModel(), ProvisioningPolicy.default())
         with pytest.raises(PowerOverflowError) as evaluated:
-            config.evaluate(build_sweep_topology(2, 10), Node.OCU)
-        assert "BBP at ocu and n_ru=2 overflows a float" in str(evaluated.value)
-        rows = sweep_orus(range(1, 4), 10, [Node.DC, Node.OCU], config)
-        assert [row[:2] for row in islice(rows, 2)] == [(1, Node.OCU), (1, Node.DC)]
+            config.evaluate(build_sweep_topology(327, 10), Node.OCU)
+        assert "BBP at ocu and n_ru=327 overflows a float" in str(evaluated.value)
+        rows = sweep_orus(range(1, 400), 10, [Node.DC, Node.OCU, Node.ORU], config)
+        before = [(n_ru, node) for n_ru in range(1, 327) for node in (Node.ORU, Node.OCU, Node.DC)]
+        assert [row[:2] for row in islice(rows, len(before) + 1)] == before + [(327, Node.ORU)]
+        with pytest.raises(PowerOverflowError) as swept:
+            next(rows)
+        assert str(swept.value) == str(evaluated.value)
+
+    def test_a_later_count_with_more_units_than_a_float_raises_evaluates_error(self):
+        # Quantized O-CU servers of 1.8e-305 Gbps: the 11 * n_ru Gbps of O-CU load is more units
+        # than a float holds from 295 O-RUs, a count in the second chunk.
+        edge_server = ServerSpec(cores=1, per_core_power_w=1e-306,
+                                 per_core_capacity_gbps=1.8e-305, server_capacity_gbps=1.8e-305)
+        config = ModelConfig(replace(default_catalog(), edge_server=edge_server), segment_map(),
+                             TrafficModel(), ProvisioningPolicy.default())
+        with pytest.raises(PowerOverflowError) as evaluated:
+            config.evaluate(build_sweep_topology(295, 10), Node.OCU)
+        assert "needs more units than a float holds" in str(evaluated.value)
+        rows = sweep_orus(range(1, 400), 10, [Node.DC, Node.OCU, Node.ODU], config)
+        before = [(n_ru, node) for n_ru in range(1, 295) for node in (Node.ODU, Node.OCU, Node.DC)]
+        assert [row[:2] for row in islice(rows, len(before) + 1)] == before + [(295, Node.ODU)]
         with pytest.raises(PowerOverflowError) as swept:
             next(rows)
         assert str(swept.value) == str(evaluated.value)
@@ -206,6 +243,17 @@ class TestSweepRows:
             build_sweep_topology(count, 10)
         rows = sweep_orus([1, count], 10, [Node.DC], ModelConfig.default())
         assert next(rows)[0] == 1
+        with pytest.raises(TopologyError) as swept:
+            next(rows)
+        assert str(swept.value) == str(built.value)
+
+    def test_a_count_out_of_range_in_a_later_chunk_raises_topology_error(self):
+        with pytest.raises(TopologyError) as built:
+            build_sweep_topology(2**53 + 1, 10)
+        rows = sweep_orus([*range(1, SWEEP_CHUNK + 4), 2**53 + 1], 10, [Node.ODU, Node.ORU],
+                          ModelConfig.default())
+        assert [row[:2] for row in islice(rows, 2 * (SWEEP_CHUNK + 3))] == [
+            (n_ru, node) for n_ru in range(1, SWEEP_CHUNK + 4) for node in (Node.ORU, Node.ODU)]
         with pytest.raises(TopologyError) as swept:
             next(rows)
         assert str(swept.value) == str(built.value)

@@ -290,6 +290,16 @@ class TestSharedFactories:
             # Every value of the config is bound in the closure, none in the code.
             assert not [value for value in kernels[0].__code__.co_consts
                         if isinstance(value, (int, float)) and not isinstance(value, bool)]
+            # The same for the sweep row loops of each shape, which read the totals' 0.0 and
+            # the one-O-RU cell's counts of 1 as constants.
+            for columns, head in ((None, placement), ((0, 2), "%s,%.6g,%.6g\n")):
+                loops = [config._sweep_loop(placement, users_per_ru, cap, columns, head)
+                         for config, users_per_ru, cap in ((first, 10, 4), (second, 3, 7))]
+                assert loops[0].__code__ is loops[1].__code__
+                assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
+                assert {value for value in loops[0].__code__.co_consts
+                        if isinstance(value, (int, float)) and not isinstance(value, bool)
+                        } <= {0.0, 1}
         for config in (first, second):
             for topology, placement in cells[:40]:
                 assert not oracle.agrees(config.evaluate(topology, placement), config, topology,
