@@ -68,7 +68,7 @@ def _row_template(placement: Node, first: tuple[float, ...]) -> tuple[str, tuple
     depth 0, n_ru / n_users is 1 / users_per_ru rounded.
     """
     depth = placement.depth
-    # The tiers and links that the kernel prices per cell, but those at depth 0.
+    # The tiers and links that the row loop prices per cell, but those at depth 0.
     nodes = [0 < i <= depth for i in range(len(NODE_ORDER))]
     links = [0 < i < depth for i in range(len(LINK_ORDER))]
     varies = (any(nodes), any(links), any(nodes) or any(links), *nodes, *links, False)

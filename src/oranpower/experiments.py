@@ -9,6 +9,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .powermodel import ModelConfig, PowerBreakdown, PowerOverflowError, per_user_watts
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
+    MAX_COUNT,
     NODE_ORDER,
     FanoutCase,
     Node,
@@ -69,11 +70,12 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
     With ``row_template``, each row is the text ``template % (n_ru, ...)``
     of the watts at ``columns`` instead, where ``(template, columns) =
     row_template(placement, watts)`` for the watts of the first count. Each
-    placement's compiled row loop (``ModelConfig._sweep_loop``) prices and
-    renders a chunk in one call. A count that fails Topology's test or a
-    cell whose power overflows ends the stream: the rows before it come
-    first, and then the cell is priced again through ``build_sweep_topology``
-    and ``evaluate``, which raise its error.
+    placement's compiled row loop (``ModelConfig._loop``) prices and renders
+    a chunk in one call, from O-DU counts computed once for all placements.
+    A count that fails Topology's test or a cell whose power overflows ends
+    the stream: the rows before it come first, and then the cell is priced
+    again through ``build_sweep_topology`` and ``evaluate``, which raise its
+    error.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
@@ -90,7 +92,7 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
         if row_template is not None:
             head, columns = row_template(placement, per_user_watts(
                 breakdown.nodes, breakdown.segments, breakdown.ue_watts))
-        loops.append(config._sweep_loop(placement, users_per_ru, du_fanout_cap, columns, head))
+        loops.append(config._loop(placement, users_per_ru, du_fanout_cap, 1, 1, columns, head))
     return _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops)
 
 
@@ -100,10 +102,17 @@ def _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops):
         chunk = counts[start:start + SWEEP_CHUNK]
         if not chunk:
             return
+        # Topology's test of each count after the first, which build_sweep_topology checked.
+        cells = chunk
+        for stop, n_ru in enumerate(chunk):
+            if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):
+                cells = chunk[:stop]
+                break
+        n_dus = [-(-n_ru // du_fanout_cap) for n_ru in cells]
         done = [[] for _ in loops]
         for loop, rows in zip(loops, done):
             try:
-                loop(chunk, rows)
+                loop(cells, n_dus, rows)
             except PowerOverflowError:  # a unit count beyond a float; evaluate raises it below
                 pass
         stop = min(map(len, done))

@@ -171,18 +171,18 @@ _PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_wat
 # The 11 per-user figures of a cell, in CSV_COLUMNS order.
 _WATTS = ("processing", "transmission", "total", *_PARTS)
 # A cell's totals and validity test, as source over _PARTS: the one statement of both, which
-# per_user_watts and every sweep row loop are compiled from. Each sum is taken left to right
-# from 0.0, as sum() adds floats up to Python 3.11; since 3.12 it compensates its rounding,
-# which would move a total by an ULP between Pythons. Each part is compared on its own, as
-# min() parses keywords on each call; with no part NaN or negative, the total is finite
-# exactly when it is below infinity. A cell that fails returns None.
+# per_user_watts and every row loop are compiled from. Each sum is taken left to right from
+# 0.0, as sum() adds floats up to Python 3.11; since 3.12 it compensates its rounding, which
+# would move a total by an ULP between Pythons. Each part is compared on its own, as min()
+# parses keywords on each call; with no part NaN or negative, the total is finite exactly
+# when it is below infinity. A cell that fails returns FAILED.
 _TOTALS = """\
 processing = 0.0 + node0 + node1 + node2 + node3
 transmission = ue_watts + (0.0 + link0 + link1 + link2)
 total = processing + transmission
 if not (node0 >= 0.0 and node1 >= 0.0 and node2 >= 0.0 and node3 >= 0.0 and link0 >= 0.0
         and link1 >= 0.0 and link2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
-    return None
+    return FAILED
 """
 
 
@@ -198,21 +198,48 @@ def _indent(source: str, spaces: int) -> str:
     return "".join(" " * spaces + line + "\n" for line in source.splitlines())
 
 
-def _term_sources(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> tuple[str, list]:
-    """The source of a plan shape's terms, which its kernel and its sweep row loops share.
+@functools.cache
+def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
+                  columns: tuple[int, ...] | None) -> Callable:
+    """The row-loop factory for plans of one shape, compiled once per process and shared.
 
     ``shape`` is the BBP depth and, for each term priced per cell, whether
-    each of its devices is quantized. Returns the lines that unpack a
-    factory's ``terms`` (``_Term`` records) and ``after`` (constant terms),
-    and each tier and link as ``(depth, factor, devices)`` in ``_PARTS``
-    order. A term priced per cell has its tier's depth and the watts
-    ``factor + devices``, ``s * (count / n_users) * (d1 + d2 + ...)`` with
-    its devices' ``multiplier * sized(load)`` summed left to right; any other
-    has depth ``None``, no factor and its constant's name. The source holds
-    only fixed names and small integers.
+    each of its devices is quantized; ``capped`` says whether O-DUs are
+    provisioned to the fanout cap. ``loop(counts, n_dus, rows)`` prices the
+    cells of a tree of ``n_cu`` O-CUs and ``n_dc`` DCs, one for each O-RU
+    count and its O-DU count (unread at BBP depth 0), with ``n_ru *
+    users_per_ru`` users. A term at or before the BBP node has the
+    watts ``s * (count / n_users) * (d1 + d2 + ...)``: its tier's count, and
+    each device's ``multiplier * sized(load)`` summed left to right. The
+    loop then takes the totals and check of ``_TOTALS`` and appends each row
+    to ``rows``: ``head % (n_ru, ...)`` of the ``_WATTS`` at ``columns``, or
+    ``(n_ru, head, <the 11 _WATTS>)`` when ``columns`` is ``None``. At a cell
+    that fails the check it returns the cell's ``_PARTS``;
+    ``provision_units`` raises for a unit count beyond a float.
+
+    The terms after the BBP node are constants of the factory. Before its
+    first cell a loop prices, with the one-O-RU cell's expressions, what
+    else cannot change between cells: each depth-0 term, as n_ru / n_users
+    rounds to 1 / users_per_ru at every count, and, when capped, the O-DU
+    load and each depth-1 device sum. A quantized term is priced there only
+    if no quantized term before it in plan order is priced per cell, so the
+    error is that of the first term in order that needs more units than a
+    float holds. Every value of a config reaches the loop as a factory argument;
+    the source holds only fixed names and small integers.
     """
     bbp, flags = shape
-    records, terms = [], []
+    # The deepest tier whose device sums are priced once: O-DUs provisioned to the cap carry
+    # the cap's load at every count.
+    hoisted = 1 if capped else 0
+    once = ["n_ru = n_du = 1", "n_users = users_per_ru"]
+    each = []
+    if bbp:
+        each.append("n_users = n_ru * users_per_ru")
+        (once if hoisted else each).extend(
+            ["ru_per_du = cap" if capped else "ru_per_du = n_ru / n_du", f"load1 = {_LOADS[1]}"])
+        each += [f"load{depth} = {_LOADS[depth]}" for depth in range(2, bbp + 1)]
+    records = []
+    blocked = False  # whether a quantized term before this one is priced per cell
     # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
     for i, (depth, quantized) in enumerate(zip([*range(bbp + 1), *range(bbp)], flags)):
         load = f"load{depth}" if depth else "ecpri"
@@ -223,101 +250,46 @@ def _term_sources(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> tuple[str,
             devices.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
                            if unit_sized else f"{m} * ({r} * {load})")
         records.append(f"(s{i}, _, ({''.join(fields)})), ")
-        terms.append((depth, f"s{i} * ({_COUNTS[depth]} / n_users) * ",
-                      f"({' + '.join(devices)})"))
-    # The other terms are constants: the tiers after the BBP node, then the links from it.
-    after = [(None, "", f"a{k}") for k in range(len(_SEGMENTS) - len(flags))]
-    tiers_after = len(NODE_ORDER) - 1 - bbp
-    parts = terms[:bbp + 1] + after[:tiers_after] + terms[bbp + 1:] + after[tiers_after:]
-    unpack = (f"({''.join(records)}) = terms\n"
-              f"({''.join(name + ', ' for _, _, name in after)}) = after\n")
-    return unpack, parts
-
-
-@functools.cache
-def _factory(shape: tuple[int, tuple[tuple[bool, ...], ...]]) -> Callable:
-    """The kernel factory for plans of one shape, compiled once per process and shared.
-
-    The factory unpacks a plan's eCPRI rate, ``_Term`` records and constant
-    terms into the closure of its kernel, the function from a topology's
-    counts to the ``(nodes, segments)`` watts of the plan, each term priced
-    by its expression from ``_term_sources``. Every value of a config
-    reaches the kernel as an argument of the factory.
-    """
-    unpack, parts = _term_sources(shape)
-    watts = [factor + devices for _, factor, devices in parts]
-    return _compile("def factory(ecpri, terms, after):\n" + _indent(unpack, 4)
-                    + "    def kernel(n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):\n"
-                    + "".join(f"        load{depth} = {_LOADS[depth]}\n"
-                              for depth in range(1, shape[0] + 1))
-                    + f"        return ({', '.join(watts[:4])}), ({', '.join(watts[4:])})\n"
-                    "    return kernel\n", "factory", f"kernel {shape}")
-
-
-@functools.cache
-def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], provision_to_cap: bool,
-                  columns: tuple[int, ...] | None) -> Callable:
-    """The sweep row-loop factory for plans of one shape, compiled once per process and shared.
-
-    ``loop(counts, rows)`` prices O-RU counts of the sweep tree (⌈n_ru / cap⌉
-    O-DUs, one O-CU, one DC, ``n_ru * users_per_ru`` users): each term by its
-    expression from ``_term_sources``, then the totals and check of
-    ``_TOTALS``. It appends each row to ``rows``, ``head % (n_ru, ...)`` of
-    the ``_WATTS`` at ``columns``, or ``(n_ru, head, <the 11 _WATTS>)`` when
-    ``columns`` is ``None``, and returns at a count that fails Topology's test
-    of n_ru or the check; ``provision_units`` raises for a unit count beyond
-    a float. Before its first count a loop prices, with the one-O-RU cell's
-    expressions, what cannot change within a sweep: each depth-0 term, as
-    n_ru / n_users rounds to 1 / users_per_ru at every count, and, when O-DUs
-    are provisioned to the cap, each depth-1 device sum, as the O-DU load is
-    the cap's. Every value of a config reaches the loop as a factory argument.
-    """
-    unpack, parts = _term_sources(shape)
-    bbp = shape[0]
-    # The deepest tier whose device sums are priced once: provisioned to the cap, the O-DU
-    # load is the cap's at every count.
-    hoisted = 1 if provision_to_cap else 0
-    once = []
-    each = ["n_du = -(-n_ru // cap)", "n_users = n_ru * users_per_ru"] if bbp else []
-    # The O-DU load rule, as ModelConfig._ru_per_du states it, then the load of each tier.
-    if bbp:
-        (once if hoisted else each).extend(
-            ["ru_per_du = ru_per_du_of(n_ru, n_du, cap)", f"load1 = {_LOADS[1]}"])
-    each += [f"load{depth} = {_LOADS[depth]}" for depth in range(2, bbp + 1)]
-    for name, (depth, factor, devices) in zip(_PARTS, parts):
-        if depth is None or depth == 0:
-            once.append(f"{name} = {factor}{devices}")
-        elif depth <= hoisted:
+        name = f"node{depth}" if i <= bbp else f"link{depth}"
+        factor, devices = f"s{i} * ({_COUNTS[depth]} / n_users) * ", f"({' + '.join(devices)})"
+        # Priced once before a quantized term priced per cell, it would raise first.
+        hoist = depth <= hoisted and not (blocked and any(quantized))
+        blocked |= any(quantized) and not hoist
+        if not hoist:
+            each.append(f"{name} = {factor}{devices}")
+        elif depth:
             once.append(f"{name}_devices = {devices}")
             each.append(f"{name} = {factor}{name}_devices")
         else:
-            each.append(f"{name} = {factor}{devices}")
+            once.append(f"{name} = {factor}{devices}")
+    # The other terms are constants: the tiers after the BBP node, then the links from it.
+    after = [f"node{depth}, " for depth in range(bbp + 1, len(NODE_ORDER))]
+    after += [f"link{depth}, " for depth in range(bbp, len(LINK_ORDER))]
     if columns is None:
         row = f"(n_ru, head, ({', '.join(_WATTS)}))"
     else:
         row = f"head % (n_ru, {''.join(_WATTS[i] + ', ' for i in columns)})"
     return _compile(
-        "def factory(ecpri, terms, after, ue_watts, cap, users_per_ru, ru_per_du_of, head):\n"
-        + _indent(unpack, 4)
-        + "    def loop(counts, rows):\n"
+        "def factory(ecpri, terms, after, ue_watts, cap, users_per_ru, n_cu, n_dc, head):\n"
+        f"    ({''.join(records)}) = terms\n"
+        f"    ({''.join(after)}) = after\n"
+        "    def loop(counts, n_dus, rows):\n"
         "        append = rows.append\n"
-        "        n_ru = n_du = n_cu = n_dc = 1\n"
-        "        n_users = users_per_ru\n"
         + _indent("\n".join(once), 8)
-        + "        for n_ru in counts:\n"
-        # Topology's test of a count above the first, which checked the rest.
-        "            if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):\n"
-        "                return\n"
-        + _indent("\n".join(each), 12) + _indent(_TOTALS, 12)
+        + ("        for n_ru, n_du in zip(counts, n_dus):\n" if bbp else
+           "        for n_ru in counts:\n")
+        + _indent("\n".join(each), 12)
+        + _indent(_TOTALS.replace("FAILED", ", ".join(_PARTS)), 12)
         + f"            append({row})\n"
-        "    return loop\n", "factory", f"row loop {shape} {provision_to_cap} {columns}")
+        "    return loop\n", "factory", f"row loop {shape} {capped} {columns}")
 
 
 per_user_watts = _compile(
     "def per_user_watts(nodes, segments, ue_watts):\n"
     "    node0, node1, node2, node3 = nodes\n"
     "    link0, link1, link2 = segments\n"
-    + _indent(_TOTALS, 4) + f"    return {', '.join(_WATTS)}\n", "per_user_watts", "per_user_watts")
+    + _indent(_TOTALS.replace("FAILED", "None"), 4) + f"    return {', '.join(_WATTS)}\n",
+    "per_user_watts", "per_user_watts")
 per_user_watts.__doc__ = """\
 Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
 ``None`` unless every part is >= 0 and the total finite, as ``_TOTALS`` states."""
@@ -330,7 +302,6 @@ class _Plan(NamedTuple):
     after: tuple[float, ...]  # the watts of every other term: tiers, then links
     ue_watts: float
     shape: tuple[int, tuple[tuple[bool, ...], ...]]  # the BBP depth and each term's quantized flags
-    kernel: Callable  # (n_ru, n_du, n_cu, n_dc, n_users, ru_per_du) -> (nodes, segments)
 
 
 @dataclass(frozen=True, init=False)
@@ -423,7 +394,7 @@ class ModelConfig:
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through __init__: a mappingproxy cannot
-        # be pickled, and plans hold kernels that are rebuilt on demand.
+        # be pickled, and plans are rebuilt on demand.
         return type(self), (self.catalog, dict(self.params), self.traffic, self.policy,
                             self.provision_to_cap)
 
@@ -444,11 +415,11 @@ class ModelConfig:
         node, and link i's switches, WDM links and routers, its switch being
         tier i + 1's chassis. A tier or link before the BBP node, and the BBP
         tier, carries one instance's provisioned eCPRI, weighted by the
-        coverage factor, and the kernel prices it per cell. Every other term
+        coverage factor, and the row loop prices it per cell. Every other term
         carries the per-user baseband rate with no coverage weighting, so its
         watts are fixed here.
         """
-        if type(placement) is not Node:  # evaluate's failed cache lookup is no part of the error
+        if type(placement) is not Node:  # the failed cache lookup is no part of the error
             raise ValueError(f"unknown BBP placement: {placement!r}") from None
         bbp = placement.depth
         catalog, params, policy = self.catalog, self.params, self.policy
@@ -488,46 +459,37 @@ class ModelConfig:
         bits_per_s = user_rate * GBPS_TO_BITS_PER_S
         ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf
                     else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
-        terms, after = tuple(terms), tuple(after)
-        shape = (bbp, tuple(flags))
-        kernel = _factory(shape)(self.traffic.ecpri_per_ru_gbps, terms, after)
-        return _Plan(terms, after, ue_watts, shape, kernel)
+        return _Plan(tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags)))
 
-    def _ru_per_du(self, n_ru: int, n_du: int, du_fanout_cap: int | None) -> float:
-        """O-RUs per O-DU load: the fanout cap when provisioned to it, else those beneath it."""
-        if self.provision_to_cap and du_fanout_cap is not None:
-            return du_fanout_cap
-        return n_ru / n_du
-
-    def _sweep_loop(self, placement: Node, users_per_ru: int, du_fanout_cap: int,
-                    columns: tuple[int, ...] | None, head: object) -> Callable:
-        """``placement``'s sweep row loop (see ``_loop_factory``), bound to this config's plan,
-        which ``evaluate`` has built."""
-        plan = self._plans[placement]
-        return _loop_factory(plan.shape, self.provision_to_cap, columns)(
+    def _loop(self, placement: Node, users_per_ru: int, du_fanout_cap: int | None, n_cu: int,
+              n_dc: int, columns: tuple[int, ...] | None, head: object) -> Callable:
+        """``placement``'s row loop (see ``_loop_factory``) for trees of ``n_cu`` O-CUs and
+        ``n_dc`` DCs, bound to this config's plan for ``placement``, built on first use."""
+        try:
+            plan = self._plans[placement]
+        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
+            plan = self._plans[placement] = self._plan(placement)
+        capped = self.provision_to_cap and du_fanout_cap is not None
+        return _loop_factory(plan.shape, capped, columns)(
             self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, du_fanout_cap,
-            users_per_ru, self._ru_per_du, head)
+            users_per_ru, n_cu, n_dc, head)
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
 
         Only the per-instance loads and the coverage factors depend on the
-        topology; the placement's plan prices every term with its kernel.
+        topology; the placement's row loop prices every term of its one cell.
         """
-        try:
-            plan = self._plans[placement]
-        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
-            plan = self._plans[placement] = self._plan(placement)
-        n_ru, n_du = topology.n_ru, topology.n_du
-        nodes, segments = plan.kernel(n_ru, n_du, topology.n_cu, topology.n_dc, topology.n_users,
-                                      self._ru_per_du(n_ru, n_du, topology.du_fanout_cap))
-        try:
-            return PowerBreakdown(placement, nodes, segments, plan.ue_watts)
-        except ValueError:
-            # No part computed here is negative: a part rejected as NaN (an
-            # infinite factor times zero) or an infinite total has overflowed.
-            names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
-            terms = zip(names, nodes + segments + (plan.ue_watts,))
-            raise PowerOverflowError(
-                f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a "
-                "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in terms)) from None
+        rows = []
+        parts = self._loop(placement, topology.users_per_ru, topology.du_fanout_cap,
+                           topology.n_cu, topology.n_dc, None, placement)(
+            (topology.n_ru,), (topology.n_du,), rows)
+        if rows:
+            watts = rows[0][2]
+            return PowerBreakdown(placement, watts[3:7], watts[7:10], watts[10])
+        # No part computed here is negative: a part rejected as NaN (an infinite factor times
+        # zero) or an infinite total has overflowed.
+        names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]
+        raise PowerOverflowError(
+            f"per-user power with BBP at {placement.value} and n_ru={topology.n_ru} overflows a "
+            "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts)))

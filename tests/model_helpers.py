@@ -9,7 +9,7 @@ def equipment_power(load_gbps, spec, policy):
 
     Linear mode scales the device's W/Gbps ratio by the load; quantized mode
     buys whole devices (or ``unit_capacity_gbps`` slices of one). These are
-    the float operations of the kernel's device terms.
+    the float operations of the row loop's device terms.
     """
     ratio = energy_per_capacity(spec)
     if not policy.quantized:

@@ -30,18 +30,21 @@ MUTANTS = (
     ("after-BBP links without the router", "powermodel.py",
      "for multiplier, spec, _ in devices:", "for multiplier, spec, _ in devices[:2]:",
      "tests/test_experiments.py::TestBruteForceOracle"),
-    ("kernel product regrouped", "powermodel.py",
+    ("term product regrouped", "powermodel.py",
      'f"s{i} * ({_COUNTS[depth]} / n_users) * "', 'f"s{i} * {_COUNTS[depth]} / n_users * "',
      "tests/test_golden.py::test_breakdown_floats_digest"),
     ("row template holding transmission constant at depth 2", "cli.py",
      "varies = (any(nodes), any(links),", "varies = (any(nodes), depth != 2 and any(links),",
      "tests/test_golden.py::test_stdout_digest"),
-    ("sweep sizing an O-DU for its O-RUs when provisioned to the cap", "powermodel.py",
-     '"ru_per_du = ru_per_du_of(n_ru, n_du, cap)"', '"ru_per_du = n_ru / n_du"',
-     "tests/test_experiments.py::TestSweepRows::test_partial_odus"),
-    ("O-DU device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
-     "hoisted = 1 if provision_to_cap else 0\n", "hoisted = 1\n",
-     "tests/test_experiments.py::TestSweepRows::test_partial_odus"),
+    ("O-DUs sized for their O-RUs when provisioned to the cap", "powermodel.py",
+     "capped = self.provision_to_cap and du_fanout_cap is not None\n", "capped = False\n",
+     "tests/test_experiments.py::TestBruteForceOracle::test_cap_provisioning_matches"),
+    ("O-DU load and device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
+     "hoisted = 1 if capped else 0\n", "hoisted = 1\n",
+     "tests/test_golden.py::test_stdout_digest"),
+    ("hoist rule ignoring the quantized flags", "powermodel.py",
+     " and not (blocked and any(quantized))", "",
+     "tests/test_kernel.py::TestOverflowOrder"),
     ("row check ignoring a total that is not finite", "powermodel.py",
      " and total < math.inf):", "):",
      "tests/test_experiments.py::TestSweepRows"

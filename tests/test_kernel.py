@@ -1,9 +1,10 @@
-"""Plan kernels: each compiled kernel against the plan's term records, and shared factories.
+"""Row loops: the compiled pricing against the plan's term records, and shared factories.
 
-A kernel is compiled once per plan shape and prices every term in straight-
-line code. The reference here is the generic loop over ``plan.terms`` that
-the kernel replaced; every float must match it by ``repr``, so a sign of
-zero counts, and every error must match in type and message.
+A row loop is compiled once per plan shape and prices every term in straight-
+line code; ``evaluate`` runs one on a one-cell input, and the sweep on chunks
+of O-RU counts. The reference here is the generic loop over ``plan.terms``
+that the compiled code replaced; every float must match it by ``repr``, so a
+sign of zero counts, and every error must match in type and message.
 """
 
 import copy
@@ -53,7 +54,7 @@ EXTREME_COUNTS = (2**40, 2**53)
 
 
 def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):
-    """The generic loop over the plan's terms that ``evaluate`` ran before kernels.
+    """The generic loop over the plan's terms that ``evaluate`` ran before they were compiled.
 
     The terms after the BBP node are priced here from the catalog and
     ``params`` alone, not read from the plan: a tier at its chassis W/Gbps,
@@ -208,15 +209,16 @@ def topologies(draw, extreme):
 
 
 def check_kernel_matches_reference(config, topology, placement):
+    """``evaluate``, through its row loop, prices the cell as ``reference_kernel`` does."""
     plan = config._plan(placement)
     args = kernel_args(config, topology)
     expected = outcome(reference_kernel, plan, placement.depth, config, *args)
-    assert outcome(plan.kernel, *args) == expected
-    if isinstance(expected, tuple):  # the kernel raised, and evaluate raises the same
-        assert outcome(config.evaluate, topology, placement) == expected
-        return
-    built = outcome(lambda: PowerBreakdown(placement, *plan.kernel(*args), plan.ue_watts))
     evaluated = outcome(config.evaluate, topology, placement)
+    if isinstance(expected, tuple):  # the reference raised, and evaluate raises the same
+        assert evaluated == expected
+        return
+    built = outcome(lambda: PowerBreakdown(
+        placement, *reference_kernel(plan, placement.depth, config, *args), plan.ue_watts))
     if isinstance(built, tuple):  # rejected as overflowed
         assert isinstance(evaluated, tuple) and evaluated[0] == PowerOverflowError.__name__
     else:
@@ -238,14 +240,26 @@ class TestKernelMatchesTermRecords:
 
 
 class TestOverflowOrder:
-    def test_first_term_in_order_raises(self):
-        # The O-DU servers' 44 Gbps and the fronthaul links' 11 Gbps both need more units
-        # than a float holds; the O-DU tier precedes the fronthaul in term order.
+    @pytest.mark.parametrize("placement, load", [
+        pytest.param(Node.ODU, 44.0, id="odu"),
+        pytest.param(Node.OCU, 88.0, id="ocu"),
+        pytest.param(Node.DC, 88.0, id="dc"),
+    ])
+    def test_first_term_in_order_raises(self, placement, load):
+        # The BBP servers' load (the O-DU cap's 44 Gbps, or the 88 Gbps of all 8 O-RUs) and
+        # the fronthaul links' 11 Gbps both need more units than a float holds; the BBP tier
+        # precedes the fronthaul in term order. At the O-CU and the DC the servers are priced
+        # per cell and the fronthaul could be priced once, before any cell.
         policy = ProvisioningPolicy(servers=ClassPolicy.quantize(1e-307),
                                     links=ClassPolicy.quantize(1e-308))
-        message = "44.0 Gbps of load in units of 1e-307 Gbps needs more units than a float holds"
+        message = f"{load} Gbps of load in units of 1e-307 Gbps needs more units than a float holds"
+        config = ModelConfig.default(policy)
         with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
-            ModelConfig.default(policy).evaluate(build_sweep_topology(8, 10), Node.ODU)
+            config.evaluate(build_sweep_topology(8, 10), placement)
+        # The sweep's loop of a fresh config raises the same, with no evaluate before it.
+        loop = ModelConfig.default(policy)._loop(placement, 10, 4, 1, 1, None, placement)
+        with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
+            loop([8], [2], [])
 
 
 def same_shape_configs():
@@ -284,28 +298,25 @@ class TestSharedFactories:
         assert interleaved == alone
         assert alone[0] != alone[1]
         for placement in NODE_ORDER:
-            kernels = [config._plans[placement].kernel for config in (first, second)]
-            assert kernels[0].__code__ is kernels[1].__code__
-            assert kernels[0].__code__.co_filename.startswith("<oranpower kernel")
-            # Every value of the config is bound in the closure, none in the code.
-            assert not [value for value in kernels[0].__code__.co_consts
-                        if isinstance(value, (int, float)) and not isinstance(value, bool)]
-            # The same for the sweep row loops of each shape, which read the totals' 0.0 and
-            # the one-O-RU cell's counts of 1 as constants.
+            # Every value of the config and the tree is bound in the closure, none in the code,
+            # which reads only the totals' 0.0 and the one-O-RU cell's count of 1 as constants:
+            # for evaluate's rows and the CSV lines, with O-DUs provisioned to a cap or not.
             for columns, head in ((None, placement), ((0, 2), "%s,%.6g,%.6g\n")):
-                loops = [config._sweep_loop(placement, users_per_ru, cap, columns, head)
-                         for config, users_per_ru, cap in ((first, 10, 4), (second, 3, 7))]
-                assert loops[0].__code__ is loops[1].__code__
-                assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
-                assert {value for value in loops[0].__code__.co_consts
-                        if isinstance(value, (int, float)) and not isinstance(value, bool)
-                        } <= {0.0, 1}
+                for caps in ((4, 7), (None, None)):
+                    loops = [config._loop(placement, users_per_ru, cap, n_cu, n_dc, columns, head)
+                             for config, users_per_ru, cap, n_cu, n_dc in (
+                                 (first, 10, caps[0], 1, 1), (second, 3, caps[1], 6, 2))]
+                    assert loops[0].__code__ is loops[1].__code__
+                    assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
+                    assert {value for value in loops[0].__code__.co_consts
+                            if isinstance(value, (int, float)) and not isinstance(value, bool)
+                            } <= {0.0, 1}
         for config in (first, second):
             for topology, placement in cells[:40]:
                 assert not oracle.agrees(config.evaluate(topology, placement), config, topology,
                                          placement)
 
-    def test_copies_rebuild_their_kernels(self):
+    def test_copies_rebuild_their_plans(self):
         config = same_shape_configs()[1]
         topology = build_sweep_topology(37, 6, 5)
         expected = [breakdown_floats(config.evaluate(topology, node)) for node in NODE_ORDER]
@@ -315,5 +326,7 @@ class TestSharedFactories:
             assert [breakdown_floats(clone.evaluate(topology, node))
                     for node in NODE_ORDER] == expected
             for node in NODE_ORDER:
-                assert clone._plans[node].kernel is not config._plans[node].kernel
-                assert clone._plans[node].kernel.__code__ is config._plans[node].kernel.__code__
+                assert clone._plans[node] is not config._plans[node]
+                assert clone._plans[node] == config._plans[node]
+                loops = [side._loop(node, 6, 5, 1, 1, None, node) for side in (clone, config)]
+                assert loops[0].__code__ is loops[1].__code__
