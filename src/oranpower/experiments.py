@@ -92,7 +92,7 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
         if row_template is not None:
             head, columns = row_template(placement, per_user_watts(
                 breakdown.nodes, breakdown.segments, breakdown.ue_watts))
-        loops.append(config._loop(placement, users_per_ru, du_fanout_cap, 1, 1, columns, head))
+        loops.append(config._loop(config._plans[placement], True, columns, head))
     return _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops)
 
 
@@ -112,7 +112,7 @@ def _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops):
         done = [[] for _ in loops]
         for loop, rows in zip(loops, done):
             try:
-                loop(cells, n_dus, rows)
+                loop(cells, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
             except PowerOverflowError:  # a unit count beyond a float; evaluate raises it below
                 pass
         stop = min(map(len, done))

@@ -205,14 +205,14 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
 
     ``shape`` is the BBP depth and, for each term priced per cell, whether
     each of its devices is quantized; ``capped`` says whether O-DUs are
-    provisioned to the fanout cap. ``loop(counts, n_dus, rows)`` prices the
-    cells of a tree of ``n_cu`` O-CUs and ``n_dc`` DCs, one for each O-RU
-    count and its O-DU count (unread at BBP depth 0), with ``n_ru *
-    users_per_ru`` users. A term at or before the BBP node has the
-    watts ``s * (count / n_users) * (d1 + d2 + ...)``: its tier's count, and
-    each device's ``multiplier * sized(load)`` summed left to right. The
-    loop then takes the totals and check of ``_TOTALS`` and appends each row
-    to ``rows``: ``head % (n_ru, ...)`` of the ``_WATTS`` at ``columns``, or
+    provisioned to the fanout cap. ``loop(counts, n_dus, users_per_ru, cap,
+    n_cu, n_dc, rows)`` prices the cells of a tree of ``n_cu`` O-CUs and
+    ``n_dc`` DCs, one for each O-RU count and its O-DU count (unread at BBP
+    depth 0), with ``n_ru * users_per_ru`` users. A term at or before the
+    BBP node has the watts ``s * (count / n_users) * (d1 + d2 + ...)``: its
+    tier's count, and each device's ``multiplier * sized(load)`` summed left
+    to right. The loop then takes the totals and check of ``_TOTALS`` and
+    appends each row to ``rows``: ``head % (n_ru, ...)`` of the ``_WATTS`` at ``columns``, or
     ``(n_ru, head, <the 11 _WATTS>)`` when ``columns`` is ``None``. At a cell
     that fails the check it returns the cell's ``_PARTS``;
     ``provision_units`` raises for a unit count beyond a float.
@@ -224,8 +224,9 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     load and each depth-1 device sum. A quantized term is priced there only
     if no quantized term before it in plan order is priced per cell, so the
     error is that of the first term in order that needs more units than a
-    float holds. Every value of a config reaches the loop as a factory argument;
-    the source holds only fixed names and small integers.
+    float holds. Every value of a config reaches the loop as a factory
+    argument, and every value of a tree as a loop argument; the source holds
+    only fixed names and small integers.
     """
     bbp, flags = shape
     # The deepest tier whose device sums are priced once: O-DUs provisioned to the cap carry
@@ -270,10 +271,10 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     else:
         row = f"head % (n_ru, {''.join(_WATTS[i] + ', ' for i in columns)})"
     return _compile(
-        "def factory(ecpri, terms, after, ue_watts, cap, users_per_ru, n_cu, n_dc, head):\n"
+        "def factory(ecpri, terms, after, ue_watts, head):\n"
         f"    ({''.join(records)}) = terms\n"
         f"    ({''.join(after)}) = after\n"
-        "    def loop(counts, n_dus, rows):\n"
+        "    def loop(counts, n_dus, users_per_ru, cap, n_cu, n_dc, rows):\n"
         "        append = rows.append\n"
         + _indent("\n".join(once), 8)
         + ("        for n_ru, n_du in zip(counts, n_dus):\n" if bbp else
@@ -302,6 +303,7 @@ class _Plan(NamedTuple):
     after: tuple[float, ...]  # the watts of every other term: tiers, then links
     ue_watts: float
     shape: tuple[int, tuple[tuple[bool, ...], ...]]  # the BBP depth and each term's quantized flags
+    loops: dict[bool, Callable]  # evaluate's row loops by whether the tree has a cap, bound on use
 
 
 @dataclass(frozen=True, init=False)
@@ -345,6 +347,15 @@ class PowerBreakdown:
         self.__dict__.update(placement=placement, nodes=nodes, segments=segments,
                              ue_watts=ue_watts, processing_watts=watts[0],
                              transmission_watts=watts[1], total_watts=watts[2])
+
+    @classmethod
+    def _of(cls, placement: Node, watts: tuple[float, ...]) -> "PowerBreakdown":
+        """The breakdown whose ``per_user_watts`` are ``watts``, which passed their check."""
+        self = object.__new__(cls)
+        self.__dict__.update(placement=placement, nodes=watts[3:7], segments=watts[7:10],
+                             ue_watts=watts[10], processing_watts=watts[0],
+                             transmission_watts=watts[1], total_watts=watts[2])
+        return self
 
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
@@ -459,34 +470,37 @@ class ModelConfig:
         bits_per_s = user_rate * GBPS_TO_BITS_PER_S
         ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf
                     else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
-        return _Plan(tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags)))
+        return _Plan(tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags)), {})
 
-    def _loop(self, placement: Node, users_per_ru: int, du_fanout_cap: int | None, n_cu: int,
-              n_dc: int, columns: tuple[int, ...] | None, head: object) -> Callable:
-        """``placement``'s row loop (see ``_loop_factory``) for trees of ``n_cu`` O-CUs and
-        ``n_dc`` DCs, bound to this config's plan for ``placement``, built on first use."""
-        try:
-            plan = self._plans[placement]
-        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
-            plan = self._plans[placement] = self._plan(placement)
-        capped = self.provision_to_cap and du_fanout_cap is not None
+    def _loop(self, plan: _Plan, has_cap: bool, columns: tuple[int, ...] | None,
+              head: object) -> Callable:
+        """The row loop (see ``_loop_factory``) of ``plan``, this config's plan for a
+        placement, for trees with a fanout cap or without one."""
+        capped = self.provision_to_cap and has_cap
         return _loop_factory(plan.shape, capped, columns)(
-            self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, du_fanout_cap,
-            users_per_ru, n_cu, n_dc, head)
+            self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, head)
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
 
         Only the per-instance loads and the coverage factors depend on the
-        topology; the placement's row loop prices every term of its one cell.
+        topology; the plan's row loop prices every term of its one cell.
         """
+        try:
+            plan = self._plans[placement]
+        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
+            plan = self._plans[placement] = self._plan(placement)
+        cap = topology.du_fanout_cap
+        has_cap = cap is not None
+        try:
+            loop = plan.loops[has_cap]
+        except KeyError:
+            loop = plan.loops[has_cap] = self._loop(plan, has_cap, None, placement)
         rows = []
-        parts = self._loop(placement, topology.users_per_ru, topology.du_fanout_cap,
-                           topology.n_cu, topology.n_dc, None, placement)(
-            (topology.n_ru,), (topology.n_du,), rows)
+        parts = loop((topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap,
+                     topology.n_cu, topology.n_dc, rows)
         if rows:
-            watts = rows[0][2]
-            return PowerBreakdown(placement, watts[3:7], watts[7:10], watts[10])
+            return PowerBreakdown._of(placement, rows[0][2])
         # No part computed here is negative: a part rejected as NaN (an infinite factor times
         # zero) or an infinite total has overflowed.
         names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]

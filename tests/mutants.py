@@ -37,7 +37,7 @@ MUTANTS = (
      "varies = (any(nodes), any(links),", "varies = (any(nodes), depth != 2 and any(links),",
      "tests/test_golden.py::test_stdout_digest"),
     ("O-DUs sized for their O-RUs when provisioned to the cap", "powermodel.py",
-     "capped = self.provision_to_cap and du_fanout_cap is not None\n", "capped = False\n",
+     "capped = self.provision_to_cap and has_cap\n", "capped = False\n",
      "tests/test_experiments.py::TestBruteForceOracle::test_cap_provisioning_matches"),
     ("O-DU load and device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
      "hoisted = 1 if capped else 0\n", "hoisted = 1\n",

@@ -31,6 +31,7 @@ from oranpower.powermodel import (
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
+    per_user_watts,
     provision_units,
 )
 from oranpower.topology import (
@@ -209,20 +210,33 @@ def topologies(draw, extreme):
 
 
 def check_kernel_matches_reference(config, topology, placement):
-    """``evaluate``, through its row loop, prices the cell as ``reference_kernel`` does."""
-    plan = config._plan(placement)
+    """The one-cell row loop ``evaluate`` runs, and ``evaluate`` itself, price the cell as
+    ``reference_kernel`` does: the loop's row, or the parts of a cell it rejects, by ``repr``,
+    and ``evaluate``'s breakdown or error."""
+    evaluated = outcome(config.evaluate, topology, placement)
+    plan = config._plans[placement]  # and the loop evaluate ran, bound to it
     args = kernel_args(config, topology)
     expected = outcome(reference_kernel, plan, placement.depth, config, *args)
-    evaluated = outcome(config.evaluate, topology, placement)
-    if isinstance(expected, tuple):  # the reference raised, and evaluate raises the same
-        assert evaluated == expected
+    rows = []
+    looped = outcome(plan.loops[topology.du_fanout_cap is not None], (topology.n_ru,),
+                     (topology.n_du,), topology.users_per_ru, topology.du_fanout_cap,
+                     topology.n_cu, topology.n_dc, rows)
+    if isinstance(expected, tuple):  # the reference raised, and the loop and evaluate the same
+        assert looped == evaluated == expected
         return
-    built = outcome(lambda: PowerBreakdown(
-        placement, *reference_kernel(plan, placement.depth, config, *args), plan.ue_watts))
-    if isinstance(built, tuple):  # rejected as overflowed
-        assert isinstance(evaluated, tuple) and evaluated[0] == PowerOverflowError.__name__
+    nodes, segments = reference_kernel(plan, placement.depth, config, *args)
+    watts = per_user_watts(nodes, segments, plan.ue_watts)
+    if watts is None:  # rejected as overflowed, naming every part
+        assert looped == repr((*nodes, *segments, plan.ue_watts)) and rows == []
+        names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
+        parts = ", ".join(f"{name} = {value:.6g}"
+                          for name, value in zip(names, (*nodes, *segments, plan.ue_watts)))
+        assert evaluated == (PowerOverflowError.__name__, (
+            f"per-user power with BBP at {placement.value} and n_ru={topology.n_ru} overflows "
+            f"a float: {parts}"))
     else:
-        assert evaluated == built
+        assert looped == repr(None) and repr(rows) == repr([(topology.n_ru, placement, watts)])
+        assert evaluated == repr(PowerBreakdown(placement, nodes, segments, plan.ue_watts))
 
 
 class TestKernelMatchesTermRecords:
@@ -257,9 +271,10 @@ class TestOverflowOrder:
         with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
             config.evaluate(build_sweep_topology(8, 10), placement)
         # The sweep's loop of a fresh config raises the same, with no evaluate before it.
-        loop = ModelConfig.default(policy)._loop(placement, 10, 4, 1, 1, None, placement)
+        fresh = ModelConfig.default(policy)
+        loop = fresh._loop(fresh._plan(placement), True, None, placement)
         with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
-            loop([8], [2], [])
+            loop([8], [2], 10, 4, 1, 1, [])
 
 
 def same_shape_configs():
@@ -298,14 +313,21 @@ class TestSharedFactories:
         assert interleaved == alone
         assert alone[0] != alone[1]
         for placement in NODE_ORDER:
-            # Every value of the config and the tree is bound in the closure, none in the code,
-            # which reads only the totals' 0.0 and the one-O-RU cell's count of 1 as constants:
-            # for evaluate's rows and the CSV lines, with O-DUs provisioned to a cap or not.
+            # Every value of the config is bound in the closure and every value of the tree is
+            # an argument, none in the code, which reads only the totals' 0.0 and the one-O-RU
+            # cell's count of 1 as constants: for evaluate's rows and the CSV lines, for trees
+            # with and without a cap.
+            for config in (first, second):  # binds evaluate's loops for both kinds of tree
+                for tree in (Topology(8, 2, 1, 1, 10), build_sweep_topology(8, 10, 4)):
+                    config.evaluate(tree, placement)
+            plans = [config._plans[placement] for config in (first, second)]
             for columns, head in ((None, placement), ((0, 2), "%s,%.6g,%.6g\n")):
-                for caps in ((4, 7), (None, None)):
-                    loops = [config._loop(placement, users_per_ru, cap, n_cu, n_dc, columns, head)
-                             for config, users_per_ru, cap, n_cu, n_dc in (
-                                 (first, 10, caps[0], 1, 1), (second, 3, caps[1], 6, 2))]
+                for has_cap in (False, True):
+                    loops = [config._loop(plan, has_cap, columns, head)
+                             for config, plan in zip((first, second), plans)]
+                    if columns is None:
+                        assert [plan.loops[has_cap].__code__ for plan in plans] == [
+                            loop.__code__ for loop in loops]
                     assert loops[0].__code__ is loops[1].__code__
                     assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
                     assert {value for value in loops[0].__code__.co_consts
@@ -326,7 +348,10 @@ class TestSharedFactories:
             assert [breakdown_floats(clone.evaluate(topology, node))
                     for node in NODE_ORDER] == expected
             for node in NODE_ORDER:
-                assert clone._plans[node] is not config._plans[node]
-                assert clone._plans[node] == config._plans[node]
-                loops = [side._loop(node, 6, 5, 1, 1, None, node) for side in (clone, config)]
-                assert loops[0].__code__ is loops[1].__code__
+                plans = clone._plans[node], config._plans[node]
+                assert plans[0] is not plans[1]
+                assert plans[0][:-1] == plans[1][:-1]  # all but the loops
+                assert plans[0].loops.keys() == plans[1].loops.keys() == {True}
+                for loops in zip(plans[0].loops.values(), plans[1].loops.values()):
+                    assert loops[0] is not loops[1]
+                    assert loops[0].__code__ is loops[1].__code__
