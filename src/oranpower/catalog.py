@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .topology import MAX_COUNT
+from .topology import MAX_COUNT, is_integer
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
 _REL_TOL = 1e-12
@@ -64,7 +64,7 @@ class ServerSpec:
     server_capacity_gbps: float
 
     def __post_init__(self):
-        if not (isinstance(self.cores, int) and 1 <= self.cores <= MAX_COUNT):
+        if not (is_integer(self.cores) and 1 <= self.cores <= MAX_COUNT):
             raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, "
                                f"got {self.cores}")
         for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):

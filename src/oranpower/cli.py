@@ -7,7 +7,7 @@ import functools
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 from .catalog import CatalogError, default_catalog
@@ -55,26 +55,6 @@ CSV_COLUMNS = (
     "p_node_oru_w", "p_node_odu_w", "p_node_ocu_w", "p_node_dc_w",
     "p_seg_fronthaul_w", "p_seg_midhaul_w", "p_seg_backhaul_w", "p_ue_w",
 )
-
-
-def _row_template(placement: Node, first: tuple[float, ...]) -> tuple[str, tuple[int, ...]]:
-    """A placement's CSV data line template from the watts of its first sweep row, and the
-    indexes of the watts that each row formats into it.
-
-    A line is n_ru, the placement and the CSV_COLUMNS, powers to 6 significant digits. The
-    template renders once each column that cannot change with n_ru. In a sweep
-    ``users_per_ru``, the eCPRI rate and the plan are fixed and ``n_users == n_ru *
-    users_per_ru``, so at BBP depth d only tiers 1..d, links 1..d-1 and their totals vary: at
-    depth 0, n_ru / n_users is 1 / users_per_ru rounded.
-    """
-    depth = placement.depth
-    # The tiers and links that the row loop prices per cell, but those at depth 0.
-    nodes = [0 < i <= depth for i in range(len(NODE_ORDER))]
-    links = [0 < i < depth for i in range(len(LINK_ORDER))]
-    varies = (any(nodes), any(links), any(nodes) or any(links), *nodes, *links, False)
-    template = ",".join(["%s", _PLACEMENT_NAMES[placement]] + [
-        "%.6g" if vary else "%.6g" % value for vary, value in zip(varies, first)]) + "\n"
-    return template, tuple(compress(range(len(varies)), varies))
 
 
 def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
@@ -178,7 +158,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
         chunks = sweep_chunks([n_ru], users_per_ru, [placement], config, du_fanout_cap,
-                              _row_template)
+                              csv=True)
         lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
                            map("".join, chunks))
     return _emit(lines, args.output, stdout)
@@ -195,7 +175,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
     placements = _parse_placements(args.placements, parser)
     chunks = sweep_chunks(range(1, args.max_ru + 1), users_per_ru, placements, config,
-                          du_fanout_cap, _row_template)
+                          du_fanout_cap, csv=True)
     metadata = [
         ("max_ru", args.max_ru),
         ("users_per_ru", users_per_ru),

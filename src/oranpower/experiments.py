@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .powermodel import ModelConfig, PowerBreakdown, PowerOverflowError, per_user_watts
+from .powermodel import ModelConfig, PowerBreakdown, PowerOverflowError
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
     MAX_COUNT,
@@ -64,12 +64,11 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
 
 def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Iterable[Node],
                  config: ModelConfig, du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP,
-                 row_template: Callable | None = None) -> Iterator[list]:
+                 csv: bool = False) -> Iterator[list]:
     """The rows of ``sweep_orus``, in a list for each ``SWEEP_CHUNK`` counts.
 
-    With ``row_template``, each row is the text ``template % (n_ru, ...)``
-    of the watts at ``columns`` instead, where ``(template, columns) =
-    row_template(placement, watts)`` for the watts of the first count. Each
+    With ``csv``, each row is instead the CSV data line of n_ru, the
+    placement's name and the 11 watts to 6 significant digits. Each
     placement's compiled row loop (``ModelConfig._loop``) prices and renders
     a chunk in one call, from O-DU counts computed once for all placements.
     A count that fails Topology's test or a cell whose power overflows ends
@@ -85,14 +84,9 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
     first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    loops = []
     for placement in ordered:
-        breakdown = config.evaluate(first, placement)  # and so caches the placement's plan
-        head, columns = placement, None
-        if row_template is not None:
-            head, columns = row_template(placement, per_user_watts(
-                breakdown.nodes, breakdown.segments, breakdown.ue_watts))
-        loops.append(config._loop(config._plans[placement], True, columns, head))
+        config.evaluate(first, placement)
+    loops = [config._loop(placement, True, csv) for placement in ordered]
     return _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops)
 
 

@@ -25,6 +25,7 @@ from .topology import (
     SegmentParams,
     Topology,
     TopologyError,
+    is_integer,
     segment_map,
 )
 
@@ -81,10 +82,12 @@ class ClassPolicy:
     minimum_units: int = 0
 
     def __post_init__(self):
+        if type(self.quantized) is not bool:
+            raise ValueError(f"quantized must be True or False, got {self.quantized!r}")
         unit = self.unit_capacity_gbps
         if unit is not None and not (math.isfinite(unit) and unit > 0):
             raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
-        if not (isinstance(self.minimum_units, int) and 0 <= self.minimum_units <= MAX_COUNT):
+        if not (is_integer(self.minimum_units) and 0 <= self.minimum_units <= MAX_COUNT):
             raise ValueError(f"minimum_units must be an integer >= 0 and <= 2**53, "
                              f"got {self.minimum_units}")
 
@@ -176,10 +179,10 @@ _WATTS = ("processing", "transmission", "total", *_PARTS)
 # would move a total by an ULP between Pythons. Each part is compared on its own, as min()
 # parses keywords on each call; with no part NaN or negative, the total is finite exactly
 # when it is below infinity. A cell that fails returns FAILED.
-_TOTALS = """\
-processing = 0.0 + node0 + node1 + node2 + node3
-transmission = ue_watts + (0.0 + link0 + link1 + link2)
-total = processing + transmission
+_SUMS = ("processing = 0.0 + node0 + node1 + node2 + node3",
+         "transmission = ue_watts + (0.0 + link0 + link1 + link2)",
+         "total = processing + transmission")
+_CHECK = """\
 if not (node0 >= 0.0 and node1 >= 0.0 and node2 >= 0.0 and node3 >= 0.0 and link0 >= 0.0
         and link1 >= 0.0 and link2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
     return FAILED
@@ -200,7 +203,7 @@ def _indent(source: str, spaces: int) -> str:
 
 @functools.cache
 def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
-                  columns: tuple[int, ...] | None) -> Callable:
+                  csv: bool) -> Callable:
     """The row-loop factory for plans of one shape, compiled once per process and shared.
 
     ``shape`` is the BBP depth and, for each term priced per cell, whether
@@ -211,22 +214,24 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     depth 0), with ``n_ru * users_per_ru`` users. A term at or before the
     BBP node has the watts ``s * (count / n_users) * (d1 + d2 + ...)``: its
     tier's count, and each device's ``multiplier * sized(load)`` summed left
-    to right. The loop then takes the totals and check of ``_TOTALS`` and
-    appends each row to ``rows``: ``head % (n_ru, ...)`` of the ``_WATTS`` at ``columns``, or
-    ``(n_ru, head, <the 11 _WATTS>)`` when ``columns`` is ``None``. At a cell
-    that fails the check it returns the cell's ``_PARTS``;
+    to right. The loop then takes the totals of ``_SUMS`` and the check of
+    ``_CHECK`` and appends each row to ``rows``: ``(n_ru, placement, <the 11
+    _WATTS>)``, or with ``csv`` the row's CSV line, figures to 6 significant
+    digits. At a cell that fails the check it returns the cell's ``_PARTS``;
     ``provision_units`` raises for a unit count beyond a float.
 
     The terms after the BBP node are constants of the factory. Before its
     first cell a loop prices, with the one-O-RU cell's expressions, what
     else cannot change between cells: each depth-0 term, as n_ru / n_users
     rounds to 1 / users_per_ru at every count, and, when capped, the O-DU
-    load and each depth-1 device sum. A quantized term is priced there only
-    if no quantized term before it in plan order is priced per cell, so the
-    error is that of the first term in order that needs more units than a
-    float holds. Every value of a config reaches the loop as a factory
-    argument, and every value of a tree as a loop argument; the source holds
-    only fixed names and small integers.
+    load and each depth-1 device sum; then each total that reads no figure
+    priced per cell, and with ``csv`` the line that holds every such figure
+    already rendered. A quantized term is priced there only if no quantized
+    term before it in plan order is priced per cell, so the error is that of
+    the first term in order that needs more units than a float holds. Every
+    value of a config reaches the loop as a factory argument, and every
+    value of a tree as a loop argument; the source holds only fixed names
+    and small integers.
     """
     bbp, flags = shape
     # The deepest tier whose device sums are priced once: O-DUs provisioned to the cap carry
@@ -263,15 +268,27 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
             each.append(f"{name} = {factor}{name}_devices")
         else:
             once.append(f"{name} = {factor}{devices}")
+    # A total is priced per cell when it reads a figure that is.
+    varying = {statement.partition(" = ")[0] for statement in each}
+    for statement in _SUMS:
+        name, _, expression = statement.partition(" = ")
+        if varying.isdisjoint(compile(expression, "<sum>", "eval").co_names):
+            once.append(statement)
+        else:
+            each.append(statement)
+            varying.add(name)
     # The other terms are constants: the tiers after the BBP node, then the links from it.
     after = [f"node{depth}, " for depth in range(bbp + 1, len(NODE_ORDER))]
     after += [f"link{depth}, " for depth in range(bbp, len(LINK_ORDER))]
-    if columns is None:
-        row = f"(n_ru, head, ({', '.join(_WATTS)}))"
+    if csv:  # the figures priced once are rendered once, into the line each row fills in
+        figures = "".join(f'"%.6g", ' if name in varying else f'"%.6g" % {name}, '
+                          for name in _WATTS)
+        once.append(f'line = ",".join(("%s", placement.value, {figures})) + "\\n"')
+        row = f"line % (n_ru, {''.join(name + ', ' for name in _WATTS if name in varying)})"
     else:
-        row = f"head % (n_ru, {''.join(_WATTS[i] + ', ' for i in columns)})"
+        row = f"(n_ru, placement, ({', '.join(_WATTS)}))"
     return _compile(
-        "def factory(ecpri, terms, after, ue_watts, head):\n"
+        "def factory(ecpri, terms, after, ue_watts, placement):\n"
         f"    ({''.join(records)}) = terms\n"
         f"    ({''.join(after)}) = after\n"
         "    def loop(counts, n_dus, users_per_ru, cap, n_cu, n_dc, rows):\n"
@@ -280,20 +297,21 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         + ("        for n_ru, n_du in zip(counts, n_dus):\n" if bbp else
            "        for n_ru in counts:\n")
         + _indent("\n".join(each), 12)
-        + _indent(_TOTALS.replace("FAILED", ", ".join(_PARTS)), 12)
+        + _indent(_CHECK.replace("FAILED", ", ".join(_PARTS)), 12)
         + f"            append({row})\n"
-        "    return loop\n", "factory", f"row loop {shape} {capped} {columns}")
+        "    return loop\n", "factory", f"row loop {shape} {capped} {csv}")
 
 
 per_user_watts = _compile(
     "def per_user_watts(nodes, segments, ue_watts):\n"
     "    node0, node1, node2, node3 = nodes\n"
     "    link0, link1, link2 = segments\n"
-    + _indent(_TOTALS.replace("FAILED", "None"), 4) + f"    return {', '.join(_WATTS)}\n",
+    + _indent("\n".join(_SUMS), 4) + _indent(_CHECK.replace("FAILED", "None"), 4)
+    + f"    return {', '.join(_WATTS)}\n",
     "per_user_watts", "per_user_watts")
 per_user_watts.__doc__ = """\
 Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
-``None`` unless every part is >= 0 and the total finite, as ``_TOTALS`` states."""
+``None`` unless every part is >= 0 and the total finite, as ``_CHECK`` states."""
 
 
 class _Plan(NamedTuple):
@@ -303,7 +321,7 @@ class _Plan(NamedTuple):
     after: tuple[float, ...]  # the watts of every other term: tiers, then links
     ue_watts: float
     shape: tuple[int, tuple[tuple[bool, ...], ...]]  # the BBP depth and each term's quantized flags
-    loops: dict[bool, Callable]  # evaluate's row loops by whether the tree has a cap, bound on use
+    loops: dict[tuple[bool, bool], Callable]  # row loops by (has_cap, csv), bound on first use
 
 
 @dataclass(frozen=True, init=False)
@@ -377,10 +395,10 @@ class ModelConfig:
     """Everything an evaluation needs except the topology and BBP placement.
 
     ``params`` must hold the ``SegmentParams`` of every tier and link, each
-    under its own segment, and is stored as a read-only copy. ``evaluate``
-    builds one plan per placement the first time it sees it and keeps it on
-    the config; the plan cache takes no part in equality, ``repr`` or
-    ``dataclasses.replace``.
+    under its own segment, and is stored as a read-only copy. A plan is
+    built for each placement the first time one of its cells is priced, and
+    kept on the config; the plan cache takes no part in equality, ``repr``
+    or ``dataclasses.replace``.
     """
 
     catalog: EquipmentCatalog
@@ -392,6 +410,9 @@ class ModelConfig:
                                       default_factory=dict)
 
     def __post_init__(self):
+        if type(self.provision_to_cap) is not bool:
+            raise ValueError(
+                f"provision_to_cap must be True or False, got {self.provision_to_cap!r}")
         params = dict(self.params)
         # Each term reads its own segment's entry, so each must be there, under its own key.
         for segment, _ in _SEGMENTS:
@@ -472,13 +493,19 @@ class ModelConfig:
                     else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
         return _Plan(tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags)), {})
 
-    def _loop(self, plan: _Plan, has_cap: bool, columns: tuple[int, ...] | None,
-              head: object) -> Callable:
-        """The row loop (see ``_loop_factory``) of ``plan``, this config's plan for a
-        placement, for trees with a fanout cap or without one."""
-        capped = self.provision_to_cap and has_cap
-        return _loop_factory(plan.shape, capped, columns)(
-            self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, head)
+    def _loop(self, placement: Node, has_cap: bool, csv: bool) -> Callable:
+        """The row loop (see ``_loop_factory``) of this config's plan for ``placement``, for
+        trees with a fanout cap or without one; the plan and the loop are built on first use."""
+        try:
+            plan = self._plans[placement]
+        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
+            plan = self._plans[placement] = self._plan(placement)
+        loop = plan.loops.get((has_cap, csv))
+        if loop is None:
+            capped = self.provision_to_cap and has_cap
+            loop = plan.loops[has_cap, csv] = _loop_factory(plan.shape, capped, csv)(
+                self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, placement)
+        return loop
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
@@ -486,19 +513,11 @@ class ModelConfig:
         Only the per-instance loads and the coverage factors depend on the
         topology; the plan's row loop prices every term of its one cell.
         """
-        try:
-            plan = self._plans[placement]
-        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
-            plan = self._plans[placement] = self._plan(placement)
         cap = topology.du_fanout_cap
-        has_cap = cap is not None
-        try:
-            loop = plan.loops[has_cap]
-        except KeyError:
-            loop = plan.loops[has_cap] = self._loop(plan, has_cap, None, placement)
         rows = []
-        parts = loop((topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap,
-                     topology.n_cu, topology.n_dc, rows)
+        parts = self._loop(placement, cap is not None, False)(
+            (topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap, topology.n_cu,
+            topology.n_dc, rows)
         if rows:
             return PowerBreakdown._of(placement, rows[0][2])
         # No part computed here is negative: a part rejected as NaN (an infinite factor times

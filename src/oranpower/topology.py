@@ -17,11 +17,16 @@ class TopologyError(ValueError):
 MAX_COUNT = 2**53
 
 
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is an int: a bool is an int subclass, but no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _count_errors(counts: Mapping[str, object]) -> dict[str, str]:
     """An error for each count that is not an integer from 1 to ``MAX_COUNT``."""
     return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
             for name, count in counts.items()
-            if not (isinstance(count, int) and 1 <= count <= MAX_COUNT)}
+            if not (is_integer(count) and 1 <= count <= MAX_COUNT)}
 
 
 def check_counts(**counts: object) -> None:
@@ -143,7 +148,7 @@ class SegmentParams:
                                 f"got {self.alpha} * {self.sigma}")
         for name in ("hops_switch", "hops_wdm", "hops_router"):
             hops = getattr(self, name)
-            if not (isinstance(hops, int) and 0 <= hops <= MAX_COUNT):
+            if not (is_integer(hops) and 0 <= hops <= MAX_COUNT):
                 raise TopologyError(f"{self.segment.value}: {name} must be an integer >= 0 and "
                                     f"<= 2**53, got {hops}")
         if self.gamma not in (0, 1):

@@ -33,8 +33,10 @@ MUTANTS = (
     ("term product regrouped", "powermodel.py",
      'f"s{i} * ({_COUNTS[depth]} / n_users) * "', 'f"s{i} * {_COUNTS[depth]} / n_users * "',
      "tests/test_golden.py::test_breakdown_floats_digest"),
-    ("row template holding transmission constant at depth 2", "cli.py",
-     "varies = (any(nodes), any(links),", "varies = (any(nodes), depth != 2 and any(links),",
+    ("row loop holding transmission constant at depth 2", "powermodel.py",
+     'if varying.isdisjoint(compile(expression, "<sum>", "eval").co_names):',
+     'if varying.isdisjoint(compile(expression, "<sum>", "eval").co_names)'
+     ' or (bbp, name) == (2, "transmission"):',
      "tests/test_golden.py::test_stdout_digest"),
     ("O-DUs sized for their O-RUs when provisioned to the cap", "powermodel.py",
      "capped = self.provision_to_cap and has_cap\n", "capped = False\n",

@@ -17,7 +17,7 @@ from oranpower import cli
 from oranpower.cli import CSV_COLUMNS, build_parser, main
 from oranpower.configfile import TopologyCounts, load_config
 from oranpower.experiments import SWEEP_CHUNK
-from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
+from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import NODE_ORDER, Node, build_sweep_topology
 
 from test_kernel import catalogs, params
@@ -159,24 +159,28 @@ def reference_row(n_ru, breakdown):
 
 
 class TestRowTemplates:
-    """Sweep rows render only the columns that vary with n_ru; all must still be right.
+    """Sweep rows render per cell only the figures the row loop prices per cell; all must
+    still be right.
 
-    A model change that makes a column the row templates hold constant depend on
-    n_ru fails here.
+    A model change that makes a figure the row loop prices once depend on n_ru fails here.
     """
 
     @given(catalog=catalogs(False), segments=params(False),
-           policy=st.sampled_from(["linear", "quantized"]), attached=st.booleans(),
+           servers=st.sampled_from([ClassPolicy.linear(), ClassPolicy.quantize(),
+                                    ClassPolicy.quantize(0.3)]),
+           links=st.sampled_from([ClassPolicy.linear(), ClassPolicy.quantize(7.0, 1)]),
+           attached=st.booleans(),
            users_per_ru=st.integers(1, 64), cap=st.integers(1, 16), max_ru=st.integers(1, 60),
            placements=st.lists(st.sampled_from(NODE_ORDER), min_size=1, unique=True),
            data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_per_field_rendering(self, catalog, segments, policy, attached,
+    def test_rows_match_per_field_rendering(self, catalog, segments, servers, links, attached,
                                             users_per_ru, cap, max_ru, placements, data):
+        # Quantized links behind quantized servers priced per cell are priced per cell too.
         config = ModelConfig(catalog, segments, TrafficModel(),
-                             ProvisioningPolicy.all_linear() if policy == "linear"
-                             else ProvisioningPolicy.default(), provision_to_cap=not attached)
-        flags = ["--users-per-ru", str(users_per_ru), "--policy", policy]
+                             ProvisioningPolicy(servers=servers, links=links),
+                             provision_to_cap=not attached)
+        flags = ["--users-per-ru", str(users_per_ru)]
         flags += ["--attached-load"] if attached else []
         # The drawn config itself, as no config key sets a link's gamma (routers on it).
         loaded = (config, TopologyCounts(du_fanout_cap=cap))

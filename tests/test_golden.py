@@ -45,8 +45,8 @@ RUNS = {
     "sweep-quantized": (["sweep", "--max-ru", "500"], CONFIG_TEXT),
     "sweep-linear": (["sweep", "--max-ru", "500", "--policy", "linear"], CONFIG_TEXT),
     "sweep-quantized-attached": (["sweep", "--max-ru", "500", "--attached-load"], CONFIG_TEXT),
-    # Row templates: a placement subset given out of order with one user per O-RU,
-    # a single O-RU count, and the O-DU alone with partial O-DUs.
+    # CSV lines the row loops render: a placement subset given out of order with one user
+    # per O-RU, a single O-RU count, and the O-DU alone with partial O-DUs.
     "sweep-subset-rho1": (["sweep", "--max-ru", "37", "--placements", "dc,oru",
                            "--users-per-ru", "1"], CONFIG_TEXT),
     "sweep-one-count": (["sweep", "--max-ru", "1"], None),

@@ -218,7 +218,7 @@ def check_kernel_matches_reference(config, topology, placement):
     args = kernel_args(config, topology)
     expected = outcome(reference_kernel, plan, placement.depth, config, *args)
     rows = []
-    looped = outcome(plan.loops[topology.du_fanout_cap is not None], (topology.n_ru,),
+    looped = outcome(plan.loops[topology.du_fanout_cap is not None, False], (topology.n_ru,),
                      (topology.n_du,), topology.users_per_ru, topology.du_fanout_cap,
                      topology.n_cu, topology.n_dc, rows)
     if isinstance(expected, tuple):  # the reference raised, and the loop and evaluate the same
@@ -272,7 +272,7 @@ class TestOverflowOrder:
             config.evaluate(build_sweep_topology(8, 10), placement)
         # The sweep's loop of a fresh config raises the same, with no evaluate before it.
         fresh = ModelConfig.default(policy)
-        loop = fresh._loop(fresh._plan(placement), True, None, placement)
+        loop = fresh._loop(placement, True, False)
         with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
             loop([8], [2], 10, 4, 1, 1, [])
 
@@ -321,13 +321,10 @@ class TestSharedFactories:
                 for tree in (Topology(8, 2, 1, 1, 10), build_sweep_topology(8, 10, 4)):
                     config.evaluate(tree, placement)
             plans = [config._plans[placement] for config in (first, second)]
-            for columns, head in ((None, placement), ((0, 2), "%s,%.6g,%.6g\n")):
+            for csv in (False, True):
                 for has_cap in (False, True):
-                    loops = [config._loop(plan, has_cap, columns, head)
-                             for config, plan in zip((first, second), plans)]
-                    if columns is None:
-                        assert [plan.loops[has_cap].__code__ for plan in plans] == [
-                            loop.__code__ for loop in loops]
+                    loops = [config._loop(placement, has_cap, csv) for config in (first, second)]
+                    assert [plan.loops[has_cap, csv] for plan in plans] == loops
                     assert loops[0].__code__ is loops[1].__code__
                     assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
                     assert {value for value in loops[0].__code__.co_consts
@@ -351,7 +348,7 @@ class TestSharedFactories:
                 plans = clone._plans[node], config._plans[node]
                 assert plans[0] is not plans[1]
                 assert plans[0][:-1] == plans[1][:-1]  # all but the loops
-                assert plans[0].loops.keys() == plans[1].loops.keys() == {True}
+                assert plans[0].loops.keys() == plans[1].loops.keys() == {(True, False)}
                 for loops in zip(plans[0].loops.values(), plans[1].loops.values()):
                     assert loops[0] is not loops[1]
                     assert loops[0].__code__ is loops[1].__code__

@@ -493,6 +493,15 @@ class TestConfigParams:
         assert config.params == segment_map()
         assert replace(config, provision_to_cap=False).params == segment_map()
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_flags_must_be_bools(self, value):
+        # Either flag reads as its truth value, so "no" would size quantized or to the cap.
+        with pytest.raises(ValueError, match=f"^quantized must be True or False, got {value!r}$"):
+            ClassPolicy(quantized=value)
+        with pytest.raises(ValueError,
+                           match=f"^provision_to_cap must be True or False, got {value!r}$"):
+            replace(ModelConfig.default(), provision_to_cap=value)
+
 
 class TestReusedConfig:
     """A config evaluated many times gives exactly what a fresh config gives."""

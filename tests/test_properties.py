@@ -249,7 +249,8 @@ def per_part_breakdown(nodes, segments, ue_watts):
 def per_count_errors(counts):
     return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
             for name, count in counts.items()
-            if not (isinstance(count, int) and 1 <= count <= 2**53)}
+            if not (isinstance(count, int) and not isinstance(count, bool)
+                    and 1 <= count <= 2**53)}
 
 
 def per_count_check(**counts):

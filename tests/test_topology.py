@@ -3,11 +3,13 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
-from oranpower.catalog import default_catalog, energy_per_capacity
-from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
+from oranpower.catalog import CatalogError, ServerSpec, default_catalog, energy_per_capacity
+from oranpower.experiments import sweep_orus
+from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import (
     FANOUT_CASES,
     LINK_ORDER,
@@ -249,6 +251,30 @@ class TestValidate:
     def test_bad_fanout_cap_rejected(self, cap):
         with pytest.raises(TopologyError, match="du_fanout_cap"):
             Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10, du_fanout_cap=cap)
+
+    # A bool is an int subclass, but True is no count wherever one is read.
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: Topology(True, 1, 1, 1, 1), TopologyError,
+                     "invalid topology: n_ru must be an integer >= 1", id="topology"),
+        pytest.param(lambda: Topology(4, 1, 1, 1, 1, du_fanout_cap=True), TopologyError,
+                     "invalid topology: du_fanout_cap must be an integer >= 1", id="cap"),
+        pytest.param(lambda: sweep_orus([2, True], 10, [Node.ODU], ModelConfig.default()),
+                     TopologyError, "invalid topology: n_ru must be an integer >= 1",
+                     id="sweep"),
+        pytest.param(lambda: FanoutCase("x", 1, True, 1), TopologyError,
+                     "x: cu_fanout must be an integer >= 1", id="fanout-case"),
+        pytest.param(lambda: from_fanout_case(FanoutCase("x", 1, 1, 1), 4, True), TopologyError,
+                     "invalid topology: users_per_ru must be an integer >= 1", id="fanout"),
+        pytest.param(lambda: SegmentParams(Link.MIDHAUL, 1.0, 1.0, hops_wdm=True),
+                     TopologyError, "midhaul: hops_wdm must be an integer >= 0", id="hops"),
+        pytest.param(lambda: ClassPolicy.quantize(minimum_units=True), ValueError,
+                     "minimum_units must be an integer >= 0", id="minimum-units"),
+        pytest.param(lambda: ServerSpec(True, 1.0, 1.0, 1.0), CatalogError,
+                     "server: cores must be an integer >= 1", id="cores"),
+    ])
+    def test_bool_count_rejected(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)} and <= 2\\*\\*53, got True$"):
+            build()
 
 
 class TestSegmentParamsValidation:
