@@ -48,8 +48,8 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
                du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP) -> Iterator[tuple]:
     """Price every (n_ru, placement) pair over sweep topologies, yielding rows lazily.
 
-    A row is ``(n_ru, placement, watts)``: the 11 ``per_user_watts`` of
-    ``config.evaluate`` on that cell's ``build_sweep_topology``, bit for bit.
+    A row is ``(n_ru, placement, watts)``: the 11 per-user figures, in ``cli.CSV_COLUMNS`` order,
+    of ``config.evaluate`` on that cell's ``build_sweep_topology``, bit for bit.
     Rows are ordered by (n_ru, placement depth) regardless of the input
     iteration order, so identical inputs produce identical streams; a
     ``range`` with a positive step is already in that order and is read as

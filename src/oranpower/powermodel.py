@@ -174,18 +174,18 @@ _PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_wat
 # The 11 per-user figures of a cell, in CSV_COLUMNS order.
 _WATTS = ("processing", "transmission", "total", *_PARTS)
 # A cell's totals and validity test, as source over _PARTS: the one statement of both, which
-# per_user_watts and every row loop are compiled from. Each sum is taken left to right from
-# 0.0, as sum() adds floats up to Python 3.11; since 3.12 it compensates its rounding, which
-# would move a total by an ULP between Pythons. Each part is compared on its own, as min()
-# parses keywords on each call; with no part NaN or negative, the total is finite exactly
-# when it is below infinity. A cell that fails returns FAILED.
+# every row loop is compiled from. Each sum is taken left to right from 0.0, as sum() adds
+# floats up to Python 3.11; since 3.12 it compensates its rounding, which would move a total
+# by an ULP between Pythons. Each part is compared on its own, as min() parses keywords on
+# each call; with no part NaN or negative, the total is finite exactly when it is below
+# infinity. A cell that fails returns its parts.
 _SUMS = ("processing = 0.0 + node0 + node1 + node2 + node3",
          "transmission = ue_watts + (0.0 + link0 + link1 + link2)",
          "total = processing + transmission")
-_CHECK = """\
+_CHECK = f"""\
 if not (node0 >= 0.0 and node1 >= 0.0 and node2 >= 0.0 and node3 >= 0.0 and link0 >= 0.0
         and link1 >= 0.0 and link2 >= 0.0 and ue_watts >= 0.0 and total < math.inf):
-    return FAILED
+    return {', '.join(_PARTS)}
 """
 
 
@@ -297,21 +297,9 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         + ("        for n_ru, n_du in zip(counts, n_dus):\n" if bbp else
            "        for n_ru in counts:\n")
         + _indent("\n".join(each), 12)
-        + _indent(_CHECK.replace("FAILED", ", ".join(_PARTS)), 12)
+        + _indent(_CHECK, 12)
         + f"            append({row})\n"
         "    return loop\n", "factory", f"row loop {shape} {capped} {csv}")
-
-
-per_user_watts = _compile(
-    "def per_user_watts(nodes, segments, ue_watts):\n"
-    "    node0, node1, node2, node3 = nodes\n"
-    "    link0, link1, link2 = segments\n"
-    + _indent("\n".join(_SUMS), 4) + _indent(_CHECK.replace("FAILED", "None"), 4)
-    + f"    return {', '.join(_WATTS)}\n",
-    "per_user_watts", "per_user_watts")
-per_user_watts.__doc__ = """\
-Processing, transmission, total, the 4 tiers, the 3 links and the UE, in watts per user;
-``None`` unless every part is >= 0 and the total finite, as ``_CHECK`` states."""
 
 
 class _Plan(NamedTuple):
@@ -329,51 +317,18 @@ class PowerBreakdown:
     """Per-user power of one BBP placement, split by node tier, link, and UE.
 
     ``nodes`` holds one watts figure per tier in NODE_ORDER and ``segments``
-    one per link in LINK_ORDER. The totals are those of ``per_user_watts``,
-    derived from the parts, so P_T = P_pr + P_tr holds exactly. Every part
-    must be >= 0 and the total finite.
+    one per link in LINK_ORDER. Only ``ModelConfig.evaluate`` builds one, from
+    a row that passed ``_CHECK``: every part is >= 0, the total is finite, and
+    the totals are those of ``_SUMS``, so P_T = P_pr + P_tr holds exactly.
     """
 
     placement: Node
     nodes: tuple[float, ...]
     segments: tuple[float, ...]
     ue_watts: float
-    processing_watts: float = field(init=False)
-    transmission_watts: float = field(init=False)
-    total_watts: float = field(init=False)
-
-    def __init__(self, placement: Node, nodes: tuple[float, ...], segments: tuple[float, ...],
-                 ue_watts: float):
-        watts = (per_user_watts(nodes, segments, ue_watts)
-                 if type(placement) is Node and len(nodes) == 4 and len(segments) == 3 else None)
-        if watts is None:  # the per-part checks name the failure
-            if type(placement) is not Node:
-                raise ValueError(f"unknown BBP placement: {placement!r}")
-            for kind, parts, order in (("node", nodes, NODE_ORDER),
-                                       ("segment", segments, LINK_ORDER)):
-                if len(parts) != len(order):
-                    raise ValueError(
-                        f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
-                for segment, part in zip(order, parts):
-                    if not (part >= 0):
-                        raise ValueError(
-                            f"{kind} power for {segment.value} must be >= 0, got {part}")
-            if not (ue_watts >= 0):
-                raise ValueError(f"UE power must be >= 0, got {ue_watts}")
-            # Every part is >= 0, so a total that is not finite is infinite.
-            raise ValueError("total power must be finite, got inf")
-        self.__dict__.update(placement=placement, nodes=nodes, segments=segments,
-                             ue_watts=ue_watts, processing_watts=watts[0],
-                             transmission_watts=watts[1], total_watts=watts[2])
-
-    @classmethod
-    def _of(cls, placement: Node, watts: tuple[float, ...]) -> "PowerBreakdown":
-        """The breakdown whose ``per_user_watts`` are ``watts``, which passed their check."""
-        self = object.__new__(cls)
-        self.__dict__.update(placement=placement, nodes=watts[3:7], segments=watts[7:10],
-                             ue_watts=watts[10], processing_watts=watts[0],
-                             transmission_watts=watts[1], total_watts=watts[2])
-        return self
+    processing_watts: float
+    transmission_watts: float
+    total_watts: float
 
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
@@ -519,7 +474,12 @@ class ModelConfig:
             (topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap, topology.n_cu,
             topology.n_dc, rows)
         if rows:
-            return PowerBreakdown._of(placement, rows[0][2])
+            watts = rows[0][2]
+            breakdown = object.__new__(PowerBreakdown)
+            breakdown.__dict__.update(
+                placement=placement, nodes=watts[3:7], segments=watts[7:10], ue_watts=watts[10],
+                processing_watts=watts[0], transmission_watts=watts[1], total_watts=watts[2])
+            return breakdown
         # No part computed here is negative: a part rejected as NaN (an infinite factor times
         # zero) or an infinite total has overflowed.
         names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]

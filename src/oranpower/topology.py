@@ -151,7 +151,7 @@ class SegmentParams:
             if not (is_integer(hops) and 0 <= hops <= MAX_COUNT):
                 raise TopologyError(f"{self.segment.value}: {name} must be an integer >= 0 and "
                                     f"<= 2**53, got {hops}")
-        if self.gamma not in (0, 1):
+        if not (is_integer(self.gamma) and self.gamma in (0, 1)):  # not True, nor 1.0
             raise TopologyError(f"{self.segment.value}: gamma must be 0 or 1, got {self.gamma}")
         if isinstance(self.segment, Node):
             for name in ("hops_switch", "hops_wdm", "hops_router", "gamma"):

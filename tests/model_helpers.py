@@ -1,7 +1,10 @@
 """Reference helpers that only the tests use, built on the package's sizing primitives."""
 
+import math
+
 from oranpower.catalog import energy_per_capacity
 from oranpower.powermodel import provision_units
+from oranpower.topology import LINK_ORDER, NODE_ORDER
 
 
 def equipment_power(load_gbps, spec, policy):
@@ -21,3 +24,23 @@ def equipment_power(load_gbps, spec, policy):
 def total_reduction(baseline, other):
     """Fractional total-power reduction of breakdown ``other`` relative to ``baseline``."""
     return 1 - other.total_watts / baseline.total_watts
+
+
+def per_part_breakdown(nodes, segments, ue_watts):
+    """A cell's processing, transmission and total watts, or the error naming its first bad part.
+
+    Each part must be >= 0 and the total finite; the sums are taken left to
+    right, as the package documents.
+    """
+    for kind, parts, order in (("node", nodes, NODE_ORDER), ("segment", segments, LINK_ORDER)):
+        for segment, watts in zip(order, parts):
+            if not (watts >= 0):
+                raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
+    if not (ue_watts >= 0):
+        raise ValueError(f"UE power must be >= 0, got {ue_watts}")
+    processing = 0.0 + nodes[0] + nodes[1] + nodes[2] + nodes[3]
+    transmission = ue_watts + (0.0 + segments[0] + segments[1] + segments[2])
+    total = processing + transmission
+    if not math.isfinite(total):
+        raise ValueError(f"total power must be finite, got {total}")
+    return processing, transmission, total

@@ -57,6 +57,16 @@ MUTANTS = (
      "                    if not depth and device[2].quantized:\n"
      "                        provision_units(self.traffic.ecpri_per_ru_gbps, *sized[-1][2:])\n",
      "tests/test_kernel.py::TestOverflowOrder"),
+    ("bool accepted as an integer count", "topology.py",
+     "return isinstance(value, int) and not isinstance(value, bool)",
+     "return isinstance(value, int)",
+     "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
+    ("any quantized value accepted", "powermodel.py",
+     "if type(self.quantized) is not bool:", "if False:",
+     "tests/test_powermodel.py::TestConfigParams::test_flags_must_be_bools"),
+    ("gamma tested by equality alone", "topology.py",
+     "if not (is_integer(self.gamma) and self.gamma in (0, 1)):", "if self.gamma not in (0, 1):",
+     "tests/test_topology.py::TestSegmentParamsValidation::test_gamma_must_be_the_int_0_or_1"),
 )
 
 

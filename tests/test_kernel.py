@@ -27,11 +27,9 @@ from oranpower.catalog import (
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
-    PowerBreakdown,
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
-    per_user_watts,
     provision_units,
 )
 from oranpower.topology import (
@@ -49,6 +47,7 @@ from oranpower.topology import (
 )
 
 import oracle
+from model_helpers import per_part_breakdown
 
 EXTREME_FLOATS = (5e-324, 1e-300, 1e-12, 1e12, 1e300)
 EXTREME_COUNTS = (2**40, 2**53)
@@ -209,11 +208,17 @@ def topologies(draw, extreme):
                     draw(st.one_of(st.none(), counts(1, 8, extreme))))
 
 
+def breakdown_fields(config, topology, placement):
+    breakdown = config.evaluate(topology, placement)
+    return (breakdown.placement, breakdown.nodes, breakdown.segments, breakdown.ue_watts,
+            breakdown.processing_watts, breakdown.transmission_watts, breakdown.total_watts)
+
+
 def check_kernel_matches_reference(config, topology, placement):
     """The one-cell row loop ``evaluate`` runs, and ``evaluate`` itself, price the cell as
-    ``reference_kernel`` does: the loop's row, or the parts of a cell it rejects, by ``repr``,
-    and ``evaluate``'s breakdown or error."""
-    evaluated = outcome(config.evaluate, topology, placement)
+    ``reference_kernel`` does: the loop's row, or the parts of a cell it rejects, and
+    ``evaluate``'s fields, by ``repr``, or ``evaluate``'s error."""
+    evaluated = outcome(breakdown_fields, config, topology, placement)
     plan = config._plans[placement]  # and the loop evaluate ran, bound to it
     args = kernel_args(config, topology)
     expected = outcome(reference_kernel, plan, placement.depth, config, *args)
@@ -225,18 +230,20 @@ def check_kernel_matches_reference(config, topology, placement):
         assert looped == evaluated == expected
         return
     nodes, segments = reference_kernel(plan, placement.depth, config, *args)
-    watts = per_user_watts(nodes, segments, plan.ue_watts)
-    if watts is None:  # rejected as overflowed, naming every part
-        assert looped == repr((*nodes, *segments, plan.ue_watts)) and rows == []
+    parts = (*nodes, *segments, plan.ue_watts)
+    try:
+        totals = per_part_breakdown(nodes, segments, plan.ue_watts)
+    except ValueError:  # rejected as overflowed, naming every part
+        assert looped == repr(parts) and rows == []
         names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
-        parts = ", ".join(f"{name} = {value:.6g}"
-                          for name, value in zip(names, (*nodes, *segments, plan.ue_watts)))
+        named = ", ".join(f"{name} = {value:.6g}" for name, value in zip(names, parts))
         assert evaluated == (PowerOverflowError.__name__, (
             f"per-user power with BBP at {placement.value} and n_ru={topology.n_ru} overflows "
-            f"a float: {parts}"))
+            f"a float: {named}"))
     else:
-        assert looped == repr(None) and repr(rows) == repr([(topology.n_ru, placement, watts)])
-        assert evaluated == repr(PowerBreakdown(placement, nodes, segments, plan.ue_watts))
+        assert looped == repr(None)
+        assert repr(rows) == repr([(topology.n_ru, placement, (*totals, *parts))])
+        assert evaluated == repr((placement, nodes, segments, plan.ue_watts, *totals))
 
 
 class TestKernelMatchesTermRecords:

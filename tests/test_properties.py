@@ -11,7 +11,6 @@ from oranpower.catalog import default_catalog
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
-    PowerBreakdown,
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
@@ -225,26 +224,8 @@ class TestOracleAgreement:
         assert oracle.agrees(config.evaluate(topology, Node.ORU), config, topology, Node.ORU)
 
 
-# Reference checks: one test per part or count, in field order, as records
-# were checked before they gained a single combined test for valid input.
-
-def per_part_breakdown(nodes, segments, ue_watts):
-    """The totals of a breakdown, or the error naming its first bad part."""
-    for kind, parts, order in (("node", nodes, NODE_ORDER), ("segment", segments, LINK_ORDER)):
-        if len(parts) != len(order):
-            raise ValueError(f"{kind}s must hold {len(order)} watts figures, got {len(parts)}")
-        for segment, watts in zip(order, parts):
-            if not (watts >= 0):
-                raise ValueError(f"{kind} power for {segment.value} must be >= 0, got {watts}")
-    if not (ue_watts >= 0):
-        raise ValueError(f"UE power must be >= 0, got {ue_watts}")
-    processing = 0.0 + nodes[0] + nodes[1] + nodes[2] + nodes[3]
-    transmission = ue_watts + (0.0 + segments[0] + segments[1] + segments[2])
-    total = processing + transmission
-    if not math.isfinite(total):
-        raise ValueError(f"total power must be finite, got {total}")
-    return processing, transmission, total
-
+# Reference checks: one test per count, in field order, as records were
+# checked before they gained a single combined test for valid input.
 
 def per_count_errors(counts):
     return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
@@ -294,13 +275,6 @@ def topology_fields(topology):
             topology.du_fanout_cap, topology.n_users)
 
 
-WATTS = st.one_of(
-    st.floats(0.0, 1e3),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-300, math.nan, math.inf, -math.inf,
-                     1e308, 1.7976931348623157e308]),
-    st.floats(min_value=1e307),
-    st.floats(),
-)
 SPECIAL_COUNTS = st.sampled_from([True, 4.0, 0, 1, 2**53, 2**53 + 1, 10**400])
 COUNTS = st.one_of(st.integers(1, 12), SPECIAL_COUNTS)
 CAPS = st.one_of(st.none(), st.integers(1, 12), SPECIAL_COUNTS,
@@ -320,22 +294,6 @@ def tree_counts(draw):
 
 class TestSinglePassChecksMatchPerFieldChecks:
     """A record accepts exactly what the per-field checks accept, and fails with their error."""
-
-    @given(nodes=st.lists(WATTS, min_size=4, max_size=4) | st.lists(WATTS, max_size=5),
-           segments=st.lists(WATTS, min_size=3, max_size=3) | st.lists(WATTS, max_size=5),
-           ue_watts=WATTS, placement=st.sampled_from(PLACEMENTS))
-    @settings(max_examples=400, deadline=None)
-    def test_breakdown(self, nodes, segments, ue_watts, placement):
-        nodes, segments = tuple(nodes), tuple(segments)
-
-        def totals():
-            breakdown = PowerBreakdown(placement, nodes, segments, ue_watts)
-            assert (breakdown.placement, breakdown.nodes, breakdown.segments,
-                    breakdown.ue_watts) == (placement, nodes, segments, ue_watts)
-            return (breakdown.processing_watts, breakdown.transmission_watts,
-                    breakdown.total_watts)
-
-        assert outcome(totals) == outcome(per_part_breakdown, nodes, segments, ue_watts)
 
     @given(counts=tree_counts(), cap=CAPS)
     @settings(max_examples=400, deadline=None)
