@@ -1,10 +1,11 @@
 """Reference helpers that only the tests use, built on the package's sizing primitives."""
 
 import math
+from dataclasses import replace
 
 from oranpower.catalog import energy_per_capacity
-from oranpower.powermodel import provision_units
-from oranpower.topology import LINK_ORDER, NODE_ORDER
+from oranpower.powermodel import ModelConfig, TrafficModel, _Plan, _Term, provision_units
+from oranpower.topology import LINK_ORDER, NODE_ORDER, Node, Topology
 
 
 def equipment_power(load_gbps, spec, policy):
@@ -44,3 +45,18 @@ def per_part_breakdown(nodes, segments, ue_watts):
     if not math.isfinite(total):
         raise ValueError(f"total power must be finite, got {total}")
     return processing, transmission, total
+
+
+def evaluate_parts(nodes, segments, ue_watts):
+    """``evaluate`` of a cell whose row loop prices exactly the given parts.
+
+    The cell has one user and its BBP at the O-RU. Its plan is replaced: the
+    O-RU term has the scale ``nodes[0]`` and one linear device of ratio 1.0
+    at an eCPRI load of 1.0, so it prices ``nodes[0] * 1.0 * 1.0``, and every
+    other part is a constant of the plan. The parts then pass through the
+    row loop's own sums and check.
+    """
+    config = replace(ModelConfig.default(), traffic=TrafficModel(ecpri_per_ru_gbps=1.0))
+    config._plans[Node.ORU] = _Plan((_Term(nodes[0], 0, ((1, 1.0, None, 0),)),),
+                                    (*nodes[1:], *segments), ue_watts, (0, ((False,),)), {})
+    return config.evaluate(Topology(n_ru=1, n_du=1, n_cu=1, n_dc=1, users_per_ru=1), Node.ORU)

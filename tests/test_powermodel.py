@@ -6,6 +6,7 @@ per-node and per-segment term is read from ``ModelConfig.evaluate``.
 """
 
 import copy
+import functools
 import math
 import pickle
 import random
@@ -39,7 +40,7 @@ from oranpower.topology import (
     segment_map,
 )
 
-from model_helpers import equipment_power
+from model_helpers import equipment_power, evaluate_parts
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
 USER_RATE_10GB = 3.08641975308642e-05
@@ -190,6 +191,32 @@ class TestNonFiniteInputs:
         with pytest.raises(PowerOverflowError, match="BBP at dc and n_ru=4 .* dc = inf"):
             config.evaluate(topology, Node.DC)
 
+    def test_nan_node_power_rejected(self):
+        with pytest.raises(PowerOverflowError, match="BBP at oru and n_ru=1 .*: oru = nan, "):
+            evaluate_parts((math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("index,name", list(enumerate(
+        [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"])))
+    def test_negative_part_rejected_naming_it(self, index, name):
+        # No part the model prices is negative, but the row check rejects one, not returns it.
+        parts = [0.0] * 8
+        parts[index] = -1.0
+        with pytest.raises(PowerOverflowError, match=f"(: |, ){name} = -1(, |$)"):
+            evaluate_parts(tuple(parts[:4]), tuple(parts[4:7]), parts[7])
+
+    @pytest.mark.parametrize("nodes,segments", [
+        ((0.0, 1e308, 1e308, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0, 0.0), (1e308, 0.0, 1e308)),
+        ((1e308, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0)),
+    ], ids=["processing", "transmission", "only-total"])
+    def test_overflowing_total_rejected(self, nodes, segments):
+        # every part is finite: only a sum of them overflows
+        names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
+        named = ", ".join(f"{name} = {watts:.6g}"
+                          for name, watts in zip(names, (*nodes, *segments, 0.0)))
+        with pytest.raises(PowerOverflowError, match=re.escape(f"overflows a float: {named}")):
+            evaluate_parts(nodes, segments, 0.0)
+
     def test_nan_part_from_overflow_is_overflow_error(self):
         # After the BBP node the DC tier prices an infinite alpha * sigma * rate times
         # its core switch's W/Gbps ratio, which underflows to 0.0: a NaN DC term.
@@ -304,7 +331,7 @@ class TestProcessingPower:
         with pytest.raises(ValueError, match="placement"):
             evaluate(topo, "oru")
 
-    @pytest.mark.parametrize("placement", ["dc", None, 0, []], ids=repr)
+    @pytest.mark.parametrize("placement", ["dc", None, 0, [], Link.FRONTHAUL], ids=repr)
     def test_unknown_placement_named_before_and_after_plans_are_cached(self, placement):
         config = ModelConfig.default()
         topo = build_sweep_topology(4, 10, 4)
@@ -373,6 +400,24 @@ class TestTotalPower:
             assert breakdown.transmission_watts == breakdown.ue_watts + (0.0 + l0 + l1 + l2)
             assert breakdown.total_watts == (
                 breakdown.processing_watts + breakdown.transmission_watts)
+
+    def test_totals_derived_from_parts(self):
+        breakdown = evaluate_parts((1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.25)
+        assert (breakdown.nodes, breakdown.segments, breakdown.ue_watts) == (
+            (1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.25)
+        assert (breakdown.processing_watts, breakdown.transmission_watts,
+                breakdown.total_watts) == (1.0, 0.75, 1.75)
+
+    @pytest.mark.parametrize("total", ["processing_watts", "transmission_watts", "total_watts"])
+    def test_totals_cannot_be_passed(self, total):
+        # the totals are derived from the parts, so no inconsistent total can be stored
+        breakdown = evaluate_parts((1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.25)
+        for build in (PowerBreakdown, functools.partial(replace, breakdown)):
+            with pytest.raises(TypeError, match=r"^PowerBreakdown\(\) takes no arguments$"):
+                build(**{total: 2.0})
+        with pytest.raises(FrozenInstanceError, match=total):
+            setattr(breakdown, total, 2.0)
+        assert breakdown.total_watts == 1.75
 
     def test_only_evaluate_builds_a_breakdown(self):
         # The totals come from the row loop's sums, so there is no constructor to pass parts to.

@@ -28,7 +28,7 @@ from oranpower.topology import (
 )
 
 import oracle
-from model_helpers import equipment_power
+from model_helpers import equipment_power, evaluate_parts, per_part_breakdown
 from test_kernel import catalogs, params, policies, topologies
 
 PLACEMENTS = list(Node)
@@ -275,6 +275,13 @@ def topology_fields(topology):
             topology.du_fanout_cap, topology.n_users)
 
 
+WATTS = st.one_of(
+    st.floats(0.0, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-300, math.nan, math.inf, -math.inf,
+                     1e308, 1.7976931348623157e308]),
+    st.floats(min_value=1e307),
+    st.floats(),
+)
 SPECIAL_COUNTS = st.sampled_from([True, 4.0, 0, 1, 2**53, 2**53 + 1, 10**400])
 COUNTS = st.one_of(st.integers(1, 12), SPECIAL_COUNTS)
 CAPS = st.one_of(st.none(), st.integers(1, 12), SPECIAL_COUNTS,
@@ -294,6 +301,25 @@ def tree_counts(draw):
 
 class TestSinglePassChecksMatchPerFieldChecks:
     """A record accepts exactly what the per-field checks accept, and fails with their error."""
+
+    @given(nodes=st.tuples(WATTS, WATTS, WATTS, WATTS), segments=st.tuples(WATTS, WATTS, WATTS),
+           ue_watts=WATTS)
+    @settings(max_examples=400, deadline=None)
+    def test_breakdown(self, nodes, segments, ue_watts):
+        # The row loop's check accepts the cells the per-part checks accept, with their totals;
+        # evaluate reports any other cell as overflowed.
+        def totals():
+            breakdown = evaluate_parts(nodes, segments, ue_watts)
+            assert repr((breakdown.nodes, breakdown.segments, breakdown.ue_watts)) == repr(
+                (nodes, segments, ue_watts))
+            return (breakdown.processing_watts, breakdown.transmission_watts,
+                    breakdown.total_watts)
+
+        expected = outcome(per_part_breakdown, nodes, segments, ue_watts)
+        if expected[0] == "ok":
+            assert outcome(totals) == expected
+        else:
+            assert outcome(totals)[0] is PowerOverflowError
 
     @given(counts=tree_counts(), cap=CAPS)
     @settings(max_examples=400, deadline=None)

@@ -302,8 +302,8 @@ class TestSegmentParamsValidation:
         entry = SegmentParams(link, 2.0, 5.0, hops_switch=7, hops_wdm=2, hops_router=1, gamma=1)
         assert (entry.hops_switch, entry.hops_wdm, entry.hops_router, entry.gamma) == (7, 2, 1, 1)
 
-    @pytest.mark.parametrize("gamma", [True, False, 1.0, 0.0])
+    @pytest.mark.parametrize("gamma", [True, False, 1.0, 0.0, 2, -1])
     def test_gamma_must_be_the_int_0_or_1(self, gamma):
-        # Each equals 0 or 1, and would be stored as given.
+        # The first four equal 0 or 1, and would be stored as given; the last two are ints.
         with pytest.raises(TopologyError, match=f"^backhaul: gamma must be 0 or 1, got {gamma}$"):
             SegmentParams(Link.BACKHAUL, 1.0, 1.0, gamma=gamma)
