@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
-from .powermodel import ModelConfig, PowerBreakdown, PowerOverflowError
+from .powermodel import ModelConfig, PowerBreakdown
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
     MAX_COUNT,
@@ -71,10 +71,10 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
     placement's name and the 11 watts to 6 significant digits. Each
     placement's compiled row loop (``ModelConfig._loop``) prices and renders
     a chunk in one call, from O-DU counts computed once for all placements.
-    A count that fails Topology's test or a cell whose power overflows ends
-    the stream: the rows before it come first, and then the cell is priced
-    again through ``build_sweep_topology`` and ``evaluate``, which raise its
-    error.
+    A count that fails Topology's test or a cell that fails its row check
+    ends the stream: the rows before it come first, and then the cell is
+    priced again through ``build_sweep_topology`` and ``evaluate``, which
+    raise its error.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
@@ -105,10 +105,7 @@ def _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops):
         n_dus = [-(-n_ru // du_fanout_cap) for n_ru in cells]
         done = [[] for _ in loops]
         for loop, rows in zip(loops, done):
-            try:
-                loop(cells, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
-            except PowerOverflowError:  # a unit count beyond a float; evaluate raises it below
-                pass
+            loop(cells, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
         stop = min(map(len, done))
         stopped = [len(rows) for rows in done].index(stop)  # the first placement to stop there
         # The rows in (n_ru, depth) order up to the first cell that stopped a loop, if one did:

@@ -121,16 +121,12 @@ class ProvisioningPolicy:
         return cls(servers=ClassPolicy.quantize())
 
 
-def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: int = 0) -> int:
-    """Number of capacity units needed for a load: max(minimum, ceil(load/unit))."""
-    if unit_capacity_gbps <= 0:
-        raise ValueError(f"unit_capacity_gbps must be > 0, got {unit_capacity_gbps}")
-    if load_gbps < 0:
-        raise ValueError(f"load_gbps must be >= 0, got {load_gbps}")
+def provision_units(load_gbps: float, unit_capacity_gbps: float, minimum_units: int = 0) -> float:
+    """Units for a load >= 0 in units > 0: max(minimum, ceil(load/unit)), or ``inf`` for a
+    count beyond a float, which makes its term's watts infinite and fails the row check."""
     ratio = load_gbps / unit_capacity_gbps
-    if not math.isfinite(ratio):
-        raise PowerOverflowError(f"{load_gbps} Gbps of load in units of {unit_capacity_gbps} "
-                                 "Gbps needs more units than a float holds")
+    if ratio == math.inf:
+        return ratio
     units = round(ratio)
     distance = abs(ratio - units)
     if not (distance <= _SNAP_UNITS and distance <= _SNAP_ULPS * math.ulp(ratio)):
@@ -217,8 +213,8 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     to right. The loop then takes the totals of ``_SUMS`` and the check of
     ``_CHECK`` and appends each row to ``rows``: ``(n_ru, placement, <the 11
     _WATTS>)``, or with ``csv`` the row's CSV line, figures to 6 significant
-    digits. At a cell that fails the check it returns the cell's ``_PARTS``;
-    ``provision_units`` raises for a unit count beyond a float.
+    digits. At a cell that fails the check it returns the cell's ``_PARTS``:
+    that is the one way a cell fails, a unit count beyond a float included.
 
     The terms after the BBP node are constants of the factory. Before its
     first cell a loop prices, with the one-O-RU cell's expressions, what
@@ -226,12 +222,9 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     rounds to 1 / users_per_ru at every count, and, when capped, the O-DU
     load and each depth-1 device sum; then each total that reads no figure
     priced per cell, and with ``csv`` the line that holds every such figure
-    already rendered. A quantized term is priced there only if no quantized
-    term before it in plan order is priced per cell, so the error is that of
-    the first term in order that needs more units than a float holds. Every
-    value of a config reaches the loop as a factory argument, and every
-    value of a tree as a loop argument; the source holds only fixed names
-    and small integers.
+    already rendered. Every value of a config reaches the loop as a factory
+    argument, and every value of a tree as a loop argument; the source holds
+    only fixed names and small integers.
     """
     bbp, flags = shape
     # The deepest tier whose device sums are priced once: O-DUs provisioned to the cap carry
@@ -245,7 +238,6 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
             ["ru_per_du = cap" if capped else "ru_per_du = n_ru / n_du", f"load1 = {_LOADS[1]}"])
         each += [f"load{depth} = {_LOADS[depth]}" for depth in range(2, bbp + 1)]
     records = []
-    blocked = False  # whether a quantized term before this one is priced per cell
     # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
     for i, (depth, quantized) in enumerate(zip([*range(bbp + 1), *range(bbp)], flags)):
         load = f"load{depth}" if depth else "ecpri"
@@ -258,10 +250,7 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         records.append(f"(s{i}, _, ({''.join(fields)})), ")
         name = f"node{depth}" if i <= bbp else f"link{depth}"
         factor, devices = f"s{i} * ({_COUNTS[depth]} / n_users) * ", f"({' + '.join(devices)})"
-        # Priced once before a quantized term priced per cell, it would raise first.
-        hoist = depth <= hoisted and not (blocked and any(quantized))
-        blocked |= any(quantized) and not hoist
-        if not hoist:
+        if depth > hoisted:
             each.append(f"{name} = {factor}{devices}")
         elif depth:
             once.append(f"{name}_devices = {devices}")
@@ -329,6 +318,9 @@ class PowerBreakdown:
     processing_watts: float
     transmission_watts: float
     total_watts: float
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("only ModelConfig.evaluate builds a PowerBreakdown")
 
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]

@@ -44,19 +44,20 @@ MUTANTS = (
     ("O-DU load and device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
      "hoisted = 1 if capped else 0\n", "hoisted = 1\n",
      "tests/test_golden.py::test_stdout_digest"),
-    ("hoist rule ignoring the quantized flags", "powermodel.py",
-     " and not (blocked and any(quantized))", "",
-     "tests/test_kernel.py::TestOverflowOrder"),
     ("row check ignoring a total that is not finite", "powermodel.py",
      " and total < math.inf):", "):",
      "tests/test_experiments.py::TestSweepRows"
      "::test_a_later_count_that_overflows_raises_evaluates_error"),
-    ("depth-0 devices sized when the plan is built", "powermodel.py",
-     "                    sized.append(_sizing(*device))\n",
-     "                    sized.append(_sizing(*device))\n"
-     "                    if not depth and device[2].quantized:\n"
-     "                        provision_units(self.traffic.ecpri_per_ru_gbps, *sized[-1][2:])\n",
-     "tests/test_kernel.py::TestOverflowOrder"),
+    ("overflowing unit count priced as 0 units", "powermodel.py",
+     "        return ratio\n", "        return 0\n",
+     "tests/test_kernel.py::TestOneWayToFail"),
+    ("rejected row returns links in reverse order", "powermodel.py",
+     "    return {', '.join(_PARTS)}\n",
+     "    return node0, node1, node2, node3, link2, link1, link0, ue_watts\n",
+     "tests/test_powermodel.py::TestNonFiniteInputs::test_negative_part_rejected_naming_it"),
+    ("overflow message to 5 digits", "powermodel.py",
+     "{watts:.6g}", "{watts:.5g}",
+     "tests/test_kernel.py::TestOneWayToFail"),
     ("bool accepted as an integer count", "topology.py",
      "return isinstance(value, int) and not isinstance(value, bool)",
      "return isinstance(value, int)",

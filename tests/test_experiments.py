@@ -229,7 +229,6 @@ class TestSweepRows:
                              TrafficModel(), ProvisioningPolicy.default())
         with pytest.raises(PowerOverflowError) as evaluated:
             config.evaluate(build_sweep_topology(295, 10), Node.OCU)
-        assert "needs more units than a float holds" in str(evaluated.value)
         rows = sweep_orus(range(1, 400), 10, [Node.DC, Node.OCU, Node.ODU], config)
         before = [(n_ru, node) for n_ru in range(1, 295) for node in (Node.ODU, Node.OCU, Node.DC)]
         assert [row[:2] for row in islice(rows, len(before) + 1)] == before + [(295, Node.ODU)]

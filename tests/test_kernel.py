@@ -260,28 +260,33 @@ class TestKernelMatchesTermRecords:
         check_kernel_matches_reference(config, topology, placement)
 
 
-class TestOverflowOrder:
-    @pytest.mark.parametrize("placement, load", [
-        pytest.param(Node.ODU, 44.0, id="odu"),
-        pytest.param(Node.OCU, 88.0, id="ocu"),
-        pytest.param(Node.DC, 88.0, id="dc"),
+class TestOneWayToFail:
+    @pytest.mark.parametrize("placement, named", [
+        pytest.param(Node.ODU, "oru = 27.5, odu = inf, ocu = 3.6169e-05, dc = 7.05295e-06, "
+                     "fronthaul = inf, midhaul = 0.00017329, backhaul = 5.69637e-05, "
+                     "ue = 0.000771605", id="odu"),
+        pytest.param(Node.OCU, "oru = 27.5, odu = 1.98688, ocu = inf, dc = 7.05295e-06, "
+                     "fronthaul = inf, midhaul = inf, backhaul = 5.69637e-05, "
+                     "ue = 0.000771605", id="ocu"),
+        pytest.param(Node.DC, "oru = 27.5, odu = 1.98688, ocu = 1.28906, dc = inf, "
+                     "fronthaul = inf, midhaul = inf, backhaul = inf, ue = 0.000771605", id="dc"),
     ])
-    def test_first_term_in_order_raises(self, placement, load):
-        # The BBP servers' load (the O-DU cap's 44 Gbps, or the 88 Gbps of all 8 O-RUs) and
-        # the fronthaul links' 11 Gbps both need more units than a float holds; the BBP tier
-        # precedes the fronthaul in term order. At the O-CU and the DC the servers are priced
-        # per cell and the fronthaul could be priced once, before any cell.
+    def test_unit_counts_beyond_a_float_fail_the_row_check(self, placement, named):
+        # The BBP servers' load over 1e-307 Gbps units, and each link's load before the BBP
+        # node over 1e-308 Gbps WDM units, need more units than a float holds: those terms are
+        # infinite, whether priced per cell or once, and the row check rejects the cell.
         policy = ProvisioningPolicy(servers=ClassPolicy.quantize(1e-307),
                                     links=ClassPolicy.quantize(1e-308))
-        message = f"{load} Gbps of load in units of 1e-307 Gbps needs more units than a float holds"
-        config = ModelConfig.default(policy)
-        with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
-            config.evaluate(build_sweep_topology(8, 10), placement)
-        # The sweep's loop of a fresh config raises the same, with no evaluate before it.
-        fresh = ModelConfig.default(policy)
-        loop = fresh._loop(placement, True, False)
-        with pytest.raises(PowerOverflowError, match=f"^{re.escape(message)}$"):
-            loop([8], [2], 10, 4, 1, 1, [])
+        message = f"per-user power with BBP at {placement.value} and n_ru=8 overflows a float: "
+        with pytest.raises(PowerOverflowError, match=f"^{re.escape(message + named)}$"):
+            ModelConfig.default(policy).evaluate(build_sweep_topology(8, 10), placement)
+        # The sweep's loop of a fresh config returns the same parts, with no evaluate before it.
+        rows = []
+        parts = ModelConfig.default(policy)._loop(placement, True, False)(
+            [8], [2], 10, 4, 1, 1, rows)
+        names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
+        assert rows == []
+        assert ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts)) == named
 
 
 def same_shape_configs():

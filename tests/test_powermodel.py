@@ -49,6 +49,8 @@ USER_RATE_10GB = 3.08641975308642e-05
 FRONTHAUL_BRACKET = 86.7 / 480 + 4265 / 9600          # 0.6248958333...
 MIDHAUL_BRACKET = 3000 / 25600 + 4265 / 9600          # 0.5614583333...
 BACKHAUL_BRACKET = MIDHAUL_BRACKET + 172 / 3200       # 0.6152083333...
+# What PowerBreakdown(...) and dataclasses.replace of a breakdown raise.
+ONLY_EVALUATE = r"^only ModelConfig\.evaluate builds a PowerBreakdown$"
 
 
 @pytest.fixture
@@ -138,10 +140,6 @@ class TestProvisionUnits:
     def test_zero_load_zero_minimum(self):
         assert provision_units(0, 5) == 0
 
-    def test_bad_unit(self):
-        with pytest.raises(ValueError):
-            provision_units(10, 0)
-
     def test_float_noise_on_exact_multiple(self):
         # 3 * 0.1 / 0.1 lands epsilon above 3; must not provision a 4th unit.
         assert provision_units(3 * 0.1, 0.1) == 3
@@ -155,11 +153,10 @@ class TestProvisionUnits:
         # from 2**49 up a half unit is within 4 ULPs of a whole number
         assert provision_units(2**exponent + 0.5, 1.0) == 2**exponent + 1
 
-    @pytest.mark.parametrize("load,unit,named", [(1e300, 1e-10, r"1e\+300 Gbps .* 1e-10 Gbps"),
-                                                 (math.inf, 1.0, "inf Gbps .* 1.0 Gbps")])
-    def test_overflowing_ratio_is_overflow_error(self, load, unit, named):
-        with pytest.raises(PowerOverflowError, match=named):
-            provision_units(load, unit)
+    @pytest.mark.parametrize("load,unit", [(1e300, 1e-10), (math.inf, 1.0)])
+    def test_overflowing_ratio_is_inf(self, load, unit):
+        # a count beyond a float makes its term infinite, which the row check rejects
+        assert provision_units(load, unit, minimum_units=3) == math.inf
 
 
 class TestNonFiniteInputs:
@@ -413,17 +410,21 @@ class TestTotalPower:
         # the totals are derived from the parts, so no inconsistent total can be stored
         breakdown = evaluate_parts((1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.25)
         for build in (PowerBreakdown, functools.partial(replace, breakdown)):
-            with pytest.raises(TypeError, match=r"^PowerBreakdown\(\) takes no arguments$"):
+            with pytest.raises(TypeError, match=ONLY_EVALUATE):
                 build(**{total: 2.0})
         with pytest.raises(FrozenInstanceError, match=total):
             setattr(breakdown, total, 2.0)
         assert breakdown.total_watts == 1.75
 
-    def test_only_evaluate_builds_a_breakdown(self):
+    @pytest.mark.parametrize("args, kwargs", [
+        ((Node.ORU,), dict(nodes=(1.0, 0.0, 0.0, 0.0), segments=(0.5, 0.0, 0.0), ue_watts=0.25)),
+        ((), {}),
+    ], ids=["parts", "no-arguments"])
+    def test_only_evaluate_builds_a_breakdown(self, args, kwargs):
         # The totals come from the row loop's sums, so there is no constructor to pass parts to.
-        with pytest.raises(TypeError, match=r"^PowerBreakdown\(\) takes no arguments$"):
-            PowerBreakdown(Node.ORU, nodes=(1.0, 0.0, 0.0, 0.0), segments=(0.5, 0.0, 0.0),
-                           ue_watts=0.25)
+        # copy and pickle create a breakdown without __init__ (TestRecords copies one).
+        with pytest.raises(TypeError, match=ONLY_EVALUATE):
+            PowerBreakdown(*args, **kwargs)
 
 
 class TestRecords:
@@ -453,7 +454,7 @@ class TestRecords:
     def test_replace_derives_fields_again(self):
         breakdown, topology = self.records()
         # a breakdown has no constructor to derive them
-        with pytest.raises(TypeError, match=r"^PowerBreakdown\(\) takes no arguments$"):
+        with pytest.raises(TypeError, match=ONLY_EVALUATE):
             replace(breakdown, ue_watts=1.0)
         assert replace(topology, n_ru=7).n_users == 21
         with pytest.raises(TopologyError, match=r"n_ru >= n_du violated \(1 < 2\)"):
