@@ -208,6 +208,60 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
                             "p_total_w", rows), args.output, stdout)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a plain command line straight from its action table.
+
+    Plain: each token is an exact option string of this parser, either a ``store`` flag
+    followed by one value that does not start with ``-`` or a ``store_true`` switch, and every
+    required flag is given. Values go through their action's ``type`` and ``choices`` and the
+    defaults are set as argparse sets them, so the namespace is argparse's. Any other command
+    line, or ``namespace=None``, goes to argparse unchanged, which alone writes usage errors
+    and help.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            parsed = self._parse_plain(args, namespace)
+        except argparse.ArgumentError:  # a value argparse rejects, and reports itself
+            parsed = None
+        return parsed or super().parse_known_args(args, namespace)
+
+    def _parse_plain(self, args, namespace):
+        """``(namespace, [])`` for the plain command line ``args``; None, with ``namespace``
+        untouched, for any other."""
+        if args is None or namespace is None or self._mutually_exclusive_groups or self._defaults:
+            return None
+        given, i = {}, 0
+        while i < len(args):
+            action = self._option_string_actions.get(args[i])
+            if type(action) is argparse._StoreTrueAction:
+                given[action] = action.const
+                i += 1
+            elif (type(action) is argparse._StoreAction and action.nargs is None
+                  and i + 1 < len(args) and not args[i + 1].startswith("-")):
+                value = self._get_value(action, args[i + 1])
+                self._check_value(action, value)
+                given[action] = value  # a repeated flag keeps its last value
+                i += 2
+            else:
+                return None
+        attributes = []
+        for action in self._actions:
+            if action in given:
+                attributes.append((action.dest, given[action]))
+            elif action.required:
+                return None
+            elif (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+                  and not hasattr(namespace, action.dest)):
+                default = action.default
+                if isinstance(default, str) and action.type is not None:
+                    default = self._get_value(action, default)
+                attributes.append((action.dest, default))
+        for dest, value in attributes:
+            setattr(namespace, dest, value)
+        return namespace, []
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--policy", choices=sorted(_POLICIES), default="quantized",
@@ -221,7 +275,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; ``subcommands`` maps names to parsers."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_subparsers builds each subcommand's parser from the same class
         prog="oranpower",
         description="Per-user power for centralized O-RAN deployments under "
                     "different baseband-processing placements.",

@@ -1,11 +1,13 @@
 """Known faults that the tests must catch, one row each: ``python tests/mutants.py``.
 
-For each row, the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, replaces the row's old text, which must occur once
-in its file, and runs the row's pytest selection there against the changed
-copy. A row is caught when the selection fails (pytest exit status 1) and
-survives when it passes; any other outcome is an error. The script prints a
-line per row and exits 1 unless every row is caught. pytest does not collect it.
+For each row, the script copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` to a temporary directory, replaces the row's old text, which
+must occur once in its file, and runs the row's pytest selection there against
+the changed copy. A row is caught when the selection fails (pytest exit status
+1) and survives when it passes; any other outcome is an error. Each distinct
+selection first runs once on an unchanged copy, and a row whose selection
+fails there is an error, never caught. The script prints a line per row and
+exits 1 unless every row is caught. pytest does not collect it.
 """
 
 import shutil
@@ -68,21 +70,31 @@ MUTANTS = (
     ("gamma tested by equality alone", "topology.py",
      "if not (is_integer(self.gamma) and self.gamma in (0, 1)):", "if self.gamma not in (0, 1):",
      "tests/test_topology.py::TestSegmentParamsValidation::test_gamma_must_be_the_int_0_or_1"),
+    ("plain command line read without the choices test", "cli.py",
+     "                self._check_value(action, value)\n", "",
+     "tests/test_cli.py::TestMain::test_main_parses_as_parse_args_does"),
+    ("plain command line read with a value that starts with -", "cli.py",
+     " and not args[i + 1].startswith(\"-\")):", "):",
+     "tests/test_cli.py::TestMain::test_main_parses_as_parse_args_does"),
 )
 
 
-def run(filename, old, new, selection):
-    """``"caught"``, ``"survived"`` or an error message, for one row."""
+def run(selection, filename=None, old=None, new=None):
+    """``"caught"``, ``"survived"`` or an error message, for ``selection`` run on a copy of the
+    tree in which ``old`` is replaced by ``new`` in ``filename``, or on an unchanged copy when
+    ``filename`` is None."""
     with tempfile.TemporaryDirectory() as tmp:
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
         for tree in ("src", "tests"):
             shutil.copytree(ROOT / tree, Path(tmp, tree), ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", tmp)
-        path = Path(tmp, "src", "oranpower", filename)
-        text = path.read_text(encoding="utf-8")
-        if text.count(old) != 1:
-            return f"error: the old text occurs {text.count(old)} times in {filename}"
-        path.write_text(text.replace(old, new), encoding="utf-8")
+        for name in ("pyproject.toml", "README.md"):  # tests/test_config.py reads README.md
+            shutil.copy(ROOT / name, tmp)
+        if filename is not None:
+            path = Path(tmp, "src", "oranpower", filename)
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                return f"error: the old text occurs {text.count(old)} times in {filename}"
+            path.write_text(text.replace(old, new), encoding="utf-8")
         status = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", selection],
             cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
@@ -90,10 +102,18 @@ def run(filename, old, new, selection):
 
 
 def main():
+    # A selection that fails on the unchanged tree would read as catching every row.
+    selections = dict.fromkeys(row[-1] for row in MUTANTS)
+    baseline = {selection: run(selection) for selection in selections}
     caught = True
     for name, filename, old, new, selection in MUTANTS:
         start = time.perf_counter()
-        result = run(filename, old, new, selection)
+        if baseline[selection] == "survived":
+            result = run(selection, filename, old, new)
+        elif baseline[selection] == "caught":
+            result = "error: the selection fails on the unchanged tree"
+        else:  # the unchanged run's own error
+            result = baseline[selection]
         caught &= result == "caught"
         print(f"{result:9} {time.perf_counter() - start:5.1f} s  {name}  [{selection}]", flush=True)
     return 0 if caught else 1

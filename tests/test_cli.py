@@ -1,5 +1,6 @@
 """CLI subcommands: flags, exit codes, CSV shape, config handling, determinism."""
 
+import argparse
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oranpower import cli
@@ -440,10 +441,15 @@ class TestConfigHandling:
 
 
 def parse_args_outcome(argv):
-    """Exit code, stdout, stderr and Namespace of ``build_parser().parse_args(argv)``."""
+    """Exit code, stdout, stderr and Namespace of ``build_parser().parse_args(argv)``.
+
+    Every parser runs argparse's own ``parse_known_args``, never the plain-command-line read
+    of ``cli._Parser``, so this is the reference that read is held to.
+    """
     out, err = io.StringIO(), io.StringIO()
     args = None
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+            cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args):
         try:
             args, code = build_parser().parse_args(argv), 0
         except SystemExit as exc:
@@ -451,26 +457,99 @@ def parse_args_outcome(argv):
     return code, out.getvalue(), err.getvalue(), args
 
 
+# Values for a flag: each of its choices, integers, and forms that a plain read must leave to
+# argparse or that argparse's own type and choices checks reject.
+_ODD_VALUES = ["", " 5", "1e3", "4.0", "0x10", "-5", "-1", "-", "--", "-h", "--bbp", "x.cfg",
+               "xyz", "DC", "dc", "csv", "linear", "C-1,C-3", "oru,dc", "2**53", "1" + "0" * 30]
+
+
+def _flag_value(draw, action):
+    """One of ``action``'s values in four draws, else a value from ``_ODD_VALUES``."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(_ODD_VALUES))
+    if action.choices:
+        return draw(st.sampled_from(action.choices))
+    if action.type is int:
+        return str(draw(st.integers(-3, 10**6)))
+    return draw(st.sampled_from(["x.cfg", "out.csv", "stdout", "oru,dc", "C-1,C-2"]))
+
+
+@st.composite
+def _subcommand_argv(draw):
+    """A subcommand and tokens built from its parser's option strings.
+
+    Half of the command lines give each required flag and then only whole flags, each with one
+    value or none (a switch): the form a plain read takes, unless a value is odd. The others
+    also take abbreviations, ``--flag=value``, lone flags with missing values and loose tokens.
+    """
+    name = draw(st.sampled_from(sorted(build_parser().subcommands)))
+    parser = build_parser().subcommands[name]
+    table = parser._option_string_actions
+    whole = draw(st.booleans())
+    argv = [name]
+    if whole:
+        for action in parser._actions:
+            if action.required:
+                argv += [action.option_strings[0], _flag_value(draw, action)]
+    options = sorted(option for option in table
+                     if not whole or table[option].dest is not argparse.SUPPRESS)  # not -h
+    for _ in range(draw(st.integers(0, 6))):
+        option = draw(st.sampled_from(options))
+        kind = "pair" if whole else draw(st.sampled_from(
+            ["pair", "pair", "alone", "prefix", "equals", "loose"]))
+        if kind == "pair" and table[option].nargs == 0:
+            argv.append(option)
+        elif kind == "pair":  # a repeated flag arises when the same option is drawn twice
+            argv += [option, _flag_value(draw, table[option])]
+        elif kind == "alone":  # a switch, or a flag whose value is missing
+            argv.append(option)
+        elif kind == "prefix":
+            argv.append(option[:draw(st.integers(2, max(2, len(option) - 1)))])
+        elif kind == "equals":
+            argv.append(f"{option}={_flag_value(draw, table[option])}")
+        else:
+            argv.append(draw(st.sampled_from(["--", "-h", "extra", "--bogus", "-x"])))
+    return argv
+
+
+_ARGVS = st.one_of(_subcommand_argv(), st.lists(
+    st.sampled_from(["-h", "--help", "ev", "eval", "sweep", "--bbp", "dc", "-x", "--"]),
+    max_size=3))
+
+
 class TestMain:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("argv", [
-        [], ["-h"], ["--help"], ["ev"], ["eval", "-h"],
-        ["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc", "extra"],
-        ["eval", "--n-ru", "4", "--users", "2", "--bbp", "dc"],
-        ["sweep", "--max-ru=3"],
-        ["fanout", "--n-ru", "40", "--", "x"],
-        ["eval", "--n-ru", "4", "--n-ru", "5", "--users-per-ru", "2", "--bbp", "odu"],
-        ["fanout", "-h", "--bogus"],
-    ])
-    def test_main_parses_as_parse_args_does(self, monkeypatch, argv):
-        from oranpower import cli
+    @given(argv=_ARGVS)
+    @example(argv=[])
+    @example(argv=["-h"])
+    @example(argv=["--help"])
+    @example(argv=["ev"])
+    @example(argv=["eval", "-h"])
+    @example(argv=["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc", "extra"])
+    @example(argv=["eval", "--n-ru", "4", "--users", "2", "--bbp", "dc"])
+    @example(argv=["sweep", "--max-ru=3"])
+    @example(argv=["fanout", "--n-ru", "40", "--", "x"])
+    @example(argv=["eval", "--n-ru", "4", "--n-ru", "5", "--users-per-ru", "2", "--bbp", "odu"])
+    @example(argv=["fanout", "-h", "--bogus"])
+    @example(argv=["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "xyz"])
+    @example(argv=["eval", "--bbp", "dc", "--config", "-h"])
+    @example(argv=["sweep", "--max-ru", " 5", "--attached-load", "--policy", "linear"])
+    @settings(max_examples=300, deadline=None)
+    def test_main_parses_as_parse_args_does(self, argv):
+        """``main``'s namespace, exit status and output equal argparse's for any command line.
 
+        The handlers are replaced, so no drawn command runs.
+        """
         seen = []
-        for name in ("cmd_eval", "cmd_sweep", "cmd_fanout"):
-            monkeypatch.setattr(cli, name, lambda args, parser, stdout: seen.append(args) or 0)
-        code, out, err = run_cli(*argv)
+
+        def handler(args, parser, stdout):
+            seen.append(args)
+            return 0
+
+        with mock.patch.multiple(cli, cmd_eval=handler, cmd_sweep=handler, cmd_fanout=handler):
+            code, out, err = run_cli(*argv)
         assert (code, out, err, seen[0] if seen else None) == parse_args_outcome(argv)
 
     @pytest.mark.parametrize("argv,expected_code,out_text,err_text", [
@@ -524,3 +603,59 @@ class TestMain:
         with pytest.raises(ValueError, match="a fault in the model"):
             main(["eval", "--n-ru", "4", "--users-per-ru", "2", "--bbp", "dc"],
                  stdout=io.StringIO(), stderr=io.StringIO())
+
+
+class TestPlainRead:
+    """Which command lines a subcommand's parser reads itself and which go to argparse; the
+    property in ``TestMain`` checks that the outcome is argparse's either way."""
+
+    @staticmethod
+    def parse(argv, namespace=True):
+        """``parse_known_args`` of ``argv[0]``'s parser, as ``main`` calls it, and how many
+        times argparse's own ``parse_known_args`` ran; a usage error or help ends as ``None``."""
+        parser = build_parser().subcommands[argv[0]]
+        original = argparse.ArgumentParser.parse_known_args
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args", autospec=True,
+                               side_effect=original) as spy, \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                result = parser.parse_known_args(
+                    argv[1:], argparse.Namespace(command=argv[0]) if namespace else None)
+            except SystemExit:
+                result = None
+        return result, spy.call_count
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc"],
+        ["eval", "--bbp", "oru", "--format", "csv", "--policy", "linear", "--attached-load",
+         "--config", "run.cfg", "--output", "out.csv", "--n-ru", "7", "--users-per-ru", "3"],
+        ["eval", "--n-ru", "4", "--n-ru", "5", "--users-per-ru", "2", "--bbp", "odu"],
+        ["sweep", "--max-ru", "300", "--placements", "odu,dc"],
+        ["fanout", "--cases", "C-1,C-3", "--n-ru", "40", "--placements", "oru"],
+        ["fanout"],
+    ])
+    def test_a_plain_command_line_is_read_from_the_action_table(self, argv):
+        result, argparse_calls = self.parse(argv)
+        assert argparse_calls == 0
+        assert result == (parse_args_outcome(argv)[3], [])
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n-ru", "4", "--users", "2", "--bbp", "dc"],  # an abbreviation
+        ["eval", "--n-ru", "4", "--users-per-ru=2", "--bbp", "dc"],
+        ["eval", "--bbp", "dc", "--bogus"],
+        ["eval", "--bbp", "dc", "-h"],
+        ["eval", "--bbp", "dc", "extra"],
+        ["fanout", "--", "--n-ru", "40"],
+        ["fanout", "--n-ru"],  # a missing value
+        ["fanout", "--n-ru", "-40"],
+        ["fanout", "--n-ru", "4x"],  # rejected by the flag's type
+        ["eval", "--bbp", "xyz"],  # outside the flag's choices
+        ["eval", "--n-ru", "4"],  # a required flag missing
+    ])
+    def test_any_other_command_line_goes_to_argparse(self, argv):
+        assert self.parse(argv)[1] == 1
+
+    def test_a_call_without_a_namespace_goes_to_argparse(self):
+        result, argparse_calls = self.parse(["sweep", "--max-ru", "3"], namespace=False)
+        assert argparse_calls == 1
+        assert result[0].max_ru == 3
