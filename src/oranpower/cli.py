@@ -216,7 +216,8 @@ class _Parser(argparse.ArgumentParser):
     required flag is given. Values go through their action's ``type`` and ``choices`` and the
     defaults are set as argparse sets them, so the namespace is argparse's. Any other command
     line, or ``namespace=None``, goes to argparse unchanged, which alone writes usage errors
-    and help.
+    and help. The plain read uses argparse's private action table and value checks, so its
+    equality with argparse is tested only on the Python versions the CI matrix runs.
     """
 
     def parse_known_args(self, args=None, namespace=None):

@@ -2,8 +2,7 @@
 
 Run from anywhere; paths are taken from this file's checkout. The script runs
 ``python3 perfbench/run.py`` for each workload in ``BENCHMARK.json`` over
-``--runs`` seeds (1, 2, ...), each for ``--seconds`` of wall time (default: the
-``run_seconds`` of ``BENCHMARK.json``), one run at a time. It then times, by
+seeds 1-5, each for the ``run_seconds`` of ``BENCHMARK.json``, one run at a time. It then times, by
 wall clock, a cold ``oranpower eval`` process and a ``sweep --max-ru 10000``
 process (median of 7 each), one run of the tier-1 test suite and one of
 ``tests/mutants.py``. ``OUT`` gets:
@@ -34,13 +33,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 6)
 WALL_REPEATS = 7
 
 
-def benchmark_runs(workload: str, runs: int, seconds: float) -> list[dict]:
-    """The last line of ``perfbench/run.py`` for seeds 1..``runs``, parsed."""
+def benchmark_runs(workload: str, seconds: float) -> list[dict]:
+    """The last line of ``perfbench/run.py`` for each of ``SEEDS``, parsed."""
     results = []
-    for seed in range(1, runs + 1):
+    for seed in SEEDS:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
@@ -88,19 +88,17 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", help="path of the JSON file to write")
-    parser.add_argument("--runs", type=int, default=5, help="seeds per workload (default 5)")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
-                        help="wall seconds per benchmark run (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
 
     record = {"machine": machine(), "workloads": {}}
     healthy = True
     for workload in (entry["name"] for entry in benchmark["workloads"]):
-        results = benchmark_runs(workload, args.runs, args.seconds)
+        results = benchmark_runs(workload, seconds)
         healthy &= all(r["correct"] is True and r["failed"] == 0 for r in results)
         record["workloads"][workload] = {
-            "seconds": args.seconds,
-            "seeds": list(range(1, args.runs + 1)),
+            "seconds": seconds,
+            "seeds": list(SEEDS),
             "correct": [r["correct"] for r in results],
             "failed": [r["failed"] for r in results],
             "metrics": {m["name"]: dict(summary([r["metrics"][m["name"]]["value"]
