@@ -8,6 +8,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
 
 from .catalog import CatalogError, default_catalog
@@ -63,9 +64,10 @@ def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
                          provision_to_cap=not args.attached_load)
     if args.config is None:
         return config, TopologyCounts()
+    with open(args.config, "rb") as handle:  # splitlines() ends lines as text mode would
+        data = handle.read()
     try:
-        with open(args.config, encoding="utf-8") as handle:
-            text = handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
     return load_config(text, config)
@@ -122,27 +124,37 @@ def _csv_lines(metadata: Sequence[tuple[str, object]], header: str,
     return chain(head, rows)
 
 
-def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) -> str:
+@functools.cache
+def _eval_template(placement: Node) -> str:
+    """The ``eval`` table at BBP node ``placement``, as a ``%`` template of the topology's six
+    counts, the policy name, and the breakdown's seven parts, UE watts and three totals."""
+    # PowerBreakdown.branch reads only the breakdown's placement.
+    branch = functools.partial(PowerBreakdown.branch, SimpleNamespace(placement=placement))
     lines = [
-        f"bbp placement : {breakdown.placement.value}",
-        f"topology      : n_ru={topology.n_ru} n_du={topology.n_du} n_cu={topology.n_cu} "
-        f"n_dc={topology.n_dc} users_per_ru={topology.users_per_ru} n_users={topology.n_users}",
-        f"policy        : {policy_name}",
+        f"bbp placement : {placement.value}",
+        "topology      : n_ru=%s n_du=%s n_cu=%s n_dc=%s users_per_ru=%s n_users=%s",
+        "policy        : %s",
         "",
         "processing (W per user)",
+        *(f"  {node.value:<10} {branch(node):<7} %.6g" for node in NODE_ORDER),
+        "transmission (W per user)",
+        *(f"  {link.value:<10} {'ecpri' if branch(link) == 'before' else 'baseband':<8} %.6g"
+          for link in LINK_ORDER),
+        f"  {'ue':<10} {'':<8} %.6g",
+        "totals (W per user)",
+        "  processing   %.6g",
+        "  transmission %.6g",
+        "  total        %.6g",
     ]
-    for node, watts in zip(NODE_ORDER, breakdown.nodes):
-        lines.append(f"  {node.value:<10} {breakdown.branch(node):<7} {watts:.6g}")
-    lines.append("transmission (W per user)")
-    for link, watts in zip(LINK_ORDER, breakdown.segments):
-        traffic_kind = "ecpri" if breakdown.branch(link) == "before" else "baseband"
-        lines.append(f"  {link.value:<10} {traffic_kind:<8} {watts:.6g}")
-    lines.append(f"  {'ue':<10} {'':<8} {breakdown.ue_watts:.6g}")
-    lines.append("totals (W per user)")
-    lines.append(f"  processing   {breakdown.processing_watts:.6g}")
-    lines.append(f"  transmission {breakdown.transmission_watts:.6g}")
-    lines.append(f"  total        {breakdown.total_watts:.6g}")
     return "\n".join(lines) + "\n"
+
+
+def _render_eval_table(topology, policy_name: str, breakdown: PowerBreakdown) -> str:
+    return _eval_template(breakdown.placement) % (
+        topology.n_ru, topology.n_du, topology.n_cu, topology.n_dc, topology.users_per_ru,
+        topology.n_users, policy_name, *breakdown.nodes, *breakdown.segments,
+        breakdown.ue_watts, breakdown.processing_watts, breakdown.transmission_watts,
+        breakdown.total_watts)
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
@@ -226,6 +238,15 @@ class _Parser(argparse.ArgumentParser):
         except argparse.ArgumentError:  # a value argparse rejects, and reports itself
             parsed = None
         return parsed or super().parse_known_args(args, namespace)
+
+    def _get_values(self, action, arg_strings):
+        # "--flag=--" gives a store action the explicit value "--". Python 3.10 to 3.12 strip
+        # it and store [], past type and choices; 3.13 reads "--" as the value, as here.
+        if arg_strings == ["--"] and type(action) is argparse._StoreAction and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def _parse_plain(self, args, namespace):
         """``(namespace, [])`` for the plain command line ``args``; None, with ``namespace``

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .powermodel import ModelConfig
 from .topology import LINK_ORDER, MAX_COUNT, NODE_ORDER
@@ -15,8 +15,7 @@ class ConfigError(ValueError):
     """Malformed config text, an unknown key, or a value its key cannot take."""
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     value: str
     lineno: int
 
@@ -30,12 +29,11 @@ def parse_config_text(text: str) -> dict[str, ConfigEntry]:
     """
     entries: dict[str, ConfigEntry] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+        key, equals, value = raw.split("#", 1)[0].partition("=")
+        if not equals:
+            if not key.strip():  # a blank or comment line
+                continue
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or "." not in key:
@@ -45,7 +43,7 @@ def parse_config_text(text: str) -> dict[str, ConfigEntry]:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
                               f"already set on line {entries[key].lineno}")
-        entries[key] = ConfigEntry(value=value, lineno=lineno)
+        entries[key] = ConfigEntry(value, lineno)
     return entries
 
 
@@ -123,24 +121,32 @@ class TopologyCounts:
     du_fanout_cap: int | None = None
 
 
+_NO_COUNTS = TopologyCounts()
+
+
+def _build(section: Any, values: dict[str, Any]) -> Any:
+    """``section`` with ``values`` set, made by its own constructor, so its checks run. A
+    section's ``vars`` are its init fields, in their declared order."""
+    return type(section)(*{**vars(section), **values}.values())
+
+
 def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
     """Apply config text to ``config``'s catalog and segments, and read its ``topology.*`` counts.
 
-    Each entry is read by its ``CONFIG_KEYS`` reader and applied to its
-    section with ``dataclasses.replace``, so the section's own checks run.
-    Every error names its key and line: an unknown key or a value that
-    cannot be read is a ``ConfigError``, and a section's rejection keeps its
-    type, prefixed with that section's ``line N: key = value`` pairs.
-    ``config`` is unchanged; the counts, which no ``ModelConfig`` holds, come
-    beside the new one.
+    Entries are grouped by ``CONFIG_KEYS`` section. In order of first appearance, each
+    section's values are read and the section is built once by its own constructor, so its
+    checks run. The catalog is built again only when a spec changed, and the ``ModelConfig``
+    only when the catalog or a segment did: a file that changes neither returns ``config``.
+    Every error names its key and line: an unknown key or a value that cannot be read is a
+    ``ConfigError``, and a section's rejection keeps its type, prefixed with that section's
+    ``line N: key = value`` pairs. ``config`` is unchanged.
     """
     grouped: dict[Any, dict[str, ConfigEntry]] = {}
     for key, entry in parse_config_text(text).items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
         grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = entry
-    sections = {"ue": config.catalog, **{name: getattr(config.catalog, name) for name in _SPECS},
-                **config.params, "topology": TopologyCounts()}
+    built = {}
     for section, section_entries in grouped.items():
         values = {}
         for key, entry in section_entries.items():
@@ -149,10 +155,26 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
                 values[field] = reader(entry.value)
             except ConfigError as exc:
                 raise ConfigError(f"{_where({key: entry})}: {exc}") from None
+        if not isinstance(section, str):  # a Node or Link
+            base = config.params[section]
+        elif section == "ue":
+            base = config.catalog
+        elif section == "topology":
+            base = _NO_COUNTS
+        else:
+            base = getattr(config.catalog, section)
         try:
-            sections[section] = replace(sections[section], **values)
+            built[section] = _build(base, values)
         except ValueError as exc:  # the section's own error type, such as CatalogError
             raise type(exc)(f"{_where(section_entries)}: {exc}") from None
-    catalog = replace(sections["ue"], **{name: sections[name] for name in _SPECS})
-    params = {segment: sections[segment] for segment in config.params}
-    return replace(config, catalog=catalog, params=params), sections["topology"]
+    counts = built.pop("topology", _NO_COUNTS)
+    catalog = built.pop("ue", config.catalog)
+    specs = {name: built.pop(name) for name in _SPECS if name in built}
+    if specs:
+        catalog = _build(catalog, specs)
+    if catalog is config.catalog and not built:  # only topology counts, or nothing
+        return config, counts
+    params = config.params.copy()  # the remaining sections are segments
+    params.update(built)
+    loaded = ModelConfig(catalog, params, config.traffic, config.policy, config.provision_to_cap)
+    return loaded, counts

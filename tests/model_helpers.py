@@ -4,6 +4,14 @@ import math
 from dataclasses import replace
 
 from oranpower.catalog import energy_per_capacity
+from oranpower.configfile import (
+    _SPECS,
+    CONFIG_KEYS,
+    ConfigEntry,
+    ConfigError,
+    TopologyCounts,
+    _where,
+)
 from oranpower.powermodel import ModelConfig, TrafficModel, _Plan, _Term, provision_units
 from oranpower.topology import LINK_ORDER, NODE_ORDER, Node, Topology
 
@@ -60,3 +68,54 @@ def evaluate_parts(nodes, segments, ue_watts):
     config._plans[Node.ORU] = _Plan((_Term(nodes[0], 0, ((1, 1.0, None, 0),)),),
                                     (*nodes[1:], *segments), ue_watts, (0, ((False,),)), {})
     return config.evaluate(Topology(n_ru=1, n_du=1, n_cu=1, n_dc=1, users_per_ru=1), Node.ORU)
+
+
+def reference_parse_config_text(text):
+    """``configfile.parse_config_text`` with the comment-free line stripped before it is split."""
+    entries: dict[str, ConfigEntry] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or "." not in key:
+            raise ConfigError(f"line {lineno}: key must look like 'section.key', got {key!r}")
+        if not value:
+            raise ConfigError(f"line {lineno}: empty value for key {key!r}")
+        if key in entries:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
+                              f"already set on line {entries[key].lineno}")
+        entries[key] = ConfigEntry(value=value, lineno=lineno)
+    return entries
+
+
+def reference_load_config(text, config):
+    """``configfile.load_config`` as one ``dataclasses.replace`` per section over a map of all
+    17 sections, then of the catalog and the ``ModelConfig``: the loader's results and errors,
+    built the slow way."""
+    grouped: dict[object, dict[str, ConfigEntry]] = {}
+    for key, entry in reference_parse_config_text(text).items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
+        grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = entry
+    sections = {"ue": config.catalog, **{name: getattr(config.catalog, name) for name in _SPECS},
+                **config.params, "topology": TopologyCounts()}
+    for section, section_entries in grouped.items():
+        values = {}
+        for key, entry in section_entries.items():
+            _, field, reader = CONFIG_KEYS[key]
+            try:
+                values[field] = reader(entry.value)
+            except ConfigError as exc:
+                raise ConfigError(f"{_where({key: entry})}: {exc}") from None
+        try:
+            sections[section] = replace(sections[section], **values)
+        except ValueError as exc:  # the section's own error type, such as CatalogError
+            raise type(exc)(f"{_where(section_entries)}: {exc}") from None
+    catalog = replace(sections["ue"], **{name: sections[name] for name in _SPECS})
+    params = {segment: sections[segment] for segment in config.params}
+    return replace(config, catalog=catalog, params=params), sections["topology"]

@@ -76,6 +76,18 @@ MUTANTS = (
     ("plain command line read with a value that starts with -", "cli.py",
      " and not args[i + 1].startswith(\"-\")):", "):",
      "tests/test_cli.py::TestMain::test_main_parses_as_parse_args_does"),
+    ("the -- of --flag=-- stripped, as Python 3.10 to 3.12 do", "cli.py",
+     'if arg_strings == ["--"] and', "if False and",
+     "tests/test_cli.py::TestDoubleDashValue"),
+    ("changed segments dropped when the ModelConfig is built", "configfile.py",
+     "    params.update(built)\n", "",
+     "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
+    ("config section built without its checks", "configfile.py",
+     "    return type(section)(*{**vars(section), **values}.values())\n",
+     "    built = object.__new__(type(section))\n"
+     "    built.__dict__.update({**vars(section), **values})\n"
+     "    return built\n",
+     "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
 )
 
 

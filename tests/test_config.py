@@ -1,5 +1,5 @@
 """The config-key table and ``load_config``: exact integer keys, the fields no key sets, the
-README key list, and fuzzed config text."""
+README key list, fuzzed config text, and agreement with the replace-per-section reference."""
 
 import math
 from dataclasses import fields, is_dataclass, replace
@@ -7,8 +7,9 @@ from pathlib import Path
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from model_helpers import reference_load_config
 
 from oranpower.catalog import CatalogError, EquipmentSpec, default_catalog
 from oranpower.configfile import CONFIG_KEYS, ConfigError, TopologyCounts, load_config
@@ -158,3 +159,77 @@ class TestFuzzedConfig:
         for key in CONFIG_KEYS:
             for value in EXTREMES:
                 check_lines([(key, value)])
+
+
+# Lines that are no table entry, or one that collides: comments, blanks, syntax errors,
+# unknown keys, and a known key with a fixed value (a duplicate if the table sets it too).
+JUNK_LINES = st.one_of(
+    st.sampled_from(["", "   ", "# comment", "\t# indented comment", "no equals sign",
+                     "= 5", "nodot = 1", "radio.power_w =", "segment.oru.beta = 2",
+                     "topology.n_du = 3", "radio.power_w = 120  # trailing comment",
+                     "segment.odu.sigma = 0.5", "ue.energy_nj_per_bit = -1", "=", "#=x",
+                     "radio.power_w = 1 = 2", "\u00a0# after a no-break space",
+                     "segment.odu.sigma\u2003=\u20033", "topology.n_ru = 4\r", " . = 1"]),
+    st.sampled_from(sorted(CONFIG_KEYS)).map(lambda key: f"{key} = 2"),
+)
+
+
+@st.composite
+def table_text_with_junk(draw):
+    lines = [f"{key} = {value}" for key, value in draw(TABLE_LINES)]
+    for junk in draw(st.lists(JUNK_LINES, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+BASE_CONFIGS = (ModelConfig.default(),
+                ModelConfig(default_catalog(), segment_map(), TrafficModel(1.0, 2.0),
+                            ProvisioningPolicy.all_linear(), provision_to_cap=False))
+
+
+def outcome(loader, text, config):
+    """The loaded pair with its repr, which tells -0.0 from 0.0 and 4 from 4.0; or the error's
+    type and message."""
+    try:
+        loaded = loader(text, config)
+    except Exception as exc:  # noqa: BLE001 - any error, compared by type and message
+        return type(exc), str(exc)
+    return loaded, repr(loaded)
+
+
+def check_matches_reference(text, config):
+    assert outcome(load_config, text, config) == outcome(reference_load_config, text, config)
+
+
+class TestMatchesReference:
+    """``load_config`` gives the reference's results and errors: type, message and precedence."""
+
+    @given(text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=200),
+           config=st.sampled_from(BASE_CONFIGS))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_text(self, text, config):
+        check_matches_reference(text, config)
+
+    @given(text=table_text_with_junk(), config=st.sampled_from(BASE_CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    @example(text="ue.energy_nj_per_bit = -1\nradio.power_w = 0\n", config=BASE_CONFIGS[0])
+    @example(text="ue.energy_nj_per_bit = 7\nrouter.power_w = 1\n", config=BASE_CONFIGS[1])
+    @example(text="radio.power_w = 99\nsegment.odu.sigma = 3\n", config=BASE_CONFIGS[1])
+    @example(text="segment.odu.sigma = 0.5\nsegment.odu.alpha = x\n", config=BASE_CONFIGS[0])
+    @example(text="topology.n_ru = 0\nnodot = 1\n", config=BASE_CONFIGS[0])
+    def test_table_keys_with_junk_lines(self, text, config):
+        check_matches_reference(text, config)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n\n",
+        "topology.n_ru = 40\ntopology.users_per_ru = 10\ntopology.du_fanout_cap = 4\n",
+        "ue.energy_nj_per_bit = 7\n",
+    ], ids=["empty", "comment", "topology-only", "ue-only"])
+    @pytest.mark.parametrize("config", BASE_CONFIGS, ids=["default", "linear"])
+    def test_files_that_change_one_part_or_none(self, text, config):
+        check_matches_reference(text, config)
+
+    @pytest.mark.parametrize("text", ["", "topology.n_ru = 40\n"], ids=["empty", "topology-only"])
+    def test_no_catalog_or_segment_key_returns_the_config_itself(self, text):
+        config = BASE_CONFIGS[1]
+        assert load_config(text, config)[0] is config
