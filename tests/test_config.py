@@ -192,7 +192,7 @@ def outcome(loader, text, config):
     type and message."""
     try:
         loaded = loader(text, config)
-    except Exception as exc:  # noqa: BLE001 - any error, compared by type and message
+    except Exception as exc:  # any error, compared by type and message
         return type(exc), str(exc)
     return loaded, repr(loaded)
 
