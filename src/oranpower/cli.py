@@ -8,7 +8,6 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
-from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
 
 from .catalog import CatalogError, default_catalog
@@ -25,6 +24,7 @@ from .powermodel import (
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
+    segment_branch,
 )
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
@@ -128,17 +128,16 @@ def _csv_lines(metadata: Sequence[tuple[str, object]], header: str,
 def _eval_template(placement: Node) -> str:
     """The ``eval`` table at BBP node ``placement``, as a ``%`` template of the topology's six
     counts, the policy name, and the breakdown's seven parts, UE watts and three totals."""
-    # PowerBreakdown.branch reads only the breakdown's placement.
-    branch = functools.partial(PowerBreakdown.branch, SimpleNamespace(placement=placement))
+    tags = {segment: segment_branch(segment, placement) for segment in NODE_ORDER + LINK_ORDER}
     lines = [
         f"bbp placement : {placement.value}",
         "topology      : n_ru=%s n_du=%s n_cu=%s n_dc=%s users_per_ru=%s n_users=%s",
         "policy        : %s",
         "",
         "processing (W per user)",
-        *(f"  {node.value:<10} {branch(node):<7} %.6g" for node in NODE_ORDER),
+        *(f"  {node.value:<10} {tags[node]:<7} %.6g" for node in NODE_ORDER),
         "transmission (W per user)",
-        *(f"  {link.value:<10} {'ecpri' if branch(link) == 'before' else 'baseband':<8} %.6g"
+        *(f"  {link.value:<10} {'ecpri' if tags[link] == 'before' else 'baseband':<8} %.6g"
           for link in LINK_ORDER),
         f"  {'ue':<10} {'':<8} %.6g",
         "totals (W per user)",

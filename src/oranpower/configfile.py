@@ -126,8 +126,8 @@ _NO_COUNTS = TopologyCounts()
 
 def _build(section: Any, values: dict[str, Any]) -> Any:
     """``section`` with ``values`` set, made by its own constructor, so its checks run. A
-    section's ``vars`` are its init fields, in their declared order."""
-    return type(section)(*{**vars(section), **values}.values())
+    section's ``vars`` are its init fields, passed by name."""
+    return type(section)(**{**vars(section), **values})
 
 
 def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
@@ -135,9 +135,8 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
 
     Entries are grouped by ``CONFIG_KEYS`` section. In order of first appearance, each
     section's values are read and the section is built once by its own constructor, so its
-    checks run. The catalog is built again only when a spec changed, and the ``ModelConfig``
-    only when the catalog or a segment did: a file that changes neither returns ``config``.
-    Every error names its key and line: an unknown key or a value that cannot be read is a
+    checks run. The catalog is built again only when a spec changed, and the result is a new
+    ``ModelConfig`` with the loaded catalog and segments. Every error names its key and line: an unknown key or a value that cannot be read is a
     ``ConfigError``, and a section's rejection keeps its type, prefixed with that section's
     ``line N: key = value`` pairs. ``config`` is unchanged.
     """
@@ -172,8 +171,6 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
     specs = {name: built.pop(name) for name in _SPECS if name in built}
     if specs:
         catalog = _build(catalog, specs)
-    if catalog is config.catalog and not built:  # only topology counts, or nothing
-        return config, counts
     params = config.params.copy()  # the remaining sections are segments
     params.update(built)
     loaded = ModelConfig(catalog, params, config.traffic, config.policy, config.provision_to_cap)

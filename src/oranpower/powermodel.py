@@ -301,6 +301,18 @@ class _Plan(NamedTuple):
     loops: dict[tuple[bool, bool], Callable]  # row loops by (has_cap, csv), bound on first use
 
 
+def segment_branch(segment: Segment, placement: Node) -> str:
+    """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` BBP node ``placement``.
+
+    Link i ends in tier i + 1, so it is before the BBP node, and carries
+    eCPRI, while tier i + 1 is at or before it.
+    """
+    depth, bbp = segment.depth, placement.depth
+    if depth < bbp:
+        return "before"
+    return "bbp" if depth == bbp and isinstance(segment, Node) else "after"
+
+
 @dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """Per-user power of one BBP placement, split by node tier, link, and UE.
@@ -326,15 +338,8 @@ class PowerBreakdown:
         return self.nodes[node.depth]
 
     def branch(self, segment: Segment) -> str:
-        """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` the BBP node.
-
-        Link i ends in tier i + 1, so it is before the BBP node, and carries
-        eCPRI, while tier i + 1 is at or before it.
-        """
-        depth, bbp = segment.depth, self.placement.depth
-        if depth < bbp:
-            return "before"
-        return "bbp" if depth == bbp and isinstance(segment, Node) else "after"
+        """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` the BBP node."""
+        return segment_branch(segment, self.placement)
 
 
 @dataclass(frozen=True)

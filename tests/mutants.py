@@ -83,7 +83,7 @@ MUTANTS = (
      "    params.update(built)\n", "",
      "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
     ("config section built without its checks", "configfile.py",
-     "    return type(section)(*{**vars(section), **values}.values())\n",
+     "    return type(section)(**{**vars(section), **values})\n",
      "    built = object.__new__(type(section))\n"
      "    built.__dict__.update({**vars(section), **values})\n"
      "    return built\n",

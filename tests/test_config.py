@@ -229,7 +229,11 @@ class TestMatchesReference:
     def test_files_that_change_one_part_or_none(self, text, config):
         check_matches_reference(text, config)
 
-    @pytest.mark.parametrize("text", ["", "topology.n_ru = 40\n"], ids=["empty", "topology-only"])
-    def test_no_catalog_or_segment_key_returns_the_config_itself(self, text):
-        config = BASE_CONFIGS[1]
-        assert load_config(text, config)[0] is config
+    def test_each_section_holds_only_its_init_fields(self):
+        # load_config builds a section from its vars, so they must be exactly its init fields.
+        config = BASE_CONFIGS[0]
+        specs = [value for value in vars(config.catalog).values() if is_dataclass(value)]
+        sections = [TopologyCounts(), config.catalog, *specs, *config.params.values()]
+        assert len(specs) == 7
+        for section in sections:
+            assert list(vars(section)) == [f.name for f in fields(section) if f.init]
