@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, pairwise
 from typing import Iterable, Iterator, Sequence
 
-from .powermodel import ModelConfig, PowerBreakdown
+from .powermodel import ModelConfig, PowerBreakdown, overflow_error
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
     MAX_COUNT,
@@ -54,9 +54,9 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
     iteration order, so identical inputs produce identical streams; a
     ``range`` with a positive step is already in that order and is read as
     it is, ``SWEEP_CHUNK`` counts at a time, without being held in memory.
-    The call itself raises on an empty range and evaluates every placement
-    at the first O-RU count, so a bad ``users_per_ru`` or ``du_fanout_cap``,
-    or a config that fails for some placement, is raised before any row.
+    The call itself raises on an empty range, on any count, ``users_per_ru``
+    or ``du_fanout_cap`` that ``build_sweep_topology`` rejects, and on a
+    config that fails for some placement at the first O-RU count, before any row.
     """
     return chain.from_iterable(sweep_chunks(n_ru_range, users_per_ru, placements, config,
                                             du_fanout_cap))
@@ -65,57 +65,55 @@ def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
 def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Iterable[Node],
                  config: ModelConfig, du_fanout_cap: int = DEFAULT_DU_FANOUT_CAP,
                  csv: bool = False) -> Iterator[list]:
-    """The rows of ``sweep_orus``, in a list for each ``SWEEP_CHUNK`` counts.
+    """The rows of ``sweep_orus``: a list for the first count, then one per ``SWEEP_CHUNK``.
 
     With ``csv``, each row is instead the CSV data line of n_ru, the
     placement's name and the 11 watts to 6 significant digits. Each
     placement's compiled row loop (``ModelConfig._loop``) prices and renders
     a chunk in one call, from O-DU counts computed once for all placements.
-    A count that fails Topology's test or a cell that fails its row check
-    ends the stream: the rows before it come first, and then the cell is
-    priced again through ``build_sweep_topology`` and ``evaluate``, which
-    raise its error.
+    The call checks every count as ``build_sweep_topology`` does and prices
+    the first count's list. A cell that fails its row check ends the stream:
+    the rows before it come first, unless it is at the first count, and then
+    the ``PowerOverflowError`` built from the parts its loop returned.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
+        later = counts[-1:]  # a range holds ints, none above its last
     else:
-        counts = sorted(set(n_ru_range))
+        counts = later = sorted(set(n_ru_range))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
-    first = build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    for placement in ordered:
-        config.evaluate(first, placement)
+    build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
+    for n_ru in later:  # Topology's test of a count no lower than the first, which passed it
+        if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):
+            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
     loops = [config._loop(placement, True, csv) for placement in ordered]
-    return _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops)
+    chunks = _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops)
+    head = next(chunks)
+    if len(head) < len(ordered):  # a cell of the first count failed: raise its error
+        next(chunks)
+    return chain([head], chunks)
 
 
-def _chunks(counts, users_per_ru, ordered, config, du_fanout_cap, loops):
+def _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops):
     """The lists of ``sweep_chunks``: each chunk's rows from every loop, in (n_ru, depth) order."""
-    for start in count(0, SWEEP_CHUNK):
-        chunk = counts[start:start + SWEEP_CHUNK]
+    for start, end in pairwise(chain([0], count(1, SWEEP_CHUNK))):  # the first count alone
+        chunk = counts[start:end]
         if not chunk:
             return
-        # Topology's test of each count after the first, which build_sweep_topology checked.
-        cells = chunk
-        for stop, n_ru in enumerate(chunk):
-            if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):
-                cells = chunk[:stop]
-                break
-        n_dus = [-(-n_ru // du_fanout_cap) for n_ru in cells]
+        n_dus = [-(-n_ru // du_fanout_cap) for n_ru in chunk]
         done = [[] for _ in loops]
-        for loop, rows in zip(loops, done):
-            loop(cells, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
+        parts = [loop(chunk, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
+                 for loop, rows in zip(loops, done)]
         stop = min(map(len, done))
         stopped = [len(rows) for rows in done].index(stop)  # the first placement to stop there
         # The rows in (n_ru, depth) order up to the first cell that stopped a loop, if one did:
         # every row of the counts before `stop`, then the rows at `stop` of the placements
-        # before `stopped`. evaluate then prices that cell again and raises its error.
+        # before `stopped`; then the error of that cell, from the parts its loop returned.
         yield [*chain.from_iterable(zip(*done)), *(rows[stop] for rows in done[:stopped])]
         if stop < len(chunk):
-            config.evaluate(build_sweep_topology(chunk[stop], users_per_ru, du_fanout_cap),
-                            ordered[stopped])
-            return
+            raise overflow_error(ordered[stopped], chunk[stop], parts[stopped])
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,

@@ -337,10 +337,6 @@ class PowerBreakdown:
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
 
-    def branch(self, segment: Segment) -> str:
-        """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` the BBP node."""
-        return segment_branch(segment, self.placement)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -470,16 +466,20 @@ class ModelConfig:
         parts = self._loop(placement, cap is not None, False)(
             (topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap, topology.n_cu,
             topology.n_dc, rows)
-        if rows:
-            watts = rows[0][2]
-            breakdown = object.__new__(PowerBreakdown)
-            breakdown.__dict__.update(
-                placement=placement, nodes=watts[3:7], segments=watts[7:10], ue_watts=watts[10],
-                processing_watts=watts[0], transmission_watts=watts[1], total_watts=watts[2])
-            return breakdown
-        # No part computed here is negative: a part rejected as NaN (an infinite factor times
-        # zero) or an infinite total has overflowed.
-        names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]
-        raise PowerOverflowError(
-            f"per-user power with BBP at {placement.value} and n_ru={topology.n_ru} overflows a "
-            "float: " + ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts)))
+        if not rows:
+            raise overflow_error(placement, topology.n_ru, parts)
+        watts = rows[0][2]
+        breakdown = object.__new__(PowerBreakdown)
+        breakdown.__dict__.update(
+            placement=placement, nodes=watts[3:7], segments=watts[7:10], ue_watts=watts[10],
+            processing_watts=watts[0], transmission_watts=watts[1], total_watts=watts[2])
+        return breakdown
+
+
+def overflow_error(placement: Node, n_ru: int, parts: tuple[float, ...]) -> PowerOverflowError:
+    """The error of a cell whose row loop returned its ``_PARTS``: as no part is negative, a part
+    rejected as NaN (an infinite factor times zero) or an infinite total has overflowed."""
+    names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]
+    return PowerOverflowError(
+        f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a float: "
+        + ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts)))

@@ -88,6 +88,13 @@ MUTANTS = (
      "    built.__dict__.update({**vars(section), **values})\n"
      "    return built\n",
      "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
+    ("a range's last count not checked", "experiments.py",
+     "later = counts[-1:]", "later = counts[:1]",
+     "tests/test_experiments.py::TestSweepRows"
+     "::test_a_range_whose_last_count_is_out_of_range_raises_topology_error"),
+    ("a first count's rows yielded when a placement fails there", "experiments.py",
+     "    if len(head) < len(ordered):", "    if False:",
+     "tests/test_experiments.py::TestSweep::test_failing_placement_rejected_by_the_call"),
 )
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oranpower.catalog import ServerSpec, default_catalog
-from oranpower.experiments import SWEEP_CHUNK, fanout_study, sweep_orus
+from oranpower.experiments import SWEEP_CHUNK, fanout_study, sweep_chunks, sweep_orus
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -106,6 +106,12 @@ class TestSweep:
     def test_unknown_placement_rejected_by_the_call(self, default_config):
         with pytest.raises(ValueError, match="unknown BBP placement: 'dc'"):
             sweep_orus(range(1, 6), 10, ["dc"], default_config)
+
+    def test_a_csv_sweep_binds_only_its_csv_row_loops(self, default_config):
+        # The first count is priced through the sweep's own loops, not through evaluate's.
+        list(sweep_chunks(range(1, 10), 10, ALL_PLACEMENTS, default_config, csv=True))
+        assert {node: set(plan.loops) for node, plan in default_config._plans.items()} == {
+            node: {(True, True)} for node in ALL_PLACEMENTS}
 
 
 def evaluated_rows(counts, users_per_ru, placements, config, cap):
@@ -238,23 +244,27 @@ class TestSweepRows:
 
     @pytest.mark.parametrize("count", [2**53 + 1, 10**400, 2.5])
     def test_a_later_count_out_of_range_raises_topology_error(self, count):
+        # The call rejects the count with build_sweep_topology's error, before any row.
         with pytest.raises(TopologyError) as built:
             build_sweep_topology(count, 10)
-        rows = sweep_orus([1, count], 10, [Node.DC], ModelConfig.default())
-        assert next(rows)[0] == 1
         with pytest.raises(TopologyError) as swept:
-            next(rows)
+            sweep_orus([1, count], 10, [Node.DC], ModelConfig.default())
         assert str(swept.value) == str(built.value)
 
     def test_a_count_out_of_range_in_a_later_chunk_raises_topology_error(self):
         with pytest.raises(TopologyError) as built:
             build_sweep_topology(2**53 + 1, 10)
-        rows = sweep_orus([*range(1, SWEEP_CHUNK + 4), 2**53 + 1], 10, [Node.ODU, Node.ORU],
-                          ModelConfig.default())
-        assert [row[:2] for row in islice(rows, 2 * (SWEEP_CHUNK + 3))] == [
-            (n_ru, node) for n_ru in range(1, SWEEP_CHUNK + 4) for node in (Node.ORU, Node.ODU)]
         with pytest.raises(TopologyError) as swept:
-            next(rows)
+            sweep_orus([*range(1, SWEEP_CHUNK + 4), 2**53 + 1], 10, [Node.ODU, Node.ORU],
+                       ModelConfig.default())
+        assert str(swept.value) == str(built.value)
+
+    def test_a_range_whose_last_count_is_out_of_range_raises_topology_error(self):
+        # A range is checked at its two ends: here only its last count is beyond 2**53.
+        with pytest.raises(TopologyError) as built:
+            build_sweep_topology(2**53 + 1, 10)
+        with pytest.raises(TopologyError) as swept:
+            sweep_orus(range(2**53 - 2, 2**53 + 2), 10, [Node.DC], ModelConfig.default())
         assert str(swept.value) == str(built.value)
 
 

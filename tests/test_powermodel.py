@@ -25,6 +25,7 @@ from oranpower.powermodel import (
     ProvisioningPolicy,
     TrafficModel,
     provision_units,
+    segment_branch,
 )
 from oranpower.topology import (
     FANOUT_CASES,
@@ -290,11 +291,11 @@ class TestBranchSelection:
         for placement in Node:
             breakdown = evaluate(topo, placement)
             assert breakdown.placement is placement
-            branches = [breakdown.branch(node) for node in NODE_ORDER]
+            branches = [segment_branch(node, breakdown.placement) for node in NODE_ORDER]
             assert branches.count("bbp") == 1
             depth = placement.depth
             assert branches == ["before"] * depth + ["bbp"] + ["after"] * (3 - depth)
-            links = [breakdown.branch(link) for link in LINK_ORDER]
+            links = [segment_branch(link, breakdown.placement) for link in LINK_ORDER]
             assert links == ["before"] * depth + ["after"] * (3 - depth)
 
 
@@ -350,7 +351,7 @@ class TestTransmissionPower:
         assert rel_close(by_link[Link.FRONTHAUL], 10 * USER_RATE_10GB * FRONTHAUL_BRACKET)
         assert rel_close(by_link[Link.MIDHAUL], 10 * USER_RATE_10GB * MIDHAUL_BRACKET)
         assert rel_close(by_link[Link.BACKHAUL], 3 * USER_RATE_10GB * BACKHAUL_BRACKET)
-        assert [result.branch(link) for link in LINK_ORDER] == ["after"] * 3
+        assert [segment_branch(link, result.placement) for link in LINK_ORDER] == ["after"] * 3
 
     def test_bbp_at_dc_small_topology(self):
         # every segment carries 1.1 Gbps of provisioned eCPRI per user
@@ -360,7 +361,7 @@ class TestTransmissionPower:
         assert rel_close(by_link[Link.FRONTHAUL], 10 * 1.1 * FRONTHAUL_BRACKET)
         assert rel_close(by_link[Link.MIDHAUL], 10 * 1.1 * MIDHAUL_BRACKET)
         assert rel_close(by_link[Link.BACKHAUL], 3 * 1.1 * BACKHAUL_BRACKET)
-        assert [result.branch(link) for link in LINK_ORDER] == ["before"] * 3
+        assert [segment_branch(link, result.placement) for link in LINK_ORDER] == ["before"] * 3
 
     def test_no_traffic_no_power(self, catalog):
         topo = build_sweep_topology(4, 10, 4)

@@ -14,6 +14,7 @@ from oranpower.powermodel import (
     PowerOverflowError,
     ProvisioningPolicy,
     TrafficModel,
+    segment_branch,
 )
 from oranpower.topology import (
     LINK_ORDER,
@@ -87,11 +88,12 @@ class TestBreakdownInvariants:
     def test_branch_assignment(self, topology, placement, policy):
         config = ModelConfig.default(policy=policy)
         breakdown = config.evaluate(topology, placement)
-        branches = [breakdown.branch(node) for node in NODE_ORDER]
+        branches = [segment_branch(node, breakdown.placement) for node in NODE_ORDER]
         assert branches.count("bbp") == 1
         assert branches[placement.depth] == "bbp"
         for link in LINK_ORDER:
-            assert (breakdown.branch(link) == "before") == (link.depth < placement.depth)
+            assert ((segment_branch(link, breakdown.placement) == "before")
+                    == (link.depth < placement.depth))
 
 
 class TestTransmissionShape:
