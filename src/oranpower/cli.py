@@ -49,7 +49,6 @@ _POLICIES = {
     "quantized": ProvisioningPolicy.default(),
 }
 _TRAFFIC = TrafficModel()
-_PLACEMENT_NAMES = {node: node.value for node in NODE_ORDER}  # a C-level lookup, unlike .value
 
 CSV_COLUMNS = (
     "p_processing_w", "p_transmission_w", "p_total_w",
@@ -208,13 +207,10 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     n_ru = _topology_value(args, counts, "n_ru", DEFAULT_FANOUT_N_RU, parser)
     cases = [fanout_case(label.strip()) for label in args.cases.split(",")]
     placements = _parse_placements(args.placements, parser)
-    records = fanout_study(cases, n_ru, users_per_ru, placements, config)
+    study = fanout_study(cases, n_ru, users_per_ru, placements, config)
     metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
-    rows = ("%s,%s,%.6g,%.6g,%.6g\n" % (
-        record.case, _PLACEMENT_NAMES[record.breakdown.placement],
-        record.breakdown.processing_watts,
-        record.breakdown.transmission_watts, record.breakdown.total_watts,
-    ) for record in records)
+    rows = ("%s,%s,%.6g,%.6g,%.6g\n" % (label, placement.value, *watts[:3])
+            for label, placement, watts in study)
     return _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,"
                             "p_total_w", rows), args.output, stdout)
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count, pairwise
 from typing import Iterable, Iterator, Sequence
 
-from .powermodel import ModelConfig, PowerBreakdown, overflow_error
+from .powermodel import ModelConfig, PowerOverflowError, run_loops
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
     MAX_COUNT,
@@ -24,14 +23,6 @@ DEFAULT_USERS_PER_RU = 10
 # O-RU counts per call of a placement's sweep row loop: enough to spread each call's fixed
 # cost, few enough that a chunk's rows stay small.
 SWEEP_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class FanoutStudyRecord:
-    """One evaluated (fanout case, BBP placement) cell of the fanout study."""
-
-    case: str
-    breakdown: PowerBreakdown
 
 
 def _ordered_placements(placements: Iterable[Node]) -> list[Node]:
@@ -68,26 +59,27 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
     """The rows of ``sweep_orus``: a list for the first count, then one per ``SWEEP_CHUNK``.
 
     With ``csv``, each row is instead the CSV data line of n_ru, the
-    placement's name and the 11 watts to 6 significant digits. Each
-    placement's compiled row loop (``ModelConfig._loop``) prices and renders
-    a chunk in one call, from O-DU counts computed once for all placements.
-    The call checks every count as ``build_sweep_topology`` does and prices
-    the first count's list. A cell that fails its row check ends the stream:
-    the rows before it come first, unless it is at the first count, and then
-    the ``PowerOverflowError`` built from the parts its loop returned.
+    placement's name and the 11 watts to 6 significant digits. ``run_loops``
+    prices a chunk through each placement's row loop, bound once, from O-DU
+    counts computed once for all placements. The call checks every count as
+    ``build_sweep_topology`` does, a list's before sorting, and prices the
+    first count's list. A cell that fails its row check ends the stream: the
+    rows before it come first, unless it is at the first count, then its error.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
         later = counts[-1:]  # a range holds ints, none above its last
     else:
-        counts = later = sorted(set(n_ru_range))
+        listed = list(n_ru_range)
+        for n_ru in filter(_bad_count, listed):  # before sorting, which may not order it
+            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
+        counts, later = sorted(set(listed)), ()
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered = _ordered_placements(placements)
     build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    for n_ru in later:  # Topology's test of a count no lower than the first, which passed it
-        if not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT):
-            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
+    for n_ru in filter(_bad_count, later):
+        build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
     loops = [config._loop(placement, True, csv) for placement in ordered]
     chunks = _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops)
     head = next(chunks)
@@ -96,38 +88,43 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
     return chain([head], chunks)
 
 
+def _bad_count(n_ru) -> bool:
+    """Whether ``n_ru`` fails Topology's count test, but for the lower bound."""
+    return not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT)
+
+
 def _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops):
-    """The lists of ``sweep_chunks``: each chunk's rows from every loop, in (n_ru, depth) order."""
+    """The lists of ``sweep_chunks``: each chunk's rows from every loop, in (n_ru, depth) order,
+    up to the first cell that fails, whose error then ends the stream."""
     for start, end in pairwise(chain([0], count(1, SWEEP_CHUNK))):  # the first count alone
         chunk = counts[start:end]
         if not chunk:
             return
         n_dus = [-(-n_ru // du_fanout_cap) for n_ru in chunk]
-        done = [[] for _ in loops]
-        parts = [loop(chunk, n_dus, users_per_ru, du_fanout_cap, 1, 1, rows)
-                 for loop, rows in zip(loops, done)]
-        stop = min(map(len, done))
-        stopped = [len(rows) for rows in done].index(stop)  # the first placement to stop there
-        # The rows in (n_ru, depth) order up to the first cell that stopped a loop, if one did:
-        # every row of the counts before `stop`, then the rows at `stop` of the placements
-        # before `stopped`; then the error of that cell, from the parts its loop returned.
-        yield [*chain.from_iterable(zip(*done)), *(rows[stop] for rows in done[:stopped])]
-        if stop < len(chunk):
-            raise overflow_error(ordered[stopped], chunk[stop], parts[stopped])
+        rows, error = run_loops(loops, ordered, chunk, n_dus, users_per_ru, du_fanout_cap, 1, 1)
+        yield rows
+        if error:
+            raise error
 
 
 def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,
-                 placements: Iterable[Node], config: ModelConfig) -> list[FanoutStudyRecord]:
-    """Evaluate every (fanout case, placement) pair at a fixed O-RU count.
+                 placements: Iterable[Node], config: ModelConfig) -> list[tuple]:
+    """Price every (fanout case, placement) pair at a fixed O-RU count, in case order.
 
-    The O-RU placement is included for completeness; its breakdown carries no
-    coverage-weighted term beyond the O-RU itself, so it repeats identically
-    across cases.
+    A row is ``(case label, placement, watts)``, with ``watts`` as in ``sweep_orus``: those of
+    ``config.evaluate`` on the case's ``from_fanout_case`` tree. Each placement's row loop is
+    bound once; a cell that fails raises its ``PowerOverflowError``, prefixed with the case
+    label. The O-RU placement has no coverage-weighted term beyond the O-RU itself, so it
+    repeats identically across cases.
     """
     ordered = _ordered_placements(placements)
-    records = []
+    loops = [config._loop(placement, True, False) for placement in ordered]
+    study = []
     for case in cases:
-        topology = from_fanout_case(case, n_ru, users_per_ru)
-        for placement in ordered:
-            records.append(FanoutStudyRecord(case.label, config.evaluate(topology, placement)))
-    return records
+        tree = from_fanout_case(case, n_ru, users_per_ru)
+        rows, error = run_loops(loops, ordered, (n_ru,), (tree.n_du,), users_per_ru,
+                                tree.du_fanout_cap, tree.n_cu, tree.n_dc)
+        if error:
+            raise PowerOverflowError(f"{case.label}: {error}")
+        study += [(case.label, placement, watts) for _, placement, watts in rows]
+    return study

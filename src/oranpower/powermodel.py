@@ -13,7 +13,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from itertools import chain
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, default_catalog, energy_per_capacity
 from .topology import (
@@ -291,16 +292,6 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         "    return loop\n", "factory", f"row loop {shape} {capped} {csv}")
 
 
-class _Plan(NamedTuple):
-    """Everything about one (config, placement) that does not depend on the topology."""
-
-    terms: tuple[_Term, ...]  # the terms priced per cell: tiers, then links
-    after: tuple[float, ...]  # the watts of every other term: tiers, then links
-    ue_watts: float
-    shape: tuple[int, tuple[tuple[bool, ...], ...]]  # the BBP depth and each term's quantized flags
-    loops: dict[tuple[bool, bool], Callable]  # row loops by (has_cap, csv), bound on first use
-
-
 def segment_branch(segment: Segment, placement: Node) -> str:
     """Where a tier or link sits: ``"before"``, ``"bbp"`` or ``"after"`` BBP node ``placement``.
 
@@ -343,10 +334,10 @@ class ModelConfig:
     """Everything an evaluation needs except the topology and BBP placement.
 
     ``params`` must hold the ``SegmentParams`` of every tier and link, each
-    under its own segment, and is stored as a read-only copy. A plan is
-    built for each placement the first time one of its cells is priced, and
-    kept on the config; the plan cache takes no part in equality, ``repr``
-    or ``dataclasses.replace``.
+    under its own segment, and is stored as a read-only copy. A row loop is
+    bound for each placement, kind of tree and kind of row the first time
+    one is asked for, and kept on the config; the loop cache takes no part
+    in equality, ``repr`` or ``dataclasses.replace``.
     """
 
     catalog: EquipmentCatalog
@@ -354,8 +345,8 @@ class ModelConfig:
     traffic: TrafficModel
     policy: ProvisioningPolicy
     provision_to_cap: bool = True
-    _plans: dict[Node, _Plan] = field(init=False, compare=False, repr=False,
-                                      default_factory=dict)
+    _loops: dict[tuple[Node, bool, bool], Callable] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if type(self.provision_to_cap) is not bool:
@@ -374,7 +365,7 @@ class ModelConfig:
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through __init__: a mappingproxy cannot
-        # be pickled, and plans are rebuilt on demand.
+        # be pickled, and loops are bound again on demand.
         return type(self), (self.catalog, dict(self.params), self.traffic, self.policy,
                             self.provision_to_cap)
 
@@ -387,8 +378,9 @@ class ModelConfig:
             policy=policy if policy is not None else ProvisioningPolicy.default(),
         )
 
-    def _plan(self, placement: Node) -> _Plan:
-        """The topology-independent factors of every term for the BBP node ``placement``.
+    def _plan(self, placement: Node) -> tuple:
+        """The topology-independent factors of every term for the BBP node ``placement``: the
+        terms priced per cell, the other terms' watts, the UE watts and the plan's shape.
 
         One device table lists each tier's and link's devices as (multiplier,
         spec, class policy): tier i's chassis, with the servers at the BBP
@@ -439,35 +431,29 @@ class ModelConfig:
         bits_per_s = user_rate * GBPS_TO_BITS_PER_S
         ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf
                     else user_rate * (GBPS_TO_BITS_PER_S * catalog.ue_energy_j_per_bit))
-        return _Plan(tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags)), {})
+        return tuple(terms), tuple(after), ue_watts, (bbp, tuple(flags))
 
     def _loop(self, placement: Node, has_cap: bool, csv: bool) -> Callable:
-        """The row loop (see ``_loop_factory``) of this config's plan for ``placement``, for
-        trees with a fanout cap or without one; the plan and the loop are built on first use."""
+        """The row loop (see ``_loop_factory``) of this config for ``placement``, for trees with
+        a fanout cap or without one, bound to a new plan on first use and then cached."""
         try:
-            plan = self._plans[placement]
-        except (KeyError, TypeError):  # a new placement, or one that cannot be a dict key
-            plan = self._plans[placement] = self._plan(placement)
-        loop = plan.loops.get((has_cap, csv))
-        if loop is None:
-            capped = self.provision_to_cap and has_cap
-            loop = plan.loops[has_cap, csv] = _loop_factory(plan.shape, capped, csv)(
-                self.traffic.ecpri_per_ru_gbps, plan.terms, plan.after, plan.ue_watts, placement)
+            return self._loops[placement, has_cap, csv]
+        except (KeyError, TypeError):  # a new loop, or a placement that cannot be a dict key
+            terms, after, ue_watts, shape = self._plan(placement)
+        capped = self.provision_to_cap and has_cap
+        loop = self._loops[placement, has_cap, csv] = _loop_factory(shape, capped, csv)(
+            self.traffic.ecpri_per_ru_gbps, terms, after, ue_watts, placement)
         return loop
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
-        """Per-user breakdown of ``topology`` with baseband processing at ``placement``.
-
-        Only the per-instance loads and the coverage factors depend on the
-        topology; the plan's row loop prices every term of its one cell.
-        """
+        """Per-user breakdown of ``topology`` with baseband processing at ``placement``, priced
+        by ``run_loops``; a cell that fails the row check raises its ``PowerOverflowError``."""
         cap = topology.du_fanout_cap
-        rows = []
-        parts = self._loop(placement, cap is not None, False)(
-            (topology.n_ru,), (topology.n_du,), topology.users_per_ru, cap, topology.n_cu,
-            topology.n_dc, rows)
-        if not rows:
-            raise overflow_error(placement, topology.n_ru, parts)
+        rows, error = run_loops(
+            [self._loop(placement, cap is not None, False)], [placement], (topology.n_ru,),
+            (topology.n_du,), topology.users_per_ru, cap, topology.n_cu, topology.n_dc)
+        if error:
+            raise error
         watts = rows[0][2]
         breakdown = object.__new__(PowerBreakdown)
         breakdown.__dict__.update(
@@ -476,10 +462,25 @@ class ModelConfig:
         return breakdown
 
 
-def overflow_error(placement: Node, n_ru: int, parts: tuple[float, ...]) -> PowerOverflowError:
-    """The error of a cell whose row loop returned its ``_PARTS``: as no part is negative, a part
-    rejected as NaN (an infinite factor times zero) or an infinite total has overflowed."""
+def run_loops(loops: Sequence[Callable], placements: Sequence[Node], counts: Sequence[int],
+              n_dus: Sequence[int], users_per_ru: int, cap: int | None, n_cu: int, n_dc: int
+              ) -> tuple[list, PowerOverflowError | None]:
+    """Price one tree's O-RU ``counts``, each with its O-DU count, through the bound row loop
+    of each of ``placements``, in depth order: the rows in (n_ru, depth) order up to the first
+    cell that fails its row check, and that cell's error, or ``None``. Every cell is priced here."""
+    done = [[] for _ in loops]
+    parts = [loop(counts, n_dus, users_per_ru, cap, n_cu, n_dc, rows)
+             for loop, rows in zip(loops, done)]
+    stop = min(map(len, done), default=len(counts))  # no loop stops: no rows, no error
+    rows = [*chain.from_iterable(zip(*done))]  # every row of the counts before `stop`
+    if stop == len(counts):
+        return rows, None
+    stopped = [len(placed) for placed in done].index(stop)  # the first placement to stop there
+    rows += [placed[stop] for placed in done[:stopped]]
+    # As no part is negative, a part rejected as NaN (an infinite factor times zero) or an
+    # infinite total has overflowed.
     names = [segment.value for segment, _ in _SEGMENTS] + ["ue"]
-    return PowerOverflowError(
-        f"per-user power with BBP at {placement.value} and n_ru={n_ru} overflows a float: "
-        + ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts)))
+    return rows, PowerOverflowError(
+        f"per-user power with BBP at {placements[stopped].value} and n_ru={counts[stop]} "
+        "overflows a float: "
+        + ", ".join(f"{name} = {watts:.6g}" for name, watts in zip(names, parts[stopped])))

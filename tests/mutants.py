@@ -95,6 +95,13 @@ MUTANTS = (
     ("a first count's rows yielded when a placement fails there", "experiments.py",
      "    if len(head) < len(ordered):", "    if False:",
      "tests/test_experiments.py::TestSweep::test_failing_placement_rejected_by_the_call"),
+    ("a list's counts sorted before each is tested", "experiments.py",
+     "filter(_bad_count, listed)", "filter(_bad_count, listed[:0])",
+     "tests/test_experiments.py::TestSweepRows"
+     "::test_a_listed_count_that_does_not_sort_raises_topology_error"),
+    ("rows in (depth, n_ru) order, each loop's rows in turn", "powermodel.py",
+     "rows = [*chain.from_iterable(zip(*done))]", "rows = [*chain.from_iterable(done)]",
+     "tests/test_experiments.py::TestSweep::test_cardinality_and_order"),
 )
 
 

@@ -107,11 +107,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown BBP placement: 'dc'"):
             sweep_orus(range(1, 6), 10, ["dc"], default_config)
 
+    def test_no_placement_gives_no_rows(self, default_config):
+        assert list(sweep_orus(range(1, 600), 10, [], default_config)) == []
+
     def test_a_csv_sweep_binds_only_its_csv_row_loops(self, default_config):
         # The first count is priced through the sweep's own loops, not through evaluate's.
         list(sweep_chunks(range(1, 10), 10, ALL_PLACEMENTS, default_config, csv=True))
-        assert {node: set(plan.loops) for node, plan in default_config._plans.items()} == {
-            node: {(True, True)} for node in ALL_PLACEMENTS}
+        assert set(default_config._loops) == {(node, True, True) for node in ALL_PLACEMENTS}
 
 
 def evaluated_rows(counts, users_per_ru, placements, config, cap):
@@ -251,6 +253,17 @@ class TestSweepRows:
             sweep_orus([1, count], 10, [Node.DC], ModelConfig.default())
         assert str(swept.value) == str(built.value)
 
+    @pytest.mark.parametrize("count", ["a", None, [2]])
+    def test_a_listed_count_that_does_not_sort_raises_topology_error(self, count):
+        # Each count of a list is tested before the counts are sorted, which could not order
+        # or hash this one, so the call names it as build_sweep_topology does.
+        with pytest.raises(TopologyError) as built:
+            build_sweep_topology(count, 10)
+        for counts in ([1, count], [count, 3, 1]):
+            with pytest.raises(TopologyError) as swept:
+                sweep_orus(counts, 10, [Node.DC], ModelConfig.default())
+            assert str(swept.value) == str(built.value)
+
     def test_a_count_out_of_range_in_a_later_chunk_raises_topology_error(self):
         with pytest.raises(TopologyError) as built:
             build_sweep_topology(2**53 + 1, 10)
@@ -270,27 +283,71 @@ class TestSweepRows:
 
 class TestFanoutStudy:
     def test_oru_placement_identical_across_cases(self, default_config):
-        records = fanout_study(list(FANOUT_CASES.values()), 40, 10, [Node.ORU], default_config)
-        assert len(records) == 5
-        first = records[0].breakdown
-        assert all(record.breakdown == first for record in records)
+        rows = fanout_study(list(FANOUT_CASES.values()), 40, 10, [Node.ORU], default_config)
+        assert [label for label, _, _ in rows] == list(FANOUT_CASES)
+        assert all(placement is Node.ORU for _, placement, _ in rows)
+        assert len({repr(watts) for _, _, watts in rows}) == 1
 
     def test_shared_ocu_beats_dedicated_with_quantized_interfaces(self):
         # one core-switch chassis per O-CU; ten times the users amortize it
         policy = ProvisioningPolicy(servers=ClassPolicy.quantize(),
                                     node_interface=ClassPolicy.quantize(minimum_units=1))
         config = ModelConfig.default(policy=policy)
-        records = {r.case: r for r in fanout_study(
+        processing = {label: watts[0] for label, _, watts in fanout_study(
             [FANOUT_CASES["C-1"], FANOUT_CASES["C-2"]], 40, 10, [Node.OCU], config)}
-        assert (records["C-2"].breakdown.processing_watts
-                < records["C-1"].breakdown.processing_watts)
+        assert processing["C-2"] < processing["C-1"]
 
     def test_shared_dc_beats_dedicated_with_quantized_servers(self, default_config):
         # C-1 wastes ceil(11/5)=3 servers per DC; C-3 fills whole racks
-        records = {r.case: r for r in fanout_study(
+        processing = {label: watts[0] for label, _, watts in fanout_study(
             [FANOUT_CASES["C-1"], FANOUT_CASES["C-3"]], 40, 10, [Node.DC], default_config)}
-        assert (records["C-3"].breakdown.processing_watts
-                < records["C-1"].breakdown.processing_watts)
+        assert processing["C-3"] < processing["C-1"]
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig.default(),
+        replace(ModelConfig.default(ProvisioningPolicy.all_linear()), provision_to_cap=False),
+        same_shape_configs()[1],
+    ])
+    def test_rows_are_evaluates_figures(self, config):
+        # Every case and placement, in case order and then depth, each row's 11 figures those
+        # of evaluate on the case's tree, by repr, in CSV_COLUMNS order; evaluate runs on a
+        # copy of the config, which binds its own loops.
+        cases = list(FANOUT_CASES.values())
+        rows = fanout_study(cases[::-1], 80, 7, ALL_PLACEMENTS[::-1], config)
+        expected = []
+        for case in cases[::-1]:
+            tree = from_fanout_case(case, 80, 7)
+            for node in NODE_ORDER:
+                b = replace(config).evaluate(tree, node)
+                expected.append((case.label, node, (
+                    b.processing_watts, b.transmission_watts, b.total_watts, *b.nodes,
+                    *b.segments, b.ue_watts)))
+        assert repr(rows) == repr(expected)
+
+    def test_no_placement_gives_no_rows_but_still_checks_each_case(self, default_config):
+        assert fanout_study(list(FANOUT_CASES.values()), 40, 10, [], default_config) == []
+        with pytest.raises(TopologyError, match="C-4"):
+            fanout_study([FANOUT_CASES["C-4"]], 7, 10, [], default_config)
+
+    def test_binds_one_loop_per_placement(self, default_config):
+        fanout_study(list(FANOUT_CASES.values()), 40, 10, [Node.DC, Node.ORU, Node.DC],
+                     default_config)
+        assert set(default_config._loops) == {(Node.ORU, True, False), (Node.DC, True, False)}
+
+    def test_overflow_names_its_case(self):
+        # DC servers of 1e-307 W and 1e-307 Gbps need more units than a float holds at every
+        # case; the first case priced, C-2, fails at the DC, and the error names it.
+        dc_server = ServerSpec(cores=1, per_core_power_w=1e-307, per_core_capacity_gbps=1e-307,
+                               server_capacity_gbps=1e-307)
+        config = ModelConfig(replace(default_catalog(), dc_server=dc_server), segment_map(),
+                             TrafficModel(), ProvisioningPolicy.default())
+        with pytest.raises(PowerOverflowError) as evaluated:
+            config.evaluate(from_fanout_case(FANOUT_CASES["C-2"], 40, 10), Node.DC)
+        with pytest.raises(PowerOverflowError) as studied:
+            fanout_study([FANOUT_CASES["C-2"], FANOUT_CASES["C-1"]], 40, 10,
+                         [Node.ORU, Node.DC], config)
+        assert str(studied.value) == f"C-2: {evaluated.value}"
+        assert "dc = inf" in str(studied.value)
 
     def test_divisibility_error_carries_label(self, default_config):
         with pytest.raises(TopologyError, match="C-4"):

@@ -2,7 +2,7 @@
 
 A row loop is compiled once per plan shape and prices every term in straight-
 line code; ``evaluate`` runs one on a one-cell input, and the sweep on chunks
-of O-RU counts. The reference here is the generic loop over ``plan.terms``
+of O-RU counts. The reference here is the generic loop over the plan's terms
 that the compiled code replaced; every float must match it by ``repr``, so a
 sign of zero counts, and every error must match in type and message.
 """
@@ -53,7 +53,7 @@ EXTREME_FLOATS = (5e-324, 1e-300, 1e-12, 1e12, 1e300)
 EXTREME_COUNTS = (2**40, 2**53)
 
 
-def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):
+def reference_kernel(terms, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_du):
     """The generic loop over the plan's terms that ``evaluate`` ran before they were compiled.
 
     The terms after the BBP node are priced here from the catalog and
@@ -65,7 +65,7 @@ def reference_kernel(plan, bbp, config, n_ru, n_du, n_cu, n_dc, n_users, ru_per_
     ecpri = config.traffic.ecpri_per_ru_gbps
     loads = (ecpri, ru_per_du * ecpri, n_ru / n_cu * ecpri, n_ru / n_dc * ecpri)
     watts = []
-    for scale, depth, devices in plan.terms:
+    for scale, depth, devices in terms:
         load, per_instance = loads[depth], 0.0
         for multiplier, ratio, unit, minimum_units in devices:
             if unit is None:
@@ -219,20 +219,20 @@ def check_kernel_matches_reference(config, topology, placement):
     ``reference_kernel`` does: the loop's row, or the parts of a cell it rejects, and
     ``evaluate``'s fields, by ``repr``, or ``evaluate``'s error."""
     evaluated = outcome(breakdown_fields, config, topology, placement)
-    plan = config._plans[placement]  # and the loop evaluate ran, bound to it
+    terms, _, ue_watts, _ = config._plan(placement)
+    loop = config._loops[placement, topology.du_fanout_cap is not None, False]  # evaluate's
     args = kernel_args(config, topology)
-    expected = outcome(reference_kernel, plan, placement.depth, config, *args)
+    expected = outcome(reference_kernel, terms, placement.depth, config, *args)
     rows = []
-    looped = outcome(plan.loops[topology.du_fanout_cap is not None, False], (topology.n_ru,),
-                     (topology.n_du,), topology.users_per_ru, topology.du_fanout_cap,
-                     topology.n_cu, topology.n_dc, rows)
+    looped = outcome(loop, (topology.n_ru,), (topology.n_du,), topology.users_per_ru,
+                     topology.du_fanout_cap, topology.n_cu, topology.n_dc, rows)
     if isinstance(expected, tuple):  # the reference raised, and the loop and evaluate the same
         assert looped == evaluated == expected
         return
-    nodes, segments = reference_kernel(plan, placement.depth, config, *args)
-    parts = (*nodes, *segments, plan.ue_watts)
+    nodes, segments = reference_kernel(terms, placement.depth, config, *args)
+    parts = (*nodes, *segments, ue_watts)
     try:
-        totals = per_part_breakdown(nodes, segments, plan.ue_watts)
+        totals = per_part_breakdown(nodes, segments, ue_watts)
     except ValueError:  # rejected as overflowed, naming every part
         assert looped == repr(parts) and rows == []
         names = [segment.value for segment in NODE_ORDER + LINK_ORDER] + ["ue"]
@@ -243,7 +243,7 @@ def check_kernel_matches_reference(config, topology, placement):
     else:
         assert looped == repr(None)
         assert repr(rows) == repr([(topology.n_ru, placement, (*totals, *parts))])
-        assert evaluated == repr((placement, nodes, segments, plan.ue_watts, *totals))
+        assert evaluated == repr((placement, nodes, segments, ue_watts, *totals))
 
 
 class TestKernelMatchesTermRecords:
@@ -332,11 +332,11 @@ class TestSharedFactories:
             for config in (first, second):  # binds evaluate's loops for both kinds of tree
                 for tree in (Topology(8, 2, 1, 1, 10), build_sweep_topology(8, 10, 4)):
                     config.evaluate(tree, placement)
-            plans = [config._plans[placement] for config in (first, second)]
             for csv in (False, True):
                 for has_cap in (False, True):
-                    loops = [config._loop(placement, has_cap, csv) for config in (first, second)]
-                    assert [plan.loops[has_cap, csv] for plan in plans] == loops
+                    key = placement, has_cap, csv
+                    loops = [config._loop(*key) for config in (first, second)]
+                    assert [config._loops[key] for config in (first, second)] == loops
                     assert loops[0].__code__ is loops[1].__code__
                     assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
                     assert {value for value in loops[0].__code__.co_consts
@@ -353,14 +353,14 @@ class TestSharedFactories:
         expected = [breakdown_floats(config.evaluate(topology, node)) for node in NODE_ORDER]
         for clone in (copy.copy(config), copy.deepcopy(config),
                       pickle.loads(pickle.dumps(config))):
-            assert clone == config and clone._plans == {}
+            assert clone == config and clone._loops == {}
             assert [breakdown_floats(clone.evaluate(topology, node))
                     for node in NODE_ORDER] == expected
-            for node in NODE_ORDER:
-                plans = clone._plans[node], config._plans[node]
-                assert plans[0] is not plans[1]
-                assert plans[0][:-1] == plans[1][:-1]  # all but the loops
-                assert plans[0].loops.keys() == plans[1].loops.keys() == {(True, False)}
-                for loops in zip(plans[0].loops.values(), plans[1].loops.values()):
-                    assert loops[0] is not loops[1]
-                    assert loops[0].__code__ is loops[1].__code__
+            assert clone._loops.keys() == config._loops.keys() == {
+                (node, True, False) for node in NODE_ORDER}
+            for key, loop in clone._loops.items():
+                # A new loop, bound to a new plan of equal values, over the same code.
+                original = config._loops[key]
+                assert loop is not original and loop.__code__ is original.__code__
+                assert ([cell.cell_contents for cell in loop.__closure__]
+                        == [cell.cell_contents for cell in original.__closure__])
