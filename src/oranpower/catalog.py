@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .topology import MAX_COUNT, is_integer
+from .topology import MAX_COUNT, Record, is_integer
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
 _REL_TOL = 1e-12
@@ -21,26 +20,21 @@ class CatalogError(ValueError):
     """An equipment or server spec violates one of its constraints."""
 
 
-@dataclass(frozen=True)
-class EquipmentSpec:
+class EquipmentSpec(Record):
     """A transport or radio device, modeled by rated power and capacity.
 
     The device draws ``rated_power_w`` regardless of load; per-flow power is
     attributed pro rata via the watts-per-Gbps ratio.
     """
 
-    name: str
-    rated_power_w: float
-    capacity_gbps: float
-
-    def __post_init__(self):
-        for field in ("rated_power_w", "capacity_gbps"):
-            value = getattr(self, field)
+    def __init__(self, name: str, rated_power_w: float, capacity_gbps: float):
+        for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
             if not (math.isfinite(value) and value > 0):
-                raise CatalogError(f"{self.name}: {field} must be a finite number > 0, got {value}")
-        if not math.isfinite(self.rated_power_w / self.capacity_gbps):
-            raise CatalogError(f"{self.name}: rated_power_w / capacity_gbps must be finite, "
-                               f"got {self.rated_power_w} / {self.capacity_gbps}")
+                raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
+        if not math.isfinite(rated_power_w / capacity_gbps):
+            raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
+                               f"got {rated_power_w} / {capacity_gbps}")
+        self.__dict__.update(name=name, rated_power_w=rated_power_w, capacity_gbps=capacity_gbps)
 
 
 def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
@@ -48,8 +42,7 @@ def energy_per_capacity(spec: EquipmentSpec | ServerSpec) -> float:
     return spec.rated_power_w / spec.capacity_gbps
 
 
-@dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(Record):
     """A baseband-processing server: identical cores, each with its own power and capacity.
 
     ``server_capacity_gbps`` must equal ``cores * per_core_capacity_gbps``, so
@@ -58,30 +51,28 @@ class ServerSpec:
     of an ``EquipmentSpec``, so the same sizing code serves both.
     """
 
-    cores: int
-    per_core_power_w: float
-    per_core_capacity_gbps: float
-    server_capacity_gbps: float
-
-    def __post_init__(self):
-        if not (is_integer(self.cores) and 1 <= self.cores <= MAX_COUNT):
-            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, "
-                               f"got {self.cores}")
-        for field in ("per_core_power_w", "per_core_capacity_gbps", "server_capacity_gbps"):
-            value = getattr(self, field)
+    def __init__(self, cores: int, per_core_power_w: float, per_core_capacity_gbps: float,
+                 server_capacity_gbps: float):
+        if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
+            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
+        fields = {"per_core_power_w": per_core_power_w,
+                  "per_core_capacity_gbps": per_core_capacity_gbps,
+                  "server_capacity_gbps": server_capacity_gbps}
+        for field, value in fields.items():
             if not (math.isfinite(value) and value > 0):
                 raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
-        expected = self.cores * self.per_core_capacity_gbps
+        expected = cores * per_core_capacity_gbps
         if (not math.isfinite(expected)
-                or abs(self.server_capacity_gbps - expected) > _REL_TOL * expected):
+                or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
             raise CatalogError(
                 "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
-                f"({self.cores} * {self.per_core_capacity_gbps} != {self.server_capacity_gbps})"
+                f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
             )
-        if not math.isfinite(self.rated_power_w / self.capacity_gbps):
+        if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
             raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must be "
-                               f"finite, got {self.cores} * {self.per_core_power_w} / "
-                               f"{self.server_capacity_gbps}")
+                               f"finite, got {cores} * {per_core_power_w} / "
+                               f"{server_capacity_gbps}")
+        self.__dict__.update(cores=cores, **fields)
 
     @property
     def rated_power_w(self) -> float:
@@ -94,26 +85,20 @@ class ServerSpec:
         return self.server_capacity_gbps
 
 
-@dataclass(frozen=True)
-class EquipmentCatalog:
+class EquipmentCatalog(Record):
     """Full equipment set for one evaluation, plus the UE energy per bit."""
 
-    radio: EquipmentSpec
-    access_switch: EquipmentSpec
-    core_switch: EquipmentSpec
-    wdm_link: EquipmentSpec
-    router: EquipmentSpec
-    edge_server: ServerSpec
-    dc_server: ServerSpec
-    ue_energy_j_per_bit: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.ue_energy_j_per_bit) and self.ue_energy_j_per_bit >= 0):
+    def __init__(self, radio: EquipmentSpec, access_switch: EquipmentSpec,
+                 core_switch: EquipmentSpec, wdm_link: EquipmentSpec, router: EquipmentSpec,
+                 edge_server: ServerSpec, dc_server: ServerSpec, ue_energy_j_per_bit: float):
+        if not (math.isfinite(ue_energy_j_per_bit) and ue_energy_j_per_bit >= 0):
             raise CatalogError(
-                f"ue_energy_j_per_bit must be a finite number >= 0, got {self.ue_energy_j_per_bit}"
+                f"ue_energy_j_per_bit must be a finite number >= 0, got {ue_energy_j_per_bit}"
             )
         # abs() of a value >= 0 changes only -0.0, stored as 0.0 so no watts print as -0.
-        object.__setattr__(self, "ue_energy_j_per_bit", abs(self.ue_energy_j_per_bit))
+        self.__dict__.update(radio=radio, access_switch=access_switch, core_switch=core_switch,
+                             wdm_link=wdm_link, router=router, edge_server=edge_server,
+                             dc_server=dc_server, ue_energy_j_per_bit=abs(ue_energy_j_per_bit))
 
 
 @functools.cache

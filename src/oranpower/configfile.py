@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .powermodel import ModelConfig
-from .topology import LINK_ORDER, MAX_COUNT, NODE_ORDER
+from .topology import LINK_ORDER, MAX_COUNT, NODE_ORDER, Record
 
 
 class ConfigError(ValueError):
@@ -79,15 +77,17 @@ def _nanojoules(text: str) -> float:
     value = _float(text)
     if not value or not math.isfinite(value):
         return value
-    sign, digits, exponent = Decimal(text).as_tuple()
-    return float(Decimal((sign, digits, exponent - 9)))
+    # A finite non-zero number's only letter is the e of its exponent. That exponent is far
+    # below 2**53, so float() reads it exactly, even past int()'s 4300-digit limit.
+    mantissa, _, exponent = text.strip().replace("E", "e").partition("e")
+    return float(f"{mantissa}e{int(float(exponent or 0)) - 9}")
 
 
 _EQUIPMENT = ("router", "core_switch", "access_switch", "wdm_link", "radio")
 _SERVERS = ("edge_server", "dc_server")
 _SPECS = _EQUIPMENT + _SERVERS
 
-# Every accepted key: (section, dataclass field, reader). Sections are the
+# Every accepted key: (section, record field, reader). Sections are the
 # seven catalog specs, ``ue`` (the catalog's own field), the seven segments
 # (keyed by their Node or Link) and ``topology``. Hop counts exist only for
 # links, the only segments whose terms use them.
@@ -112,31 +112,25 @@ def _where(entries: Mapping[str, ConfigEntry]) -> str:
     return "; ".join(f"line {entry.lineno}: {key} = {entry.value}" for key, entry in entries.items())
 
 
-@dataclass(frozen=True)
-class TopologyCounts:
+class TopologyCounts(Record):
     """A config file's ``topology.*`` counts, ``None`` where it sets none."""
 
-    n_ru: int | None = None
-    users_per_ru: int | None = None
-    du_fanout_cap: int | None = None
+    def __init__(self, n_ru: int | None = None, users_per_ru: int | None = None,
+                 du_fanout_cap: int | None = None):
+        self.__dict__.update(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
 
 
 _NO_COUNTS = TopologyCounts()
-
-
-def _build(section: Any, values: dict[str, Any]) -> Any:
-    """``section`` with ``values`` set, made by its own constructor, so its checks run. A
-    section's ``vars`` are its init fields, passed by name."""
-    return type(section)(**{**vars(section), **values})
 
 
 def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
     """Apply config text to ``config``'s catalog and segments, and read its ``topology.*`` counts.
 
     Entries are grouped by ``CONFIG_KEYS`` section. In order of first appearance, each
-    section's values are read and the section is built once by its own constructor, so its
-    checks run. The catalog is built again only when a spec changed, and the result is a new
-    ``ModelConfig`` with the loaded catalog and segments. Every error names its key and line: an unknown key or a value that cannot be read is a
+    section's values are read and the section is built once by its ``__replace__``, which
+    runs its constructor, so its checks run. The catalog is built again only when a spec
+    changed, and the result is a new ``ModelConfig`` with the loaded catalog and segments.
+    Every error names its key and line: an unknown key or a value that cannot be read is a
     ``ConfigError``, and a section's rejection keeps its type, prefixed with that section's
     ``line N: key = value`` pairs. ``config`` is unchanged.
     """
@@ -163,14 +157,14 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
         else:
             base = getattr(config.catalog, section)
         try:
-            built[section] = _build(base, values)
+            built[section] = base.__replace__(**values)
         except ValueError as exc:  # the section's own error type, such as CatalogError
             raise type(exc)(f"{_where(section_entries)}: {exc}") from None
     counts = built.pop("topology", _NO_COUNTS)
     catalog = built.pop("ue", config.catalog)
     specs = {name: built.pop(name) for name in _SPECS if name in built}
     if specs:
-        catalog = _build(catalog, specs)
+        catalog = catalog.__replace__(**specs)
     params = config.params.copy()  # the remaining sections are segments
     params.update(built)
     loaded = ModelConfig(catalog, params, config.traffic, config.policy, config.provision_to_cap)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -22,6 +21,7 @@ from .topology import (
     MAX_COUNT,
     NODE_ORDER,
     Node,
+    Record,
     Segment,
     SegmentParams,
     Topology,
@@ -46,19 +46,17 @@ class PowerOverflowError(ValueError):
     """Valid inputs whose per-user power is too large for a float."""
 
 
-@dataclass(frozen=True)
-class TrafficModel:
+class TrafficModel(Record):
     """Per-user demand: mean monthly volume plus the provisioned eCPRI rate per O-RU."""
 
-    monthly_gb_per_user: float = 10.0
-    ecpri_per_ru_gbps: float = 11.0
-
-    def __post_init__(self):
-        for name in ("monthly_gb_per_user", "ecpri_per_ru_gbps"):
-            value = getattr(self, name)
+    def __init__(self, monthly_gb_per_user: float = 10.0, ecpri_per_ru_gbps: float = 11.0):
+        fields = {"monthly_gb_per_user": monthly_gb_per_user,
+                  "ecpri_per_ru_gbps": ecpri_per_ru_gbps}
+        for name, value in fields.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-            object.__setattr__(self, name, abs(value))  # -0.0 as 0.0, so no watts print as -0
+            fields[name] = abs(value)  # -0.0 as 0.0, so no watts print as -0
+        self.__dict__.update(fields)
 
     @property
     def user_rate_gbps(self) -> float:
@@ -69,8 +67,7 @@ class TrafficModel:
         return volume * BITS_PER_GIGABYTE / SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S
 
 
-@dataclass(frozen=True)
-class ClassPolicy:
+class ClassPolicy(Record):
     """How one equipment class is sized against load.
 
     Linear mode attributes power pro rata (load times the device's W/Gbps).
@@ -78,19 +75,18 @@ class ClassPolicy:
     own capacity when ``None``), never fewer than ``minimum_units``.
     """
 
-    quantized: bool = False
-    unit_capacity_gbps: float | None = None
-    minimum_units: int = 0
-
-    def __post_init__(self):
-        if type(self.quantized) is not bool:
-            raise ValueError(f"quantized must be True or False, got {self.quantized!r}")
-        unit = self.unit_capacity_gbps
+    def __init__(self, quantized: bool = False, unit_capacity_gbps: float | None = None,
+                 minimum_units: int = 0):
+        if type(quantized) is not bool:
+            raise ValueError(f"quantized must be True or False, got {quantized!r}")
+        unit = unit_capacity_gbps
         if unit is not None and not (math.isfinite(unit) and unit > 0):
             raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
-        if not (is_integer(self.minimum_units) and 0 <= self.minimum_units <= MAX_COUNT):
+        if not (is_integer(minimum_units) and 0 <= minimum_units <= MAX_COUNT):
             raise ValueError(f"minimum_units must be an integer >= 0 and <= 2**53, "
-                             f"got {self.minimum_units}")
+                             f"got {minimum_units}")
+        self.__dict__.update(quantized=quantized, unit_capacity_gbps=unit,
+                             minimum_units=minimum_units)
 
     @classmethod
     def linear(cls) -> "ClassPolicy":
@@ -102,15 +98,17 @@ class ClassPolicy:
                    minimum_units=minimum_units)
 
 
-@dataclass(frozen=True)
-class ProvisioningPolicy:
+_LINEAR = ClassPolicy()  # frozen, so every default class policy is this one
+
+
+class ProvisioningPolicy(Record):
     """Per-class sizing modes for servers and the four transport classes."""
 
-    servers: ClassPolicy = field(default_factory=ClassPolicy)
-    node_interface: ClassPolicy = field(default_factory=ClassPolicy)
-    switches: ClassPolicy = field(default_factory=ClassPolicy)
-    links: ClassPolicy = field(default_factory=ClassPolicy)
-    routers: ClassPolicy = field(default_factory=ClassPolicy)
+    def __init__(self, servers: ClassPolicy = _LINEAR, node_interface: ClassPolicy = _LINEAR,
+                 switches: ClassPolicy = _LINEAR, links: ClassPolicy = _LINEAR,
+                 routers: ClassPolicy = _LINEAR):
+        self.__dict__.update(servers=servers, node_interface=node_interface, switches=switches,
+                             links=links, routers=routers)
 
     @classmethod
     def all_linear(cls) -> "ProvisioningPolicy":
@@ -304,23 +302,16 @@ def segment_branch(segment: Segment, placement: Node) -> str:
     return "bbp" if depth == bbp and isinstance(segment, Node) else "after"
 
 
-@dataclass(frozen=True, init=False)
-class PowerBreakdown:
+class PowerBreakdown(Record):
     """Per-user power of one BBP placement, split by node tier, link, and UE.
 
     ``nodes`` holds one watts figure per tier in NODE_ORDER and ``segments``
     one per link in LINK_ORDER. Only ``ModelConfig.evaluate`` builds one, from
     a row that passed ``_CHECK``: every part is >= 0, the total is finite, and
     the totals are those of ``_SUMS``, so P_T = P_pr + P_tr holds exactly.
+    Its fields are ``placement``, ``nodes``, ``segments``, ``ue_watts``,
+    ``processing_watts``, ``transmission_watts`` and ``total_watts``.
     """
-
-    placement: Node
-    nodes: tuple[float, ...]
-    segments: tuple[float, ...]
-    ue_watts: float
-    processing_watts: float
-    transmission_watts: float
-    total_watts: float
 
     def __init__(self, *args, **kwargs):
         raise TypeError("only ModelConfig.evaluate builds a PowerBreakdown")
@@ -329,30 +320,23 @@ class PowerBreakdown:
         return self.nodes[node.depth]
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     """Everything an evaluation needs except the topology and BBP placement.
 
     ``params`` must hold the ``SegmentParams`` of every tier and link, each
     under its own segment, and is stored as a read-only copy. A row loop is
     bound for each placement, kind of tree and kind of row the first time
-    one is asked for, and kept on the config; the loop cache takes no part
-    in equality, ``repr`` or ``dataclasses.replace``.
+    one is asked for, and kept on the config in a slot, ``_loops``, outside
+    ``vars``: the loop cache takes no part in equality, ``repr`` or ``__replace__``.
     """
 
-    catalog: EquipmentCatalog
-    params: Mapping[Segment, SegmentParams]
-    traffic: TrafficModel
-    policy: ProvisioningPolicy
-    provision_to_cap: bool = True
-    _loops: dict[tuple[Node, bool, bool], Callable] = field(
-        init=False, compare=False, repr=False, default_factory=dict)
+    __slots__ = ("_loops",)
 
-    def __post_init__(self):
-        if type(self.provision_to_cap) is not bool:
-            raise ValueError(
-                f"provision_to_cap must be True or False, got {self.provision_to_cap!r}")
-        params = dict(self.params)
+    def __init__(self, catalog: EquipmentCatalog, params: Mapping[Segment, SegmentParams],
+                 traffic: TrafficModel, policy: ProvisioningPolicy, provision_to_cap: bool = True):
+        if type(provision_to_cap) is not bool:
+            raise ValueError(f"provision_to_cap must be True or False, got {provision_to_cap!r}")
+        params = dict(params)
         # Each term reads its own segment's entry, so each must be there, under its own key.
         for segment, _ in _SEGMENTS:
             if getattr(params.get(segment), "segment", None) is not segment:
@@ -361,7 +345,9 @@ class ModelConfig:
         if len(params) != len(_SEGMENTS):
             unknown = [key for key in params if key not in NODE_ORDER + LINK_ORDER]
             raise TopologyError(f"params holds unknown segments: {unknown!r}")
-        object.__setattr__(self, "params", MappingProxyType(params))
+        self.__dict__.update(catalog=catalog, params=MappingProxyType(params), traffic=traffic,
+                             policy=policy, provision_to_cap=provision_to_cap)
+        object.__setattr__(self, "_loops", {})
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through __init__: a mappingproxy cannot

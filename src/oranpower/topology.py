@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
 
@@ -27,6 +26,34 @@ def _count_errors(counts: Mapping[str, object]) -> dict[str, str]:
     return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
             for name, count in counts.items()
             if not (is_integer(count) and 1 <= count <= MAX_COUNT)}
+
+
+class Record:
+    """A frozen record whose fields are its ``vars``, stored in order by its ``__init__``.
+
+    Equality, hash and repr read the fields in that order, as a frozen dataclass's do.
+    ``__replace__(**changes)``, which ``copy.replace`` calls from Python 3.13, builds a
+    new record through the constructor, so every check runs again.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __replace__(self, **changes):
+        return type(self)(**{**vars(self), **changes})
 
 
 def check_counts(**counts: object) -> None:
@@ -82,8 +109,7 @@ _DEPTHS: dict[Segment, int] = {segment: depth for order in (NODE_ORDER, LINK_ORD
                                for depth, segment in enumerate(order)}
 
 
-@dataclass(frozen=True, init=False)
-class Topology:
+class Topology(Record):
     """Node counts and user population of one aggregation tree.
 
     ``n_users`` is derived as ``n_ru * users_per_ru``. ``du_fanout_cap``
@@ -92,14 +118,6 @@ class Topology:
     ``TopologyError`` that lists every violated structural invariant; the cap
     is a count like the others.
     """
-
-    n_ru: int
-    n_du: int
-    n_cu: int
-    n_dc: int
-    users_per_ru: int
-    du_fanout_cap: int | None = None
-    n_users: int = field(init=False)
 
     def __init__(self, n_ru: int, n_du: int, n_cu: int, n_dc: int, users_per_ru: int,
                  du_fanout_cap: int | None = None):
@@ -115,9 +133,14 @@ class Topology:
                              users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap,
                              n_users=n_ru * users_per_ru)
 
+    def __replace__(self, **changes):
+        fields = vars(self).copy()
+        del fields["n_users"]  # derived again, so the constructor rejects it as a change
+        fields.update(changes)
+        return type(self)(**fields)
 
-@dataclass(frozen=True)
-class SegmentParams:
+
+class SegmentParams(Record):
     """Modeling parameters of one node tier or transport segment.
 
     ``sigma`` covers cooling/conversion/distribution overhead and ``alpha``
@@ -129,35 +152,28 @@ class SegmentParams:
     takes only σ and α.
     """
 
-    segment: Segment
-    sigma: float
-    alpha: float
-    hops_switch: int = 0
-    hops_wdm: int = 0
-    hops_router: int = 0
-    gamma: int = 0
-
-    def __post_init__(self):
-        for name in ("sigma", "alpha"):
-            factor = getattr(self, name)
+    def __init__(self, segment: Segment, sigma: float, alpha: float, hops_switch: int = 0,
+                 hops_wdm: int = 0, hops_router: int = 0, gamma: int = 0):
+        for name, factor in (("sigma", sigma), ("alpha", alpha)):
             if not (math.isfinite(factor) and factor >= 1):
                 raise TopologyError(
-                    f"{self.segment.value}: {name} must be a finite number >= 1, got {factor}")
-        if not math.isfinite(self.alpha * self.sigma):
-            raise TopologyError(f"{self.segment.value}: alpha * sigma must be finite, "
-                                f"got {self.alpha} * {self.sigma}")
-        for name in ("hops_switch", "hops_wdm", "hops_router"):
-            hops = getattr(self, name)
-            if not (is_integer(hops) and 0 <= hops <= MAX_COUNT):
-                raise TopologyError(f"{self.segment.value}: {name} must be an integer >= 0 and "
-                                    f"<= 2**53, got {hops}")
-        if not (is_integer(self.gamma) and self.gamma in (0, 1)):  # not True, nor 1.0
-            raise TopologyError(f"{self.segment.value}: gamma must be 0 or 1, got {self.gamma}")
-        if isinstance(self.segment, Node):
-            for name in ("hops_switch", "hops_wdm", "hops_router", "gamma"):
-                if getattr(self, name):
-                    raise TopologyError(f"{self.segment.value}: {name} must be 0, as only links "
-                                        f"have hops and routers, got {getattr(self, name)}")
+                    f"{segment.value}: {name} must be a finite number >= 1, got {factor}")
+        if not math.isfinite(alpha * sigma):
+            raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
+                                f"got {alpha} * {sigma}")
+        hops = {"hops_switch": hops_switch, "hops_wdm": hops_wdm, "hops_router": hops_router}
+        for name, count in hops.items():
+            if not (is_integer(count) and 0 <= count <= MAX_COUNT):
+                raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
+                                    f"<= 2**53, got {count}")
+        if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
+            raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
+        if isinstance(segment, Node):
+            for name, value in {**hops, "gamma": gamma}.items():
+                if value:
+                    raise TopologyError(f"{segment.value}: {name} must be 0, as only links "
+                                        f"have hops and routers, got {value}")
+        self.__dict__.update(segment=segment, sigma=sigma, alpha=alpha, **hops, gamma=gamma)
 
 
 # Built once and shared, as SegmentParams is frozen; callers get a new list or dict.
@@ -181,20 +197,15 @@ def segment_map() -> dict[Segment, SegmentParams]:
     return dict(_DEFAULT_SEGMENT_MAP)
 
 
-@dataclass(frozen=True)
-class FanoutCase:
+class FanoutCase(Record):
     """A nodal fanout configuration: the whole number of children per parent at each tier."""
 
-    label: str
-    du_fanout: int
-    cu_fanout: int
-    dc_fanout: int
-
-    def __post_init__(self):
-        errors = _count_errors({name: getattr(self, name)
-                                for name in ("du_fanout", "cu_fanout", "dc_fanout")})
+    def __init__(self, label: str, du_fanout: int, cu_fanout: int, dc_fanout: int):
+        fanouts = {"du_fanout": du_fanout, "cu_fanout": cu_fanout, "dc_fanout": dc_fanout}
+        errors = _count_errors(fanouts)
         if errors:
-            raise TopologyError(f"{self.label}: " + "; ".join(errors.values()))
+            raise TopologyError(f"{label}: " + "; ".join(errors.values()))
+        self.__dict__.update(label=label, **fanouts)
 
 
 # O-RUs per O-DU in the sweep topology unless a caller sets the cap.

@@ -1,7 +1,6 @@
 """Reference helpers that only the tests use, built on the package's sizing primitives."""
 
 import math
-from dataclasses import replace
 
 from oranpower.catalog import energy_per_capacity
 from oranpower.configfile import (
@@ -14,6 +13,12 @@ from oranpower.configfile import (
 )
 from oranpower.powermodel import ModelConfig, _loop_factory, _Term, provision_units
 from oranpower.topology import LINK_ORDER, NODE_ORDER, Node, Topology
+
+
+def replace(record, /, **changes):
+    """``record`` with ``changes``, built again by its constructor, as ``copy.replace`` does
+    from Python 3.13."""
+    return record.__replace__(**changes)
 
 
 def equipment_power(load_gbps, spec, policy):
@@ -96,7 +101,7 @@ def reference_parse_config_text(text):
 
 
 def reference_load_config(text, config):
-    """``configfile.load_config`` as one ``dataclasses.replace`` per section over a map of all
+    """``configfile.load_config`` as one ``replace`` per section over a map of all
     17 sections, then of the catalog and the ``ModelConfig``: the loader's results and errors,
     built the slow way."""
     grouped: dict[object, dict[str, ConfigEntry]] = {}

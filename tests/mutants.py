@@ -65,10 +65,10 @@ MUTANTS = (
      "return isinstance(value, int)",
      "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
     ("any quantized value accepted", "powermodel.py",
-     "if type(self.quantized) is not bool:", "if False:",
+     "if type(quantized) is not bool:", "if False:",
      "tests/test_powermodel.py::TestConfigParams::test_flags_must_be_bools"),
     ("gamma tested by equality alone", "topology.py",
-     "if not (is_integer(self.gamma) and self.gamma in (0, 1)):", "if self.gamma not in (0, 1):",
+     "if not (is_integer(gamma) and gamma in (0, 1)):", "if gamma not in (0, 1):",
      "tests/test_topology.py::TestSegmentParamsValidation::test_gamma_must_be_the_int_0_or_1"),
     ("plain command line read without the choices test", "cli.py",
      "                self._check_value(action, value)\n", "",
@@ -82,12 +82,25 @@ MUTANTS = (
     ("changed segments dropped when the ModelConfig is built", "configfile.py",
      "    params.update(built)\n", "",
      "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
-    ("config section built without its checks", "configfile.py",
-     "    return type(section)(**{**vars(section), **values})\n",
-     "    built = object.__new__(type(section))\n"
-     "    built.__dict__.update({**vars(section), **values})\n"
-     "    return built\n",
-     "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
+    ("config section built without its checks", "topology.py",
+     "        return type(self)(**{**vars(self), **changes})\n",
+     "        record = object.__new__(type(self))\n"
+     "        record.__dict__.update({**vars(self), **changes})\n"
+     "        return record\n",
+     "tests/test_config.py::TestNanojoules::test_non_finite_and_negative_rejected_naming_the_key"),
+    ("__replace__ skips the constructor", "topology.py",
+     "        return type(self)(**{**vars(self), **changes})\n",
+     "        record = object.__new__(type(self))\n"
+     "        record.__dict__.update({**vars(self), **changes})\n"
+     "        return record\n",
+     "tests/test_powermodel.py::TestRecords::test_replace_derives_fields_again"),
+    ("loop cache kept in vars", "powermodel.py",
+     '    __slots__ = ("_loops",)\n', "",
+     "tests/test_powermodel.py::TestReusedConfig"
+     "::test_evaluating_changes_neither_equality_nor_replace"),
+    ("dataclasses imported again", "topology.py",
+     "import math\nfrom enum import Enum\n", "import dataclasses\nimport math\nfrom enum import Enum\n",
+     "tests/test_cli.py::TestImportFootprint"),
     ("a range's last count not checked", "experiments.py",
      "later = counts[-1:]", "later = counts[:1]",
      "tests/test_experiments.py::TestSweepRows"

@@ -14,6 +14,7 @@ ceiling. ``agrees`` accepts exactly that shortfall there and nothing else.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,29 +24,37 @@ NAMES = tuple(segment.value for segment in (*Node, *Link)) + ("ue",)
 # Gbps of a decimal gigabyte a month: 8e9 bits over a 30-day month, over 1e9 bit/s.
 _GBPS_PER_MONTHLY_GB = Fraction(8, 30 * 24 * 3600)
 _SNAP_ULPS, _SNAP_UNITS, _ROUNDING_ULPS = 4, Fraction(1, 2**20), 4
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def _sized(multiplier, power_w, capacity_gbps, policy, load):
-    """Exact watts of ``multiplier`` devices at one instance's load, and the watts that
-    the package leaves out when their ratio is in the snap region (else 0)."""
+    """Exact watts of ``multiplier`` devices at one instance's load, the watts that the
+    package leaves out when their ratio is in the snap region (else 0), and the largest
+    figure on the way to the watts: the load, the unit count, the count times the W/Gbps
+    ratio, or the watts themselves."""
     ratio = power_w / capacity_gbps
     if not policy.quantized:
-        return multiplier * ratio * load, 0
+        watts = multiplier * ratio * load
+        return watts, 0, max(load, watts)
     unit = Fraction(policy.unit_capacity_gbps or capacity_gbps)
     exact = load / unit
     units = max(policy.minimum_units, math.ceil(exact))
     above = exact - math.floor(exact)
     short = 0
-    if above and units > policy.minimum_units:
+    # A count beyond a float is inf units in the package, never one unit short.
+    if above and units > policy.minimum_units and exact < _FLOAT_MAX:
         ulp = Fraction(math.ulp(float(exact)))
         if above <= min(_SNAP_ULPS * ulp, _SNAP_UNITS) + _ROUNDING_ULPS * ulp:
             short = multiplier * ratio * unit
-    return multiplier * units * ratio * unit, short
+    watts = multiplier * units * ratio * unit
+    return watts, short, max(load, units, units * ratio, watts)
 
 
 def reference_terms(config, topology, placement):
-    """The exact per-user watts of each term in ``NAMES`` order, and for each term the
-    per-user watts of each device that the package may buy one unit short."""
+    """The exact per-user watts of each term in ``NAMES`` order; for each term the per-user
+    watts of each device that the package may buy one unit short; and the largest exact
+    figure of one instance of a term priced per cell (see ``_sized``), its watts summed
+    over its devices included, or 0 when there is none."""
     catalog, params, policy, traffic = config.catalog, config.params, config.policy, config.traffic
     rate = Fraction(traffic.monthly_gb_per_user) * _GBPS_PER_MONTHLY_GB
     ecpri = Fraction(traffic.ecpri_per_ru_gbps)
@@ -77,20 +86,22 @@ def reference_terms(config, topology, placement):
             (seg.hops_wdm + 1, *spec(catalog.wdm_link), policy.links),
             (seg.gamma * (seg.hops_router + 1), *spec(catalog.router), policy.routers)]))
 
-    terms, shortfalls = [], []
+    terms, shortfalls, peak = [], [], 0
     for segment, depth, devices in rows:
         scale = Fraction(params[segment].alpha) * Fraction(params[segment].sigma)
         if depth < bbp or segment is placement:  # eCPRI: an instance's watts times ρ
             rho = Fraction(counts[depth], n_users)
             sized = [_sized(*device, rus[depth] * ecpri) for device in devices]
-            terms.append(scale * rho * sum(watts for watts, _ in sized))
-            shortfalls.append([scale * rho * short for _, short in sized if short])
+            instance = sum(watts for watts, _, _ in sized)
+            terms.append(scale * rho * instance)
+            shortfalls.append([scale * rho * short for _, short, _ in sized if short])
+            peak = max(peak, instance, *(figure for _, _, figure in sized))
         else:  # baseband: each user's own rate, with no coverage weighting
             terms.append(scale * rate * sum(m * power / capacity
                                             for m, power, capacity, _ in devices))
             shortfalls.append([])
     terms.append(rate * 10**9 * Fraction(catalog.ue_energy_j_per_bit))
-    return terms, shortfalls + [[]]
+    return terms, shortfalls + [[]], peak
 
 
 def _close(watts, exact, tol):
@@ -100,7 +111,7 @@ def _close(watts, exact, tol):
 def agrees(breakdown, config, topology, placement, tol=1e-9):
     """Assert that every term of ``breakdown`` is within ``tol`` of exact, naming any that
     is not; return whether some term was accepted one unit short in the snap region."""
-    terms, shortfalls = reference_terms(config, topology, placement)
+    terms, shortfalls, _ = reference_terms(config, topology, placement)
     model = (*breakdown.nodes, *breakdown.segments, breakdown.ue_watts)
     snapped = False
     for name, watts, exact, shorts in zip(NAMES, model, terms, shortfalls):

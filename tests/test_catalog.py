@@ -1,7 +1,5 @@
 """Catalog defaults, spec invariants, and catalog keys applied by ``load_config``."""
 
-from dataclasses import replace
-
 import pytest
 
 from oranpower.catalog import (
@@ -14,6 +12,8 @@ from oranpower.catalog import (
 from oranpower.cli import build_parser, load_run_config
 from oranpower.configfile import ConfigError, TopologyCounts, load_config
 from oranpower.powermodel import ModelConfig
+
+from model_helpers import replace
 
 
 def rel_equal(a, b, tol=1e-12):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +20,7 @@ from oranpower.experiments import SWEEP_CHUNK
 from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import NODE_ORDER, Node, build_sweep_topology
 
+from model_helpers import replace
 from test_kernel import catalogs, params
 
 
@@ -215,6 +215,18 @@ class TestRowTemplates:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestImportFootprint:
+    def test_cli_loads_no_dataclasses_inspect_or_decimal(self):
+        # Each would cost every cold call milliseconds of set-up; dataclasses alone pulls in
+        # inspect, ast, dis and tokenize.
+        code = ("import sys; before = set(sys.modules); import oranpower.cli; "
+                "oranpower.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+        assert "oranpower.cli" in loaded.split()
+        assert {"dataclasses", "inspect", "decimal"}.isdisjoint(loaded.split())
 
 
 class TestClosedOutput:

@@ -1,20 +1,21 @@
 """The config-key table and ``load_config``: exact integer keys, the fields no key sets, the
 README key list, fuzzed config text, and agreement with the replace-per-section reference."""
 
+import inspect
 import math
-from dataclasses import fields, is_dataclass, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from model_helpers import reference_load_config
+from model_helpers import reference_load_config, replace
 
 from oranpower.catalog import CatalogError, EquipmentSpec, default_catalog
 from oranpower.configfile import CONFIG_KEYS, ConfigError, TopologyCounts, load_config
 from oranpower.powermodel import ModelConfig, ProvisioningPolicy, TrafficModel
-from oranpower.topology import Link, Node, TopologyError, segment_map
+from oranpower.topology import Link, Node, Record, TopologyError, segment_map
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 INPUT_ERRORS = (ConfigError, CatalogError, TopologyError)
@@ -70,7 +71,46 @@ class TestReadme:
         assert load(readme_config_block())[0] == ModelConfig.default()
 
 
+def decimal_nanojoules(text):
+    """A number literal in nJ as the nearest double in J, through ``Decimal``: the literal's
+    digits, their exponent lowered by 9, rounded once."""
+    value = float(text)
+    if not value or not math.isfinite(value):
+        return value
+    sign, digits, exponent = Decimal(text).as_tuple()
+    return float(Decimal((sign, digits, exponent - 9)))
+
+
+DIGITS = st.lists(st.text("0123456789", min_size=1, max_size=12), min_size=1,
+                  max_size=3).map("_".join)
+
+
+@st.composite
+def number_literals(draw):
+    """Float literals: a sign, digits with underscores, a point anywhere, and an exponent
+    that may carry a sign and leading zeros."""
+    whole, fraction = draw(st.one_of(
+        st.tuples(DIGITS, st.just(None)),
+        st.tuples(DIGITS, st.one_of(st.just(""), DIGITS)),
+        st.tuples(st.just(""), DIGITS)))
+    text = draw(st.sampled_from(["", "+", "-"])) + whole
+    if fraction is not None:
+        text += "." + fraction
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + "0" * draw(st.integers(0, 30)) + str(draw(st.integers(0, 400))))
+    return text
+
+
 class TestNanojoules:
+    @given(text=number_literals())
+    @example(text="1e" + "0" * 5000 + "7")
+    @example(text="-0.0e-0")
+    def test_reader_matches_a_decimal_reference(self, text):
+        # repr tells -0.0 from 0.0; the reader shifts the literal's exponent with no Decimal.
+        reader = CONFIG_KEYS["ue.energy_nj_per_bit"][2]
+        assert repr(reader(text)) == repr(decimal_nanojoules(text))
+
     @given(whole=st.text("0123456789", min_size=1, max_size=30),
            fraction=st.one_of(st.none(), st.text("0123456789", max_size=30)))
     def test_nearest_double_to_the_written_value(self, whole, fraction):
@@ -94,10 +134,10 @@ class TestNanojoules:
 
 
 def numbers(value):
-    """Every int and float inside a loaded config and counts: their dataclasses, maps and tuples."""
-    if is_dataclass(value):
-        for field in fields(value):
-            yield from numbers(getattr(value, field.name))
+    """Every int and float inside a loaded config and counts: their records, maps and tuples."""
+    if isinstance(value, Record):
+        for item in vars(value).values():
+            yield from numbers(item)
     elif isinstance(value, Mapping):
         for item in value.values():
             yield from numbers(item)
@@ -230,10 +270,11 @@ class TestMatchesReference:
         check_matches_reference(text, config)
 
     def test_each_section_holds_only_its_init_fields(self):
-        # load_config builds a section from its vars, so they must be exactly its init fields.
+        # load_config replaces a section through __replace__, which passes its vars to its
+        # constructor by name, so they must be exactly its init parameters.
         config = BASE_CONFIGS[0]
-        specs = [value for value in vars(config.catalog).values() if is_dataclass(value)]
+        specs = [value for value in vars(config.catalog).values() if isinstance(value, Record)]
         sections = [TopologyCounts(), config.catalog, *specs, *config.params.values()]
         assert len(specs) == 7
         for section in sections:
-            assert list(vars(section)) == [f.name for f in fields(section) if f.init]
+            assert list(vars(section)) == list(inspect.signature(type(section)).parameters)

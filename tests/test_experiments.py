@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -29,7 +28,7 @@ from oranpower.topology import (
 )
 
 import oracle
-from model_helpers import total_reduction
+from model_helpers import replace, total_reduction
 from test_kernel import configs, same_shape_configs
 
 ALL_PLACEMENTS = list(Node)
@@ -374,7 +373,6 @@ class TestReductionRatio:
         topo = build_sweep_topology(10, 10, 4)
         breakdown = linear_config.evaluate(topo, Node.ORU)
         zero = ModelConfig.default(policy=ProvisioningPolicy.all_linear())
-        from dataclasses import replace
         from oranpower.powermodel import TrafficModel
         silent_catalog = replace(zero.catalog, ue_energy_j_per_bit=0.0)
         silent = ModelConfig(silent_catalog, zero.params,

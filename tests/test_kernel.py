@@ -11,7 +11,6 @@ import copy
 import pickle
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +46,7 @@ from oranpower.topology import (
 )
 
 import oracle
-from model_helpers import per_part_breakdown
+from model_helpers import per_part_breakdown, replace
 
 EXTREME_FLOATS = (5e-324, 1e-300, 1e-12, 1e12, 1e300)
 EXTREME_COUNTS = (2**40, 2**53)

@@ -14,9 +14,8 @@ import re
 
 import pytest
 
-from dataclasses import FrozenInstanceError, replace
-
 from oranpower.catalog import default_catalog, energy_per_capacity
+from oranpower.configfile import TopologyCounts
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -41,7 +40,7 @@ from oranpower.topology import (
     segment_map,
 )
 
-from model_helpers import equipment_power, evaluate_parts
+from model_helpers import equipment_power, evaluate_parts, replace
 
 # Derived once from 10 GB/month * 8e9 bit/GB / (30*24*3600 s), in Gbps.
 USER_RATE_10GB = 3.08641975308642e-05
@@ -50,8 +49,44 @@ USER_RATE_10GB = 3.08641975308642e-05
 FRONTHAUL_BRACKET = 86.7 / 480 + 4265 / 9600          # 0.6248958333...
 MIDHAUL_BRACKET = 3000 / 25600 + 4265 / 9600          # 0.5614583333...
 BACKHAUL_BRACKET = MIDHAUL_BRACKET + 172 / 3200       # 0.6152083333...
-# What PowerBreakdown(...) and dataclasses.replace of a breakdown raise.
+# What PowerBreakdown(...) and replace of a breakdown raise.
 ONLY_EVALUATE = r"^only ModelConfig\.evaluate builds a PowerBreakdown$"
+# repr(ModelConfig.default()) as printed when the records were frozen dataclasses.
+DEFAULT_CONFIG_REPR = (
+    "ModelConfig(catalog=EquipmentCatalog(radio=EquipmentSpec(name='radio'"
+    ', rated_power_w=110.0, capacity_gbps=22.0)'
+    ", access_switch=EquipmentSpec(name='access_switch', rated_power_w=86.7"
+    ", capacity_gbps=480.0), core_switch=EquipmentSpec(name='core_switch'"
+    ', rated_power_w=3000.0, capacity_gbps=25600.0)'
+    ", wdm_link=EquipmentSpec(name='wdm_link', rated_power_w=4265.0"
+    ", capacity_gbps=9600.0), router=EquipmentSpec(name='router', rated_power_w=172.0"
+    ', capacity_gbps=3200.0), edge_server=ServerSpec(cores=4, per_core_power_w=6.0'
+    ', per_core_capacity_gbps=0.25, server_capacity_gbps=1.0)'
+    ', dc_server=ServerSpec(cores=20, per_core_power_w=5.5, per_core_capacity_gbps=0.25'
+    ', server_capacity_gbps=5.0), ue_energy_j_per_bit=2.5e-08)'
+    ", params=mappingproxy({<Node.ORU: 'oru'>: SegmentParams(segment=<Node.ORU: 'oru'>"
+    ', sigma=1.0, alpha=5.0, hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Node.ODU: 'odu'>: SegmentParams(segment=<Node.ODU: 'odu'>, sigma=2.0, alpha=5.0"
+    ', hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Node.OCU: 'ocu'>: SegmentParams(segment=<Node.OCU: 'ocu'>, sigma=2.0, alpha=5.0"
+    ', hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Node.DC: 'dc'>: SegmentParams(segment=<Node.DC: 'dc'>, sigma=1.5, alpha=1.3"
+    ', hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Link.FRONTHAUL: 'fronthaul'>: SegmentParams(segment=<Link.FRONTHAUL: 'fronthaul'>"
+    ', sigma=2.0, alpha=5.0, hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Link.MIDHAUL: 'midhaul'>: SegmentParams(segment=<Link.MIDHAUL: 'midhaul'>"
+    ', sigma=2.0, alpha=5.0, hops_switch=0, hops_wdm=0, hops_router=0, gamma=0)'
+    ", <Link.BACKHAUL: 'backhaul'>: SegmentParams(segment=<Link.BACKHAUL: 'backhaul'>"
+    ', sigma=1.5, alpha=2.0, hops_switch=0, hops_wdm=0, hops_router=0, gamma=1)})'
+    ', traffic=TrafficModel(monthly_gb_per_user=10.0, ecpri_per_ru_gbps=11.0)'
+    ', policy=ProvisioningPolicy(servers=ClassPolicy(quantized=True'
+    ', unit_capacity_gbps=None, minimum_units=0)'
+    ', node_interface=ClassPolicy(quantized=False, unit_capacity_gbps=None'
+    ', minimum_units=0), switches=ClassPolicy(quantized=False, unit_capacity_gbps=None'
+    ', minimum_units=0), links=ClassPolicy(quantized=False, unit_capacity_gbps=None'
+    ', minimum_units=0), routers=ClassPolicy(quantized=False, unit_capacity_gbps=None'
+    ', minimum_units=0)), provision_to_cap=True)'
+)
 
 
 @pytest.fixture
@@ -413,7 +448,7 @@ class TestTotalPower:
         for build in (PowerBreakdown, functools.partial(replace, breakdown)):
             with pytest.raises(TypeError, match=ONLY_EVALUATE):
                 build(**{total: 2.0})
-        with pytest.raises(FrozenInstanceError, match=total):
+        with pytest.raises(AttributeError, match=total):
             setattr(breakdown, total, 2.0)
         assert breakdown.total_watts == 1.75
 
@@ -429,7 +464,7 @@ class TestTotalPower:
 
 
 class TestRecords:
-    """Breakdowns and topologies behave as frozen dataclasses."""
+    """Breakdowns and topologies behave as frozen records."""
 
     @staticmethod
     def records():
@@ -442,7 +477,7 @@ class TestRecords:
     ])
     def test_fields_cannot_be_assigned(self, index, name):
         record = self.records()[index]
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(record, name, 1)
 
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
@@ -460,6 +495,23 @@ class TestRecords:
         assert replace(topology, n_ru=7).n_users == 21
         with pytest.raises(TopologyError, match=r"n_ru >= n_du violated \(1 < 2\)"):
             replace(topology, n_ru=1)
+
+    def test_derived_field_cannot_be_replaced(self):
+        with pytest.raises(TypeError, match="n_users"):
+            replace(self.records()[1], n_users=5)
+
+    def test_repr_and_hash_match_the_frozen_dataclasses(self):
+        # Literals captured when the records were frozen dataclasses; the hash is that of the
+        # tuple of the fields on a 64-bit build.
+        topology = Topology(8, 2, 1, 1, 3, 4)
+        assert repr(ModelConfig.default()) == DEFAULT_CONFIG_REPR
+        assert repr(topology) == ("Topology(n_ru=8, n_du=2, n_cu=1, n_dc=1, users_per_ru=3, "
+                                  "du_fanout_cap=4, n_users=24)")
+        assert repr(TopologyCounts()) == (
+            "TopologyCounts(n_ru=None, users_per_ru=None, du_fanout_cap=None)")
+        assert hash(topology) == -2122284510447695186
+        with pytest.raises(AttributeError, match="^cannot delete field 'n_ru'$"):
+            del topology.n_ru
 
 
 class TestConfigParams:

@@ -2,12 +2,11 @@
 
 import math
 import sys
-from dataclasses import replace
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oranpower.catalog import default_catalog
+from oranpower.catalog import ServerSpec, default_catalog
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -29,8 +28,8 @@ from oranpower.topology import (
 )
 
 import oracle
-from model_helpers import equipment_power, evaluate_parts, per_part_breakdown
-from test_kernel import catalogs, params, policies, topologies
+from model_helpers import equipment_power, evaluate_parts, per_part_breakdown, replace
+from test_kernel import catalogs, params, policies, positive, topologies, valid_or
 
 PLACEMENTS = list(Node)
 
@@ -168,20 +167,42 @@ def wide_topologies(draw):
                     du_fanout_cap=draw(st.one_of(st.none(), st.integers(1, MAX_COUNT))))
 
 
+# Units and server capacities this small give unit counts on both sides of a float's largest.
+TINY = st.one_of(st.just(1e-307), st.floats(1e-307, 1e-300))
+
+
+@st.composite
+def tiny_unit_policies(draw):
+    """Policies whose quantized classes have units of ``TINY`` Gbps, or the device's own, and
+    no minimum: a minimum of ``TINY`` units at no load would be a subnormal term."""
+    quantized = st.builds(ClassPolicy.quantize, st.one_of(st.none(), TINY))
+    return ProvisioningPolicy(*(draw(st.one_of(st.just(ClassPolicy.linear()), quantized))
+                                for _ in range(5)))
+
+
 @st.composite
 def wide_configs(draw):
-    """Random configs; in one of four, factors up to 1e300 and traffic up to 1e150.
+    """Random configs; in one of four, factors up to 1e300 and traffic up to 1e150, and in
+    another, 1-core servers of ``TINY`` Gbps and classes quantized in ``TINY`` units.
 
     Rates stay 0 or at least 1e-6, so no term is a subnormal float that has lost bits. An
     eCPRI rate of 7 Gbps meets the 0.7 Gbps units of ``class_policies`` in the snap region.
     """
-    extreme = draw(st.integers(0, 3)) == 0
+    kind = draw(st.integers(0, 3))
+    extreme = kind == 0
     rate = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.just(7.0))
     if extreme:
         rate = st.one_of(rate, st.just(1e150))
-    return ModelConfig(draw(catalogs(False)), draw(params(extreme)),
-                       TrafficModel(draw(rate), draw(rate)), draw(policies(False)),
-                       draw(st.booleans()))
+    catalog, policy = draw(catalogs(False)), draw(policies(False))
+    if kind == 1:
+        servers = {}
+        for name in ("edge_server", "dc_server"):
+            capacity = draw(TINY)
+            servers[name] = valid_or(getattr(catalog, name), ServerSpec, 1,
+                                     draw(st.one_of(TINY, positive(False))), capacity, capacity)
+        catalog, policy = replace(catalog, **servers), draw(tiny_unit_policies())
+    return ModelConfig(catalog, draw(params(extreme)), TrafficModel(draw(rate), draw(rate)),
+                       policy, draw(st.booleans()))
 
 
 class TestOracleAgreement:
@@ -191,14 +212,19 @@ class TestOracleAgreement:
     def test_enumeration_matches_closed_form(self, config, topology, placement):
         # Outside the snap region every term is within 1e-9 of exact; P_T = P_pr + P_tr;
         # and no term is below that of the same config sized linearly. The model overflows
-        # only where the exact total is beyond a float too.
+        # exactly where the exact total is beyond a float, or a figure of one instance of a
+        # term priced per cell is (a unit count, a count times its W/Gbps ratio, a device's
+        # or the instance's watts), even when the exact total is within.
+        terms, _, peak = oracle.reference_terms(config, topology, placement)
+        if peak > sys.float_info.max and sum(terms) < sys.float_info.max:
+            event("an instance figure beyond a float, the exact total within")
         try:
             breakdown = config.evaluate(topology, placement)
         except PowerOverflowError:
             event("overflows a float")
-            terms, _ = oracle.reference_terms(config, topology, placement)
-            assert sum(terms) > (1 - 1e-9) * sys.float_info.max
+            assert max(sum(terms), peak) > (1 - 1e-9) * sys.float_info.max
             return
+        assert peak < (1 + 1e-9) * sys.float_info.max
         if oracle.agrees(breakdown, config, topology, placement):
             event("a term one unit short in the snap region")
         assert breakdown.total_watts == (breakdown.processing_watts
