@@ -28,12 +28,17 @@ class EquipmentSpec(Record):
     """
 
     def __init__(self, name: str, rated_power_w: float, capacity_gbps: float):
-        for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
-            if not (math.isfinite(value) and value > 0):
-                raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
-        if not math.isfinite(rated_power_w / capacity_gbps):
-            raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
-                               f"got {rated_power_w} / {capacity_gbps}")
+        # One test passes every valid spec of floats; the checks below name what fails.
+        if not (type(rated_power_w) is type(capacity_gbps) is float
+                and math.inf > rated_power_w > 0.0 and math.inf > capacity_gbps > 0.0
+                and rated_power_w / capacity_gbps < math.inf):
+            for field, value in (("rated_power_w", rated_power_w),
+                                 ("capacity_gbps", capacity_gbps)):
+                if not (math.isfinite(value) and value > 0):
+                    raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
+            if not math.isfinite(rated_power_w / capacity_gbps):
+                raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
+                                   f"got {rated_power_w} / {capacity_gbps}")
         self.__dict__.update(name=name, rated_power_w=rated_power_w, capacity_gbps=capacity_gbps)
 
 
@@ -53,26 +58,38 @@ class ServerSpec(Record):
 
     def __init__(self, cores: int, per_core_power_w: float, per_core_capacity_gbps: float,
                  server_capacity_gbps: float):
-        if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
-            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
-        fields = {"per_core_power_w": per_core_power_w,
-                  "per_core_capacity_gbps": per_core_capacity_gbps,
-                  "server_capacity_gbps": server_capacity_gbps}
-        for field, value in fields.items():
-            if not (math.isfinite(value) and value > 0):
-                raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
-        expected = cores * per_core_capacity_gbps
-        if (not math.isfinite(expected)
-                or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
-            raise CatalogError(
-                "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
-                f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
-            )
-        if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
-            raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must be "
-                               f"finite, got {cores} * {per_core_power_w} / "
-                               f"{server_capacity_gbps}")
-        self.__dict__.update(cores=cores, **fields)
+        # One test passes every valid spec of an int and floats; the checks below name what fails.
+        if not (type(cores) is int and MAX_COUNT >= cores >= 1
+                and type(per_core_power_w) is type(per_core_capacity_gbps)
+                is type(server_capacity_gbps) is float
+                and math.inf > per_core_power_w > 0.0 and math.inf > per_core_capacity_gbps > 0.0
+                and math.inf > server_capacity_gbps > 0.0
+                and math.inf > (expected := cores * per_core_capacity_gbps)
+                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected
+                and cores * per_core_power_w / server_capacity_gbps < math.inf):
+            if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
+                raise CatalogError(
+                    f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
+            fields = {"per_core_power_w": per_core_power_w,
+                      "per_core_capacity_gbps": per_core_capacity_gbps,
+                      "server_capacity_gbps": server_capacity_gbps}
+            for field, value in fields.items():
+                if not (math.isfinite(value) and value > 0):
+                    raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
+            expected = cores * per_core_capacity_gbps
+            if (not math.isfinite(expected)
+                    or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
+                raise CatalogError(
+                    "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
+                    f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
+                )
+            if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
+                raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must "
+                                   f"be finite, got {cores} * {per_core_power_w} / "
+                                   f"{server_capacity_gbps}")
+        self.__dict__.update(cores=cores, per_core_power_w=per_core_power_w,
+                             per_core_capacity_gbps=per_core_capacity_gbps,
+                             server_capacity_gbps=server_capacity_gbps)
 
     @property
     def rated_power_w(self) -> float:

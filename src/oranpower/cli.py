@@ -6,7 +6,6 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
@@ -55,15 +54,26 @@ CSV_COLUMNS = (
     "p_node_oru_w", "p_node_odu_w", "p_node_ocu_w", "p_node_dc_w",
     "p_seg_fronthaul_w", "p_seg_midhaul_w", "p_seg_backhaul_w", "p_ue_w",
 )
+# An eval's CSV data line: n_ru, the placement and the CSV_COLUMNS watts, rendered as the
+# sweep's row loops render theirs.
+_CSV_ROW = "%s,%s," + ",".join(["%.6g"] * len(CSV_COLUMNS)) + "\n"
+
+
+@functools.cache
+def _base_config(policy: str, attached_load: bool) -> ModelConfig:
+    """The config of ``--policy`` and ``--attached-load`` alone: frozen, so built once and
+    shared, with the row loops it binds."""
+    return ModelConfig(default_catalog(), segment_map(), _TRAFFIC, _POLICIES[policy],
+                       provision_to_cap=not attached_load)
 
 
 def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
     """The ``ModelConfig`` the flags ask for, with ``--config`` applied, and its topology counts."""
-    config = ModelConfig(default_catalog(), segment_map(), _TRAFFIC, _POLICIES[args.policy],
-                         provision_to_cap=not args.attached_load)
+    config = _base_config(args.policy, args.attached_load)
     if args.config is None:
         return config, TopologyCounts()
-    with open(args.config, "rb") as handle:  # splitlines() ends lines as text mode would
+    # One unbuffered read of the whole file; splitlines() ends lines as text mode would.
+    with open(args.config, "rb", buffering=0) as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
@@ -160,17 +170,17 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     n_ru = _topology_value(args, counts, "n_ru", None, parser)
     users_per_ru = _topology_value(args, counts, "users_per_ru", None, parser)
     du_fanout_cap = _topology_value(args, counts, "du_fanout_cap", DEFAULT_DU_FANOUT_CAP, parser)
-    placement = Node(args.bbp)
+    topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
+    breakdown = config.evaluate(topology, Node(args.bbp))  # before the output is opened
     if args.format == "table":
-        topology = build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
-        lines = [_render_eval_table(topology, args.policy, config.evaluate(topology, placement))]
-    else:  # a one-count sweep, which evaluates its cell before the output is opened
+        lines = [_render_eval_table(topology, args.policy, breakdown)]
+    else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        chunks = sweep_chunks([n_ru], users_per_ru, [placement], config, du_fanout_cap,
-                              csv=True)
-        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
-                           map("".join, chunks))
+        row = _CSV_ROW % (n_ru, breakdown.placement.value, breakdown.processing_watts,
+                          breakdown.transmission_watts, breakdown.total_watts, *breakdown.nodes,
+                          *breakdown.segments, breakdown.ue_watts)
+        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
     return _emit(lines, args.output, stdout)
 
 
@@ -335,23 +345,26 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None,
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     subparser = parser.subcommands.get(argv[0]) if argv else None
-    with redirect_stdout(stdout), redirect_stderr(stderr):  # argparse prints to sys.stdout/err
-        try:
-            # One pass: in parse_args the top-level parser scans each token before the subparser.
-            args, extras = (subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                            if subparser else parser.parse_known_args(argv))
-            if extras:  # as parse_args reports them
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            # Looked up on each call, not stored in the parser that is built once, so a
-            # replaced cmd_* function (a test double, a tracing wrapper) is the one called.
-            handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
-            # The subcommand's parser, so a usage error in the handler shows its usage.
-            return handler(args, parser.subcommands[args.command], stdout)
-        except SystemExit as exc:  # a usage error or --help, while parsing or in a handler
-            return int(exc.code) if exc.code is not None else EXIT_OK
-        except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:
-            print(f"error: {exc}", file=stderr)
-            return EXIT_DATA_ERROR
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = stdout, stderr  # argparse prints to sys.stdout/err
+    try:
+        # One pass: in parse_args the top-level parser scans each token before the subparser.
+        args, extras = (subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                        if subparser else parser.parse_known_args(argv))
+        if extras:  # as parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        # Looked up on each call, not stored in the parser that is built once, so a
+        # replaced cmd_* function (a test double, a tracing wrapper) is the one called.
+        handler = {"eval": cmd_eval, "sweep": cmd_sweep, "fanout": cmd_fanout}[args.command]
+        # The subcommand's parser, so a usage error in the handler shows its usage.
+        return handler(args, parser.subcommands[args.command], stdout)
+    except SystemExit as exc:  # a usage error or --help, while parsing or in a handler
+        return int(exc.code) if exc.code is not None else EXIT_OK
+    except (ConfigError, CatalogError, TopologyError, PowerOverflowError, OSError) as exc:
+        print(f"error: {exc}", file=stderr)
+        return EXIT_DATA_ERROR
+    finally:
+        sys.stdout, sys.stderr = saved
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from .topology import (
     Node,
     build_sweep_topology,
     from_fanout_case,
+    is_integer,
 )
 
 # Smallest O-RU count divisible by every built-in fanout chain (C-2/C-3/C-4
@@ -90,7 +91,7 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
 
 def _bad_count(n_ru) -> bool:
     """Whether ``n_ru`` fails Topology's count test, but for the lower bound."""
-    return not ((type(n_ru) is int or isinstance(n_ru, int)) and n_ru <= MAX_COUNT)
+    return not (is_integer(n_ru) and n_ru <= MAX_COUNT)
 
 
 def _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops):

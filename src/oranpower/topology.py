@@ -154,26 +154,36 @@ class SegmentParams(Record):
 
     def __init__(self, segment: Segment, sigma: float, alpha: float, hops_switch: int = 0,
                  hops_wdm: int = 0, hops_router: int = 0, gamma: int = 0):
-        for name, factor in (("sigma", sigma), ("alpha", alpha)):
-            if not (math.isfinite(factor) and factor >= 1):
-                raise TopologyError(
-                    f"{segment.value}: {name} must be a finite number >= 1, got {factor}")
-        if not math.isfinite(alpha * sigma):
-            raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
-                                f"got {alpha} * {sigma}")
-        hops = {"hops_switch": hops_switch, "hops_wdm": hops_wdm, "hops_router": hops_router}
-        for name, count in hops.items():
-            if not (is_integer(count) and 0 <= count <= MAX_COUNT):
-                raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
-                                    f"<= 2**53, got {count}")
-        if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
-            raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
-        if isinstance(segment, Node):
-            for name, value in {**hops, "gamma": gamma}.items():
-                if value:
-                    raise TopologyError(f"{segment.value}: {name} must be 0, as only links "
-                                        f"have hops and routers, got {value}")
-        self.__dict__.update(segment=segment, sigma=sigma, alpha=alpha, **hops, gamma=gamma)
+        # One test passes every valid entry of float factors and int counts, a tier's counts
+        # all 0; the checks below name what fails.
+        if not (type(sigma) is type(alpha) is float and sigma >= 1.0 and alpha >= 1.0
+                and alpha * sigma < math.inf
+                and type(hops_switch) is type(hops_wdm) is type(hops_router) is type(gamma) is int
+                and MAX_COUNT >= hops_switch >= 0 and MAX_COUNT >= hops_wdm >= 0
+                and MAX_COUNT >= hops_router >= 0 and 1 >= gamma >= 0
+                and (type(segment) is Link
+                     or not (hops_switch or hops_wdm or hops_router or gamma))):
+            for name, factor in (("sigma", sigma), ("alpha", alpha)):
+                if not (math.isfinite(factor) and factor >= 1):
+                    raise TopologyError(
+                        f"{segment.value}: {name} must be a finite number >= 1, got {factor}")
+            if not math.isfinite(alpha * sigma):
+                raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
+                                    f"got {alpha} * {sigma}")
+            hops = {"hops_switch": hops_switch, "hops_wdm": hops_wdm, "hops_router": hops_router}
+            for name, count in hops.items():
+                if not (is_integer(count) and 0 <= count <= MAX_COUNT):
+                    raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
+                                        f"<= 2**53, got {count}")
+            if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
+                raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
+            if isinstance(segment, Node):
+                for name, value in {**hops, "gamma": gamma}.items():
+                    if value:
+                        raise TopologyError(f"{segment.value}: {name} must be 0, as only links "
+                                            f"have hops and routers, got {value}")
+        self.__dict__.update(segment=segment, sigma=sigma, alpha=alpha, hops_switch=hops_switch,
+                             hops_wdm=hops_wdm, hops_router=hops_router, gamma=gamma)
 
 
 # Built once and shared, as SegmentParams is frozen; callers get a new list or dict.

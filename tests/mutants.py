@@ -115,6 +115,32 @@ MUTANTS = (
     ("rows in (depth, n_ru) order, each loop's rows in turn", "powermodel.py",
      "rows = [*chain.from_iterable(zip(*done))]", "rows = [*chain.from_iterable(done)]",
      "tests/test_experiments.py::TestSweep::test_cardinality_and_order"),
+    ("a listed True merged with a listed 1", "experiments.py",
+     "return not (is_integer(n_ru) and n_ru <= MAX_COUNT)",
+     "return not (isinstance(n_ru, int) and n_ru <= MAX_COUNT)",
+     "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
+    ("SegmentParams' one test without the alpha * sigma bound", "topology.py",
+     "                and alpha * sigma < math.inf\n", "",
+     "tests/test_topology.py::TestSegmentParamsValidation::test_overflowing_alpha_sigma_rejected"),
+    ("EquipmentSpec's one test without the capacity's upper bound", "catalog.py",
+     "math.inf > capacity_gbps > 0.0", "capacity_gbps > 0.0",
+     "tests/test_cli.py::TestConfigHandling::test_catalog_error_names_key_and_says_finite"),
+    ("ServerSpec's one test without the capacity product", "catalog.py",
+     "                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected\n", "",
+     "tests/test_catalog.py::TestSpecValidation::test_server_capacity_consistency"),
+    ("ModelConfig without the test for unknown segments", "powermodel.py",
+     "        if len(params) != len(_SEGMENTS):\n", "        if False:\n",
+     "tests/test_powermodel.py::TestConfigParams::test_unknown_key_rejected"),
+    ("Topology's one test admitting 2**53 + 1", "topology.py",
+     "and MAX_COUNT >= n_ru >= n_du", "and MAX_COUNT + 1 >= n_ru >= n_du",
+     "tests/test_topology.py::TestValidate::test_count_above_2_53_rejected"),
+    ("Topology's one test without the cap's type test", "topology.py",
+     "or type(du_fanout_cap) is int and MAX_COUNT", "or MAX_COUNT",
+     "tests/test_topology.py::TestValidate::test_bad_fanout_cap_rejected"),
+    ("the flags' base config rebuilt on each call", "cli.py",
+     "@functools.cache\ndef _base_config", "def _base_config",
+     "tests/test_cli.py::TestConfigHandling"
+     "::test_flags_alone_share_one_config_per_policy_and_load"),
 )
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oranpower import cli
-from oranpower.cli import CSV_COLUMNS, build_parser, main
+from oranpower.cli import CSV_COLUMNS, build_parser, load_run_config, main
 from oranpower.configfile import TopologyCounts, load_config
 from oranpower.experiments import SWEEP_CHUNK
 from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
@@ -293,6 +293,33 @@ class TestConfigHandling:
         breakdown = config.evaluate(build_sweep_topology(24, 6, 3), Node.ODU)
         row = reference_row(24, breakdown)
         assert out.endswith("n_ru,placement," + ",".join(CSV_COLUMNS) + "\n" + row + "\n")
+
+    def test_flags_alone_share_one_config_per_policy_and_load(self, tmp_path):
+        def load(policy, attached, *flags):
+            argv = ["eval", "--bbp", "dc", "--policy", policy, *flags]
+            return load_run_config(build_parser().parse_args(
+                argv + (["--attached-load"] if attached else [])))[0]
+
+        keys = [(policy, attached) for policy in ("linear", "quantized")
+                for attached in (False, True)]
+        shared = {key: load(*key) for key in keys}
+        assert len({id(config) for config in shared.values()}) == len(keys)
+        path = tmp_path / "run.cfg"
+        path.write_text("segment.odu.sigma = 3\nradio.power_w = 150\n")
+        for policy, attached in keys:
+            config = shared[policy, attached]
+            assert load(policy, attached) is config
+            topology = build_sweep_topology(24, 6)
+            for node in NODE_ORDER:  # binds the shared config's loops
+                config.evaluate(topology, node)
+            loaded = load(policy, attached, "--config", str(path))
+            assert loaded is not config and loaded.params[Node.ODU].sigma == 3.0
+            fresh = ModelConfig.default(ProvisioningPolicy.all_linear() if policy == "linear"
+                                        else ProvisioningPolicy.default())
+            fresh = replace(fresh, provision_to_cap=not attached)
+            assert config == fresh and repr(config) == repr(fresh)
+            assert [config.evaluate(topology, node) for node in NODE_ORDER] == [
+                fresh.evaluate(topology, node) for node in NODE_ORDER]
 
     def test_fronthaul_and_midhaul_router_hops_change_nothing(self, tmp_path):
         argv = ["eval", "--n-ru", "100", "--users-per-ru", "10", "--bbp", "dc", "--format", "csv"]

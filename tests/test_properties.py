@@ -6,7 +6,7 @@ import sys
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oranpower.catalog import ServerSpec, default_catalog
+from oranpower.catalog import CatalogError, EquipmentSpec, ServerSpec, default_catalog
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -19,7 +19,9 @@ from oranpower.topology import (
     LINK_ORDER,
     MAX_COUNT,
     NODE_ORDER,
+    Link,
     Node,
+    SegmentParams,
     Topology,
     TopologyError,
     build_sweep_topology,
@@ -327,6 +329,132 @@ def tree_counts(draw):
     return counts
 
 
+# The per-field checks of the three config records, as they were before each gained one
+# combined test for valid input: a rejected input must still raise these errors.
+
+def per_field_segment_params(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
+    for name, factor in (("sigma", sigma), ("alpha", alpha)):
+        if not (math.isfinite(factor) and factor >= 1):
+            raise TopologyError(
+                f"{segment.value}: {name} must be a finite number >= 1, got {factor}")
+    if not math.isfinite(alpha * sigma):
+        raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
+                            f"got {alpha} * {sigma}")
+    hops = {"hops_switch": hops_switch, "hops_wdm": hops_wdm, "hops_router": hops_router}
+    for name, count in hops.items():
+        if not (isinstance(count, int) and not isinstance(count, bool) and 0 <= count <= 2**53):
+            raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
+                                f"<= 2**53, got {count}")
+    if not (isinstance(gamma, int) and not isinstance(gamma, bool) and gamma in (0, 1)):
+        raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
+    if isinstance(segment, Node):
+        for name, value in {**hops, "gamma": gamma}.items():
+            if value:
+                raise TopologyError(f"{segment.value}: {name} must be 0, as only links "
+                                    f"have hops and routers, got {value}")
+    return segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma
+
+
+def per_field_equipment_spec(name, rated_power_w, capacity_gbps):
+    for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
+        if not (math.isfinite(value) and value > 0):
+            raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
+    if not math.isfinite(rated_power_w / capacity_gbps):
+        raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
+                           f"got {rated_power_w} / {capacity_gbps}")
+    return name, rated_power_w, capacity_gbps
+
+
+def per_field_server_spec(cores, per_core_power_w, per_core_capacity_gbps, server_capacity_gbps):
+    if not (isinstance(cores, int) and not isinstance(cores, bool) and 1 <= cores <= 2**53):
+        raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
+    fields = {"per_core_power_w": per_core_power_w,
+              "per_core_capacity_gbps": per_core_capacity_gbps,
+              "server_capacity_gbps": server_capacity_gbps}
+    for field, value in fields.items():
+        if not (math.isfinite(value) and value > 0):
+            raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
+    expected = cores * per_core_capacity_gbps
+    if not math.isfinite(expected) or abs(server_capacity_gbps - expected) > 1e-12 * expected:
+        raise CatalogError(
+            "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
+            f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})")
+    if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
+        raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must be "
+                           f"finite, got {cores} * {per_core_power_w} / {server_capacity_gbps}")
+    return cores, per_core_power_w, per_core_capacity_gbps, server_capacity_gbps
+
+
+# The documented rules of each record, one predicate each.
+
+def is_count(value, low):
+    """An int, but no bool, from ``low`` to 2**53."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= 2**53
+
+
+def segment_params_rules(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
+    hops = (hops_switch, hops_wdm, hops_router)
+    return (math.isfinite(sigma) and sigma >= 1 and math.isfinite(alpha) and alpha >= 1
+            and math.isfinite(alpha * sigma)
+            and all(is_count(count, 0) for count in hops) and is_count(gamma, 0) and gamma <= 1
+            and (isinstance(segment, Link) or hops == (0, 0, 0) and gamma == 0))
+
+
+def equipment_spec_rules(name, rated_power_w, capacity_gbps):
+    return (math.isfinite(rated_power_w) and rated_power_w > 0
+            and math.isfinite(capacity_gbps) and capacity_gbps > 0
+            and math.isfinite(rated_power_w / capacity_gbps))
+
+
+def server_spec_rules(cores, per_core_power_w, per_core_capacity_gbps, server_capacity_gbps):
+    if not (is_count(cores, 1) and all(math.isfinite(value) and value > 0 for value in (
+            per_core_power_w, per_core_capacity_gbps, server_capacity_gbps))):
+        return False
+    expected = cores * per_core_capacity_gbps
+    return (math.isfinite(expected)
+            and abs(server_capacity_gbps - expected) <= 1e-12 * expected
+            and math.isfinite(cores * per_core_power_w / server_capacity_gbps))
+
+
+class Subfloat(float):
+    """A float subclass, which each record leaves to its per-field checks."""
+
+
+REALS = st.one_of(
+    st.floats(1.0, 64.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1.0, 1e308,
+                     1.7976931348623157e308]),
+    st.integers(-1, 64),
+    st.booleans(),
+    st.floats(0.5, 64.0).map(Subfloat),
+)
+HOP_COUNT = st.one_of(st.integers(0, 3),
+                      st.sampled_from([0, 2**53, 2**53 + 1, -1, True, False, 1.0, 0.0]))
+# Hop counts and gamma: often all 0, as a tier's must be.
+LINK_COUNTS = st.one_of(
+    st.just((0, 0, 0, 0)),
+    st.tuples(HOP_COUNT, HOP_COUNT, HOP_COUNT,
+              st.sampled_from([0, 1, 2, -1, True, False, 1.0, 0.0, Subfloat(1.0)])))
+
+
+@st.composite
+def server_fields(draw):
+    """Cores and three reals, the server capacity often cores times the per-core capacity."""
+    cores = draw(st.one_of(st.integers(1, 64),
+                           st.sampled_from([0, -1, 2**53, 2**53 + 1, True, 4.0])))
+    power, capacity = draw(REALS), draw(REALS)
+    if draw(st.booleans()):
+        total = cores * capacity * draw(st.sampled_from([1, 1.0, 1 + 1e-13, 1 + 1e-11]))
+    else:
+        total = draw(REALS)
+    return cores, power, capacity, total
+
+
+def fields_of(record):
+    return tuple(vars(record).values())
+
+
 class TestSinglePassChecksMatchPerFieldChecks:
     """A record accepts exactly what the per-field checks accept, and fails with their error."""
 
@@ -362,3 +490,31 @@ class TestSinglePassChecksMatchPerFieldChecks:
                 == outcome(per_count_sweep_topology, n_ru, users_per_ru, cap))
         counts = {"n_ru": n_ru, "users_per_ru": users_per_ru, "du_fanout_cap": cap}
         assert outcome(check_counts, **counts) == outcome(per_count_check, **counts)
+
+    @given(segment=st.sampled_from(NODE_ORDER + LINK_ORDER), sigma=REALS, alpha=REALS,
+           counts=LINK_COUNTS)
+    @settings(max_examples=400, deadline=None)
+    def test_segment_params(self, segment, sigma, alpha, counts):
+        got = outcome(lambda: fields_of(SegmentParams(segment, sigma, alpha, *counts)))
+        assert got == outcome(per_field_segment_params, segment, sigma, alpha, *counts)
+        accepted = segment_params_rules(segment, sigma, alpha, *counts)
+        event(f"accepted: {accepted}")
+        assert (got[0] == "ok") is accepted
+
+    @given(rated_power_w=REALS, capacity_gbps=REALS)
+    @settings(max_examples=400, deadline=None)
+    def test_equipment_spec(self, rated_power_w, capacity_gbps):
+        got = outcome(lambda: fields_of(EquipmentSpec("radio", rated_power_w, capacity_gbps)))
+        assert got == outcome(per_field_equipment_spec, "radio", rated_power_w, capacity_gbps)
+        accepted = equipment_spec_rules("radio", rated_power_w, capacity_gbps)
+        event(f"accepted: {accepted}")
+        assert (got[0] == "ok") is accepted
+
+    @given(fields=server_fields())
+    @settings(max_examples=400, deadline=None)
+    def test_server_spec(self, fields):
+        got = outcome(lambda: fields_of(ServerSpec(*fields)))
+        assert got == outcome(per_field_server_spec, *fields)
+        accepted = server_spec_rules(*fields)
+        event(f"accepted: {accepted}")
+        assert (got[0] == "ok") is accepted

@@ -261,6 +261,10 @@ class TestValidate:
         pytest.param(lambda: sweep_orus([2, True], 10, [Node.ODU], ModelConfig.default()),
                      TopologyError, "invalid topology: n_ru must be an integer >= 1",
                      id="sweep"),
+        # True equals 1, so a set of the counts would merge it with a 1 listed beside it.
+        pytest.param(lambda: sweep_orus([2, 1, True], 10, [Node.DC], ModelConfig.default()),
+                     TopologyError, "invalid topology: n_ru must be an integer >= 1",
+                     id="sweep-beside-1"),
         pytest.param(lambda: FanoutCase("x", 1, True, 1), TopologyError,
                      "x: cu_fanout must be an integer >= 1", id="fanout-case"),
         pytest.param(lambda: from_fanout_case(FanoutCase("x", 1, 1, 1), 4, True), TopologyError,
