@@ -164,6 +164,8 @@ _COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
 # Every term in plan order, the tiers and then the links, with its depth.
 _SEGMENTS: tuple[tuple[Segment, int], ...] = tuple(
     (segment, segment.depth) for segment in NODE_ORDER + LINK_ORDER)
+# The segments alone, as a list that a config's keys and entries compare with.
+_SEGMENT_KEYS = list(NODE_ORDER + LINK_ORDER)
 # The names of a cell's parts in compiled source: the tiers, the links, then the UE.
 _PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_watts")
 # The 11 per-user figures of a cell, in CSV_COLUMNS order.
@@ -338,13 +340,19 @@ class ModelConfig(Record):
             raise ValueError(f"provision_to_cap must be True or False, got {provision_to_cap!r}")
         params = dict(params)
         # Each term reads its own segment's entry, so each must be there, under its own key.
-        for segment, _ in _SEGMENTS:
-            if getattr(params.get(segment), "segment", None) is not segment:
-                raise TopologyError(f"params[{segment.value}] must be the SegmentParams of "
-                                    f"{segment.value}, got {params.get(segment)!r}")
-        if len(params) != len(_SEGMENTS):
-            unknown = [key for key in params if key not in NODE_ORDER + LINK_ORDER]
-            raise TopologyError(f"params holds unknown segments: {unknown!r}")
+        # One comparison passes every such map in plan order; the walk below names what fails.
+        try:
+            valid = [*params] == _SEGMENT_KEYS == [entry.segment for entry in params.values()]
+        except AttributeError:
+            valid = False
+        if not valid:
+            for segment, _ in _SEGMENTS:
+                if getattr(params.get(segment), "segment", None) is not segment:
+                    raise TopologyError(f"params[{segment.value}] must be the SegmentParams of "
+                                        f"{segment.value}, got {params.get(segment)!r}")
+            if len(params) != len(_SEGMENTS):
+                unknown = [key for key in params if key not in _SEGMENT_KEYS]
+                raise TopologyError(f"params holds unknown segments: {unknown!r}")
         self.__dict__.update(catalog=catalog, params=MappingProxyType(params), traffic=traffic,
                              policy=policy, provision_to_cap=provision_to_cap)
         object.__setattr__(self, "_loops", {})

@@ -129,8 +129,15 @@ MUTANTS = (
      "                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected\n", "",
      "tests/test_catalog.py::TestSpecValidation::test_server_capacity_consistency"),
     ("ModelConfig without the test for unknown segments", "powermodel.py",
-     "        if len(params) != len(_SEGMENTS):\n", "        if False:\n",
+     "            if len(params) != len(_SEGMENTS):\n", "            if False:\n",
      "tests/test_powermodel.py::TestConfigParams::test_unknown_key_rejected"),
+    ("ModelConfig's one comparison without the entries' segments", "powermodel.py",
+     "valid = [*params] == _SEGMENT_KEYS == [entry.segment for entry in params.values()]",
+     "valid = [*params] == _SEGMENT_KEYS",
+     "tests/test_powermodel.py::TestConfigParams::test_entry_under_another_segment_rejected"),
+    ("ModelConfig rejecting a map out of plan order", "powermodel.py",
+     "        if not valid:\n", "        if not valid:\n            raise TopologyError(params)\n",
+     "tests/test_powermodel.py::TestConfigParams::test_map_out_of_plan_order_accepted"),
     ("Topology's one test admitting 2**53 + 1", "topology.py",
      "and MAX_COUNT >= n_ru >= n_du", "and MAX_COUNT + 1 >= n_ru >= n_du",
      "tests/test_topology.py::TestValidate::test_count_above_2_53_rejected"),

@@ -555,6 +555,10 @@ class TestConfigParams:
         assert config.params == segment_map()
         assert replace(config, provision_to_cap=False).params == segment_map()
 
+    def test_map_out_of_plan_order_accepted(self):
+        config = self.build(dict(reversed(segment_map().items())))
+        assert config == self.build(segment_map())
+
     @pytest.mark.parametrize("value", ["no", 1, 0, None])
     def test_flags_must_be_bools(self, value):
         # Either flag reads as its truth value, so "no" would size quantized or to the cap.
