@@ -28,17 +28,12 @@ class EquipmentSpec(Record):
     """
 
     def __init__(self, name: str, rated_power_w: float, capacity_gbps: float):
-        # One test passes every valid spec of floats; the checks below name what fails.
-        if not (type(rated_power_w) is type(capacity_gbps) is float
-                and math.inf > rated_power_w > 0.0 and math.inf > capacity_gbps > 0.0
-                and rated_power_w / capacity_gbps < math.inf):
-            for field, value in (("rated_power_w", rated_power_w),
-                                 ("capacity_gbps", capacity_gbps)):
-                if not (math.isfinite(value) and value > 0):
-                    raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
-            if not math.isfinite(rated_power_w / capacity_gbps):
-                raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
-                                   f"got {rated_power_w} / {capacity_gbps}")
+        for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
+            if not (math.isfinite(value) and value > 0):
+                raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
+        if not math.isfinite(rated_power_w / capacity_gbps):
+            raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
+                               f"got {rated_power_w} / {capacity_gbps}")
         self.__dict__.update(name=name, rated_power_w=rated_power_w, capacity_gbps=capacity_gbps)
 
 

@@ -54,15 +54,14 @@ CSV_COLUMNS = (
     "p_node_oru_w", "p_node_odu_w", "p_node_ocu_w", "p_node_dc_w",
     "p_seg_fronthaul_w", "p_seg_midhaul_w", "p_seg_backhaul_w", "p_ue_w",
 )
-# An eval's CSV data line: n_ru, the placement and the CSV_COLUMNS watts, rendered as the
-# sweep's row loops render theirs.
-_CSV_ROW = "%s,%s," + ",".join(["%.6g"] * len(CSV_COLUMNS)) + "\n"
 
 
 @functools.cache
 def _base_config(policy: str, attached_load: bool) -> ModelConfig:
-    """The config of ``--policy`` and ``--attached-load`` alone: frozen, so built once and
-    shared, with the row loops it binds."""
+    """The config of ``--policy`` and ``--attached-load`` alone: frozen, so built once per
+    process and shared. It saves work only where ``main`` runs more than once in a process,
+    as for a library caller or perfbench's ``whatif`` workload; an ``oranpower`` process
+    builds it once either way."""
     return ModelConfig(default_catalog(), segment_map(), _TRAFFIC, _POLICIES[policy],
                        provision_to_cap=not attached_load)
 
@@ -177,10 +176,8 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        row = _CSV_ROW % (n_ru, breakdown.placement.value, breakdown.processing_watts,
-                          breakdown.transmission_watts, breakdown.total_watts, *breakdown.nodes,
-                          *breakdown.segments, breakdown.ue_watts)
-        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS), [row])
+        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
+                           [breakdown.csv_line(n_ru)])
     return _emit(lines, args.output, stdout)
 
 

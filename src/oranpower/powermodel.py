@@ -164,12 +164,13 @@ _COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
 # Every term in plan order, the tiers and then the links, with its depth.
 _SEGMENTS: tuple[tuple[Segment, int], ...] = tuple(
     (segment, segment.depth) for segment in NODE_ORDER + LINK_ORDER)
-# The segments alone, as a list that a config's keys and entries compare with.
-_SEGMENT_KEYS = list(NODE_ORDER + LINK_ORDER)
 # The names of a cell's parts in compiled source: the tiers, the links, then the UE.
 _PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_watts")
 # The 11 per-user figures of a cell, in CSV_COLUMNS order.
 _WATTS = ("processing", "transmission", "total", *_PARTS)
+# A cell's CSV line: n_ru, the placement, then the _WATTS, each figure as _FIGURE renders it.
+_FIGURE = "%.6g"
+_CSV_LINE = ",".join(("%s", "%s", *[_FIGURE] * len(_WATTS))) + "\n"
 # A cell's totals and validity test, as source over _PARTS: the one statement of both, which
 # every row loop is compiled from. Each sum is taken left to right from 0.0, as sum() adds
 # floats up to Python 3.11; since 3.12 it compensates its rounding, which would move a total
@@ -271,7 +272,7 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     after = [f"node{depth}, " for depth in range(bbp + 1, len(NODE_ORDER))]
     after += [f"link{depth}, " for depth in range(bbp, len(LINK_ORDER))]
     if csv:  # the figures priced once are rendered once, into the line each row fills in
-        figures = "".join(f'"%.6g", ' if name in varying else f'"%.6g" % {name}, '
+        figures = "".join(f'"{_FIGURE}", ' if name in varying else f'"{_FIGURE}" % {name}, '
                           for name in _WATTS)
         once.append(f'line = ",".join(("%s", placement.value, {figures})) + "\\n"')
         row = f"line % (n_ru, {''.join(name + ', ' for name in _WATTS if name in varying)})"
@@ -321,6 +322,12 @@ class PowerBreakdown(Record):
     def node_watts(self, node: Node) -> float:
         return self.nodes[node.depth]
 
+    def csv_line(self, n_ru: int) -> str:
+        """The cell's CSV line at ``n_ru`` O-RUs, byte for byte as a csv row loop renders it."""
+        return _CSV_LINE % (n_ru, self.placement.value, self.processing_watts,
+                            self.transmission_watts, self.total_watts, *self.nodes,
+                            *self.segments, self.ue_watts)
+
 
 class ModelConfig(Record):
     """Everything an evaluation needs except the topology and BBP placement.
@@ -340,19 +347,13 @@ class ModelConfig(Record):
             raise ValueError(f"provision_to_cap must be True or False, got {provision_to_cap!r}")
         params = dict(params)
         # Each term reads its own segment's entry, so each must be there, under its own key.
-        # One comparison passes every such map in plan order; the walk below names what fails.
-        try:
-            valid = [*params] == _SEGMENT_KEYS == [entry.segment for entry in params.values()]
-        except AttributeError:
-            valid = False
-        if not valid:
-            for segment, _ in _SEGMENTS:
-                if getattr(params.get(segment), "segment", None) is not segment:
-                    raise TopologyError(f"params[{segment.value}] must be the SegmentParams of "
-                                        f"{segment.value}, got {params.get(segment)!r}")
-            if len(params) != len(_SEGMENTS):
-                unknown = [key for key in params if key not in _SEGMENT_KEYS]
-                raise TopologyError(f"params holds unknown segments: {unknown!r}")
+        for segment, _ in _SEGMENTS:
+            if getattr(params.get(segment), "segment", None) is not segment:
+                raise TopologyError(f"params[{segment.value}] must be the SegmentParams of "
+                                    f"{segment.value}, got {params.get(segment)!r}")
+        if len(params) != len(_SEGMENTS):
+            unknown = [key for key in params if key not in NODE_ORDER + LINK_ORDER]
+            raise TopologyError(f"params holds unknown segments: {unknown!r}")
         self.__dict__.update(catalog=catalog, params=MappingProxyType(params), traffic=traffic,
                              policy=policy, provision_to_cap=provision_to_cap)
         object.__setattr__(self, "_loops", {})

@@ -122,28 +122,22 @@ MUTANTS = (
     ("SegmentParams' one test without the alpha * sigma bound", "topology.py",
      "                and alpha * sigma < math.inf\n", "",
      "tests/test_topology.py::TestSegmentParamsValidation::test_overflowing_alpha_sigma_rejected"),
-    ("EquipmentSpec's one test without the capacity's upper bound", "catalog.py",
-     "math.inf > capacity_gbps > 0.0", "capacity_gbps > 0.0",
-     "tests/test_cli.py::TestConfigHandling::test_catalog_error_names_key_and_says_finite"),
     ("ServerSpec's one test without the capacity product", "catalog.py",
      "                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected\n", "",
      "tests/test_catalog.py::TestSpecValidation::test_server_capacity_consistency"),
     ("ModelConfig without the test for unknown segments", "powermodel.py",
-     "            if len(params) != len(_SEGMENTS):\n", "            if False:\n",
+     "        if len(params) != len(_SEGMENTS):\n", "        if False:\n",
      "tests/test_powermodel.py::TestConfigParams::test_unknown_key_rejected"),
-    ("ModelConfig's one comparison without the entries' segments", "powermodel.py",
-     "valid = [*params] == _SEGMENT_KEYS == [entry.segment for entry in params.values()]",
-     "valid = [*params] == _SEGMENT_KEYS",
-     "tests/test_powermodel.py::TestConfigParams::test_entry_under_another_segment_rejected"),
-    ("ModelConfig rejecting a map out of plan order", "powermodel.py",
-     "        if not valid:\n", "        if not valid:\n            raise TopologyError(params)\n",
-     "tests/test_powermodel.py::TestConfigParams::test_map_out_of_plan_order_accepted"),
     ("Topology's one test admitting 2**53 + 1", "topology.py",
      "and MAX_COUNT >= n_ru >= n_du", "and MAX_COUNT + 1 >= n_ru >= n_du",
      "tests/test_topology.py::TestValidate::test_count_above_2_53_rejected"),
     ("Topology's one test without the cap's type test", "topology.py",
      "or type(du_fanout_cap) is int and MAX_COUNT", "or MAX_COUNT",
      "tests/test_topology.py::TestValidate::test_bad_fanout_cap_rejected"),
+    ("a breakdown's CSV line with its processing and transmission swapped", "powermodel.py",
+     "self.placement.value, self.processing_watts,\n                            self.transmission_watts,",
+     "self.placement.value, self.transmission_watts,\n                            self.processing_watts,",
+     "tests/test_experiments.py::TestSweep::test_a_breakdown_renders_the_csv_row_loops_line"),
     ("the flags' base config rebuilt on each call", "cli.py",
      "@functools.cache\ndef _base_config", "def _base_config",
      "tests/test_cli.py::TestConfigHandling"

@@ -114,6 +114,18 @@ class TestSweep:
         list(sweep_chunks(range(1, 10), 10, ALL_PLACEMENTS, default_config, csv=True))
         assert set(default_config._loops) == {(node, True, True) for node in ALL_PLACEMENTS}
 
+    @pytest.mark.parametrize("provision_to_cap", [True, False])
+    def test_a_breakdown_renders_the_csv_row_loops_line(self, linear_config, default_config,
+                                                        provision_to_cap):
+        # eval --format csv prints csv_line; a sweep prints its csv row loops' lines.
+        counts = [1, 3, 5, 24, 1000]
+        for config in (replace(linear_config, provision_to_cap=provision_to_cap),
+                       replace(default_config, provision_to_cap=provision_to_cap)):
+            lines = [line for chunk in sweep_chunks(counts, 10, ALL_PLACEMENTS, config, csv=True)
+                     for line in chunk]
+            assert lines == [config.evaluate(build_sweep_topology(n_ru, 10), node).csv_line(n_ru)
+                             for n_ru in counts for node in ALL_PLACEMENTS]
+
 
 def evaluated_rows(counts, users_per_ru, placements, config, cap):
     """The rows a sweep must stream, from ``evaluate`` on each cell's sweep topology.

@@ -329,8 +329,9 @@ def tree_counts(draw):
     return counts
 
 
-# The per-field checks of the three config records, as they were before each gained one
-# combined test for valid input: a rejected input must still raise these errors.
+# The per-field checks of the three config records, as they were before SegmentParams and
+# ServerSpec gained one combined test for valid input (EquipmentSpec has only these): a
+# rejected input must still raise these errors.
 
 def per_field_segment_params(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
     for name, factor in (("sigma", sigma), ("alpha", alpha)):
