@@ -53,35 +53,25 @@ class ServerSpec(Record):
 
     def __init__(self, cores: int, per_core_power_w: float, per_core_capacity_gbps: float,
                  server_capacity_gbps: float):
-        # One test passes every valid spec of an int and floats; the checks below name what fails.
-        if not (type(cores) is int and MAX_COUNT >= cores >= 1
-                and type(per_core_power_w) is type(per_core_capacity_gbps)
-                is type(server_capacity_gbps) is float
-                and math.inf > per_core_power_w > 0.0 and math.inf > per_core_capacity_gbps > 0.0
-                and math.inf > server_capacity_gbps > 0.0
-                and math.inf > (expected := cores * per_core_capacity_gbps)
-                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected
-                and cores * per_core_power_w / server_capacity_gbps < math.inf):
-            if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
-                raise CatalogError(
-                    f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
-            fields = {"per_core_power_w": per_core_power_w,
-                      "per_core_capacity_gbps": per_core_capacity_gbps,
-                      "server_capacity_gbps": server_capacity_gbps}
-            for field, value in fields.items():
-                if not (math.isfinite(value) and value > 0):
-                    raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
-            expected = cores * per_core_capacity_gbps
-            if (not math.isfinite(expected)
-                    or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
-                raise CatalogError(
-                    "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
-                    f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
-                )
-            if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
-                raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must "
-                                   f"be finite, got {cores} * {per_core_power_w} / "
-                                   f"{server_capacity_gbps}")
+        if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
+            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
+        fields = {"per_core_power_w": per_core_power_w,
+                  "per_core_capacity_gbps": per_core_capacity_gbps,
+                  "server_capacity_gbps": server_capacity_gbps}
+        for field, value in fields.items():
+            if not (math.isfinite(value) and value > 0):
+                raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
+        expected = cores * per_core_capacity_gbps
+        if (not math.isfinite(expected)
+                or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
+            raise CatalogError(
+                "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
+                f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
+            )
+        if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
+            raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must "
+                               f"be finite, got {cores} * {per_core_power_w} / "
+                               f"{server_capacity_gbps}")
         self.__dict__.update(cores=cores, per_core_power_w=per_core_power_w,
                              per_core_capacity_gbps=per_core_capacity_gbps,
                              server_capacity_gbps=server_capacity_gbps)
@@ -103,14 +93,19 @@ class EquipmentCatalog(Record):
     def __init__(self, radio: EquipmentSpec, access_switch: EquipmentSpec,
                  core_switch: EquipmentSpec, wdm_link: EquipmentSpec, router: EquipmentSpec,
                  edge_server: ServerSpec, dc_server: ServerSpec, ue_energy_j_per_bit: float):
+        specs = {"radio": radio, "access_switch": access_switch, "core_switch": core_switch,
+                 "wdm_link": wdm_link, "router": router, "edge_server": edge_server,
+                 "dc_server": dc_server}
+        for field, spec in specs.items():
+            kind = ServerSpec if field.endswith("_server") else EquipmentSpec
+            if not isinstance(spec, kind):
+                raise CatalogError(f"{field} must be of type {kind.__name__}, got {spec!r}")
         if not (math.isfinite(ue_energy_j_per_bit) and ue_energy_j_per_bit >= 0):
             raise CatalogError(
                 f"ue_energy_j_per_bit must be a finite number >= 0, got {ue_energy_j_per_bit}"
             )
         # abs() of a value >= 0 changes only -0.0, stored as 0.0 so no watts print as -0.
-        self.__dict__.update(radio=radio, access_switch=access_switch, core_switch=core_switch,
-                             wdm_link=wdm_link, router=router, edge_server=edge_server,
-                             dc_server=dc_server, ue_energy_j_per_bit=abs(ue_energy_j_per_bit))
+        self.__dict__.update(specs, ue_energy_j_per_bit=abs(ue_energy_j_per_bit))
 
 
 @functools.cache

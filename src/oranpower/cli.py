@@ -18,6 +18,9 @@ from .experiments import (
     sweep_chunks,
 )
 from .powermodel import (
+    CSV_COLUMNS,
+    CSV_HEADER,
+    FIGURE,
     ModelConfig,
     PowerBreakdown,
     PowerOverflowError,
@@ -49,11 +52,8 @@ _POLICIES = {
 }
 _TRAFFIC = TrafficModel()
 
-CSV_COLUMNS = (
-    "p_processing_w", "p_transmission_w", "p_total_w",
-    "p_node_oru_w", "p_node_odu_w", "p_node_ocu_w", "p_node_dc_w",
-    "p_seg_fronthaul_w", "p_seg_midhaul_w", "p_seg_backhaul_w", "p_ue_w",
-)
+_FANOUT_HEADER = ",".join(("case", "placement", *CSV_COLUMNS[:3]))
+_FANOUT_LINE = ",".join(("%s", "%s", *[FIGURE] * 3)) + "\n"
 
 
 @functools.cache
@@ -142,15 +142,15 @@ def _eval_template(placement: Node) -> str:
         "policy        : %s",
         "",
         "processing (W per user)",
-        *(f"  {node.value:<10} {tags[node]:<7} %.6g" for node in NODE_ORDER),
+        *(f"  {node.value:<10} {tags[node]:<7} {FIGURE}" for node in NODE_ORDER),
         "transmission (W per user)",
-        *(f"  {link.value:<10} {'ecpri' if tags[link] == 'before' else 'baseband':<8} %.6g"
+        *(f"  {link.value:<10} {'ecpri' if tags[link] == 'before' else 'baseband':<8} {FIGURE}"
           for link in LINK_ORDER),
-        f"  {'ue':<10} {'':<8} %.6g",
+        f"  {'ue':<10} {'':<8} {FIGURE}",
         "totals (W per user)",
-        "  processing   %.6g",
-        "  transmission %.6g",
-        "  total        %.6g",
+        f"  processing   {FIGURE}",
+        f"  transmission {FIGURE}",
+        f"  total        {FIGURE}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -175,8 +175,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     else:
         metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy),
                     ("du_fanout_cap", du_fanout_cap)]
-        lines = _csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
-                           [breakdown.csv_line(n_ru)])
+        lines = _csv_lines(metadata, CSV_HEADER, [breakdown.csv_line(n_ru)])
     return _emit(lines, args.output, stdout)
 
 
@@ -200,8 +199,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
         ("n_cu", "1  (single-aggregation sweep convention)"),
         ("n_dc", "1  (single-aggregation sweep convention)"),
     ]
-    return _emit(_csv_lines(metadata, "n_ru,placement," + ",".join(CSV_COLUMNS),
-                            map("".join, chunks)), args.output, stdout)
+    return _emit(_csv_lines(metadata, CSV_HEADER, map("".join, chunks)), args.output, stdout)
 
 
 def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
@@ -215,10 +213,9 @@ def cmd_fanout(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
     placements = _parse_placements(args.placements, parser)
     study = fanout_study(cases, n_ru, users_per_ru, placements, config)
     metadata = [("n_ru", n_ru), ("users_per_ru", users_per_ru), ("policy", args.policy)]
-    rows = ("%s,%s,%.6g,%.6g,%.6g\n" % (label, placement.value, *watts[:3])
+    rows = (_FANOUT_LINE % (label, placement.value, *watts[:3])
             for label, placement, watts in study)
-    return _emit(_csv_lines(metadata, "case,placement,p_processing_w,p_transmission_w,"
-                            "p_total_w", rows), args.output, stdout)
+    return _emit(_csv_lines(metadata, _FANOUT_HEADER, rows), args.output, stdout)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -107,8 +107,12 @@ class ProvisioningPolicy(Record):
     def __init__(self, servers: ClassPolicy = _LINEAR, node_interface: ClassPolicy = _LINEAR,
                  switches: ClassPolicy = _LINEAR, links: ClassPolicy = _LINEAR,
                  routers: ClassPolicy = _LINEAR):
-        self.__dict__.update(servers=servers, node_interface=node_interface, switches=switches,
-                             links=links, routers=routers)
+        classes = {"servers": servers, "node_interface": node_interface, "switches": switches,
+                   "links": links, "routers": routers}
+        for name, policy in classes.items():
+            if not isinstance(policy, ClassPolicy):
+                raise ValueError(f"{name} must be of type ClassPolicy, got {policy!r}")
+        self.__dict__.update(classes)
 
     @classmethod
     def all_linear(cls) -> "ProvisioningPolicy":
@@ -166,11 +170,15 @@ _SEGMENTS: tuple[tuple[Segment, int], ...] = tuple(
     (segment, segment.depth) for segment in NODE_ORDER + LINK_ORDER)
 # The names of a cell's parts in compiled source: the tiers, the links, then the UE.
 _PARTS = ("node0", "node1", "node2", "node3", "link0", "link1", "link2", "ue_watts")
-# The 11 per-user figures of a cell, in CSV_COLUMNS order.
+# The 11 per-user figures of a cell, and their CSV columns, in one order.
 _WATTS = ("processing", "transmission", "total", *_PARTS)
-# A cell's CSV line: n_ru, the placement, then the _WATTS, each figure as _FIGURE renders it.
-_FIGURE = "%.6g"
-_CSV_LINE = ",".join(("%s", "%s", *[_FIGURE] * len(_WATTS))) + "\n"
+CSV_COLUMNS = ("p_processing_w", "p_transmission_w", "p_total_w",
+               *[f"p_node_{node.value}_w" for node in NODE_ORDER],
+               *[f"p_seg_{link.value}_w" for link in LINK_ORDER], "p_ue_w")
+# FIGURE renders every watts figure printed. A cell's CSV line: n_ru, the placement, the _WATTS.
+FIGURE = "%.6g"
+CSV_HEADER = ",".join(("n_ru", "placement", *CSV_COLUMNS))
+_CSV_LINE = ",".join(("%s", "%s", *[FIGURE] * len(_WATTS))) + "\n"
 # A cell's totals and validity test, as source over _PARTS: the one statement of both, which
 # every row loop is compiled from. Each sum is taken left to right from 0.0, as sum() adds
 # floats up to Python 3.11; since 3.12 it compensates its rounding, which would move a total
@@ -272,7 +280,7 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
     after = [f"node{depth}, " for depth in range(bbp + 1, len(NODE_ORDER))]
     after += [f"link{depth}, " for depth in range(bbp, len(LINK_ORDER))]
     if csv:  # the figures priced once are rendered once, into the line each row fills in
-        figures = "".join(f'"{_FIGURE}", ' if name in varying else f'"{_FIGURE}" % {name}, '
+        figures = "".join(f'"{FIGURE}", ' if name in varying else f'"{FIGURE}" % {name}, '
                           for name in _WATTS)
         once.append(f'line = ",".join(("%s", placement.value, {figures})) + "\\n"')
         row = f"line % (n_ru, {''.join(name + ', ' for name in _WATTS if name in varying)})"
@@ -343,6 +351,10 @@ class ModelConfig(Record):
 
     def __init__(self, catalog: EquipmentCatalog, params: Mapping[Segment, SegmentParams],
                  traffic: TrafficModel, policy: ProvisioningPolicy, provision_to_cap: bool = True):
+        for name, value, kind in zip(("catalog", "traffic", "policy"), (catalog, traffic, policy),
+                                     (EquipmentCatalog, TrafficModel, ProvisioningPolicy)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if type(provision_to_cap) is not bool:
             raise ValueError(f"provision_to_cap must be True or False, got {provision_to_cap!r}")
         params = dict(params)

@@ -154,34 +154,29 @@ class SegmentParams(Record):
 
     def __init__(self, segment: Segment, sigma: float, alpha: float, hops_switch: int = 0,
                  hops_wdm: int = 0, hops_router: int = 0, gamma: int = 0):
-        # One test passes every valid entry of float factors and int counts, a tier's counts
-        # all 0; the checks below name what fails.
-        if not (type(sigma) is type(alpha) is float and sigma >= 1.0 and alpha >= 1.0
-                and alpha * sigma < math.inf
-                and type(hops_switch) is type(hops_wdm) is type(hops_router) is type(gamma) is int
-                and MAX_COUNT >= hops_switch >= 0 and MAX_COUNT >= hops_wdm >= 0
-                and MAX_COUNT >= hops_router >= 0 and 1 >= gamma >= 0
-                and (type(segment) is Link
-                     or not (hops_switch or hops_wdm or hops_router or gamma))):
-            for name, factor in (("sigma", sigma), ("alpha", alpha)):
-                if not (math.isfinite(factor) and factor >= 1):
-                    raise TopologyError(
-                        f"{segment.value}: {name} must be a finite number >= 1, got {factor}")
-            if not math.isfinite(alpha * sigma):
-                raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
-                                    f"got {alpha} * {sigma}")
-            hops = {"hops_switch": hops_switch, "hops_wdm": hops_wdm, "hops_router": hops_router}
-            for name, count in hops.items():
-                if not (is_integer(count) and 0 <= count <= MAX_COUNT):
-                    raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
-                                        f"<= 2**53, got {count}")
-            if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
-                raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
-            if isinstance(segment, Node):
-                for name, value in {**hops, "gamma": gamma}.items():
-                    if value:
-                        raise TopologyError(f"{segment.value}: {name} must be 0, as only links "
-                                            f"have hops and routers, got {value}")
+        # One check per field, in field order: the segment first, as later messages name it.
+        if type(segment) is not Node and type(segment) is not Link:
+            raise TopologyError(f"segment must be a Node or a Link, got {segment!r}")
+        if not (math.isfinite(sigma) and sigma >= 1):
+            raise TopologyError(f"{segment.value}: sigma must be a finite number >= 1, got {sigma}")
+        if not (math.isfinite(alpha) and alpha >= 1):
+            raise TopologyError(f"{segment.value}: alpha must be a finite number >= 1, got {alpha}")
+        if not math.isfinite(alpha * sigma):
+            raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
+                                f"got {alpha} * {sigma}")
+        for name, count in (("hops_switch", hops_switch), ("hops_wdm", hops_wdm),
+                            ("hops_router", hops_router)):
+            if not (is_integer(count) and 0 <= count <= MAX_COUNT):
+                raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
+                                    f"<= 2**53, got {count}")
+        if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
+            raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
+        if type(segment) is Node and (hops_switch or hops_wdm or hops_router or gamma):
+            links_only = {"hops_switch": hops_switch, "hops_wdm": hops_wdm,
+                          "hops_router": hops_router, "gamma": gamma}
+            name = next(name for name, value in links_only.items() if value)
+            raise TopologyError(f"{segment.value}: {name} must be 0, as only links have hops "
+                                f"and routers, got {links_only[name]}")
         self.__dict__.update(segment=segment, sigma=sigma, alpha=alpha, hops_switch=hops_switch,
                              hops_wdm=hops_wdm, hops_router=hops_router, gamma=gamma)
 
@@ -270,15 +265,13 @@ def _divide_exact(count: int, fanout: int, level: str, case: FanoutCase) -> int:
 
 def from_fanout_case(case: FanoutCase, n_ru: int, users_per_ru: int) -> Topology:
     """Topology whose successive node-count ratios match the fanout case exactly."""
-    check_counts(n_ru=n_ru, users_per_ru=users_per_ru)
-    n_du = _divide_exact(n_ru, case.du_fanout, "O-DU", case)
-    n_cu = _divide_exact(n_du, case.cu_fanout, "O-CU", case)
-    n_dc = _divide_exact(n_cu, case.dc_fanout, "DC", case)
-    return Topology(
-        n_ru=n_ru,
-        n_du=n_du,
-        n_cu=n_cu,
-        n_dc=n_dc,
-        users_per_ru=users_per_ru,
-        du_fanout_cap=case.du_fanout,
-    )
+    try:
+        n_du = _divide_exact(n_ru, case.du_fanout, "O-DU", case)
+        n_cu = _divide_exact(n_du, case.cu_fanout, "O-CU", case)
+        n_dc = _divide_exact(n_cu, case.dc_fanout, "DC", case)
+        return Topology(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc, users_per_ru=users_per_ru,
+                        du_fanout_cap=case.du_fanout)
+    except (ArithmeticError, TypeError, ValueError):
+        # As in build_sweep_topology: a bad input is named before a count derived from it.
+        check_counts(n_ru=n_ru, users_per_ru=users_per_ru)
+        raise

@@ -6,15 +6,18 @@ must occur once in its file, and runs the row's pytest selection there against
 the changed copy. A row is caught when the selection fails (pytest exit status
 1) and survives when it passes; any other outcome is an error. Each distinct
 selection first runs once on an unchanged copy, and a row whose selection
-fails there is an error, never caught. The script prints a line per row and
-exits 1 unless every row is caught. pytest does not collect it.
+fails there is an error, never caught. Runs go two at a time, each its own
+pytest process. The script prints a line per row, in table order, and exits 1
+unless every row is caught. pytest does not collect it.
 """
 
+import functools
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,12 +122,34 @@ MUTANTS = (
      "return not (is_integer(n_ru) and n_ru <= MAX_COUNT)",
      "return not (isinstance(n_ru, int) and n_ru <= MAX_COUNT)",
      "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
-    ("SegmentParams' one test without the alpha * sigma bound", "topology.py",
-     "                and alpha * sigma < math.inf\n", "",
+    ("SegmentParams without its alpha * sigma check", "topology.py",
+     "        if not math.isfinite(alpha * sigma):\n", "        if False:\n",
      "tests/test_topology.py::TestSegmentParamsValidation::test_overflowing_alpha_sigma_rejected"),
-    ("ServerSpec's one test without the capacity product", "catalog.py",
-     "                and abs(server_capacity_gbps - expected) <= _REL_TOL * expected\n", "",
+    ("SegmentParams without its segment check", "topology.py",
+     "        if type(segment) is not Node and type(segment) is not Link:\n", "        if False:\n",
+     "tests/test_topology.py::TestSegmentParamsValidation::test_segment_must_be_a_node_or_link"),
+    ("ServerSpec without its capacity product check", "catalog.py",
+     "\n                or abs(server_capacity_gbps - expected) > _REL_TOL * expected):", "):",
      "tests/test_catalog.py::TestSpecValidation::test_server_capacity_consistency"),
+    ("EquipmentCatalog accepting any spec", "catalog.py",
+     "            if not isinstance(spec, kind):\n", "            if False:\n",
+     "tests/test_catalog.py::TestSpecValidation::test_catalog_specs_checked"),
+    ("ProvisioningPolicy accepting any class policy", "powermodel.py",
+     "            if not isinstance(policy, ClassPolicy):\n", "            if False:\n",
+     "tests/test_powermodel.py::TestComponents::test_policy_classes_checked"),
+    ("ModelConfig accepting any catalog, traffic or policy", "powermodel.py",
+     "            if not isinstance(value, kind):\n", "            if False:\n",
+     "tests/test_powermodel.py::TestComponents::test_config_components_checked"),
+    ("row check without the >= 0.0 clause on the DC tier", "powermodel.py",
+     "node2 >= 0.0 and node3 >= 0.0 and link0", "node2 >= 0.0 and link0",
+     "tests/test_powermodel.py::TestNonFiniteInputs::test_negative_part_rejected_naming_it"),
+    ("build_sweep_topology without check_counts on its failure path", "topology.py",
+     "        check_counts(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)\n",
+     "", "tests/test_properties.py::TestSinglePassChecksMatchPerFieldChecks"
+     "::test_sweep_topology_and_check_counts"),
+    ("from_fanout_case without check_counts on its failure path", "topology.py",
+     "        check_counts(n_ru=n_ru, users_per_ru=users_per_ru)\n", "",
+     "tests/test_properties.py::TestSinglePassChecksMatchPerFieldChecks::test_fanout_topology"),
     ("ModelConfig without the test for unknown segments", "powermodel.py",
      "        if len(params) != len(_SEGMENTS):\n", "        if False:\n",
      "tests/test_powermodel.py::TestConfigParams::test_unknown_key_rejected"),
@@ -167,21 +192,30 @@ def run(selection, filename=None, old=None, new=None):
     return {0: "survived", 1: "caught"}.get(status, f"error: pytest exit status {status}")
 
 
+def judge(row, baseline):
+    """The row's result, given each selection's result on the unchanged tree, and its seconds."""
+    name, filename, old, new, selection = row
+    start = time.perf_counter()
+    if baseline[selection] == "survived":
+        result = run(selection, filename, old, new)
+    elif baseline[selection] == "caught":
+        result = "error: the selection fails on the unchanged tree"
+    else:  # the unchanged run's own error
+        result = baseline[selection]
+    return result, time.perf_counter() - start
+
+
 def main():
     # A selection that fails on the unchanged tree would read as catching every row.
-    selections = dict.fromkeys(row[-1] for row in MUTANTS)
-    baseline = {selection: run(selection) for selection in selections}
+    selections = list(dict.fromkeys(row[-1] for row in MUTANTS))
     caught = True
-    for name, filename, old, new, selection in MUTANTS:
-        start = time.perf_counter()
-        if baseline[selection] == "survived":
-            result = run(selection, filename, old, new)
-        elif baseline[selection] == "caught":
-            result = "error: the selection fails on the unchanged tree"
-        else:  # the unchanged run's own error
-            result = baseline[selection]
-        caught &= result == "caught"
-        print(f"{result:9} {time.perf_counter() - start:5.1f} s  {name}  [{selection}]", flush=True)
+    # Each run waits on its own pytest process, so two threads keep two cores busy.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        baseline = dict(zip(selections, pool.map(run, selections)))
+        results = pool.map(functools.partial(judge, baseline=baseline), MUTANTS)
+        for (name, *_, selection), (result, seconds) in zip(MUTANTS, results):
+            caught &= result == "caught"
+            print(f"{result:9} {seconds:5.1f} s  {name}  [{selection}]", flush=True)
     return 0 if caught else 1
 
 

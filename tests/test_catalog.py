@@ -1,5 +1,7 @@
 """Catalog defaults, spec invariants, and catalog keys applied by ``load_config``."""
 
+import re
+
 import pytest
 
 from oranpower.catalog import (
@@ -105,6 +107,18 @@ class TestSpecValidation:
         with pytest.raises(CatalogError, match="per_core_power_w / server_capacity_gbps"):
             ServerSpec(cores=4, per_core_power_w=1e308, per_core_capacity_gbps=0.25,
                        server_capacity_gbps=1.0)
+
+    @pytest.mark.parametrize("field,kind", [("radio", "EquipmentSpec"),
+                                            ("router", "EquipmentSpec"),
+                                            ("edge_server", "ServerSpec"),
+                                            ("dc_server", "ServerSpec")])
+    def test_catalog_specs_checked(self, field, kind):
+        # A server in a device's place, or a device in a server's, is as wrong as None.
+        other = "radio" if kind == "ServerSpec" else "dc_server"
+        for value in (None, getattr(default_catalog(), other)):
+            message = f"{field} must be of type {kind}, got {value!r}"
+            with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+                replace(default_catalog(), **{field: value})
 
     def test_per_core_ratio_matches_server_ratio(self):
         for server in (default_catalog().edge_server, default_catalog().dc_server):

@@ -569,6 +569,26 @@ class TestConfigParams:
             replace(ModelConfig.default(), provision_to_cap=value)
 
 
+class TestComponents:
+    """A config and a policy hold components of their own types; another fails when built,
+    not at its first evaluate."""
+
+    @pytest.mark.parametrize("field,kind", [("catalog", "EquipmentCatalog"),
+                                            ("traffic", "TrafficModel"),
+                                            ("policy", "ProvisioningPolicy")])
+    @pytest.mark.parametrize("value", [None, "default"])
+    def test_config_components_checked(self, field, kind, value):
+        with pytest.raises(ValueError, match=f"^{field} must be of type {kind}, got {value!r}$"):
+            replace(ModelConfig.default(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["servers", "node_interface", "switches", "links",
+                                       "routers"])
+    @pytest.mark.parametrize("value", [None, True])
+    def test_policy_classes_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be of type ClassPolicy, got {value}$"):
+            ProvisioningPolicy(**{field: value})
+
+
 class TestReusedConfig:
     """A config evaluated many times gives exactly what a fresh config gives."""
 

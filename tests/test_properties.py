@@ -3,7 +3,7 @@
 import math
 import sys
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oranpower.catalog import CatalogError, EquipmentSpec, ServerSpec, default_catalog
@@ -16,9 +16,11 @@ from oranpower.powermodel import (
     segment_branch,
 )
 from oranpower.topology import (
+    FANOUT_CASES,
     LINK_ORDER,
     MAX_COUNT,
     NODE_ORDER,
+    FanoutCase,
     Link,
     Node,
     SegmentParams,
@@ -26,6 +28,7 @@ from oranpower.topology import (
     TopologyError,
     build_sweep_topology,
     check_counts,
+    from_fanout_case,
     segment_map,
 )
 
@@ -292,6 +295,20 @@ def per_count_sweep_topology(n_ru, users_per_ru, du_fanout_cap):
                               du_fanout_cap)
 
 
+def per_count_fanout_topology(case, n_ru, users_per_ru):
+    """Both counts checked first, then each tier's count divided exactly by its fanout."""
+    per_count_check(n_ru=n_ru, users_per_ru=users_per_ru)
+    counts = [n_ru]
+    for level, fanout in (("O-DU", case.du_fanout), ("O-CU", case.cu_fanout),
+                          ("DC", case.dc_fanout)):
+        quotient, remainder = divmod(counts[-1], fanout)
+        if remainder:
+            raise TopologyError(f"{case.label}: {counts[-1]} nodes not divisible by {level} "
+                                f"fanout {fanout}")
+        counts.append(quotient)
+    return per_count_topology(*counts, users_per_ru, case.du_fanout)
+
+
 def outcome(build, *args, **kwargs):
     """``("ok", repr(result))``, which tells -0.0 from 0.0, or the error's type and message."""
     try:
@@ -314,6 +331,18 @@ WATTS = st.one_of(
 )
 SPECIAL_COUNTS = st.sampled_from([True, 4.0, 0, 1, 2**53, 2**53 + 1, 10**400])
 COUNTS = st.one_of(st.integers(1, 12), SPECIAL_COUNTS)
+# Counts either side of 1 and of 2**53, and values that are no counts at all.
+FANOUT_COUNTS = st.one_of(
+    st.integers(-10, 50),
+    st.integers(2**53 - 40, 2**53 + 40),
+    st.sampled_from([True, False, 10.0, 40.0, 0.5, -0.0, math.nan, math.inf, 10**400, -2**53,
+                     None, "40", "a"]),
+)
+FANOUT_CASE = st.one_of(
+    st.sampled_from(list(FANOUT_CASES.values())),
+    st.builds(FanoutCase, st.just("x"), st.integers(1, 12), st.integers(1, 12),
+              st.integers(1, 12)),
+)
 CAPS = st.one_of(st.none(), st.integers(1, 12), SPECIAL_COUNTS,
                  st.sampled_from([0.5, 4.0, math.nan, math.inf, -1, "4"]))
 
@@ -329,11 +358,12 @@ def tree_counts(draw):
     return counts
 
 
-# The per-field checks of the three config records, as they were before SegmentParams and
-# ServerSpec gained one combined test for valid input (EquipmentSpec has only these): a
-# rejected input must still raise these errors.
+# The per-field checks of the three config records, written out as references: a record
+# must accept what they accept, and reject the rest with their error.
 
 def per_field_segment_params(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
+    if not isinstance(segment, (Node, Link)):
+        raise TopologyError(f"segment must be a Node or a Link, got {segment!r}")
     for name, factor in (("sigma", sigma), ("alpha", alpha)):
         if not (math.isfinite(factor) and factor >= 1):
             raise TopologyError(
@@ -395,7 +425,7 @@ def is_count(value, low):
 
 def segment_params_rules(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
     hops = (hops_switch, hops_wdm, hops_router)
-    return (math.isfinite(sigma) and sigma >= 1 and math.isfinite(alpha) and alpha >= 1
+    return (isinstance(segment, (Node, Link)) and math.isfinite(sigma) and sigma >= 1 and math.isfinite(alpha) and alpha >= 1
             and math.isfinite(alpha * sigma)
             and all(is_count(count, 0) for count in hops) and is_count(gamma, 0) and gamma <= 1
             and (isinstance(segment, Link) or hops == (0, 0, 0) and gamma == 0))
@@ -485,6 +515,8 @@ class TestSinglePassChecksMatchPerFieldChecks:
                 == outcome(per_count_topology, *counts, cap))
 
     @given(n_ru=COUNTS, users_per_ru=COUNTS, cap=CAPS)
+    @example(n_ru=0, users_per_ru=10, cap=4)  # a bad count named, not the n_du derived from it
+    @example(n_ru="a", users_per_ru=10, cap=4)
     @settings(max_examples=400, deadline=None)
     def test_sweep_topology_and_check_counts(self, n_ru, users_per_ru, cap):
         assert (outcome(lambda: topology_fields(build_sweep_topology(n_ru, users_per_ru, cap)))
@@ -492,8 +524,17 @@ class TestSinglePassChecksMatchPerFieldChecks:
         counts = {"n_ru": n_ru, "users_per_ru": users_per_ru, "du_fanout_cap": cap}
         assert outcome(check_counts, **counts) == outcome(per_count_check, **counts)
 
-    @given(segment=st.sampled_from(NODE_ORDER + LINK_ORDER), sigma=REALS, alpha=REALS,
-           counts=LINK_COUNTS)
+    @given(case=FANOUT_CASE, n_ru=FANOUT_COUNTS, users_per_ru=FANOUT_COUNTS)
+    @example(case=FANOUT_CASES["C-5"], n_ru=0, users_per_ru=10)  # as for a sweep topology
+    @example(case=FANOUT_CASES["C-1"], n_ru="a", users_per_ru=10)
+    @settings(max_examples=400, deadline=None)
+    def test_fanout_topology(self, case, n_ru, users_per_ru):
+        assert (outcome(lambda: topology_fields(from_fanout_case(case, n_ru, users_per_ru)))
+                == outcome(per_count_fanout_topology, case, n_ru, users_per_ru))
+
+    @given(segment=st.one_of(st.sampled_from(NODE_ORDER + LINK_ORDER),
+                             st.sampled_from(["oru", None, 0, Node])),
+           sigma=REALS, alpha=REALS, counts=LINK_COUNTS)
     @settings(max_examples=400, deadline=None)
     def test_segment_params(self, segment, sigma, alpha, counts):
         got = outcome(lambda: fields_of(SegmentParams(segment, sigma, alpha, *counts)))

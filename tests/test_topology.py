@@ -282,6 +282,14 @@ class TestValidate:
 
 
 class TestSegmentParamsValidation:
+    @pytest.mark.parametrize("segment", ["oru", None, 0, Node])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_segment_must_be_a_node_or_link(self, segment, sigma):
+        # Every other message names the segment by its value, so the segment is checked first.
+        message = f"segment must be a Node or a Link, got {segment!r}"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            SegmentParams(segment, sigma, 1.0)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.5])
     @pytest.mark.parametrize("field", ["sigma", "alpha"])
     def test_bad_factor_rejected(self, field, value):
