@@ -425,7 +425,8 @@ def is_count(value, low):
 
 def segment_params_rules(segment, sigma, alpha, hops_switch, hops_wdm, hops_router, gamma):
     hops = (hops_switch, hops_wdm, hops_router)
-    return (isinstance(segment, (Node, Link)) and math.isfinite(sigma) and sigma >= 1 and math.isfinite(alpha) and alpha >= 1
+    return (isinstance(segment, (Node, Link))
+            and math.isfinite(sigma) and sigma >= 1 and math.isfinite(alpha) and alpha >= 1
             and math.isfinite(alpha * sigma)
             and all(is_count(count, 0) for count in hops) and is_count(gamma, 0) and gamma <= 1
             and (isinstance(segment, Link) or hops == (0, 0, 0) and gamma == 0))
