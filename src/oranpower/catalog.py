@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .topology import MAX_COUNT, Record, is_integer
+from .topology import Record, count_error, is_finite
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
 _REL_TOL = 1e-12
@@ -29,7 +29,7 @@ class EquipmentSpec(Record):
 
     def __init__(self, name: str, rated_power_w: float, capacity_gbps: float):
         for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
         if not math.isfinite(rated_power_w / capacity_gbps):
             raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
@@ -53,13 +53,13 @@ class ServerSpec(Record):
 
     def __init__(self, cores: int, per_core_power_w: float, per_core_capacity_gbps: float,
                  server_capacity_gbps: float):
-        if not (is_integer(cores) and 1 <= cores <= MAX_COUNT):
-            raise CatalogError(f"server: cores must be an integer >= 1 and <= 2**53, got {cores}")
+        if error := count_error("cores", cores):
+            raise CatalogError(f"server: {error}")
         fields = {"per_core_power_w": per_core_power_w,
                   "per_core_capacity_gbps": per_core_capacity_gbps,
                   "server_capacity_gbps": server_capacity_gbps}
         for field, value in fields.items():
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
         expected = cores * per_core_capacity_gbps
         if (not math.isfinite(expected)
@@ -100,7 +100,7 @@ class EquipmentCatalog(Record):
             kind = ServerSpec if field.endswith("_server") else EquipmentSpec
             if not isinstance(spec, kind):
                 raise CatalogError(f"{field} must be of type {kind.__name__}, got {spec!r}")
-        if not (math.isfinite(ue_energy_j_per_bit) and ue_energy_j_per_bit >= 0):
+        if not (is_finite(ue_energy_j_per_bit) and ue_energy_j_per_bit >= 0):
             raise CatalogError(
                 f"ue_energy_j_per_bit must be a finite number >= 0, got {ue_energy_j_per_bit}"
             )

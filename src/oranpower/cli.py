@@ -180,7 +180,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
 
 
 def cmd_sweep(args, parser: argparse.ArgumentParser, stdout: TextIO) -> int:
-    if not 1 <= args.max_ru <= MAX_COUNT:
+    if not 1 <= args.max_ru <= MAX_COUNT:  # the count rule again, as a usage error (exit 2)
         parser.error(f"--max-ru must be >= 1 and <= 2**53, got {args.max_ru}")
     config, counts = load_run_config(args)
     if counts.n_ru is not None:

@@ -6,7 +6,7 @@ import math
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .powermodel import ModelConfig
-from .topology import LINK_ORDER, MAX_COUNT, NODE_ORDER, Record
+from .topology import LINK_ORDER, NODE_ORDER, Record, TopologyError, count_error
 
 
 class ConfigError(ValueError):
@@ -64,13 +64,6 @@ def _int(text: str) -> int:
     return int(number)
 
 
-def _count(text: str) -> int:
-    count = _int(text)
-    if not 1 <= count <= MAX_COUNT:
-        raise ConfigError("must be an integer >= 1 and <= 2**53")
-    return count
-
-
 def _nanojoules(text: str) -> float:
     """``ue.energy_nj_per_bit`` is written in nJ per bit and stored in J per bit, read exactly:
     the written digits, their exponent lowered by 9, rounded once to the nearest double."""
@@ -103,7 +96,7 @@ CONFIG_KEYS: dict[str, tuple[Any, str, Callable[[str], Any]]] = {
        for segment in NODE_ORDER + LINK_ORDER for field in ("sigma", "alpha")},
     **{f"segment.{link.value}.{field}": (link, field, _int)
        for link in LINK_ORDER for field in ("hops_switch", "hops_wdm", "hops_router")},
-    **{f"topology.{field}": ("topology", field, _count)
+    **{f"topology.{field}": ("topology", field, _int)
        for field in ("n_ru", "users_per_ru", "du_fanout_cap")},
 }
 
@@ -113,11 +106,15 @@ def _where(entries: Mapping[str, ConfigEntry]) -> str:
 
 
 class TopologyCounts(Record):
-    """A config file's ``topology.*`` counts, ``None`` where it sets none."""
+    """A config file's ``topology.*`` counts, ``None`` where it sets none, else a checked count."""
 
     def __init__(self, n_ru: int | None = None, users_per_ru: int | None = None,
                  du_fanout_cap: int | None = None):
-        self.__dict__.update(n_ru=n_ru, users_per_ru=users_per_ru, du_fanout_cap=du_fanout_cap)
+        counts = {"n_ru": n_ru, "users_per_ru": users_per_ru, "du_fanout_cap": du_fanout_cap}
+        for name, count in counts.items():
+            if count is not None and (error := count_error(name, count)):
+                raise TopologyError(error)
+        self.__dict__.update(counts)
 
 
 _NO_COUNTS = TopologyCounts()

@@ -8,13 +8,12 @@ from typing import Iterable, Iterator, Sequence
 from .powermodel import ModelConfig, PowerOverflowError, run_loops
 from .topology import (
     DEFAULT_DU_FANOUT_CAP,
-    MAX_COUNT,
     NODE_ORDER,
     FanoutCase,
     Node,
     build_sweep_topology,
+    count_error,
     from_fanout_case,
-    is_integer,
 )
 
 # Smallest O-RU count divisible by every built-in fanout chain (C-2/C-3/C-4
@@ -26,13 +25,12 @@ DEFAULT_USERS_PER_RU = 10
 SWEEP_CHUNK = 256
 
 
-def _ordered_placements(placements: Iterable[Node]) -> list[Node]:
-    """The distinct placements in depth order; an unknown one is rejected as ``evaluate`` does."""
-    wanted = list(placements)
-    for placement in wanted:
-        if placement not in NODE_ORDER:
-            raise ValueError(f"unknown BBP placement: {placement!r}")
-    return [node for node in NODE_ORDER if node in wanted]
+def _bind(placements: Iterable[Node], config: ModelConfig, csv: bool) -> tuple[list, list]:
+    """The distinct placements in depth order and the row loop of each, bound through
+    ``config._loop``, which rejects a placement that is not a ``Node`` as ``evaluate`` does."""
+    bound = {placement: config._loop(placement, True, csv) for placement in placements}
+    ordered = [node for node in NODE_ORDER if node in bound]
+    return ordered, [bound[node] for node in ordered]
 
 
 def sweep_orus(n_ru_range: Iterable[int], users_per_ru: int,
@@ -72,26 +70,22 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
         later = counts[-1:]  # a range holds ints, none above its last
     else:
         listed = list(n_ru_range)
-        for n_ru in filter(_bad_count, listed):  # before sorting, which may not order it
-            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
+        for n_ru in listed:  # each before sorting, which may not order it
+            if count_error("n_ru", n_ru):
+                build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
         counts, later = sorted(set(listed)), ()
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
-    ordered = _ordered_placements(placements)
+    ordered, loops = _bind(placements, config, csv)
     build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    for n_ru in filter(_bad_count, later):
-        build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
-    loops = [config._loop(placement, True, csv) for placement in ordered]
+    for n_ru in later:
+        if count_error("n_ru", n_ru):
+            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
     chunks = _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops)
     head = next(chunks)
     if len(head) < len(ordered):  # a cell of the first count failed: raise its error
         next(chunks)
     return chain([head], chunks)
-
-
-def _bad_count(n_ru) -> bool:
-    """Whether ``n_ru`` fails Topology's count test, but for the lower bound."""
-    return not (is_integer(n_ru) and n_ru <= MAX_COUNT)
 
 
 def _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops):
@@ -118,8 +112,7 @@ def fanout_study(cases: Sequence[FanoutCase], n_ru: int, users_per_ru: int,
     label. The O-RU placement has no coverage-weighted term beyond the O-RU itself, so it
     repeats identically across cases.
     """
-    ordered = _ordered_placements(placements)
-    loops = [config._loop(placement, True, False) for placement in ordered]
+    ordered, loops = _bind(placements, config, False)
     study = []
     for case in cases:
         tree = from_fanout_case(case, n_ru, users_per_ru)

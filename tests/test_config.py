@@ -3,6 +3,7 @@ README key list, fuzzed config text, and agreement with the replace-per-section 
 
 import inspect
 import math
+import re
 from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
@@ -43,6 +44,25 @@ class TestIntegerKeys:
         config, counts = load("segment.backhaul.hops_switch = 4.0\ntopology.n_ru = 1e3\n")
         assert config.params[Link.BACKHAUL].hops_switch == 4
         assert counts.n_ru == 1000 and isinstance(counts.n_ru, int)
+
+
+class TestTopologyCounts:
+    @pytest.mark.parametrize("value", [0, True, "a", 2**53 + 1])
+    @pytest.mark.parametrize("field", ["n_ru", "users_per_ru", "du_fanout_cap"])
+    def test_a_bad_count_is_rejected_naming_its_field(self, field, value):
+        message = f"{field} must be an integer >= 1 and <= 2**53, got {value}"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            TopologyCounts(**{field: value})
+
+    def test_fields_checked_in_order(self):
+        with pytest.raises(TopologyError, match="^n_ru must be an integer"):
+            TopologyCounts(n_ru=0, users_per_ru="a", du_fanout_cap=-1)
+
+    def test_a_config_file_count_is_rejected_naming_its_line_and_field(self):
+        with pytest.raises(TopologyError) as info:
+            load("topology.n_ru = 0\n")
+        assert "line 1: topology.n_ru = 0" in str(info.value)
+        assert "n_ru must be an integer >= 1 and <= 2**53, got 0" in str(info.value)
 
 
 class TestLoadConfig:

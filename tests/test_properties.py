@@ -7,6 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oranpower.catalog import CatalogError, EquipmentSpec, ServerSpec, default_catalog
+from oranpower.configfile import TopologyCounts
 from oranpower.powermodel import (
     ClassPolicy,
     ModelConfig,
@@ -416,6 +417,14 @@ def per_field_server_spec(cores, per_core_power_w, per_core_capacity_gbps, serve
     return cores, per_core_power_w, per_core_capacity_gbps, server_capacity_gbps
 
 
+def per_field_topology_counts(n_ru, users_per_ru, du_fanout_cap):
+    for name, count in (("n_ru", n_ru), ("users_per_ru", users_per_ru),
+                        ("du_fanout_cap", du_fanout_cap)):
+        if count is not None and not is_count(count, 1):
+            raise TopologyError(f"{name} must be an integer >= 1 and <= 2**53, got {count}")
+    return n_ru, users_per_ru, du_fanout_cap
+
+
 # The documented rules of each record, one predicate each.
 
 def is_count(value, low):
@@ -559,5 +568,15 @@ class TestSinglePassChecksMatchPerFieldChecks:
         got = outcome(lambda: fields_of(ServerSpec(*fields)))
         assert got == outcome(per_field_server_spec, *fields)
         accepted = server_spec_rules(*fields)
+        event(f"accepted: {accepted}")
+        assert (got[0] == "ok") is accepted
+
+    @given(counts=st.tuples(*[st.one_of(st.none(), FANOUT_COUNTS)] * 3))
+    @example(counts=(0, "a", -1))  # the first bad count is named
+    @settings(max_examples=400, deadline=None)
+    def test_topology_counts(self, counts):
+        got = outcome(lambda: fields_of(TopologyCounts(*counts)))
+        assert got == outcome(per_field_topology_counts, *counts)
+        accepted = all(count is None or is_count(count, 1) for count in counts)
         event(f"accepted: {accepted}")
         assert (got[0] == "ok") is accepted

@@ -4,10 +4,17 @@ import copy
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
-from oranpower.catalog import CatalogError, ServerSpec, default_catalog, energy_per_capacity
+from oranpower.catalog import (
+    CatalogError,
+    EquipmentSpec,
+    ServerSpec,
+    default_catalog,
+    energy_per_capacity,
+)
 from oranpower.experiments import sweep_orus
 from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
 from oranpower.topology import (
@@ -319,3 +326,53 @@ class TestSegmentParamsValidation:
         # The first four equal 0 or 1, and would be stored as given; the last two are ints.
         with pytest.raises(TopologyError, match=f"^backhaul: gamma must be 0 or 1, got {gamma}$"):
             SegmentParams(Link.BACKHAUL, 1.0, 1.0, gamma=gamma)
+
+
+class Subfloat(float):
+    """A float subclass, which a number field accepts as it accepts a float."""
+
+
+# Each number field of each record: a builder that sets it alone, the record's error type and
+# the field's name as its message gives it. Every other field is 1, which each one accepts.
+NUMBER_FIELDS = [
+    pytest.param(lambda v: SegmentParams(Node.ORU, v, 1.0), TopologyError, "oru: sigma",
+                 id="sigma"),
+    pytest.param(lambda v: SegmentParams(Node.ORU, 1.0, v), TopologyError, "oru: alpha",
+                 id="alpha"),
+    pytest.param(lambda v: EquipmentSpec("radio", v, 1.0), CatalogError,
+                 "radio: rated_power_w", id="rated_power_w"),
+    pytest.param(lambda v: EquipmentSpec("radio", 1.0, v), CatalogError,
+                 "radio: capacity_gbps", id="capacity_gbps"),
+    pytest.param(lambda v: ServerSpec(1, v, 1.0, 1.0), CatalogError,
+                 "server: per_core_power_w", id="per_core_power_w"),
+    pytest.param(lambda v: ServerSpec(1, 1.0, v, 1.0), CatalogError,
+                 "server: per_core_capacity_gbps", id="per_core_capacity_gbps"),
+    pytest.param(lambda v: ServerSpec(1, 1.0, 1.0, v), CatalogError,
+                 "server: server_capacity_gbps", id="server_capacity_gbps"),
+    pytest.param(lambda v: default_catalog().__replace__(ue_energy_j_per_bit=v), CatalogError,
+                 "ue_energy_j_per_bit", id="ue_energy_j_per_bit"),
+    pytest.param(lambda v: TrafficModel(v, 1.0), ValueError, "monthly_gb_per_user",
+                 id="monthly_gb_per_user"),
+    pytest.param(lambda v: TrafficModel(1.0, v), ValueError, "ecpri_per_ru_gbps",
+                 id="ecpri_per_ru_gbps"),
+    pytest.param(lambda v: ClassPolicy.quantize(v), ValueError, "unit_capacity_gbps",
+                 id="unit_capacity_gbps"),
+]
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("value", ["2", None, 1j], ids=["str", "None", "complex"])
+    @pytest.mark.parametrize("build, error, field", NUMBER_FIELDS)
+    def test_a_value_that_is_no_real_number_is_rejected_naming_the_field(self, build, error,
+                                                                         field, value):
+        if field == "unit_capacity_gbps" and value is None:  # the device's own capacity
+            assert build(value) == ClassPolicy.quantize()
+        else:
+            with pytest.raises(error, match=f"^{re.escape(field)} must be a finite number"):
+                build(value)
+
+    @pytest.mark.parametrize("value", [1, True, Subfloat(1.0), Fraction(1)],
+                             ids=["int", "bool", "float-subclass", "Fraction"])
+    @pytest.mark.parametrize("build, error, field", NUMBER_FIELDS)
+    def test_any_real_number_is_read(self, build, error, field, value):
+        assert vars(build(value))[field.split(": ")[-1]] == value
