@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .topology import Record, count_error, is_finite
+from .topology import Record, count_error, is_finite, shown
 
 # Relative tolerance for the cores x per-core-capacity consistency check.
 _REL_TOL = 1e-12
@@ -30,7 +30,8 @@ class EquipmentSpec(Record):
     def __init__(self, name: str, rated_power_w: float, capacity_gbps: float):
         for field, value in (("rated_power_w", rated_power_w), ("capacity_gbps", capacity_gbps)):
             if not (is_finite(value) and value > 0):
-                raise CatalogError(f"{name}: {field} must be a finite number > 0, got {value}")
+                raise CatalogError(f"{name}: {field} must be a finite number > 0, "
+                                   f"got {shown(value)}")
         if not math.isfinite(rated_power_w / capacity_gbps):
             raise CatalogError(f"{name}: rated_power_w / capacity_gbps must be finite, "
                                f"got {rated_power_w} / {capacity_gbps}")
@@ -60,9 +61,10 @@ class ServerSpec(Record):
                   "server_capacity_gbps": server_capacity_gbps}
         for field, value in fields.items():
             if not (is_finite(value) and value > 0):
-                raise CatalogError(f"server: {field} must be a finite number > 0, got {value}")
+                raise CatalogError(f"server: {field} must be a finite number > 0, "
+                                   f"got {shown(value)}")
         expected = cores * per_core_capacity_gbps
-        if (not math.isfinite(expected)
+        if (not is_finite(expected)
                 or abs(server_capacity_gbps - expected) > _REL_TOL * expected):
             raise CatalogError(
                 "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
@@ -101,9 +103,8 @@ class EquipmentCatalog(Record):
             if not isinstance(spec, kind):
                 raise CatalogError(f"{field} must be of type {kind.__name__}, got {spec!r}")
         if not (is_finite(ue_energy_j_per_bit) and ue_energy_j_per_bit >= 0):
-            raise CatalogError(
-                f"ue_energy_j_per_bit must be a finite number >= 0, got {ue_energy_j_per_bit}"
-            )
+            raise CatalogError("ue_energy_j_per_bit must be a finite number >= 0, "
+                               f"got {shown(ue_energy_j_per_bit)}")
         # abs() of a value >= 0 changes only -0.0, stored as 0.0 so no watts print as -0.
         self.__dict__.update(specs, ue_energy_j_per_bit=abs(ue_energy_j_per_bit))
 

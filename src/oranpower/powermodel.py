@@ -13,7 +13,7 @@ import functools
 import math
 from types import MappingProxyType
 from itertools import chain
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .catalog import EquipmentCatalog, EquipmentSpec, ServerSpec, default_catalog, energy_per_capacity
 from .topology import (
@@ -28,6 +28,7 @@ from .topology import (
     count_error,
     is_finite,
     segment_map,
+    shown,
 )
 
 SECONDS_PER_MONTH = 30 * 24 * 3600  # 30-day month
@@ -54,7 +55,7 @@ class TrafficModel(Record):
                   "ecpri_per_ru_gbps": ecpri_per_ru_gbps}
         for name, value in fields.items():
             if not (is_finite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+                raise ValueError(f"{name} must be a finite number >= 0, got {shown(value)}")
             fields[name] = abs(value)  # -0.0 as 0.0, so no watts print as -0
         self.__dict__.update(fields)
 
@@ -81,7 +82,7 @@ class ClassPolicy(Record):
             raise ValueError(f"quantized must be True or False, got {quantized!r}")
         unit = unit_capacity_gbps
         if unit is not None and not (is_finite(unit) and unit > 0):
-            raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {unit}")
+            raise ValueError(f"unit_capacity_gbps must be a finite number > 0, got {shown(unit)}")
         if error := count_error("minimum_units", minimum_units, 0):
             raise ValueError(error)
         self.__dict__.update(quantized=quantized, unit_capacity_gbps=unit,
@@ -147,20 +148,6 @@ def _sizing(multiplier: int, spec: EquipmentSpec | ServerSpec,
     return multiplier, ratio, unit, policy.minimum_units
 
 
-class _Term(NamedTuple):
-    """A tier or link priced per cell: one at or before the BBP node, less its per-cell factors.
-
-    Its per-user watts are ``scale · ρ · Σ multiplier · sized(load)`` over
-    ``devices``, where ρ is tier ``depth``'s instance count over the user
-    count, the load is that tier's per-instance eCPRI load, and ``sized`` is
-    ``ratio · load`` when linear, else ``provision_units(load, unit, minimum) · ratio · unit``.
-    """
-
-    scale: float  # alpha * sigma
-    depth: int
-    devices: tuple[tuple[int, float, float | None, int], ...]  # _sizing of each device
-
-
 # The per-instance eCPRI load and the instance count of each tier, by depth.
 _LOADS = ("ecpri", "ru_per_du * ecpri", "n_ru / n_cu * ecpri", "n_ru / n_dc * ecpri")
 _COUNTS = ("n_ru", "n_du", "n_cu", "n_dc")
@@ -207,33 +194,33 @@ def _indent(source: str, spaces: int) -> str:
 
 
 @functools.cache
-def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
+def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...] | None, ...]], capped: bool,
                   csv: bool) -> Callable:
     """The row-loop factory for plans of one shape, compiled once per process and shared.
 
-    ``shape`` is the BBP depth and, for each term priced per cell, whether
-    each of its devices is quantized; ``capped`` says whether O-DUs are
-    provisioned to the fanout cap. ``loop(counts, n_dus, users_per_ru, cap,
-    n_cu, n_dc, rows)`` prices the cells of a tree of ``n_cu`` O-CUs and
-    ``n_dc`` DCs, one for each O-RU count and its O-DU count (unread at BBP
-    depth 0), with ``n_ru * users_per_ru`` users. A term at or before the
-    BBP node has the watts ``s * (count / n_users) * (d1 + d2 + ...)``: its
-    tier's count, and each device's ``multiplier * sized(load)`` summed left
-    to right. The loop then takes the totals of ``_SUMS`` and the check of
-    ``_CHECK`` and appends each row to ``rows``: ``(n_ru, placement, <the 11
-    _WATTS>)``, or with ``csv`` the row's CSV line, figures to 6 significant
-    digits. At a cell that fails the check it returns the cell's ``_PARTS``:
-    that is the one way a cell fails, a unit count beyond a float included.
+    ``shape`` is the BBP depth and, for each term in ``_SEGMENTS`` order, its
+    devices' quantized flags, or ``None`` for a term whose watts the plan
+    fixed; ``capped`` says whether O-DUs are provisioned to the fanout cap.
+    ``loop(counts, n_dus, users_per_ru, cap, n_cu, n_dc, rows)`` prices the
+    cells of a tree of ``n_cu`` O-CUs and ``n_dc`` DCs, one for each O-RU
+    count and its O-DU count (unread at BBP depth 0), with ``n_ru *
+    users_per_ru`` users. A term at or before the BBP node has the watts
+    ``s * (count / n_users) * (d1 + d2 + ...)``: its tier's count, and each
+    device's ``multiplier * sized(load)`` summed left to right. The loop
+    then takes the totals of ``_SUMS`` and the check of ``_CHECK`` and
+    appends each row to ``rows``: ``(n_ru, placement, <the 11 _WATTS>)``, or
+    with ``csv`` the row's CSV line, figures to 6 significant digits. At a
+    cell that fails the check it returns the cell's ``_PARTS``: that is the
+    one way a cell fails, a unit count beyond a float included.
 
-    The terms after the BBP node are constants of the factory. Before its
-    first cell a loop prices, with the one-O-RU cell's expressions, what
-    else cannot change between cells: each depth-0 term, as n_ru / n_users
-    rounds to 1 / users_per_ru at every count, and, when capped, the O-DU
-    load and each depth-1 device sum; then each total that reads no figure
-    priced per cell, and with ``csv`` the line that holds every such figure
-    already rendered. Every value of a config reaches the loop as a factory
-    argument, and every value of a tree as a loop argument; the source holds
-    only fixed names and small integers.
+    Before its first cell a loop prices, with the one-O-RU cell's
+    expressions, what else cannot change between cells: each depth-0 term,
+    as n_ru / n_users rounds to 1 / users_per_ru at every count, and, when
+    capped, the O-DU load and each depth-1 device sum; then each total that
+    reads no figure priced per cell, and with ``csv`` the line that holds
+    every such figure already rendered. Every value of a config reaches the
+    loop as a factory argument, and every value of a tree as a loop
+    argument; the source holds only fixed names and small integers.
     """
     bbp, flags = shape
     # The deepest tier whose device sums are priced once: O-DUs provisioned to the cap carry
@@ -246,18 +233,20 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         (once if hoisted else each).extend(
             ["ru_per_du = cap" if capped else "ru_per_du = n_ru / n_du", f"load1 = {_LOADS[1]}"])
         each += [f"load{depth} = {_LOADS[depth]}" for depth in range(2, bbp + 1)]
-    records = []
-    # The plan prices tiers 0 to bbp, then links 0 to bbp - 1; link i carries tier i's load.
-    for i, (depth, quantized) in enumerate(zip([*range(bbp + 1), *range(bbp)], flags)):
+    records, after = [], []
+    for (_, depth), name, quantized in zip(_SEGMENTS, _PARTS, flags):
+        if quantized is None:
+            after.append(f"{name}, ")
+            continue
+        i = len(records)
         load = f"load{depth}" if depth else "ecpri"
         fields, devices = [], []
         for j, unit_sized in enumerate(quantized):
-            m, r, u, k = (f"{name}{i}_{j}" for name in "mruk")
+            m, r, u, k = (f"{letter}{i}_{j}" for letter in "mruk")
             fields.append(f"({m}, {r}, {u}, {k}), ")
             devices.append(f"{m} * (provision_units({load}, {u}, {k}) * {r} * {u})"
                            if unit_sized else f"{m} * ({r} * {load})")
         records.append(f"(s{i}, _, ({''.join(fields)})), ")
-        name = f"node{depth}" if i <= bbp else f"link{depth}"
         factor, devices = f"s{i} * ({_COUNTS[depth]} / n_users) * ", f"({' + '.join(devices)})"
         if depth > hoisted:
             each.append(f"{name} = {factor}{devices}")
@@ -275,9 +264,6 @@ def _loop_factory(shape: tuple[int, tuple[tuple[bool, ...], ...]], capped: bool,
         else:
             each.append(statement)
             varying.add(name)
-    # The other terms are constants: the tiers after the BBP node, then the links from it.
-    after = [f"node{depth}, " for depth in range(bbp + 1, len(NODE_ORDER))]
-    after += [f"link{depth}, " for depth in range(bbp, len(LINK_ORDER))]
     if csv:  # the figures priced once are rendered once, into the line each row fills in
         figures = "".join(f'"{FIGURE}", ' if name in varying else f'"{FIGURE}" % {name}, '
                           for name in _WATTS)
@@ -388,14 +374,16 @@ class ModelConfig(Record):
         """The topology-independent factors of every term for the BBP node ``placement``: the
         terms priced per cell, the other terms' watts, the UE watts and the plan's shape.
 
-        One device table lists each tier's and link's devices as (multiplier,
-        spec, class policy): tier i's chassis, with the servers at the BBP
-        node, and link i's switches, WDM links and routers, its switch being
-        tier i + 1's chassis. A tier or link before the BBP node, and the BBP
-        tier, carries one instance's provisioned eCPRI, weighted by the
-        coverage factor, and the row loop prices it per cell. Every other term
-        carries the per-user baseband rate with no coverage weighting, so its
-        watts are fixed here.
+        One walk over ``_SEGMENTS`` sizes each term's devices once, with
+        ``_sizing``: tier i's chassis, with the servers at the BBP node, and
+        link i's switches, WDM links and routers, its switch being tier i + 1's
+        chassis. A tier or link before the BBP node, and the BBP tier, carries
+        one instance's provisioned eCPRI, weighted by the coverage factor: it
+        becomes a ``(scale, depth, devices)`` term, which the row loop prices
+        per cell, and its devices' quantized flags go into the shape. Every
+        other term carries the per-user baseband rate with no coverage
+        weighting, so its watts are fixed here from the same rows, and its
+        flags are ``None``.
         """
         if type(placement) is not Node:  # the failed cache lookup is no part of the error
             raise ValueError(f"unknown BBP placement: {placement!r}") from None
@@ -403,36 +391,32 @@ class ModelConfig(Record):
         catalog, params, policy = self.catalog, self.params, self.policy
         user_rate = self.traffic.user_rate_gbps
         chassis = (catalog.radio, catalog.access_switch, catalog.core_switch, catalog.core_switch)
+        server = catalog.dc_server if placement is Node.DC else catalog.edge_server
 
-        table = [[(1, spec, policy.node_interface)] for spec in chassis]
-        table[bbp].append((1, catalog.dc_server if placement is Node.DC else catalog.edge_server,
-                           policy.servers))
-        for depth, link in enumerate(LINK_ORDER):
-            seg = params[link]
-            devices = [(seg.hops_switch + 1, chassis[depth + 1], policy.switches),
-                       (seg.hops_wdm + 1, catalog.wdm_link, policy.links)]
-            # Routers sit on a link where gamma = 1; elsewhere their multiplier
-            # gamma * (hops_router + 1) is 0, which adds exactly 0.0, so they are left out.
-            if seg.gamma:
-                devices.append((seg.hops_router + 1, catalog.router, policy.routers))
-            table.append(devices)
-
-        terms, flags, after = [], [], []
-        for (segment, depth), devices in zip(_SEGMENTS, table):
+        terms, after, flags = [], [], []
+        for segment, depth in _SEGMENTS:
             seg = params[segment]
+            if type(segment) is Node:
+                devices = [_sizing(1, chassis[depth], policy.node_interface)]
+                if segment is placement:
+                    devices.append(_sizing(1, server, policy.servers))
+            else:
+                devices = [_sizing(seg.hops_switch + 1, chassis[depth + 1], policy.switches),
+                           _sizing(seg.hops_wdm + 1, catalog.wdm_link, policy.links)]
+                # Routers sit on a link where gamma = 1; elsewhere their multiplier
+                # gamma * (hops_router + 1) is 0, which adds exactly 0.0, so they are left out.
+                if seg.gamma:
+                    devices.append(_sizing(seg.hops_router + 1, catalog.router, policy.routers))
             scale = seg.alpha * seg.sigma
             if depth < bbp or segment is placement:
-                sized, quantized = [], []
-                for device in devices:
-                    sized.append(_sizing(*device))
-                    quantized.append(device[2].quantized)
-                terms.append(_Term(scale, depth, tuple(sized)))
-                flags.append(tuple(quantized))
+                terms.append((scale, depth, tuple(devices)))
+                flags.append(tuple(unit is not None for _, _, unit, _ in devices))
             else:
                 watts_per_gbps = 0.0
-                for multiplier, spec, _ in devices:
-                    watts_per_gbps += multiplier * energy_per_capacity(spec)
+                for multiplier, ratio, _, _ in devices:
+                    watts_per_gbps += multiplier * ratio
                 after.append(scale * user_rate * watts_per_gbps)
+                flags.append(None)
 
         bits_per_s = user_rate * GBPS_TO_BITS_PER_S
         ue_watts = (bits_per_s * catalog.ue_energy_j_per_bit if bits_per_s < math.inf

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 
 class TopologyError(ValueError):
@@ -21,15 +21,23 @@ def count_error(name: str, value: object, low: int = 1) -> str | None:
     if ((type(value) is int or isinstance(value, int) and not isinstance(value, bool))
             and low <= value <= MAX_COUNT):
         return None
-    return f"{name} must be an integer >= {low} and <= 2**53, got {value}"
+    return f"{name} must be an integer >= {low} and <= 2**53, got {shown(value, str)}"
 
 
 def is_finite(value: object) -> bool:
-    """``math.isfinite(value)``, but False for a value that is not a real number."""
+    """``math.isfinite(value)``, but False for no real number and for an int beyond a float."""
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
+
+
+def shown(value: object, text: Callable[[object], str] = repr) -> str:
+    """``text(value)`` for an error message, or the size of an int too long for text."""
+    try:
+        return text(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"an int of {value.bit_length()} bits"
 
 
 class Record:
@@ -162,11 +170,11 @@ class SegmentParams(Record):
         # One check per field, in field order: the segment first, as later messages name it.
         if type(segment) is not Node and type(segment) is not Link:
             raise TopologyError(f"segment must be a Node or a Link, got {segment!r}")
-        if not (is_finite(sigma) and sigma >= 1):
-            raise TopologyError(f"{segment.value}: sigma must be a finite number >= 1, got {sigma}")
-        if not (is_finite(alpha) and alpha >= 1):
-            raise TopologyError(f"{segment.value}: alpha must be a finite number >= 1, got {alpha}")
-        if not math.isfinite(alpha * sigma):
+        for name, factor in (("sigma", sigma), ("alpha", alpha)):
+            if not (is_finite(factor) and factor >= 1):
+                raise TopologyError(f"{segment.value}: {name} must be a finite number >= 1, "
+                                    f"got {shown(factor)}")
+        if not is_finite(alpha * sigma):
             raise TopologyError(f"{segment.value}: alpha * sigma must be finite, "
                                 f"got {alpha} * {sigma}")
         for name, count in (("hops_switch", hops_switch), ("hops_wdm", hops_wdm),
@@ -174,7 +182,7 @@ class SegmentParams(Record):
             if error := count_error(name, count, 0):
                 raise TopologyError(f"{segment.value}: {error}")
         if count_error("gamma", gamma, 0) or gamma > 1:  # not True, nor 1.0
-            raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {gamma}")
+            raise TopologyError(f"{segment.value}: gamma must be 0 or 1, got {shown(gamma, str)}")
         if type(segment) is Node and (hops_switch or hops_wdm or hops_router or gamma):
             links_only = {"hops_switch": hops_switch, "hops_wdm": hops_wdm,
                           "hops_router": hops_router, "gamma": gamma}

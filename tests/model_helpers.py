@@ -11,7 +11,7 @@ from oranpower.configfile import (
     TopologyCounts,
     _where,
 )
-from oranpower.powermodel import ModelConfig, _loop_factory, _Term, provision_units
+from oranpower.powermodel import ModelConfig, _loop_factory, provision_units
 from oranpower.topology import LINK_ORDER, NODE_ORDER, Node, Topology
 
 
@@ -71,9 +71,9 @@ def evaluate_parts(nodes, segments, ue_watts):
     the row loop's own sums and check.
     """
     config = ModelConfig.default()
-    config._loops[Node.ORU, False, False] = _loop_factory((0, ((False,),)), False, False)(
-        1.0, (_Term(nodes[0], 0, ((1, 1.0, None, 0),)),), (*nodes[1:], *segments), ue_watts,
-        Node.ORU)
+    config._loops[Node.ORU, False, False] = _loop_factory(
+        (0, ((False,), *[None] * 6)), False, False)(
+        1.0, ((nodes[0], 0, ((1, 1.0, None, 0),)),), (*nodes[1:], *segments), ue_watts, Node.ORU)
     return config.evaluate(Topology(n_ru=1, n_du=1, n_cu=1, n_dc=1, users_per_ru=1), Node.ORU)
 
 

@@ -33,7 +33,19 @@ MUTANTS = (
      "/ SECONDS_PER_MONTH / GBPS_TO_BITS_PER_S * (1 + 1e-6)\n",
      "tests/test_experiments.py::TestBruteForceOracle::test_user_rate_terms_alone"),
     ("after-BBP links without the router", "powermodel.py",
-     "for multiplier, spec, _ in devices:", "for multiplier, spec, _ in devices[:2]:",
+     "for multiplier, ratio, _, _ in devices:", "for multiplier, ratio, _, _ in devices[:2]:",
+     "tests/test_experiments.py::TestBruteForceOracle"),
+    ("WDM hops ignored", "powermodel.py",
+     "seg.hops_wdm + 1", "1",
+     "tests/test_properties.py::TestOracleAgreement"),
+    ("routers on the backhaul only", "powermodel.py",
+     "                if seg.gamma:\n", "                if segment is LINK_ORDER[2]:\n",
+     "tests/test_properties.py::TestOracleAgreement"),
+    ("links priced with the next tier's count", "powermodel.py",
+     "({_COUNTS[depth]} / n_users)", "({_COUNTS[depth + name.startswith('link')]} / n_users)",
+     "tests/test_experiments.py::TestBruteForceOracle"),
+    ("the BBP tier priced at the user rate, as the terms after it", "powermodel.py",
+     "if depth < bbp or segment is placement:", "if depth < bbp:",
      "tests/test_experiments.py::TestBruteForceOracle"),
     ("term product regrouped", "powermodel.py",
      'f"s{i} * ({_COUNTS[depth]} / n_users) * "', 'f"s{i} * {_COUNTS[depth]} / n_users * "',
@@ -119,7 +131,7 @@ MUTANTS = (
      "rows = [*chain.from_iterable(zip(*done))]", "rows = [*chain.from_iterable(done)]",
      "tests/test_experiments.py::TestSweep::test_cardinality_and_order"),
     ("SegmentParams without its alpha * sigma check", "topology.py",
-     "        if not math.isfinite(alpha * sigma):\n", "        if False:\n",
+     "        if not is_finite(alpha * sigma):\n", "        if False:\n",
      "tests/test_topology.py::TestSegmentParamsValidation::test_overflowing_alpha_sigma_rejected"),
     ("SegmentParams without its segment check", "topology.py",
      "        if type(segment) is not Node and type(segment) is not Link:\n", "        if False:\n",

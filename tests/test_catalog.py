@@ -93,6 +93,11 @@ class TestSpecValidation:
             ServerSpec(cores=2**53, per_core_power_w=1.0, per_core_capacity_gbps=1e300,
                        server_capacity_gbps=1.0)
 
+    def test_server_capacity_product_of_ints_beyond_a_float_rejected(self):
+        with pytest.raises(CatalogError, match="server_capacity_gbps must equal"):
+            ServerSpec(cores=2**53, per_core_power_w=1.0, per_core_capacity_gbps=10**300,
+                       server_capacity_gbps=1.0)
+
     def test_server_cores_must_be_positive_int(self):
         with pytest.raises(CatalogError):
             ServerSpec(cores=0, per_core_power_w=6.0, per_core_capacity_gbps=0.25,

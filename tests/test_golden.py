@@ -1,24 +1,31 @@
-"""Golden output: the sha256 of stdout of fixed sweep, fanout and eval runs, and of
-the raw floats of a grid of breakdowns.
+"""Golden output: the sha256 of stdout of fixed sweep, fanout and eval runs, of
+the raw floats of a grid of breakdowns, and of the source of every row loop bound
+over a grid of configs.
 
 README.md promises byte-identical output for identical flags and config;
 these digests also pin that output across refactors of the model. A digest
 changes only when the printed numbers or layout change, which must then be
 a deliberate, documented change of the model or of the output format. The
 printed ``%.6g`` values hide a change in the last bit of a float; the raw
-float digest does not, and it must be the same on every supported Python.
+float digest does not, and it must be the same on every supported Python. The
+row-loop source digest pins the code that prices each cell, so a refactor of
+the plan or of the loop factory that changes no number still compiles the same
+loops.
 """
 
 import hashlib
 import io
+import itertools
 
 import pytest
 
+from oranpower import powermodel
+from oranpower.catalog import default_catalog
 from oranpower.cli import main
 from oranpower.configfile import load_config
 from oranpower.experiments import sweep_orus
-from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy
-from oranpower.topology import Node, build_sweep_topology
+from oranpower.powermodel import ClassPolicy, ModelConfig, ProvisioningPolicy, TrafficModel
+from oranpower.topology import LINK_ORDER, Node, build_sweep_topology, segment_map
 
 # Hop counts, sigma/alpha and server overrides, so every term of the model
 # departs from its default somewhere.
@@ -121,3 +128,42 @@ def test_breakdown_floats_digest():
             swept.update(repr((watts[3:7], watts[7:10], *watts[10:], *watts[:3])).encode())
     digest = "2df9890dd2aa49f324930ce12b956b9d10dcbf7f9e9cd68cda3c30e92bb6258e"
     assert (evaluated.hexdigest(), swept.hexdigest()) == (digest, digest)
+
+
+def test_row_loop_source_digest():
+    """The sha256 of every bound row loop's compiled source, with its binding's key: each of
+    the 32 policies that quantize some of the five device classes, routers on each subset of
+    the links, O-DUs provisioned to the cap or not, every placement, trees with a fanout cap
+    or without, and rows of figures or of CSV lines. The source is read where the loop
+    factory compiles it, from an emptied factory cache, and found again for each bound loop
+    by the loop's code, which its factory's source defines."""
+    compile_source, sources = powermodel._compile, {}
+
+    def recording_compile(source, name, label):
+        factory = compile_source(source, name, label)
+        (loop_code,) = [const for const in factory.__code__.co_consts if hasattr(const, "co_code")]
+        sources[loop_code] = source
+        return factory
+
+    digest = hashlib.sha256()
+    powermodel._compile = recording_compile
+    powermodel._loop_factory.cache_clear()
+    try:
+        for quantized in itertools.product((False, True), repeat=5):
+            policy = ProvisioningPolicy(*(ClassPolicy(flag) for flag in quantized))
+            for gammas in itertools.product((0, 1), repeat=len(LINK_ORDER)):
+                params = segment_map()
+                for link, gamma in zip(LINK_ORDER, gammas):
+                    params[link] = params[link].__replace__(gamma=gamma)
+                for to_cap in (False, True):
+                    config = ModelConfig(default_catalog(), params, TrafficModel(), policy, to_cap)
+                    for placement, has_cap, csv in itertools.product(
+                            Node, (False, True), (False, True)):
+                        loop = config._loop(placement, has_cap, csv)
+                        key = (quantized, gammas, to_cap, placement.value, has_cap, csv)
+                        digest.update(repr((key, sources[loop.__code__])).encode())
+    finally:
+        powermodel._compile = compile_source
+        powermodel._loop_factory.cache_clear()
+    assert digest.hexdigest() == (
+        "b91b72234300a980a57f4fe640630274eb3e727f8c2f88b7c0bc3cb5023b063e")

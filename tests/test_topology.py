@@ -287,6 +287,25 @@ class TestValidate:
         with pytest.raises(error, match=f"^{re.escape(message)} and <= 2\\*\\*53, got True$"):
             build()
 
+    # An int past Python's limit on digits converted to text (4300 by default) is shown by
+    # its size, so that the message itself does not raise.
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda n: Topology(n, 1, 1, 1, 1),
+                     "invalid topology: n_ru must be an integer >= 1", id="topology"),
+        pytest.param(lambda n: build_sweep_topology(n, 1),
+                     "invalid topology: n_ru must be an integer >= 1", id="sweep"),
+        pytest.param(lambda n: from_fanout_case(FANOUT_CASES["C-1"], 4, n),
+                     "invalid topology: users_per_ru must be an integer >= 1", id="fanout"),
+        pytest.param(lambda n: FanoutCase("x", 1, n, 1),
+                     "x: cu_fanout must be an integer >= 1", id="fanout-case"),
+        pytest.param(lambda n: SegmentParams(Link.MIDHAUL, 1.0, 1.0, hops_wdm=n),
+                     "midhaul: hops_wdm must be an integer >= 0", id="hops"),
+    ])
+    def test_count_too_long_for_text_shown_by_its_size(self, build, message):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)} and <= 2\\*\\*53, "
+                                                "got an int of 16610 bits$"):
+            build(10**5000)
+
 
 class TestSegmentParamsValidation:
     @pytest.mark.parametrize("segment", ["oru", None, 0, Node])
@@ -308,6 +327,10 @@ class TestSegmentParamsValidation:
         with pytest.raises(TopologyError, match=r"alpha \* sigma must be finite"):
             SegmentParams(Node.ORU, sigma=1e308, alpha=5.0)
 
+    def test_alpha_sigma_of_ints_beyond_a_float_rejected(self):
+        with pytest.raises(TopologyError, match=r"^oru: alpha \* sigma must be finite, got 1"):
+            SegmentParams(Node.ORU, sigma=10**300, alpha=10**300)
+
     @pytest.mark.parametrize("node", NODE_ORDER)
     @pytest.mark.parametrize("field", ["hops_switch", "hops_wdm", "hops_router", "gamma"])
     def test_tier_takes_only_sigma_and_alpha(self, node, field):
@@ -326,6 +349,11 @@ class TestSegmentParamsValidation:
         # The first four equal 0 or 1, and would be stored as given; the last two are ints.
         with pytest.raises(TopologyError, match=f"^backhaul: gamma must be 0 or 1, got {gamma}$"):
             SegmentParams(Link.BACKHAUL, 1.0, 1.0, gamma=gamma)
+
+    def test_gamma_too_long_for_text_shown_by_its_size(self):
+        with pytest.raises(TopologyError, match="^backhaul: gamma must be 0 or 1, "
+                                                "got an int of 16610 bits$"):
+            SegmentParams(Link.BACKHAUL, 1.0, 1.0, gamma=10**5000)
 
 
 class Subfloat(float):
@@ -376,3 +404,22 @@ class TestNumberFields:
     @pytest.mark.parametrize("build, error, field", NUMBER_FIELDS)
     def test_any_real_number_is_read(self, build, error, field, value):
         assert vars(build(value))[field.split(": ")[-1]] == value
+
+    # An int beyond a float is rejected as any value out of range is, not by the float
+    # conversion's OverflowError; past Python's limit on digits converted to text it is
+    # shown by its size.
+    @pytest.mark.parametrize("value, shown", [(10**400, repr(10**400)), (-10**400, repr(-10**400)),
+                                              (10**5000, "an int of 16610 bits")],
+                             ids=["10**400", "-10**400", "10**5000"])
+    @pytest.mark.parametrize("build, error, field", NUMBER_FIELDS)
+    def test_an_int_beyond_a_float_is_rejected_naming_the_field(self, build, error, field,
+                                                                 value, shown):
+        with pytest.raises(error, match=f"^{re.escape(field)} must be a finite number "
+                                        f"[^,]*, got {re.escape(shown)}$"):
+            build(value)
+
+    @pytest.mark.parametrize("build, error, field", NUMBER_FIELDS)
+    def test_a_string_is_shown_as_a_string(self, build, error, field):
+        with pytest.raises(error, match=f"^{re.escape(field)} must be a finite number "
+                                        "[^,]*, got '2'$"):
+            build("2")
