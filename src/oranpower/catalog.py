@@ -70,10 +70,11 @@ class ServerSpec(Record):
                 "server: server_capacity_gbps must equal cores * per_core_capacity_gbps "
                 f"({cores} * {per_core_capacity_gbps} != {server_capacity_gbps})"
             )
-        if not math.isfinite(cores * per_core_power_w / server_capacity_gbps):
+        power = cores * per_core_power_w  # of two ints, can be beyond a float: tested first
+        if not (is_finite(power) and math.isfinite(power / server_capacity_gbps)):
             raise CatalogError("server: cores * per_core_power_w / server_capacity_gbps must "
-                               f"be finite, got {cores} * {per_core_power_w} / "
-                               f"{server_capacity_gbps}")
+                               f"be finite, got {shown(cores)} * {shown(per_core_power_w)} / "
+                               f"{shown(server_capacity_gbps)}")
         self.__dict__.update(cores=cores, per_core_power_w=per_core_power_w,
                              per_core_capacity_gbps=per_core_capacity_gbps,
                              server_capacity_gbps=server_capacity_gbps)

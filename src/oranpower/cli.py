@@ -73,8 +73,8 @@ def load_run_config(args) -> tuple[ModelConfig, TopologyCounts]:
     # One unbuffered read of the whole file; splitlines() ends lines as text mode would.
     with open(args.config, "rb", buffering=0) as handle:
         data = handle.read()
-    try:
-        text = data.decode("utf-8")
+    try:  # a leading byte-order mark, which some editors write, is no part of the first key
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
     return load_config(text, config)
@@ -223,11 +223,13 @@ class _Parser(argparse.ArgumentParser):
 
     Plain: each token is an exact option string of this parser, either a ``store`` flag
     followed by one value that does not start with ``-`` or a ``store_true`` switch, and every
-    required flag is given. Values go through their action's ``type`` and ``choices`` and the
-    defaults are set as argparse sets them, so the namespace is argparse's. Any other command
-    line, or ``namespace=None``, goes to argparse unchanged, which alone writes usage errors
-    and help. The plain read uses argparse's private action table and value checks, so its
-    equality with argparse is tested only on the Python versions the CI matrix runs.
+    required flag is given. Values go through their action's ``type`` and ``choices`` and
+    each default is stored as it stands, as argparse stores it for ``build_parser``'s parsers,
+    which have no exclusive groups, no ``set_defaults`` and no string default with a ``type``;
+    so the namespace is argparse's. Any other command line, or ``namespace=None``, goes to
+    argparse unchanged, which alone writes usage errors and help. The plain read uses
+    argparse's private action table and value checks, so its equality with argparse is tested
+    only on the Python versions the CI matrix runs.
     """
 
     def parse_known_args(self, args=None, namespace=None):
@@ -249,7 +251,7 @@ class _Parser(argparse.ArgumentParser):
     def _parse_plain(self, args, namespace):
         """``(namespace, [])`` for the plain command line ``args``; None, with ``namespace``
         untouched, for any other."""
-        if args is None or namespace is None or self._mutually_exclusive_groups or self._defaults:
+        if args is None or namespace is None:
             return None
         given, i = {}, 0
         while i < len(args):
@@ -273,10 +275,7 @@ class _Parser(argparse.ArgumentParser):
                 return None
             elif (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
                   and not hasattr(namespace, action.dest)):
-                default = action.default
-                if isinstance(default, str) and action.type is not None:
-                    default = self._get_value(action, default)
-                attributes.append((action.dest, default))
+                attributes.append((action.dest, action.default))
         for dest, value in attributes:
             setattr(namespace, dest, value)
         return namespace, []

@@ -123,10 +123,11 @@ _NO_COUNTS = TopologyCounts()
 def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCounts]:
     """Apply config text to ``config``'s catalog and segments, and read its ``topology.*`` counts.
 
-    Entries are grouped by ``CONFIG_KEYS`` section. In order of first appearance, each
-    section's values are read and the section is built once by its ``__replace__``, which
-    runs its constructor, so its checks run. The catalog is built again only when a spec
-    changed, and the result is a new ``ModelConfig`` with the loaded catalog and segments.
+    Entries are grouped by ``CONFIG_KEYS`` section. Every section starts from its record in
+    ``config``, and ``topology`` from no counts. In order of first appearance, each section's
+    values are read and the section is built once by its ``__replace__``, which runs its
+    constructor, so its checks run. The result is a new ``ModelConfig`` whose catalog is the
+    ``ue`` section with the seven spec sections, and whose segments are the segment sections.
     Every error names its key and line: an unknown key or a value that cannot be read is a
     ``ConfigError``, and a section's rejection keeps its type, prefixed with that section's
     ``line N: key = value`` pairs. ``config`` is unchanged.
@@ -136,7 +137,9 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
         grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = entry
-    built = {}
+    # Each section's base record, under its CONFIG_KEYS section (and ue_energy_j_per_bit).
+    sections = config.params.copy()
+    sections.update(vars(config.catalog), ue=config.catalog, topology=_NO_COUNTS)
     for section, section_entries in grouped.items():
         values = {}
         for key, entry in section_entries.items():
@@ -145,24 +148,11 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
                 values[field] = reader(entry.value)
             except ConfigError as exc:
                 raise ConfigError(f"{_where({key: entry})}: {exc}") from None
-        if not isinstance(section, str):  # a Node or Link
-            base = config.params[section]
-        elif section == "ue":
-            base = config.catalog
-        elif section == "topology":
-            base = _NO_COUNTS
-        else:
-            base = getattr(config.catalog, section)
         try:
-            built[section] = base.__replace__(**values)
+            sections[section] = sections[section].__replace__(**values)
         except ValueError as exc:  # the section's own error type, such as CatalogError
             raise type(exc)(f"{_where(section_entries)}: {exc}") from None
-    counts = built.pop("topology", _NO_COUNTS)
-    catalog = built.pop("ue", config.catalog)
-    specs = {name: built.pop(name) for name in _SPECS if name in built}
-    if specs:
-        catalog = catalog.__replace__(**specs)
-    params = config.params.copy()  # the remaining sections are segments
-    params.update(built)
+    catalog = sections["ue"].__replace__(**{name: sections[name] for name in _SPECS})
+    params = {segment: sections[segment] for segment in config.params}
     loaded = ModelConfig(catalog, params, config.traffic, config.policy, config.provision_to_cap)
-    return loaded, counts
+    return loaded, sections["topology"]

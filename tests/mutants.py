@@ -95,7 +95,8 @@ MUTANTS = (
      'if arg_strings == ["--"] and', "if False and",
      "tests/test_cli.py::TestDoubleDashValue"),
     ("changed segments dropped when the ModelConfig is built", "configfile.py",
-     "    params.update(built)\n", "",
+     "params = {segment: sections[segment] for segment in config.params}",
+     "params = dict(config.params)",
      "tests/test_config.py::TestMatchesReference::test_table_keys_with_junk_lines"),
     ("config section built without its checks", "topology.py",
      "        return type(self)(**{**vars(self), **changes})\n",
@@ -139,6 +140,11 @@ MUTANTS = (
     ("ServerSpec without its capacity product check", "catalog.py",
      "\n                or abs(server_capacity_gbps - expected) > _REL_TOL * expected):", "):",
      "tests/test_catalog.py::TestSpecValidation::test_server_capacity_consistency"),
+    ("ServerSpec's power product converted to a float before it is tested", "catalog.py",
+     "if not (is_finite(power) and math.isfinite(power / server_capacity_gbps)):",
+     "if not math.isfinite(power / server_capacity_gbps):",
+     "tests/test_catalog.py::TestSpecValidation"
+     "::test_server_power_product_of_ints_beyond_a_float_rejected"),
     ("EquipmentCatalog accepting any spec", "catalog.py",
      "            if not isinstance(spec, kind):\n", "            if False:\n",
      "tests/test_catalog.py::TestSpecValidation::test_catalog_specs_checked"),
@@ -182,6 +188,10 @@ MUTANTS = (
      "@functools.cache\ndef _base_config", "def _base_config",
      "tests/test_cli.py::TestConfigHandling"
      "::test_flags_alone_share_one_config_per_policy_and_load"),
+    ("a config file's byte-order mark read as part of its first key", "cli.py",
+     '.removeprefix("\\ufeff")', "",
+     "tests/test_cli.py::TestConfigHandling"
+     "::test_config_with_a_byte_order_mark_reads_as_without"),
 )
 
 

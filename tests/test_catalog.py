@@ -98,6 +98,13 @@ class TestSpecValidation:
             ServerSpec(cores=2**53, per_core_power_w=1.0, per_core_capacity_gbps=10**300,
                        server_capacity_gbps=1.0)
 
+    def test_server_power_product_of_ints_beyond_a_float_rejected(self):
+        message = ("server: cores * per_core_power_w / server_capacity_gbps must be finite, "
+                   f"got 2 * {10**308} / 1.0")
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            ServerSpec(cores=2, per_core_power_w=10**308, per_core_capacity_gbps=0.5,
+                       server_capacity_gbps=1.0)
+
     def test_server_cores_must_be_positive_int(self):
         with pytest.raises(CatalogError):
             ServerSpec(cores=0, per_core_power_w=6.0, per_core_capacity_gbps=0.25,

@@ -428,6 +428,16 @@ class TestConfigHandling:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and str(config) in err
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        # An editor may start a UTF-8 file with U+FEFF; it is no part of the first key.
+        text = b"radio.power_w = 150\nsegment.odu.sigma = 3\ntopology.users_per_ru = 8\n"
+        argv = ["eval", "--n-ru", "40", "--bbp", "odu", "--format", "csv", "--config"]
+        outcomes = []
+        for name, data in (("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)):
+            (tmp_path / name).write_bytes(data)
+            outcomes.append(run_cli(*argv, str(tmp_path / name)))
+        assert outcomes[0][0] == 0 and outcomes[1] == outcomes[0]
+
     # Hop counts are read only for links, so a node's hop key is unknown.
     @pytest.mark.parametrize("key", ["nonsense.key"] + [
         f"segment.{node}.{field}" for node in ("oru", "odu", "ocu", "dc")
