@@ -58,9 +58,9 @@ _FANOUT_LINE = ",".join(("%s", "%s", *[FIGURE] * 3)) + "\n"
 
 @functools.cache
 def _base_config(policy: str, attached_load: bool) -> ModelConfig:
-    """The config of ``--policy`` and ``--attached-load`` alone, frozen and so shared. It saves
-    work only where ``main`` runs more than once in a process (a library caller, perfbench's
-    ``whatif`` workload); an ``oranpower`` process builds it once either way."""
+    """The config of ``--policy`` and ``--attached-load`` alone, frozen and so shared: it saves
+    its construction where ``main`` runs more than once in a process (a library caller,
+    perfbench's ``whatif`` workload); an ``oranpower`` process builds it once either way."""
     return ModelConfig(default_catalog(), segment_map(), _TRAFFIC, _POLICIES[policy],
                        provision_to_cap=not attached_load)
 

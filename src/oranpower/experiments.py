@@ -26,9 +26,12 @@ SWEEP_CHUNK = 256
 
 
 def _bind(placements: Iterable[Node], config: ModelConfig, csv: bool) -> tuple[list, list]:
-    """The distinct placements in depth order and the row loop of each, bound through
+    """The distinct placements in depth order and the row loop of each, bound once through
     ``config._loop``, which rejects a placement that is not a ``Node`` as ``evaluate`` does."""
-    bound = {placement: config._loop(placement, True, csv) for placement in placements}
+    bound = {}
+    for placement in placements:
+        if type(placement) is not Node or placement not in bound:
+            bound[placement] = config._loop(placement, True, csv)
     ordered = [node for node in NODE_ORDER if node in bound]
     return ordered, [bound[node] for node in ordered]
 

@@ -326,13 +326,9 @@ class ModelConfig(Record):
     """Everything an evaluation needs except the topology and BBP placement.
 
     ``params`` must hold the ``SegmentParams`` of every tier and link, each
-    under its own segment, and is stored as a read-only copy. A row loop is
-    bound for each placement, kind of tree and kind of row the first time
-    one is asked for, and kept on the config in a slot, ``_loops``, outside
-    ``vars``: the loop cache takes no part in equality, ``repr`` or ``__replace__``.
+    under its own segment, and is stored as a read-only copy. The config
+    holds nothing else: each row loop is bound again whenever one is asked for.
     """
-
-    __slots__ = ("_loops",)
 
     def __init__(self, catalog: EquipmentCatalog, params: Mapping[Segment, SegmentParams],
                  traffic: TrafficModel, policy: ProvisioningPolicy, provision_to_cap: bool = True):
@@ -353,11 +349,9 @@ class ModelConfig(Record):
             raise TopologyError(f"params holds unknown segments: {unknown!r}")
         self.__dict__.update(catalog=catalog, params=MappingProxyType(params), traffic=traffic,
                              policy=policy, provision_to_cap=provision_to_cap)
-        object.__setattr__(self, "_loops", {})
 
     def __reduce__(self):
-        # Copies and pickles are rebuilt through __init__: a mappingproxy cannot
-        # be pickled, and loops are bound again on demand.
+        # Copies and pickles are rebuilt through __init__: a mappingproxy cannot be pickled.
         return type(self), (self.catalog, dict(self.params), self.traffic, self.policy,
                             self.provision_to_cap)
 
@@ -385,8 +379,8 @@ class ModelConfig(Record):
         weighting, so its watts are fixed here from the same rows, and its
         flags are ``None``.
         """
-        if type(placement) is not Node:  # the failed cache lookup is no part of the error
-            raise ValueError(f"unknown BBP placement: {placement!r}") from None
+        if type(placement) is not Node:
+            raise ValueError(f"unknown BBP placement: {placement!r}")
         bbp = placement.depth
         catalog, params, policy = self.catalog, self.params, self.policy
         user_rate = self.traffic.user_rate_gbps
@@ -425,15 +419,10 @@ class ModelConfig(Record):
 
     def _loop(self, placement: Node, has_cap: bool, csv: bool) -> Callable:
         """The row loop (see ``_loop_factory``) of this config for ``placement``, for trees with
-        a fanout cap or without one, bound to a new plan on first use and then cached."""
-        try:
-            return self._loops[placement, has_cap, csv]
-        except (KeyError, TypeError):  # a new loop, or a placement that cannot be a dict key
-            terms, after, ue_watts, shape = self._plan(placement)
-        capped = self.provision_to_cap and has_cap
-        loop = self._loops[placement, has_cap, csv] = _loop_factory(shape, capped, csv)(
+        a fanout cap or without one, bound to a new plan on each call."""
+        terms, after, ue_watts, shape = self._plan(placement)
+        return _loop_factory(shape, self.provision_to_cap and has_cap, csv)(
             self.traffic.ecpri_per_ru_gbps, terms, after, ue_watts, placement)
-        return loop
 
     def evaluate(self, topology: Topology, placement: Node) -> PowerBreakdown:
         """Per-user breakdown of ``topology`` with baseband processing at ``placement``, priced

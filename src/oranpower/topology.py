@@ -69,12 +69,15 @@ class Record:
 
 
 def check_counts(**counts: object) -> None:
-    """Raise one ``TopologyError`` naming every count out of range and every inverted tier pair."""
+    """Raise one ``TopologyError`` naming every bad count, inverted tier pair and too small cap."""
     bad = {name: error for name, count in counts.items() if (error := count_error(name, count))}
     violations = list(bad.values())
     for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
         if {wide, narrow} <= counts.keys() - bad.keys() and counts[wide] < counts[narrow]:
             violations.append(f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
+    n_ru, n_du, cap = map(counts.get, ("n_ru", "n_du", "du_fanout_cap"))
+    if {"n_ru", "n_du", "du_fanout_cap"} <= counts.keys() - bad.keys() and n_ru > n_du * cap:
+        violations.append(f"n_ru <= n_du * du_fanout_cap violated ({n_ru} > {n_du} * {cap})")
     if violations:
         raise TopologyError("invalid topology: " + "; ".join(violations))
 
@@ -124,11 +127,11 @@ _DEPTHS: dict[Segment, int] = {segment: depth for order in (NODE_ORDER, LINK_ORD
 class Topology(Record):
     """Node counts and user population of one aggregation tree.
 
-    ``n_users`` is derived as ``n_ru * users_per_ru``. ``du_fanout_cap``
-    records how many O-RUs each O-DU is provisioned to serve; ``None`` means
-    O-DUs are sized for the O-RUs actually attached. Construction raises one
-    ``TopologyError`` that lists every violated structural invariant; the cap
-    is a count like the others.
+    ``n_users`` is derived as ``n_ru * users_per_ru``. ``du_fanout_cap`` records how many
+    O-RUs each O-DU is provisioned to serve, so ``n_ru <= n_du * du_fanout_cap``; ``None``
+    means O-DUs are sized for the O-RUs actually attached. Construction raises one
+    ``TopologyError`` that lists every violated structural invariant; the cap is a count
+    like the others.
     """
 
     def __init__(self, n_ru: int, n_du: int, n_cu: int, n_dc: int, users_per_ru: int,
@@ -139,7 +142,8 @@ class Topology(Record):
                 and MAX_COUNT >= n_ru >= n_du >= n_cu >= n_dc >= 1
                 and MAX_COUNT >= users_per_ru >= 1
                 and (du_fanout_cap is None
-                     or type(du_fanout_cap) is int and MAX_COUNT >= du_fanout_cap >= 1)):
+                     or type(du_fanout_cap) is int and MAX_COUNT >= du_fanout_cap >= 1
+                     and n_ru <= n_du * du_fanout_cap)):
             cap = {} if du_fanout_cap is None else {"du_fanout_cap": du_fanout_cap}
             check_counts(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc, users_per_ru=users_per_ru, **cap)
         self.__dict__.update(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc,

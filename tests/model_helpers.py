@@ -63,18 +63,22 @@ def per_part_breakdown(nodes, segments, ue_watts):
 def evaluate_parts(nodes, segments, ue_watts):
     """``evaluate`` of a cell whose row loop prices exactly the given parts.
 
-    The cell has one user, no fanout cap and its BBP at the O-RU. Its row loop
-    is replaced in the config's loop cache by one bound to a plan in which
-    the O-RU term has the scale ``nodes[0]`` and one linear device of ratio
-    1.0 at an eCPRI load of 1.0, so it prices ``nodes[0] * 1.0 * 1.0``, and
+    The cell has one user, no fanout cap and its BBP at the O-RU. Its config
+    binds, in place of its own row loop, one bound to a plan in which the
+    O-RU term has the scale ``nodes[0]`` and one linear device of ratio 1.0
+    at an eCPRI load of 1.0, so it prices ``nodes[0] * 1.0 * 1.0``, and
     every other part is a constant of the plan. The parts then pass through
     the row loop's own sums and check.
     """
-    config = ModelConfig.default()
-    config._loops[Node.ORU, False, False] = _loop_factory(
-        (0, ((False,), *[None] * 6)), False, False)(
+    loop = _loop_factory((0, ((False,), *[None] * 6)), False, False)(
         1.0, ((nodes[0], 0, ((1, 1.0, None, 0),)),), (*nodes[1:], *segments), ue_watts, Node.ORU)
-    return config.evaluate(Topology(n_ru=1, n_du=1, n_cu=1, n_dc=1, users_per_ru=1), Node.ORU)
+
+    class Fixed(ModelConfig):
+        def _loop(self, placement, has_cap, csv):
+            return loop
+
+    return Fixed.default().evaluate(Topology(n_ru=1, n_du=1, n_cu=1, n_dc=1, users_per_ru=1),
+                                    Node.ORU)
 
 
 def reference_parse_config_text(text):

@@ -56,7 +56,7 @@ MUTANTS = (
      ' or (bbp, name) == (2, "transmission"):',
      "tests/test_golden.py::test_stdout_digest"),
     ("O-DUs sized for their O-RUs when provisioned to the cap", "powermodel.py",
-     "capped = self.provision_to_cap and has_cap\n", "capped = False\n",
+     "self.provision_to_cap and has_cap, csv)", "False, csv)",
      "tests/test_experiments.py::TestBruteForceOracle::test_cap_provisioning_matches"),
     ("O-DU load and device sums hoisted when O-DUs are sized for their O-RUs", "powermodel.py",
      "hoisted = 1 if capped else 0\n", "hoisted = 1\n",
@@ -110,10 +110,6 @@ MUTANTS = (
      "        record.__dict__.update({**vars(self), **changes})\n"
      "        return record\n",
      "tests/test_powermodel.py::TestRecords::test_replace_derives_fields_again"),
-    ("loop cache kept in vars", "powermodel.py",
-     '    __slots__ = ("_loops",)\n', "",
-     "tests/test_powermodel.py::TestReusedConfig"
-     "::test_evaluating_changes_neither_equality_nor_replace"),
     ("dataclasses imported again", "topology.py",
      "import math\nfrom enum import Enum\n", "import dataclasses\nimport math\nfrom enum import Enum\n",
      "tests/test_cli.py::TestImportFootprint"),
@@ -182,8 +178,26 @@ MUTANTS = (
      "            if False:\n",
      "tests/test_config.py::TestTopologyCounts"),
     ("a sweep placement that is not a Node dropped instead of rejected", "experiments.py",
-     "for placement in placements}", "for placement in placements if placement in NODE_ORDER}",
+     "if type(placement) is not Node or placement not in bound:",
+     "if placement in NODE_ORDER and placement not in bound:",
      "tests/test_experiments.py::TestSweep::test_unknown_placement_rejected_by_the_call"),
+    ("a placement listed twice bound twice", "experiments.py",
+     " or placement not in bound:", ":",
+     "tests/test_experiments.py::TestFanoutStudy::test_binds_one_loop_per_placement"),
+    ("fanout_study binding its row loops again for each case", "experiments.py",
+     "    ordered, loops = _bind(placements, config, False)\n    study = []\n"
+     "    for case in cases:\n",
+     "    study = []\n    for case in cases:\n"
+     "        ordered, loops = _bind(placements, config, False)\n",
+     "tests/test_experiments.py::TestFanoutStudy::test_binds_one_loop_per_placement"),
+    ("Topology's one test without the cap's O-RU rule", "topology.py",
+     "\n                     and n_ru <= n_du * du_fanout_cap)):", ")):",
+     "tests/test_topology.py::TestValidate"
+     "::test_cap_too_small_for_the_o_dus_to_serve_every_o_ru_rejected"),
+    ("check_counts without the cap's O-RU rule", "topology.py",
+     " and n_ru > n_du * cap:", " and False:",
+     "tests/test_topology.py::TestValidate"
+     "::test_cap_too_small_for_the_o_dus_to_serve_every_o_ru_rejected"),
     ("the flags' base config rebuilt on each call", "cli.py",
      "@functools.cache\ndef _base_config", "def _base_config",
      "tests/test_cli.py::TestConfigHandling"

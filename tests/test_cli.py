@@ -3,6 +3,7 @@
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oranpower
 from oranpower import cli
 from oranpower.cli import CSV_COLUMNS, build_parser, load_run_config, main
 from oranpower.configfile import TopologyCounts, load_config
@@ -227,6 +229,13 @@ class TestImportFootprint:
                                 env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
         assert "oranpower.cli" in loaded.split()
         assert {"dataclasses", "inspect", "decimal"}.isdisjoint(loaded.split())
+
+
+class TestVersion:
+    def test_pyproject_and_the_package_give_one_version(self):
+        # Installed metadata reads pyproject.toml's; read here by a regex, as 3.10 has no tomllib.
+        text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.findall(r'^version = "(.*)"$', text, re.MULTILINE) == [oranpower.__version__]
 
 
 class TestClosedOutput:

@@ -203,8 +203,11 @@ def topologies(draw, extreme):
     n_ru = n_du * draw(st.integers(1, 4))
     if extreme and draw(st.booleans()):
         n_ru = draw(st.sampled_from(EXTREME_COUNTS))
+    # A cap too small for the O-DUs to hold every O-RU is raised to the least that does, so
+    # caps that bind exactly, at n_ru = n_du * cap, are drawn too.
+    cap = draw(st.one_of(st.none(), counts(1, 8, extreme)))
     return Topology(n_ru, n_du, n_cu, n_dc, users_per_ru,
-                    draw(st.one_of(st.none(), counts(1, 8, extreme))))
+                    cap if cap is None else max(cap, -(-n_ru // n_du)))
 
 
 def breakdown_fields(config, topology, placement):
@@ -219,7 +222,7 @@ def check_kernel_matches_reference(config, topology, placement):
     ``evaluate``'s fields, by ``repr``, or ``evaluate``'s error."""
     evaluated = outcome(breakdown_fields, config, topology, placement)
     terms, _, ue_watts, _ = config._plan(placement)
-    loop = config._loops[placement, topology.du_fanout_cap is not None, False]  # evaluate's
+    loop = config._loop(placement, topology.du_fanout_cap is not None, False)  # evaluate's
     args = kernel_args(config, topology)
     expected = outcome(reference_kernel, terms, placement.depth, config, *args)
     rows = []
@@ -328,14 +331,9 @@ class TestSharedFactories:
             # an argument, none in the code, which reads only the totals' 0.0 and the one-O-RU
             # cell's count of 1 as constants: for evaluate's rows and the CSV lines, for trees
             # with and without a cap.
-            for config in (first, second):  # binds evaluate's loops for both kinds of tree
-                for tree in (Topology(8, 2, 1, 1, 10), build_sweep_topology(8, 10, 4)):
-                    config.evaluate(tree, placement)
             for csv in (False, True):
                 for has_cap in (False, True):
-                    key = placement, has_cap, csv
-                    loops = [config._loop(*key) for config in (first, second)]
-                    assert [config._loops[key] for config in (first, second)] == loops
+                    loops = [config._loop(placement, has_cap, csv) for config in (first, second)]
                     assert loops[0].__code__ is loops[1].__code__
                     assert loops[0].__code__.co_filename.startswith("<oranpower row loop")
                     assert {value for value in loops[0].__code__.co_consts
@@ -352,14 +350,12 @@ class TestSharedFactories:
         expected = [breakdown_floats(config.evaluate(topology, node)) for node in NODE_ORDER]
         for clone in (copy.copy(config), copy.deepcopy(config),
                       pickle.loads(pickle.dumps(config))):
-            assert clone == config and clone._loops == {}
+            assert clone == config
             assert [breakdown_floats(clone.evaluate(topology, node))
                     for node in NODE_ORDER] == expected
-            assert clone._loops.keys() == config._loops.keys() == {
-                (node, True, False) for node in NODE_ORDER}
-            for key, loop in clone._loops.items():
+            for node in NODE_ORDER:
                 # A new loop, bound to a new plan of equal values, over the same code.
-                original = config._loops[key]
+                loop, original = clone._loop(node, True, False), config._loop(node, True, False)
                 assert loop is not original and loop.__code__ is original.__code__
                 assert ([cell.cell_contents for cell in loop.__closure__]
                         == [cell.cell_contents for cell in original.__closure__])

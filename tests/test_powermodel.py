@@ -365,13 +365,13 @@ class TestProcessingPower:
             evaluate(topo, "oru")
 
     @pytest.mark.parametrize("placement", ["dc", None, 0, [], Link.FRONTHAUL], ids=repr)
-    def test_unknown_placement_named_before_and_after_plans_are_cached(self, placement):
+    def test_unknown_placement_named_before_and_after_each_node_is_evaluated(self, placement):
         config = ModelConfig.default()
         topo = build_sweep_topology(4, 10, 4)
         message = re.escape(f"unknown BBP placement: {placement!r}")
         with pytest.raises(ValueError, match=message):
             config.evaluate(topo, placement)
-        for node in NODE_ORDER:  # plans are keyed by depth, so 0 must not find the O-RU plan
+        for node in NODE_ORDER:  # the O-RU's depth is 0, yet 0 is no placement
             config.evaluate(topo, node)
         with pytest.raises(ValueError, match=message):
             config.evaluate(topo, placement)

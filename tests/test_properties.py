@@ -163,14 +163,16 @@ class TestScalingAndZero:
 
 @st.composite
 def wide_topologies(draw):
-    """Valid trees with every count, ``users_per_ru`` and the cap anywhere up to 2**53."""
+    """Valid trees with every count, ``users_per_ru`` and the cap anywhere up to 2**53: the
+    cap from the least with which the O-DUs serve every O-RU."""
     n_ru = draw(st.integers(1, MAX_COUNT))
     n_du = draw(st.integers(1, n_ru))
     n_cu = draw(st.integers(1, n_du))
     n_dc = draw(st.integers(1, n_cu))
+    cap = st.integers(-(-n_ru // n_du), MAX_COUNT)
     return Topology(n_ru=n_ru, n_du=n_du, n_cu=n_cu, n_dc=n_dc,
                     users_per_ru=draw(st.integers(1, MAX_COUNT)),
-                    du_fanout_cap=draw(st.one_of(st.none(), st.integers(1, MAX_COUNT))))
+                    du_fanout_cap=draw(st.one_of(st.none(), cap)))
 
 
 # Units and server capacities this small give unit counts on both sides of a float's largest.
@@ -285,6 +287,10 @@ def per_count_topology(n_ru, n_du, n_cu, n_dc, users_per_ru, du_fanout_cap):
     for wide, narrow in (("n_ru", "n_du"), ("n_du", "n_cu"), ("n_cu", "n_dc")):
         if not {wide, narrow} & bad.keys() and counts[wide] < counts[narrow]:
             violations.append(f"{wide} >= {narrow} violated ({counts[wide]} < {counts[narrow]})")
+    if (du_fanout_cap is not None and not {"n_ru", "n_du", "du_fanout_cap"} & bad.keys()
+            and n_ru > n_du * du_fanout_cap):
+        violations.append(
+            f"n_ru <= n_du * du_fanout_cap violated ({n_ru} > {n_du} * {du_fanout_cap})")
     if violations:
         raise TopologyError("invalid topology: " + "; ".join(violations))
     return n_ru, n_du, n_cu, n_dc, users_per_ru, du_fanout_cap, n_ru * users_per_ru
@@ -519,6 +525,9 @@ class TestSinglePassChecksMatchPerFieldChecks:
             assert outcome(totals)[0] is PowerOverflowError
 
     @given(counts=tree_counts(), cap=CAPS)
+    @example(counts=[8, 2, 1, 1, 10], cap=4)  # O-DUs that hold their O-RUs exactly
+    @example(counts=[9, 2, 1, 1, 10], cap=4)  # and one O-RU more than they hold
+    @example(counts=[9, 2, 3, 1, 10], cap=4)  # that, with an inverted tier pair
     @settings(max_examples=400, deadline=None)
     def test_topology(self, counts, cap):
         assert (outcome(lambda: topology_fields(Topology(*counts, du_fanout_cap=cap)))

@@ -259,6 +259,19 @@ class TestValidate:
         with pytest.raises(TopologyError, match="du_fanout_cap"):
             Topology(n_ru=4, n_du=1, n_cu=1, n_dc=1, users_per_ru=10, du_fanout_cap=cap)
 
+    def test_cap_too_small_for_the_o_dus_to_serve_every_o_ru_rejected(self):
+        # 100 O-RUs on one O-DU provisioned for 4 would price the O-DU term at 4% of the
+        # consistent tree's; both counts are named, as for an inverted tier pair.
+        message = "invalid topology: n_ru <= n_du * du_fanout_cap violated (100 > 1 * 4)"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            Topology(100, 1, 1, 1, 10, du_fanout_cap=4)
+        with pytest.raises(TopologyError, match=re.escape("(101 > 25 * 4)")):
+            Topology(101, 25, 1, 1, 10, du_fanout_cap=4)
+        with pytest.raises(TopologyError, match=re.escape("(100 > 24 * 4)")):
+            build_sweep_topology(100, 10, 4).__replace__(n_du=24)
+        assert Topology(100, 25, 1, 1, 10, du_fanout_cap=4).n_du == 25  # the cap binds exactly
+        assert Topology(100, 1, 1, 1, 10).du_fanout_cap is None  # O-DUs sized for their O-RUs
+
     # A bool is an int subclass, but True is no count wherever one is read.
     @pytest.mark.parametrize("build, error, message", [
         pytest.param(lambda: Topology(True, 1, 1, 1, 1), TopologyError,
