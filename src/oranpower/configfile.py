@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 from .powermodel import ModelConfig
 from .topology import LINK_ORDER, NODE_ORDER, Record, TopologyError, count_error
@@ -13,19 +13,14 @@ class ConfigError(ValueError):
     """Malformed config text, an unknown key, or a value its key cannot take."""
 
 
-class ConfigEntry(NamedTuple):
-    value: str
-    lineno: int
-
-
-def parse_config_text(text: str) -> dict[str, ConfigEntry]:
-    """Parse UTF-8 key-value config text into ``{key: ConfigEntry}``.
+def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
+    """Parse UTF-8 key-value config text into ``{key: (value, line number)}``.
 
     One ``section.key = value`` per line; ``#`` starts a comment; blank
     lines are skipped; whitespace around ``=`` is ignored. A key given twice
     is an error that names both lines.
     """
-    entries: dict[str, ConfigEntry] = {}
+    entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key, equals, value = raw.split("#", 1)[0].partition("=")
         if not equals:
@@ -40,8 +35,8 @@ def parse_config_text(text: str) -> dict[str, ConfigEntry]:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
-                              f"already set on line {entries[key].lineno}")
-        entries[key] = ConfigEntry(value, lineno)
+                              f"already set on line {entries[key][1]}")
+        entries[key] = value, lineno
     return entries
 
 
@@ -101,8 +96,8 @@ CONFIG_KEYS: dict[str, tuple[Any, str, Callable[[str], Any]]] = {
 }
 
 
-def _where(entries: Mapping[str, ConfigEntry]) -> str:
-    return "; ".join(f"line {entry.lineno}: {key} = {entry.value}" for key, entry in entries.items())
+def _where(entries: Mapping[str, tuple[str, int]]) -> str:
+    return "; ".join(f"line {line}: {key} = {value}" for key, (value, line) in entries.items())
 
 
 class TopologyCounts(Record):
@@ -132,22 +127,22 @@ def load_config(text: str, config: ModelConfig) -> tuple[ModelConfig, TopologyCo
     ``ConfigError``, and a section's rejection keeps its type, prefixed with that section's
     ``line N: key = value`` pairs. ``config`` is unchanged.
     """
-    grouped: dict[Any, dict[str, ConfigEntry]] = {}
-    for key, entry in parse_config_text(text).items():
+    grouped: dict[Any, dict[str, tuple[str, int]]] = {}
+    for key, (value, line) in parse_config_text(text).items():
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
-        grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = entry
+            raise ConfigError(f"line {line}: unknown config key {key!r}")
+        grouped.setdefault(CONFIG_KEYS[key][0], {})[key] = value, line
     # Each section's base record, under its CONFIG_KEYS section (and ue_energy_j_per_bit).
     sections = config.params.copy()
     sections.update(vars(config.catalog), ue=config.catalog, topology=_NO_COUNTS)
     for section, section_entries in grouped.items():
         values = {}
-        for key, entry in section_entries.items():
+        for key, (value, line) in section_entries.items():
             _, field, reader = CONFIG_KEYS[key]
             try:
-                values[field] = reader(entry.value)
+                values[field] = reader(value)
             except ConfigError as exc:
-                raise ConfigError(f"{_where({key: entry})}: {exc}") from None
+                raise ConfigError(f"{_where({key: (value, line)})}: {exc}") from None
         try:
             sections[section] = sections[section].__replace__(**values)
         except ValueError as exc:  # the section's own error type, such as CatalogError

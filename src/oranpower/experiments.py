@@ -63,27 +63,25 @@ def sweep_chunks(n_ru_range: Iterable[int], users_per_ru: int, placements: Itera
     With ``csv``, each row is instead the CSV data line of n_ru, the
     placement's name and the 11 watts to 6 significant digits. ``run_loops``
     prices a chunk through each placement's row loop, bound once, from O-DU
-    counts computed once for all placements. The call checks every count as
-    ``build_sweep_topology`` does, a list's before sorting, and prices the
-    first count's list. A cell that fails its row check ends the stream: the
-    rows before it come first, unless it is at the first count, then its error.
+    counts computed once for all placements. The call checks a list's counts
+    before sorting, builds the first and the last count's ``build_sweep_topology``
+    trees, which bound the rest, and prices the first count's list. A cell that
+    fails its row check ends the stream: the rows before it come first, unless it
+    is at the first count, then its error.
     """
     if isinstance(n_ru_range, range) and n_ru_range.step > 0:
         counts = n_ru_range
-        later = counts[-1:]  # a range holds ints, none above its last
     else:
         listed = list(n_ru_range)
         for n_ru in listed:  # each before sorting, which may not order it
             if count_error("n_ru", n_ru):
                 build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
-        counts, later = sorted(set(listed)), ()
+        counts = sorted(set(listed))
     if not counts:
         raise ValueError("n_ru_range must be non-empty")
     ordered, loops = _bind(placements, config, csv)
-    build_sweep_topology(counts[0], users_per_ru, du_fanout_cap)
-    for n_ru in later:
-        if count_error("n_ru", n_ru):
-            build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)  # raises its error
+    for n_ru in (counts[0], counts[-1]):  # every other count lies between these two ints
+        build_sweep_topology(n_ru, users_per_ru, du_fanout_cap)
     chunks = _chunks(counts, users_per_ru, ordered, du_fanout_cap, loops)
     head = next(chunks)
     if len(head) < len(ordered):  # a cell of the first count failed: raise its error

@@ -1,12 +1,12 @@
 """Reference helpers that only the tests use, built on the package's sizing primitives."""
 
 import math
+from typing import NamedTuple
 
 from oranpower.catalog import energy_per_capacity
 from oranpower.configfile import (
     _SPECS,
     CONFIG_KEYS,
-    ConfigEntry,
     ConfigError,
     TopologyCounts,
     _where,
@@ -81,9 +81,17 @@ def evaluate_parts(nodes, segments, ue_watts):
                                     Node.ORU)
 
 
+class Entry(NamedTuple):
+    """A config line's value and line number: the pair ``configfile.parse_config_text`` gives
+    for a key, with names, so the reference below reads its fields by name."""
+
+    value: str
+    lineno: int
+
+
 def reference_parse_config_text(text):
     """``configfile.parse_config_text`` with the comment-free line stripped before it is split."""
-    entries: dict[str, ConfigEntry] = {}
+    entries: dict[str, Entry] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,7 +108,7 @@ def reference_parse_config_text(text):
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
                               f"already set on line {entries[key].lineno}")
-        entries[key] = ConfigEntry(value=value, lineno=lineno)
+        entries[key] = Entry(value=value, lineno=lineno)
     return entries
 
 
@@ -108,7 +116,7 @@ def reference_load_config(text, config):
     """``configfile.load_config`` as one ``replace`` per section over a map of all
     17 sections, then of the catalog and the ``ModelConfig``: the loader's results and errors,
     built the slow way."""
-    grouped: dict[object, dict[str, ConfigEntry]] = {}
+    grouped: dict[object, dict[str, Entry]] = {}
     for key, entry in reference_parse_config_text(text).items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {entry.lineno}: unknown config key {key!r}")
